@@ -16,17 +16,17 @@ Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .cao import minimum_embedding_dimension
 from .correlation import correlation_curve, correlation_dimension
-from .errors import ChaosKitError, ConfigError, InputError
+from .errors import ChaosKitError, ConfigError, InputError, ShortSeriesError
 from .generators import GeneratorSpec, generate, generator_kinds
-from .information import auto_mutual_information, select_lag_first_minimum
+from .information import auto_mutual_information
 from .io import (
     format_float,
     load_recordings,
@@ -39,9 +39,17 @@ from .io import (
     write_signal_csv,
     write_table1_csv,
 )
-from .lyapunov import WolfParams, largest_lyapunov_wolf
-from .series import EmbeddingParams, TimeSeries, delay_embed, theiler_window
-from .sleep import EstimatorConfig, SleepStage, analyze_recordings
+from .lyapunov import largest_lyapunov_wolf
+from .series import EmbeddingParams, delay_embed
+from .sleep import (
+    EstimatorConfig,
+    SleepStage,
+    analyze_recordings,
+    scan_dimensions,
+    select_embedding_dimension,
+    select_lag,
+    select_theiler,
+)
 from .stats import compare_groups, group_summaries, histograms_by_cell
 
 EXIT_OK = 0
@@ -50,36 +58,24 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 
+def _config_flags():
+    """Each ``EstimatorConfig`` field with its command-line spelling."""
+    for f in dataclasses.fields(EstimatorConfig):
+        yield f, f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     grp = parser.add_argument_group("estimator configuration")
-    grp.add_argument("--bins", type=int, default=16, help="histogram bins for MI (default 16)")
-    grp.add_argument("--mi-max-lag", type=int, default=50, help="cap for the delay scan")
-    grp.add_argument("--theiler-max-lag", type=int, default=100, help="cap for the exclusion-window scan")
-    grp.add_argument("--m-max", type=int, default=8, help="largest dimension in the Cao scan")
-    grp.add_argument("--plateau-tol", type=float, default=0.05, help="E1 plateau tolerance")
-    grp.add_argument("--e2-tol", type=float, default=0.1, help="|E2-1| threshold for determinism")
-    grp.add_argument("--evolve-steps", type=int, default=3, help="samples per divergence segment")
-    grp.add_argument("--min-separation", type=float, default=None, help="neighbour distance floor (default 1e-3 x extent)")
-    grp.add_argument("--max-separation", type=float, default=None, help="neighbour distance cap (default 0.1 x extent)")
-    grp.add_argument("--max-angle", type=float, default=0.5, help="replacement angle cone, radians")
-    grp.add_argument("--n-radii", type=int, default=24, help="radii on the correlation curve")
-    grp.add_argument("--min-fit-r2", type=float, default=0.98, help="linearity bar for the D2 fit")
+    for f, flag in _config_flags():
+        # Integer defaults mark the integer knobs; the rest, None included, are floats.
+        kind = int if isinstance(f.default, int) else float
+        grp.add_argument(flag, type=kind, default=f.default, help=f.metadata["help"])
 
 
 def _config_from_args(args: argparse.Namespace) -> EstimatorConfig:
+    # argparse stores each flag under its spelling with dashes as underscores.
     return EstimatorConfig(
-        bins=args.bins,
-        mi_max_lag=args.mi_max_lag,
-        theiler_max_lag=args.theiler_max_lag,
-        m_max=args.m_max,
-        plateau_tol=args.plateau_tol,
-        e2_tol=args.e2_tol,
-        evolve_steps=args.evolve_steps,
-        min_separation=args.min_separation,
-        max_separation=args.max_separation,
-        max_replacement_angle=args.max_angle,
-        n_radii=args.n_radii,
-        min_fit_r2=args.min_fit_r2,
+        **{f.name: getattr(args, flag[2:].replace("-", "_")) for f, flag in _config_flags()}
     )
 
 
@@ -192,96 +188,77 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _auto_lag(series: TimeSeries, args: argparse.Namespace) -> tuple[int, bool]:
-    if args.lag is not None:
-        if args.lag < 1:
-            raise ConfigError(f"--lag must be >= 1, got {args.lag}")
-        return args.lag, False
-    cap = min(args.mi_max_lag, len(series) - 2)
-    return select_lag_first_minimum(series, cap, args.bins)
-
-
-def _auto_theiler(series: TimeSeries, args: argparse.Namespace) -> tuple[int, bool]:
-    if args.theiler is not None:
-        if args.theiler < 0:
-            raise ConfigError(f"--theiler must be >= 0, got {args.theiler}")
-        return args.theiler, False
-    cap = min(args.theiler_max_lag, len(series) - 1)
-    return theiler_window(series, cap)
-
-
-def _auto_m(series: TimeSeries, lag: int, args: argparse.Namespace) -> tuple[int, dict]:
-    if args.m is not None:
-        if args.m < 1:
-            raise ConfigError(f"--m must be >= 1, got {args.m}")
-        return args.m, {"embedding_m": args.m, "m_source": "explicit"}
-    m_cap = (len(series) - 2) // lag
-    m_max = min(args.m_max, m_cap)
-    if m_max < 3:
-        raise ConfigError(f"series too short for a dimension scan at lag {lag}; pass --m explicitly")
-    profile = minimum_embedding_dimension(series, lag, m_max, args.plateau_tol, args.e2_tol)
-    if profile.selected_m is None:
-        m = m_max
-        source = "plateau-missing-fallback-m-max"
-    else:
-        m = profile.selected_m
-        source = "cao-plateau"
-    return m, {"embedding_m": m, "m_source": source, "deterministic": profile.deterministic}
+def _override(args: argparse.Namespace, name: str, minimum: int) -> int | None:
+    """The explicit ``--<name>`` value, checked, or None to take the plan's."""
+    value = getattr(args, name)
+    if value is not None and value < minimum:
+        raise ConfigError(f"--{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
     series, metadata = read_signal_csv(args.input, channel=args.channel)
+    lag_override = _override(args, "lag", 1)
+    theiler_override = _override(args, "theiler", 0)
+    m_override = _override(args, "m", 1)
     params: dict = {"input": str(args.input), "n_samples": len(series), "fs": series.sample_rate_hz}
     diagnostics: dict = {}
 
+    def pick_lag() -> tuple[int, bool]:
+        return select_lag(series, config) if lag_override is None else (lag_override, False)
+
+    def pick_theiler() -> tuple[int, bool]:
+        return select_theiler(series, config) if theiler_override is None else (theiler_override, False)
+
     if args.estimator == "lag":
-        lag, saturated = _auto_lag(series, args)
+        lag, saturated = pick_lag()
         value: float | int | None = int(lag)
         units = "samples"
         diagnostics["saturated"] = bool(saturated)
-        params["bins"] = args.bins
+        params["bins"] = config.bins
     elif args.estimator == "theiler":
-        w, saturated = _auto_theiler(series, args)
+        w, saturated = pick_theiler()
         value = int(w)
         units = "samples"
         diagnostics["saturated"] = bool(saturated)
     elif args.estimator == "mi":
-        lag, saturated = _auto_lag(series, args)
-        value = auto_mutual_information(series, lag, args.bins)
+        lag, saturated = pick_lag()
+        value = auto_mutual_information(series, lag, config.bins)
         units = "bits"
-        params.update(lag=int(lag), bins=args.bins)
+        params.update(lag=int(lag), bins=config.bins)
         diagnostics["lag_saturated"] = bool(saturated)
     elif args.estimator == "med":
-        lag, _ = _auto_lag(series, args)
-        m_cap = (len(series) - 2) // lag
-        m_max = min(args.m_max, m_cap)
-        if m_max < 3:
-            raise ConfigError(f"series too short for a dimension scan at lag {lag}")
-        profile = minimum_embedding_dimension(series, lag, m_max, args.plateau_tol, args.e2_tol)
+        lag, _ = pick_lag()
+        profile = scan_dimensions(series, lag, config)
         value = None if profile.selected_m is None else int(profile.selected_m)
         units = "dimensions"
-        params.update(lag=int(lag), m_max=m_max, plateau_tol=args.plateau_tol)
+        params.update(lag=int(lag), m_max=profile.m_max, plateau_tol=config.plateau_tol)
         diagnostics.update(
             deterministic=profile.deterministic,
             e1_values=[float(v) for v in profile.e1_values],
             e2_values=[float(v) for v in profile.e2_values],
         )
     elif args.estimator in ("lle", "d2"):
-        lag, _ = _auto_lag(series, args)
-        w, _ = _auto_theiler(series, args)
-        m, m_info = _auto_m(series, lag, args)
+        lag, _ = pick_lag()
+        w, _ = pick_theiler()
+        if m_override is not None:
+            m = m_override
+            diagnostics.update(embedding_m=m, m_source="explicit")
+        else:
+            choice = select_embedding_dimension(series, lag, config)
+            if choice.embed_m is None:
+                raise ShortSeriesError(f"{choice.med_failure}; no embedding dimension available")
+            m = choice.embed_m
+            diagnostics.update(embedding_m=m, m_source=choice.source)
+            if choice.profile is not None:
+                diagnostics["deterministic"] = choice.profile.deterministic
+            else:
+                diagnostics["m_fallback_reason"] = choice.med_failure
         vectors = delay_embed(series, EmbeddingParams(m, lag, w))
         params.update(lag=int(lag), theiler_w=int(w))
-        diagnostics.update(m_info)
         if args.estimator == "lle":
-            wolf = WolfParams(
-                evolve_steps=args.evolve_steps,
-                min_separation=args.min_separation,
-                max_separation=args.max_separation,
-                theiler_w=w,
-                max_replacement_angle=args.max_angle,
-            )
-            result = largest_lyapunov_wolf(vectors, wolf)
+            result = largest_lyapunov_wolf(vectors, config.wolf_params(w))
             if args.log2:
                 value = result.exponent / math.log(2.0)
                 units = "bits/sample"
@@ -297,8 +274,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                 low_confidence=result.low_confidence,
             )
         else:
-            curve = correlation_curve(vectors, args.n_radii, w)
-            estimate = correlation_dimension(curve, args.min_fit_r2)
+            curve = correlation_curve(vectors, config.n_radii, w)
+            estimate = correlation_dimension(curve, config.min_fit_r2)
             value = estimate.d2
             units = "dimensions"
             diagnostics.update(

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import ConfigError, DegenerateSeriesError, NoScalingRegionError
 from .series import DelayVectors
@@ -189,6 +188,22 @@ def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> Correla
     return CorrelationCurve(radii=radii, c_values=c, theiler_w=w, n_points=n)
 
 
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope and Pearson r of y on x.
+
+    The arithmetic of ``scipy.stats.linregress``, so results match it
+    bit for bit, without its p-value and standard errors. A zero
+    variance gives r = NaN when the covariance is zero too, else 0; r is
+    clipped to [-1, 1] against rounding.
+    """
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    return ssxym / ssxm, r
+
+
 def correlation_dimension(curve: CorrelationCurve, min_fit_r2: float = 0.98) -> D2Estimate:
     """Slope of log C against log R over the best scaling region.
 
@@ -220,12 +235,12 @@ def correlation_dimension(curve: CorrelationCurve, min_fit_r2: float = 0.98) -> 
         for start in range(0, n_el - length + 1):
             seg_x = log_r[start : start + length]
             seg_y = log_c[start : start + length]
-            fit = linregress(seg_x, seg_y)
-            if not np.isfinite(fit.rvalue):
+            slope, r = _fit_line(seg_x, seg_y)
+            if not np.isfinite(r):
                 continue
-            key = (fit.rvalue**2, length, -start)
+            key = (r**2, length, -start)
             if best is None or key > best[:3]:
-                best = (*key, fit.slope, start)
+                best = (*key, slope, start)
     if best is None or best[0] < min_fit_r2:
         raise NoScalingRegionError(
             f"no scaling window reaches R^2 >= {min_fit_r2}; the curve never goes straight"

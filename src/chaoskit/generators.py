@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError, GenerationError
 from .series import TimeSeries
@@ -93,18 +92,13 @@ def _param(params: Mapping[str, float], name: str, default: float) -> float:
     return v
 
 
-def _seeded_units(seed: int, count: int) -> np.ndarray:
-    """Unit-interval draws used for defaulted initial conditions."""
-    return uniform_stream(seed, count)
-
-
 def _gen_logistic(spec: "GeneratorSpec", total: int) -> np.ndarray:
     r = _param(spec.parameters, "r", 4.0)
     x = spec.parameters.get("x0")
     if x is None:
         # No explicit start: derive one from the seed so different seeds
         # give different orbits of the same map.
-        x = 0.05 + 0.9 * float(_seeded_units(spec.seed, 1)[0])
+        x = 0.05 + 0.9 * float(uniform_stream(spec.seed, 1)[0])
     x = float(x)
     if not 0.0 < r <= 4.0:
         raise ConfigError(f"logistic r must be in (0, 4], got {r!r}")
@@ -120,7 +114,7 @@ def _gen_logistic(spec: "GeneratorSpec", total: int) -> np.ndarray:
 def _gen_henon(spec: "GeneratorSpec", total: int) -> np.ndarray:
     a = _param(spec.parameters, "a", 1.4)
     b = _param(spec.parameters, "b", 0.3)
-    units = _seeded_units(spec.seed, 2)
+    units = uniform_stream(spec.seed, 2)
     x = spec.parameters.get("x0")
     y = spec.parameters.get("y0")
     # Defaulted starts are drawn from the seed inside [-0.25, 0.25],
@@ -141,7 +135,7 @@ def _gen_lorenz(spec: "GeneratorSpec", total: int) -> np.ndarray:
     rho = _param(spec.parameters, "rho", 28.0)
     beta = _param(spec.parameters, "beta", 8.0 / 3.0)
     dt = _param(spec.parameters, "dt", 0.01)
-    units = _seeded_units(spec.seed, 3)
+    units = uniform_stream(spec.seed, 3)
     x = spec.parameters.get("x0")
     y = spec.parameters.get("y0")
     z = spec.parameters.get("z0")
@@ -196,6 +190,10 @@ def _gen_white_noise(spec: "GeneratorSpec", total: int) -> np.ndarray:
 
 
 def _gen_ar1(spec: "GeneratorSpec", total: int) -> np.ndarray:
+    # Imported here: scipy.signal costs a noticeable share of the
+    # package's import time and only this generator uses it.
+    from scipy.signal import lfilter
+
     phi = _param(spec.parameters, "phi", 0.9)
     noise = _param(spec.parameters, "noise_std", 1.0)
     if noise <= 0:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -36,6 +37,7 @@ from .sleep import (
     SleepStage,
     parse_group,
     parse_stage_token,
+    stage_token,
 )
 from .stats import ComparisonResult, GroupSummary, Histogram
 
@@ -221,23 +223,19 @@ def read_hypnogram_csv(path: str | Path) -> tuple[SleepStage, ...]:
 
 
 def write_hypnogram_csv(path: str | Path, stages: Sequence[SleepStage]) -> None:
-    from .sleep import stage_token
-
     lines = [f"{k},{stage_token(stage)}" for k, stage in enumerate(stages)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+@dataclass(frozen=True)
 class RecordingSpec:
     """One manifest entry, with paths resolved against the manifest."""
 
-    __slots__ = ("subject_id", "group", "signal_path", "hypnogram_path", "channel")
-
-    def __init__(self, subject_id: str, group: Group, signal_path: Path, hypnogram_path: Path, channel: str | None):
-        self.subject_id = subject_id
-        self.group = group
-        self.signal_path = signal_path
-        self.hypnogram_path = hypnogram_path
-        self.channel = channel
+    subject_id: str
+    group: Group
+    signal_path: Path
+    hypnogram_path: Path
+    channel: str | None
 
 
 def read_manifest(path: str | Path) -> list[RecordingSpec]:
@@ -298,80 +296,32 @@ def load_recordings(manifest_path: str | Path) -> list[Recording]:
     return recordings
 
 
-_EPOCH_FIELDS = (
-    "subject_id",
-    "group",
-    "stage",
-    "epoch_index",
-    "sample_rate_hz",
-    "lle",
-    "lle_units",
-    "mi",
-    "mi_lag",
-    "med",
-    "e1_at_selected",
-    "d2",
-    "theiler_w",
-    "embed_m",
-    "deterministic",
-    "failures",
-    "config_fingerprint",
-)
+# Record keys, in the field order of EpochIndices.
+_EPOCH_KEYS = tuple(f.name for f in fields(EpochIndices))
 
 
 def epoch_to_dict(epoch: EpochIndices) -> dict:
     """JSON-ready dict with a fixed key order."""
-    return {
-        "subject_id": epoch.subject_id,
-        "group": None if epoch.group is None else epoch.group.value,
-        "stage": epoch.stage.value,
-        "epoch_index": epoch.epoch_index,
-        "sample_rate_hz": epoch.sample_rate_hz,
-        "lle": epoch.lle,
-        "lle_units": epoch.lle_units,
-        "mi": epoch.mi,
-        "mi_lag": epoch.mi_lag,
-        "med": epoch.med,
-        "e1_at_selected": epoch.e1_at_selected,
-        "d2": epoch.d2,
-        "theiler_w": epoch.theiler_w,
-        "embed_m": epoch.embed_m,
-        "deterministic": epoch.deterministic,
-        "failures": dict(sorted(epoch.failures.items())),
-        "config_fingerprint": epoch.config_fingerprint,
-    }
+    record = {name: getattr(epoch, name) for name in _EPOCH_KEYS}
+    record["group"] = None if epoch.group is None else epoch.group.value
+    record["stage"] = epoch.stage.value
+    record["failures"] = dict(sorted(epoch.failures.items()))
+    return record
 
 
 def epoch_from_dict(record: dict) -> EpochIndices:
-    missing = [k for k in _EPOCH_FIELDS if k not in record]
+    """Inverse of :func:`epoch_to_dict`; keys it does not know are ignored."""
+    missing = [name for name in _EPOCH_KEYS if name not in record]
     if missing:
         raise InputError(f"epoch record is missing fields: {', '.join(missing)}")
-    group = record["group"]
-    if group is not None:
-        group = parse_group(group)
+    values = {name: record[name] for name in _EPOCH_KEYS}
+    if values["group"] is not None:
+        values["group"] = parse_group(values["group"])
     try:
-        stage = SleepStage(record["stage"])
+        values["stage"] = SleepStage(values["stage"])
     except ValueError as exc:
         raise InputError(f"unknown stage {record['stage']!r}") from exc
-    return EpochIndices(
-        subject_id=record["subject_id"],
-        group=group,
-        stage=stage,
-        epoch_index=int(record["epoch_index"]),
-        sample_rate_hz=float(record["sample_rate_hz"]),
-        lle=record["lle"],
-        lle_units=record["lle_units"],
-        mi=record["mi"],
-        mi_lag=record["mi_lag"],
-        med=record["med"],
-        e1_at_selected=record["e1_at_selected"],
-        d2=record["d2"],
-        theiler_w=record["theiler_w"],
-        embed_m=record["embed_m"],
-        deterministic=record["deterministic"],
-        failures=record["failures"],
-        config_fingerprint=record["config_fingerprint"],
-    )
+    return EpochIndices(**values)
 
 
 def write_epochs_ndjson(path: str | Path, epochs: Iterable[EpochIndices]) -> None:

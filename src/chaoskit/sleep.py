@@ -28,13 +28,13 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .cao import minimum_embedding_dimension
+from .cao import CaoProfile, minimum_embedding_dimension
 from .correlation import correlation_curve, correlation_dimension
 from .errors import ChaosKitError, ConfigError, InputError, ShortSeriesError
 from .information import auto_mutual_information, select_lag_first_minimum
@@ -53,6 +53,12 @@ __all__ = [
     "EpochWindow",
     "EstimatorConfig",
     "EpochIndices",
+    "INDEX_NAMES",
+    "select_lag",
+    "select_theiler",
+    "scan_dimensions",
+    "EmbeddingChoice",
+    "select_embedding_dimension",
     "samples_per_epoch",
     "epoch_split",
     "concatenate_by_stage",
@@ -208,36 +214,44 @@ def concatenate_by_stage(recordings: Sequence[Recording]) -> dict[tuple[Group, S
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Every estimator knob the pipeline uses, in one hashable place."""
+    """Every estimator knob the pipeline uses, in one hashable place.
 
-    bins: int = 16
-    mi_max_lag: int = 50
-    theiler_max_lag: int = 100
-    m_max: int = 8
-    plateau_tol: float = 0.05
-    e2_tol: float = 0.1
-    evolve_steps: int = 3
-    min_separation: float | None = None
-    max_separation: float | None = None
-    max_replacement_angle: float = 0.5
-    n_radii: int = 24
-    min_fit_r2: float = 0.98
+    Each field is also a command-line flag: ``--`` and the field name
+    with dashes, unless the metadata names a ``flag``; the metadata's
+    ``help`` is the flag's help text.
+    """
+
+    bins: int = field(default=16, metadata={"help": "histogram bins for MI (default %(default)s)"})
+    mi_max_lag: int = field(default=50, metadata={"help": "cap for the delay scan"})
+    theiler_max_lag: int = field(default=100, metadata={"help": "cap for the exclusion-window scan"})
+    m_max: int = field(default=8, metadata={"help": "largest dimension in the Cao scan"})
+    plateau_tol: float = field(default=0.05, metadata={"help": "E1 plateau tolerance"})
+    e2_tol: float = field(default=0.1, metadata={"help": "|E2-1| threshold for determinism"})
+    evolve_steps: int = field(default=3, metadata={"help": "samples per divergence segment"})
+    min_separation: float | None = field(
+        default=None, metadata={"help": "neighbour distance floor (default 1e-3 x extent)"}
+    )
+    max_separation: float | None = field(
+        default=None, metadata={"help": "neighbour distance cap (default 0.1 x extent)"}
+    )
+    max_replacement_angle: float = field(
+        default=0.5, metadata={"help": "replacement angle cone, radians", "flag": "--max-angle"}
+    )
+    n_radii: int = field(default=24, metadata={"help": "radii on the correlation curve"})
+    min_fit_r2: float = field(default=0.98, metadata={"help": "linearity bar for the D2 fit"})
 
     def as_dict(self) -> dict:
-        return {
-            "bins": self.bins,
-            "mi_max_lag": self.mi_max_lag,
-            "theiler_max_lag": self.theiler_max_lag,
-            "m_max": self.m_max,
-            "plateau_tol": self.plateau_tol,
-            "e2_tol": self.e2_tol,
-            "evolve_steps": self.evolve_steps,
-            "min_separation": self.min_separation,
-            "max_separation": self.max_separation,
-            "max_replacement_angle": self.max_replacement_angle,
-            "n_radii": self.n_radii,
-            "min_fit_r2": self.min_fit_r2,
-        }
+        return asdict(self)
+
+    def wolf_params(self, theiler_w: int) -> WolfParams:
+        """Parameters of the Wolf walk on an embedding with exclusion window ``theiler_w``."""
+        return WolfParams(
+            evolve_steps=self.evolve_steps,
+            min_separation=self.min_separation,
+            max_separation=self.max_separation,
+            theiler_w=theiler_w,
+            max_replacement_angle=self.max_replacement_angle,
+        )
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical JSON form of the configuration."""
@@ -280,7 +294,67 @@ class EpochIndices:
         return bool(self.failures)
 
 
-_ALL_INDEX_NAMES = ("lle", "mi", "med", "d2")
+INDEX_NAMES = ("lle", "mi", "med", "d2")
+
+
+# The per-window plan: delay, exclusion window, then the embedding
+# dimension. The pipeline and ``chaoskit estimate`` both take these
+# steps, so one window gets the same embedding from either.
+
+
+def select_lag(window: TimeSeries, config: EstimatorConfig) -> tuple[int, bool]:
+    """Delay at the first AMI minimum, scanned to ``mi_max_lag`` or ``n - 2``."""
+    return select_lag_first_minimum(window, min(config.mi_max_lag, len(window) - 2), config.bins)
+
+
+def select_theiler(window: TimeSeries, config: EstimatorConfig) -> tuple[int, bool]:
+    """Exclusion window, scanned to ``theiler_max_lag`` or ``n - 1``."""
+    return theiler_window(window, min(config.theiler_max_lag, len(window) - 1))
+
+
+def scan_dimensions(window: TimeSeries, lag: int, config: EstimatorConfig) -> CaoProfile:
+    """Cao scan up to ``m_max``, capped at ``(n - 2) // lag`` so every
+    dimension keeps two points; a cap below 3 cannot be scanned."""
+    n = len(window)
+    m_max = min(config.m_max, (n - 2) // lag)
+    if m_max < 3:
+        raise ShortSeriesError(f"window of {n} samples cannot support a dimension scan at lag {lag}")
+    return minimum_embedding_dimension(window, lag, m_max, config.plateau_tol, config.e2_tol)
+
+
+class EmbeddingChoice(NamedTuple):
+    """Embedding dimension for the trajectory indices and its source.
+
+    ``source`` is ``cao-plateau``, ``plateau-missing-fallback-m-max`` or
+    ``cao-failed-fallback``. ``profile`` is None when the scan failed;
+    ``med_failure`` says why there is no minimum embedding dimension.
+    ``embed_m`` is None when the window is too short to embed at all.
+    """
+
+    embed_m: int | None
+    source: str
+    profile: CaoProfile | None
+    med_failure: str | None
+
+
+def select_embedding_dimension(window: TimeSeries, lag: int, config: EstimatorConfig) -> EmbeddingChoice:
+    """The Cao plateau dimension; the scanned maximum when E1 never
+    plateaus; ``max(2, min(m_max, (n - 1) // lag))`` when the scan fails,
+    so the trajectory-based indices are still attempted."""
+    try:
+        profile = scan_dimensions(window, lag, config)
+    except ChaosKitError as exc:
+        fallback = (len(window) - 1) // lag
+        embed_m = max(2, min(config.m_max, fallback)) if fallback >= 2 else None
+        return EmbeddingChoice(embed_m, "cao-failed-fallback", None, str(exc))
+    if profile.selected_m is None:
+        return EmbeddingChoice(
+            profile.m_max,
+            "plateau-missing-fallback-m-max",
+            profile,
+            "E1 curve never plateaus; no finite embedding dimension",
+        )
+    return EmbeddingChoice(profile.selected_m, "cao-plateau", profile, None)
 
 
 def compute_epoch_indices(
@@ -298,14 +372,12 @@ def compute_epoch_indices(
     dimension, then the Lyapunov exponent and correlation dimension on
     the resulting embedding, plus mutual information at the selected
     delay. Per-index errors land in ``failures`` instead of raising.
-    When the E1 curve never plateaus the window is embedded at the
-    scanned maximum dimension so the trajectory-based indices are still
-    attempted.
+    The embedding dimension falls back as
+    :func:`select_embedding_dimension` describes.
     """
     if config is None:
         config = EstimatorConfig()
     fingerprint = config.fingerprint()
-    n = len(window)
     fs = window.sample_rate_hz
     failures: dict[str, str] = {}
 
@@ -316,17 +388,15 @@ def compute_epoch_indices(
             stage=stage,
             epoch_index=epoch_index,
             sample_rate_hz=fs,
-            failures={name: reason for name in _ALL_INDEX_NAMES},
+            failures={name: reason for name in INDEX_NAMES},
             config_fingerprint=fingerprint,
         )
 
     # Shared prerequisites: the delay and the exclusion window. If these
     # cannot be computed nothing downstream can run.
     try:
-        lag, _lag_saturated = select_lag_first_minimum(
-            window, min(config.mi_max_lag, n - 2), config.bins
-        )
-        w, _w_saturated = theiler_window(window, min(config.theiler_max_lag, n - 1))
+        lag, _lag_saturated = select_lag(window, config)
+        w, _w_saturated = select_theiler(window, config)
     except ChaosKitError as exc:
         return failed_epoch(str(exc))
 
@@ -336,32 +406,16 @@ def compute_epoch_indices(
     except ChaosKitError as exc:
         failures["mi"] = str(exc)
 
-    med = None
-    e1_at_selected = None
-    deterministic = None
-    embed_m: int | None = None
-    try:
-        m_cap = (n - 2) // lag
-        m_max = min(config.m_max, m_cap)
-        if m_max < 3:
-            raise ShortSeriesError(
-                f"window of {n} samples cannot support a dimension scan at lag {lag}"
-            )
-        profile = minimum_embedding_dimension(
-            window, lag, m_max, config.plateau_tol, config.e2_tol
-        )
-        deterministic = profile.deterministic
-        if profile.selected_m is None:
-            failures["med"] = "E1 curve never plateaus; no finite embedding dimension"
-            embed_m = m_max
-        else:
-            med = profile.selected_m
-            e1_at_selected = float(profile.e1_values[med - 1])
-            embed_m = med
-    except ChaosKitError as exc:
-        failures["med"] = str(exc)
-        fallback = (n - 1) // lag
-        embed_m = max(2, min(config.m_max, fallback)) if fallback >= 2 else None
+    choice = select_embedding_dimension(window, lag, config)
+    embed_m = choice.embed_m
+    if choice.med_failure is not None:
+        failures["med"] = choice.med_failure
+    med = e1_at_selected = deterministic = None
+    if choice.profile is not None:
+        deterministic = choice.profile.deterministic
+        med = choice.profile.selected_m
+        if med is not None:
+            e1_at_selected = float(choice.profile.e1_values[med - 1])
 
     vectors = None
     if embed_m is not None:
@@ -377,14 +431,7 @@ def compute_epoch_indices(
     d2 = None
     if vectors is not None:
         try:
-            wolf = WolfParams(
-                evolve_steps=config.evolve_steps,
-                min_separation=config.min_separation,
-                max_separation=config.max_separation,
-                theiler_w=w,
-                max_replacement_angle=config.max_replacement_angle,
-            )
-            result = largest_lyapunov_wolf(vectors, wolf)
+            result = largest_lyapunov_wolf(vectors, config.wolf_params(w))
             lle = result.exponent * fs  # nats per sample -> nats per second
         except ChaosKitError as exc:
             failures["lle"] = str(exc)

@@ -25,7 +25,7 @@ from scipy import special
 
 from .errors import ConfigError
 from .information import bin_indices, equal_width_edges
-from .sleep import EpochIndices, Group, SleepStage, SCORED_STAGES
+from .sleep import INDEX_NAMES, EpochIndices, Group, SleepStage, SCORED_STAGES
 
 __all__ = [
     "GroupSummary",
@@ -41,9 +41,6 @@ __all__ = [
     "empirical_histogram",
     "histograms_by_cell",
 ]
-
-INDEX_NAMES = ("lle", "mi", "med", "d2")
-
 
 @dataclass(frozen=True)
 class GroupSummary:
@@ -157,25 +154,25 @@ def p_value(t: float, df: float) -> float:
     return float(special.stdtr(df, -t))
 
 
-def _cell_values(epochs: Iterable[EpochIndices], group: Group, stage: SleepStage, index_name: str) -> list[float]:
-    out = []
+def _values_by_cell(epochs: Iterable[EpochIndices]) -> dict[tuple, list[float]]:
+    """Every index value, keyed by (index, stage, group), in epoch order."""
+    cells: dict[tuple, list[float]] = {}
     for e in epochs:
-        if e.group is not group or e.stage is not stage:
-            continue
-        v = getattr(e, index_name)
-        if v is None:
-            continue
-        out.append(float(v))
-    return out
+        for index_name in INDEX_NAMES:
+            v = getattr(e, index_name)
+            if v is not None:
+                cells.setdefault((index_name, e.stage, e.group), []).append(float(v))
+    return cells
 
 
 def group_summaries(epochs: Sequence[EpochIndices]) -> list[GroupSummary]:
     """Per (group, stage, index) summaries over all cells with n >= 2."""
+    cells = _values_by_cell(epochs)
     out = []
     for index_name in INDEX_NAMES:
         for stage in SCORED_STAGES:
             for group in Group:
-                values = _cell_values(epochs, group, stage, index_name)
+                values = cells.get((index_name, stage, group), [])
                 if len(values) < 2:
                     continue
                 mean, std, n = summarize(values)
@@ -197,11 +194,12 @@ def compare_groups(
     higher under apnea. Cells where either group has fewer than two
     values are left out.
     """
+    cells = _values_by_cell(epochs)
     results = []
     for stage in SCORED_STAGES:
         for index_name in INDEX_NAMES:
-            va = _cell_values(epochs, group_a, stage, index_name)
-            vb = _cell_values(epochs, group_b, stage, index_name)
+            va = cells.get((index_name, stage, group_a), [])
+            vb = cells.get((index_name, stage, group_b), [])
             if len(va) < 2 or len(vb) < 2:
                 continue
             sa = GroupSummary(*summarize(va), index_name=index_name, group=group_a, stage=stage)
@@ -236,11 +234,12 @@ def empirical_histogram(values: Sequence[float], n_bins: int) -> Histogram:
 
 def histograms_by_cell(epochs: Sequence[EpochIndices], n_bins: int = 16) -> list[Histogram]:
     """One histogram per (index, stage, group) cell that has any values."""
+    cells = _values_by_cell(epochs)
     out = []
     for index_name in INDEX_NAMES:
         for stage in SCORED_STAGES:
             for group in Group:
-                values = _cell_values(epochs, group, stage, index_name)
+                values = cells.get((index_name, stage, group), [])
                 if not values:
                     continue
                 base = empirical_histogram(values, n_bins)

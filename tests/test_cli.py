@@ -13,7 +13,9 @@ import sys
 import numpy as np
 import pytest
 
+from chaoskit.cli import _config_from_args, build_parser
 from chaoskit.io import read_signal_csv
+from chaoskit.sleep import EstimatorConfig, compute_epoch_indices
 
 from conftest import build_sleep_fixture
 
@@ -84,6 +86,46 @@ class TestUsage:
     def test_unknown_estimator_is_usage_error(self):
         proc = run_cli("estimate", "--estimator", "entropy", "--input", "x.csv")
         assert proc.returncode == 2
+
+    def test_every_config_flag_reaches_its_field(self):
+        # flag -> (field, argument, parsed value), none at its default.
+        flags = {
+            "--bins": ("bins", "17", 17),
+            "--mi-max-lag": ("mi_max_lag", "40", 40),
+            "--theiler-max-lag": ("theiler_max_lag", "90", 90),
+            "--m-max": ("m_max", "7", 7),
+            "--plateau-tol": ("plateau_tol", "0.04", 0.04),
+            "--e2-tol": ("e2_tol", "0.2", 0.2),
+            "--evolve-steps": ("evolve_steps", "4", 4),
+            "--min-separation": ("min_separation", "0.001", 0.001),
+            "--max-separation": ("max_separation", "0.7", 0.7),
+            "--max-angle": ("max_replacement_angle", "0.4", 0.4),
+            "--n-radii": ("n_radii", "20", 20),
+            "--min-fit-r2": ("min_fit_r2", "0.97", 0.97),
+        }
+        argv = ["analyze", "--manifest", "m.json", "--out", "o"]
+        for flag, (_, arg, _) in flags.items():
+            argv += [flag, arg]
+        config = _config_from_args(build_parser().parse_args(argv))
+        defaults = EstimatorConfig()
+        for name, _, value in flags.values():
+            assert getattr(config, name) == value
+            assert type(getattr(config, name)) is type(value)
+            assert getattr(defaults, name) != value
+        assert len(flags) == len(config.as_dict())
+
+    def test_config_flag_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["estimate", "--estimator", "lag", "--input", "x.csv"])
+        assert _config_from_args(args) == EstimatorConfig()
+
+    def test_import_leaves_scipy_stats_and_signal_unloaded(self):
+        code = (
+            "import sys, chaoskit.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSynth:
@@ -183,6 +225,30 @@ class TestEstimate:
         assert 0.9 <= payload["value"] <= 1.1
         assert payload["diagnostics"]["fit_r2"] > 0.98
         assert len(payload["diagnostics"]["fit_range"]) == 2
+
+    @pytest.mark.parametrize("estimator", ["lle", "d2"])
+    def test_auto_embedding_matches_pipeline(self, signals, estimator):
+        payload = stdout_json(run_cli("estimate", "--estimator", estimator,
+                                      "--input", str(signals["logistic"]),
+                                      "--max-separation", "0.7"))
+        series, _ = read_signal_csv(signals["logistic"])
+        epoch = compute_epoch_indices(series, EstimatorConfig(max_separation=0.7))
+        assert payload["parameters"]["lag"] == epoch.mi_lag
+        assert payload["parameters"]["theiler_w"] == epoch.theiler_w
+        assert payload["diagnostics"]["embedding_m"] == epoch.embed_m
+        assert payload["diagnostics"]["m_source"] == "cao-plateau"
+
+    def test_failed_dimension_scan_falls_back(self, signals):
+        # At lag 1400 the 3000 samples cannot hold a scan to m = 3; the
+        # pipeline's fallback embeds at max(2, min(8, 2999 // 1400)) = 2.
+        payload = stdout_json(run_cli("estimate", "--estimator", "lle",
+                                      "--input", str(signals["noise"]),
+                                      "--lag", "1400", "--theiler", "0"))
+        diag = payload["diagnostics"]
+        assert diag["embedding_m"] == 2
+        assert diag["m_source"] == "cao-failed-fallback"
+        assert "dimension scan" in diag["m_fallback_reason"]
+        assert "deterministic" not in diag
 
     def test_missing_input_exits_3(self, tmp_path):
         proc = run_cli("estimate", "--estimator", "lag",

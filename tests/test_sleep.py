@@ -171,6 +171,13 @@ class TestEstimatorConfig:
         assert EstimatorConfig().fingerprint() == EstimatorConfig().fingerprint()
         assert len(EstimatorConfig().fingerprint()) == 64
 
+    def test_default_fingerprint_is_pinned(self):
+        # Every output written at the defaults carries this value; a
+        # change to a default or to the canonical form shows here first.
+        assert EstimatorConfig().fingerprint() == (
+            "e7b1db60eac956c7ef1b067e79b51e59dcbd5f4b6fec13e37cf3fe6e911d2a45"
+        )
+
     def test_fingerprint_tracks_every_knob(self):
         base = EstimatorConfig().fingerprint()
         assert EstimatorConfig(bins=17).fingerprint() != base
