@@ -88,7 +88,9 @@ def _nearest_positive_neighbors(points: np.ndarray) -> tuple[np.ndarray, np.ndar
     tree = cKDTree(points)
     k = min(n, 8)
     while True:
-        dist, idx = tree.query(points, k=k, p=np.inf, workers=-1)
+        # One thread: under ``--jobs`` every worker process already has
+        # a core, and at these sizes extra threads cost more than they save.
+        dist, idx = tree.query(points, k=k, p=np.inf, workers=1)
         if k == 1:
             dist = dist[:, None]
             idx = idx[:, None]

@@ -3,14 +3,22 @@
 The correlation sum C(R) is the fraction of admissible point pairs at
 Euclidean distance <= R, where a pair (i, j) is admissible when
 ``|i - j| > W`` for the temporal exclusion window W. Distances at
-exactly R count (the kernel steps up at zero). Pairs are enumerated by
-index offset so the whole curve is one vectorised pass per offset over
-squared distances; no distance matrix is materialised.
+exactly R count (the kernel steps up at zero). Pairs are counted in row
+blocks of at most ``_PAIR_BLOCK`` pairs: a block's squared distances are
+built one coordinate at a time, added in the order numpy's row sum uses
+(so every distance equals ``((a - b) ** 2).sum()`` bit for bit), sorted,
+and the radius grid is located in them with one binary search per
+radius. The O(N^2) pair work stays, but it runs in a few dozen numpy
+passes instead of one Python iteration per index offset, and no
+distance matrix is held beyond one block.
 
 For the curve, radii are log-spaced between the 0.1th percentile and
 the maximum of sampled pairwise distances. Sampling uses at most one
 million pairs drawn uniformly from the admissible set with a fixed
 seed, so the grid, and everything downstream of it, is reproducible.
+Only the maximum and a percentile of the sample are read, and neither
+depends on order, so the draws are sorted before they are turned into
+pairs; the gathers then walk the points in memory order.
 D2 is read off as the least-squares slope of log C(R) against log R
 over an automatically selected scaling region.
 """
@@ -18,6 +26,7 @@ over an automatically selected scaling region.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +46,10 @@ __all__ = [
 # are reproducible; it has no effect once the grid is chosen.
 _PAIR_SAMPLE_SEED = 411
 _PAIR_SAMPLE_CAP = 1_000_000
+# Pairs per block of the pair count. A block holds two float64 arrays of
+# this size, about a dozen from 8 coordinates up: a few MB at most, and
+# small enough to stay in cache between its passes.
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,34 +127,95 @@ def correlation_sum(vectors, radius: float, theiler_w: int = 0) -> float:
     w = _check_theiler(n, theiler_w)
     if not (np.isfinite(radius) and radius > 0):
         raise ConfigError(f"radius must be positive and finite, got {radius!r}")
-    r_sq = radius * radius
-    count = 0
-    for k in range(w + 1, n):
-        d_sq = ((pts[: n - k] - pts[k:]) ** 2).sum(axis=1)
-        count += int((d_sq <= r_sq).sum())
-    return count / _n_admissible_pairs(n, w)
+    count = _pair_counts(pts, w, np.array([radius * radius]))[0]
+    return int(count) / _n_admissible_pairs(n, w)
+
+
+def _columns(pts: np.ndarray) -> list[np.ndarray]:
+    return [np.ascontiguousarray(pts[:, c]) for c in range(pts.shape[1])]
+
+
+def _sum_of_squares(diffs: Iterator[np.ndarray], m: int) -> np.ndarray:
+    """Squared Euclidean distances from ``m`` per-coordinate differences,
+    equal bit for bit to ``(diff ** 2).sum(axis=1)`` over the rows. Each
+    difference array is squared in place."""
+    return _row_sum((np.square(d, out=d) for d in diffs), m)
+
+
+def _row_sum(terms: Iterator[np.ndarray], m: int) -> np.ndarray:
+    """Sum ``m`` arrays in the order numpy's ``x.sum(axis=-1)`` adds a
+    row of ``m`` values, so the totals match it bit for bit.
+
+    Below 8 values numpy adds from left to right. From 8 to 128 it keeps
+    eight running sums ``r[k] += x[8q + k]``, joins them as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
+    rest in turn; above 128 it splits at a multiple of 8 near the middle
+    and adds the two halves' sums. ``terms`` yields fresh arrays, which
+    are used as accumulators.
+    """
+    if m < 8:
+        acc = next(terms)
+        for _ in range(m - 1):
+            acc += next(terms)
+        return acc
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        return _row_sum(terms, half) + _row_sum(terms, m - half)
+    r = [next(terms) for _ in range(8)]
+    for k in range(8, m - m % 8):
+        r[k % 8] += next(terms)
+    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for _ in range(m % 8):
+        acc += next(terms)
+    return acc
+
+
+def _pair_counts(pts: np.ndarray, w: int, r_sq: np.ndarray) -> np.ndarray:
+    """Admissible pairs at squared distance <= each of ``r_sq``.
+
+    Rows ``a .. b-1`` of a block meet the columns ``a + w + 1 .. n-1``,
+    so its entry (r, c) is the pair (a + r, a + w + 1 + c); the entries
+    with c < r lie inside the exclusion band and are set to +inf, which
+    no radius reaches. Each block is sorted, and one binary search per
+    radius counts its pairs at or below it.
+    """
+    n, m = pts.shape
+    columns = _columns(pts)
+    counts = np.zeros(r_sq.size, dtype=np.int64)
+    a = 0
+    while a < n - w - 1:
+        lo = a + w + 1
+        width = n - lo
+        rows = max(1, min(_PAIR_BLOCK // width, width))
+        d_sq = _sum_of_squares((np.subtract.outer(x[a : a + rows], x[lo:]) for x in columns), m)
+        d_sq[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.inf
+        flat = d_sq.ravel()
+        flat.sort()
+        counts += np.searchsorted(flat, r_sq, side="right")
+        a += rows
+    return counts
 
 
 def _sampled_pair_distances(pts: np.ndarray, w: int) -> np.ndarray:
+    """Distances of every admissible pair, or of a seeded uniform sample
+    of ``_PAIR_SAMPLE_CAP`` of them, in no particular order."""
     n = pts.shape[0]
     total = _n_admissible_pairs(n, w)
     if total <= _PAIR_SAMPLE_CAP:
-        chunks = []
-        for k in range(w + 1, n):
-            chunks.append(((pts[: n - k] - pts[k:]) ** 2).sum(axis=1))
-        d_sq = np.concatenate(chunks)
+        i, j = np.triu_indices(n, k=w + 1)
     else:
         rng = np.random.default_rng(_PAIR_SAMPLE_SEED)
-        draws = rng.integers(0, total, size=_PAIR_SAMPLE_CAP)
-        # Pairs are ranked by offset k then start index; invert that
-        # ranking to turn each draw into a concrete (i, i + k) pair.
-        per_offset = n - np.arange(w + 1, n)
-        cum = np.cumsum(per_offset)
-        which = np.searchsorted(cum, draws, side="right")
-        k = w + 1 + which
-        start = draws - np.where(which > 0, cum[which - 1], 0)
-        d_sq = ((pts[start] - pts[start + k]) ** 2).sum(axis=1)
-    return np.sqrt(d_sq)
+        draws = np.sort(rng.integers(0, total, size=_PAIR_SAMPLE_CAP))
+        # Pairs are ranked by offset k then start index; sorted, the
+        # draws of each offset form one run, so the ranking inverts by
+        # repeating each offset's first rank over its run.
+        offsets = np.arange(w + 1, n)
+        per_offset = n - offsets
+        ends = np.cumsum(per_offset)
+        runs = np.diff(np.searchsorted(draws, ends), prepend=0)
+        i = draws - np.repeat(ends - per_offset, runs)
+        j = i + np.repeat(offsets, runs)
+    return np.sqrt(_sum_of_squares((x[i] - x[j] for x in _columns(pts)), pts.shape[1]))
 
 
 def _radius_grid(pts: np.ndarray, n_radii: int, w: int) -> np.ndarray:
@@ -167,9 +241,8 @@ def _radius_grid(pts: np.ndarray, n_radii: int, w: int) -> np.ndarray:
 def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> CorrelationCurve:
     """C(R) over a log-spaced radius grid derived from the data.
 
-    One pass per index offset accumulates a histogram of squared
-    distances against the squared radius grid, then a cumulative sum
-    yields every C(R) at once. Identical arithmetic to
+    The admissible pairs are counted once against the whole squared
+    radius grid, a bounded row block at a time. Identical arithmetic to
     :func:`correlation_sum` radius by radius.
     """
     pts = _as_points(vectors)
@@ -179,12 +252,7 @@ def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> Correla
         raise ConfigError(f"n_radii must be an integer >= 8, got {n_radii!r}")
     n_radii = int(n_radii)
     radii = _radius_grid(pts, n_radii, w)
-    r_sq = radii * radii
-    counts = np.zeros(n_radii + 1, dtype=np.int64)
-    for k in range(w + 1, n):
-        d_sq = ((pts[: n - k] - pts[k:]) ** 2).sum(axis=1)
-        counts += np.bincount(np.searchsorted(r_sq, d_sq, side="left"), minlength=n_radii + 1)
-    c = np.cumsum(counts[:n_radii]) / _n_admissible_pairs(n, w)
+    c = _pair_counts(pts, w, radii * radii) / _n_admissible_pairs(n, w)
     return CorrelationCurve(radii=radii, c_values=c, theiler_w=w, n_points=n)
 
 

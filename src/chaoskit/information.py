@@ -221,11 +221,19 @@ def first_local_minimum(values) -> LagResult:
 def select_lag_first_minimum(series: TimeSeries, max_lag: int, bins: int = 16) -> LagResult:
     """Embedding delay from the first minimum of auto mutual information.
 
-    Computes autoMI at lags ``0..max_lag`` and returns the first local
-    minimum; if autoMI decreases through the whole scan the cap is
-    returned with the saturated flag set.
+    Computes autoMI at lags ``0, 1, 2, ...`` and stops at the first local
+    minimum in the sense of :func:`first_local_minimum`, which needs the
+    value one lag past it; if autoMI decreases through the whole scan to
+    ``max_lag``, the cap is returned with the saturated flag set.
     """
     if int(max_lag) != max_lag or max_lag < 2:
         raise ConfigError(f"max_lag must be an integer >= 2, got {max_lag!r}")
-    ami = [auto_mutual_information(series, lag, bins) for lag in range(int(max_lag) + 1)]
+    max_lag = int(max_lag)
+    if max_lag > series.samples.size - 2:
+        raise ConfigError(f"max_lag must be at most {series.samples.size - 2} for this series, got {max_lag}")
+    ami = [auto_mutual_information(series, 0, bins), auto_mutual_information(series, 1, bins)]
+    for lag in range(2, max_lag + 1):
+        ami.append(auto_mutual_information(series, lag, bins))
+        if ami[-2] < ami[-3] and ami[-2] <= ami[-1]:
+            return LagResult(lag - 1, False)
     return first_local_minimum(ami)

@@ -11,17 +11,23 @@ empty the nearest admissible point is taken regardless of angle; if
 nothing is admissible the old pair is kept. The exponent is the log sum
 divided by the total number of evolved samples, in nats per sample.
 
-Distances are Euclidean. With ``M`` embedded points, the candidate scan
-per renormalisation is a vectorised pass over all points, so a full run
-costs O(M^2 / evolve_steps) coordinate operations.
+Distances are Euclidean. A KD-tree over the ``M`` embedded points is
+built once per call (O(M log M)); each renormalisation then asks it for
+the points within ``max_separation`` of the fiducial point and applies
+the exact tests to those K candidates only, so a run costs about
+O(M log M + (M / evolve_steps) * (log M + K)) instead of a full
+O(M) scan per renormalisation. The tests use the same arithmetic as a
+full scan, so the walk is the one a full scan would take.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DegenerateSeriesError, EstimationError, ShortSeriesError
 from .series import DelayVectors
@@ -30,6 +36,13 @@ __all__ = ["WolfParams", "LyapunovResult", "largest_lyapunov_wolf"]
 
 _MIN_POINTS = 100
 _LOW_CONFIDENCE_RENORMS = 10
+# The tree's own distance arithmetic may round differently from the
+# exact test, so its ball is this much wider and the exact test decides.
+_BALL_PAD = 1e-9
+# Two summation orders of an m-term dot product differ by at most about
+# 2 m 2^-53 of |a| |b|, so a cosine this far from the cone's edge cannot
+# fall on the other side of it whichever order computed it.
+_CONE_EDGE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,40 +123,46 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     d_max = params.max_separation if params.max_separation is not None else 0.1 * extent
     if not d_min < d_max:
         raise ConfigError(f"resolved separation bounds are empty: [= {d_min!r}, {d_max!r}]")
+    if not np.all(np.isfinite(pts)):
+        raise DegenerateSeriesError("embedded points must be finite")
     cos_cone = math.cos(params.max_replacement_angle)
     w = params.theiler_w
     last = n - 1
-    index = np.arange(n)
+    tree = cKDTree(pts)
+    ball = d_max * (1.0 + _BALL_PAD)
 
-    if pts.shape[1] == 1:
-        flat = pts[:, 0]
-
-        def distances_from(i: int) -> np.ndarray:
-            return np.abs(flat - flat[i])
-
-    else:
-
-        def distances_from(i: int) -> np.ndarray:
-            return np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
-
-    def admissible(i: int) -> tuple[np.ndarray, np.ndarray]:
-        d = distances_from(i)
-        ok = (d >= d_min) & (d <= d_max) & (np.abs(index - i) > w)
-        ok[last] = False  # the final point has no future to evolve into
-        return d, ok
+    one_dim = pts.shape[1] == 1
 
     def pick(i: int, separation: np.ndarray | None, sep_norm: float) -> int | None:
-        """Nearest admissible neighbour of point i, angle cone first."""
-        d, ok = admissible(i)
-        if not ok.any():
+        """Nearest admissible neighbour of point i, angle cone first.
+
+        The tree returns the candidates in index order, so the exclusion
+        window is one slice of them and ``argmin`` still breaks distance
+        ties toward the lowest index.
+        """
+        near = tree.query_ball_point(pts[i], ball, return_sorted=True)
+        cand = np.array(near, dtype=np.intp)
+        diff = pts[cand] - pts[i]
+        d = np.abs(diff[:, 0]) if one_dim else np.sqrt((diff**2).sum(axis=1))
+        ok = (d >= d_min) & (d <= d_max)
+        ok[bisect_left(near, i - w) : bisect_right(near, i + w)] = False
+        if near[-1] == last:
+            ok[-1] = False  # the final point has no future to evolve into
+        keep = np.flatnonzero(ok)
+        if keep.size == 0:
             return None
         if separation is not None and sep_norm > 0.0:
-            cos = ((pts - pts[i]) @ separation) / (np.where(d > 0, d, np.inf) * sep_norm)
-            cone = ok & (cos >= cos_cone)
-            pool = cone if cone.any() else ok
-        else:
-            pool = ok
-        return int(np.where(pool, d, np.inf).argmin())
+            # A matrix-vector product's row sums depend on which rows it
+            # holds, so over the candidates alone a cosine may differ in
+            # the last bits from a full scan's. Only one at the cone's
+            # edge could flip the test; then the full product decides.
+            cos = (diff[keep] @ separation) / (d[keep] * sep_norm)
+            if np.abs(cos - cos_cone).min() <= _CONE_EDGE:
+                cos = ((pts - pts[i]) @ separation)[cand[keep]] / (d[keep] * sep_norm)
+            cone = keep[cos >= cos_cone]
+            if cone.size:
+                keep = cone
+        return int(cand[keep[d[keep].argmin()]])
 
     i = 0
     j = pick(0, None, 0.0)

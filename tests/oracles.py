@@ -37,6 +37,121 @@ def brute_correlation_sum(points: np.ndarray, radius: float, theiler_w: int = 0)
     return inside / total
 
 
+def full_scan_wolf(
+    points: np.ndarray,
+    evolve_steps: int = 3,
+    min_separation: float | None = None,
+    max_separation: float | None = None,
+    theiler_w: int = 0,
+    max_replacement_angle: float = 0.5,
+) -> tuple[float, int, int, int] | None:
+    """Wolf fiducial walk with a full scan over every point per search.
+
+    Returns (exponent, renormalisations, replacements, evolved samples),
+    or None when point 0 has no admissible initial neighbour. Same
+    tests and the same arithmetic as the production walk, which asks a
+    KD-tree for its candidates instead, so the two must agree bit for
+    bit. A walk with no usable segment raises ValueError.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n = pts.shape[0]
+    extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    d_min = min_separation if min_separation is not None else 1e-3 * extent
+    d_max = max_separation if max_separation is not None else 0.1 * extent
+    cos_cone = math.cos(max_replacement_angle)
+    last = n - 1
+    index = np.arange(n)
+
+    def distances_from(i):
+        if pts.shape[1] == 1:
+            return np.abs(pts[:, 0] - pts[i, 0])
+        return np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
+
+    def pick(i, separation, sep_norm):
+        d = distances_from(i)
+        ok = (d >= d_min) & (d <= d_max) & (np.abs(index - i) > theiler_w)
+        ok[last] = False
+        if not ok.any():
+            return None
+        if separation is not None and sep_norm > 0.0:
+            cos = ((pts - pts[i]) @ separation) / (np.where(d > 0, d, np.inf) * sep_norm)
+            cone = ok & (cos >= cos_cone)
+            pool = cone if cone.any() else ok
+        else:
+            pool = ok
+        return int(np.where(pool, d, np.inf).argmin())
+
+    i = 0
+    j = pick(0, None, 0.0)
+    if j is None:
+        return None
+    log_sum = 0.0
+    evolved = renorms = replacements = 0
+    while i < last and j < last:
+        steps = min(evolve_steps, last - i, last - j)
+        d_before = float(np.sqrt(((pts[i] - pts[j]) ** 2).sum()))
+        i += steps
+        j += steps
+        d_after = float(np.sqrt(((pts[i] - pts[j]) ** 2).sum()))
+        if d_before > 0.0 and d_after > 0.0:
+            log_sum += math.log(d_after / d_before)
+            evolved += steps
+            renorms += 1
+        if i >= last:
+            break
+        candidate = pick(i, pts[j] - pts[i], d_after)
+        if candidate is None:
+            if j >= last:
+                break
+            continue
+        if candidate != j:
+            replacements += 1
+            j = candidate
+    if evolved == 0:
+        raise ValueError("no usable divergence segment")
+    return log_sum / evolved, renorms, replacements, evolved
+
+
+def per_offset_correlation_curve(points: np.ndarray, n_radii: int, theiler_w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radius grid and C(R) with one numpy pass per index offset.
+
+    The radius grid comes from every admissible pair, or from a million
+    pairs drawn with seed 411 (the production sample's size and seed)
+    and located by a search per draw; the counts come from a histogram
+    per offset. This is the arithmetic the blocked pair count must
+    reproduce bit for bit.
+    """
+    seed, cap = 411, 1_000_000
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n = pts.shape[0]
+    w = theiler_w
+    gaps = n - 1 - w
+    total = gaps * (gaps + 1) // 2
+    if total <= cap:
+        d_sq = np.concatenate([((pts[: n - k] - pts[k:]) ** 2).sum(axis=1) for k in range(w + 1, n)])
+    else:
+        draws = np.random.default_rng(seed).integers(0, total, size=cap)
+        cum = np.cumsum(n - np.arange(w + 1, n))
+        which = np.searchsorted(cum, draws, side="right")
+        start = draws - np.where(which > 0, cum[which - 1], 0)
+        d_sq = ((pts[start] - pts[start + w + 1 + which]) ** 2).sum(axis=1)
+    d = np.sqrt(d_sq)
+    lo = float(np.percentile(d, 0.1))
+    if lo <= 0.0:
+        lo = float(d[d > 0].min())
+    radii = np.geomspace(lo, float(d.max()), n_radii)
+    r_sq = radii * radii
+    counts = np.zeros(n_radii + 1, dtype=np.int64)
+    for k in range(w + 1, n):
+        d_sq = ((pts[: n - k] - pts[k:]) ** 2).sum(axis=1)
+        counts += np.bincount(np.searchsorted(r_sq, d_sq, side="left"), minlength=n_radii + 1)
+    return radii, np.cumsum(counts[:n_radii]) / total
+
+
 def brute_restricted_points(x: np.ndarray, m: int, t: int) -> np.ndarray:
     """First N - m*t delay vectors of dimension m at lag t."""
     n_pts = x.size - m * t

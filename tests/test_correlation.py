@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from chaoskit.correlation import (
+    _PAIR_SAMPLE_CAP,
     CorrelationCurve,
     D2Estimate,
+    _n_admissible_pairs,
+    _sum_of_squares,
     correlation_curve,
     correlation_dimension,
     correlation_sum,
@@ -14,7 +17,7 @@ from chaoskit.errors import ConfigError, DegenerateSeriesError, NoScalingRegionE
 from chaoskit.generators import uniform_stream
 from chaoskit.series import EmbeddingParams, TimeSeries, delay_embed
 
-from oracles import brute_correlation_sum
+from oracles import brute_correlation_sum, per_offset_correlation_curve
 
 
 def embed(x, m, t=1):
@@ -102,6 +105,40 @@ class TestCorrelationCurve:
             CorrelationCurve(radii=[1.0, 2.0], c_values=[0.5, 0.2], theiler_w=0, n_points=10)
         with pytest.raises(ConfigError):
             CorrelationCurve(radii=[1.0, 2.0], c_values=[0.5, 1.2], theiler_w=0, n_points=10)
+
+
+class TestBlockedPairCount:
+    """The blocked kernels against numpy's own row sums and the per-offset passes."""
+
+    @pytest.mark.parametrize("m", [*range(1, 17), 131])
+    def test_sum_of_squares_matches_numpy_row_sum(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((257, m)) * rng.uniform(0.01, 100.0, size=(257, m))
+        b = rng.standard_normal((257, m))
+        expected = ((a - b) ** 2).sum(axis=1)
+        got = _sum_of_squares((a[:, c] - b[:, c] for c in range(m)), m)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", [8, 9])
+    @pytest.mark.parametrize("n, sampled", [(1400, False), (1500, True)])
+    def test_curve_matches_per_offset_reference(self, lorenz_20k, m, n, sampled):
+        w = 5
+        pts = embed(lorenz_20k.samples[: n + 3 * (m - 1)], m, 3)
+        assert (_n_admissible_pairs(n, w) > _PAIR_SAMPLE_CAP) == sampled
+        curve = correlation_curve(pts, n_radii=24, theiler_w=w)
+        radii, c_values = per_offset_correlation_curve(pts.points, 24, w)
+        np.testing.assert_array_equal(curve.radii, radii)
+        np.testing.assert_array_equal(curve.c_values, c_values)
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    @pytest.mark.parametrize("gap", [2, 9, 40])
+    def test_window_close_to_n(self, henon_20k, m, gap):
+        n = 400
+        pts = embed(henon_20k.samples[: n + m - 1], m)
+        curve = correlation_curve(pts, n_radii=8, theiler_w=n - 1 - gap)
+        radii, c_values = per_offset_correlation_curve(pts.points, 8, n - 1 - gap)
+        np.testing.assert_array_equal(curve.radii, radii)
+        np.testing.assert_array_equal(curve.c_values, c_values)
 
 
 class TestCorrelationDimension:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoskit import information
 from chaoskit.errors import ConfigError
 from chaoskit.generators import uniform_stream
 from chaoskit.information import (
@@ -183,6 +184,27 @@ class TestLagSelection:
         result = select_lag_first_minimum(s, 5)
         assert result.saturated
         assert result.lag == 5
+
+    @pytest.mark.parametrize("period, max_lag", [(100.0, 60), (4000.0, 5), (23.0, 40)])
+    def test_scan_stops_one_lag_past_the_minimum(self, monkeypatch, period, max_lag):
+        k = np.arange(6000)
+        s = TimeSeries(np.sin(2 * np.pi * k / period), sample_rate_hz=1.0)
+        full = [auto_mutual_information(s, lag) for lag in range(max_lag + 1)]
+        lags = []
+
+        def counted(series, lag, bins=16):
+            lags.append(lag)
+            return auto_mutual_information(series, lag, bins)
+
+        monkeypatch.setattr(information, "auto_mutual_information", counted)
+        result = select_lag_first_minimum(s, max_lag)
+        assert result == first_local_minimum(full)
+        last = max_lag if result.saturated else result.lag + 1
+        assert lags == list(range(last + 1))
+
+    def test_rejects_max_lag_beyond_series(self):
+        with pytest.raises(ConfigError):
+            select_lag_first_minimum(TimeSeries(np.sin(np.arange(40.0)), sample_rate_hz=1.0), 39)
 
     def test_rejects_tiny_max_lag(self, noise_10k):
         with pytest.raises(ConfigError):

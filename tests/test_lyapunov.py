@@ -11,9 +11,12 @@ from chaoskit.errors import (
     EstimationError,
     ShortSeriesError,
 )
+from chaoskit import lyapunov
 from chaoskit.generators import henon_lle_oracle
 from chaoskit.lyapunov import LyapunovResult, WolfParams, largest_lyapunov_wolf
 from chaoskit.series import EmbeddingParams, TimeSeries, delay_embed
+
+from oracles import full_scan_wolf
 
 
 def embed(series, m, t, n=None):
@@ -84,6 +87,54 @@ class TestEstimatorBehaviour:
         assert result.low_confidence
 
 
+def walk_fields(result: LyapunovResult) -> tuple:
+    return (result.exponent, result.n_renormalizations, result.n_replacements, result.n_evolved_samples)
+
+
+class TestFullScanOracle:
+    """The tree-assisted walk must take the full scan's steps exactly."""
+
+    @staticmethod
+    def lorenz_points(lorenz_20k, m, n=1500, t=3):
+        return embed(lorenz_20k, m, t, n + (m - 1) * t).points
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9])
+    @pytest.mark.parametrize("w", [0, 50])
+    @pytest.mark.parametrize("bounds", [None, (0.01, 0.04)], ids=["default", "tight"])
+    def test_walk_matches_full_scan(self, lorenz_20k, m, w, bounds):
+        pts = self.lorenz_points(lorenz_20k, m)
+        lo = hi = None
+        if bounds is not None:
+            extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+            lo, hi = bounds[0] * extent, bounds[1] * extent
+        params = WolfParams(theiler_w=w, min_separation=lo, max_separation=hi)
+        expected = full_scan_wolf(pts, params.evolve_steps, lo, hi, w, params.max_replacement_angle)
+        if expected is None:
+            with pytest.raises(EstimationError, match="no admissible initial neighbour"):
+                largest_lyapunov_wolf(pts, params)
+            return
+        result = largest_lyapunov_wolf(pts, params)
+        assert walk_fields(result) == expected
+        assert result.low_confidence == (expected[1] < 10)
+
+    def test_cone_edge_fallback_matches_full_scan(self, lorenz_20k, monkeypatch):
+        # With the edge band wider than any cosine range, every cone test
+        # takes the full-product route.
+        monkeypatch.setattr(lyapunov, "_CONE_EDGE", 3.0)
+        pts = self.lorenz_points(lorenz_20k, 3)
+        assert walk_fields(largest_lyapunov_wolf(pts)) == full_scan_wolf(pts)
+
+    def test_no_initial_neighbour_where_full_scan_has_none(self, lorenz_20k):
+        # Point 0 moved far off the attractor: most points have
+        # neighbours, point 0 has none.
+        pts = self.lorenz_points(lorenz_20k, 3).copy()
+        pts[0] += 1e3
+        params = WolfParams(min_separation=1e-3, max_separation=1.0)
+        assert full_scan_wolf(pts, min_separation=1e-3, max_separation=1.0) is None
+        with pytest.raises(EstimationError, match="no admissible initial neighbour"):
+            largest_lyapunov_wolf(pts, params)
+
+
 class TestValidation:
     def test_too_few_points(self):
         with pytest.raises(ShortSeriesError):
@@ -92,6 +143,12 @@ class TestValidation:
     def test_zero_extent(self):
         with pytest.raises(DegenerateSeriesError):
             largest_lyapunov_wolf(np.full(200, 7.0))
+
+    def test_non_finite_points(self):
+        x = np.sin(np.arange(300.0))
+        x[7] = np.nan
+        with pytest.raises(DegenerateSeriesError):
+            largest_lyapunov_wolf(x, WolfParams(min_separation=1e-3, max_separation=0.5))
 
     def test_no_admissible_initial_neighbour(self):
         # Unit-spaced points with a ceiling of half a unit: nothing
