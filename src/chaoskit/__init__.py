@@ -76,11 +76,13 @@ from .sleep import (
 )
 from .stats import (
     ComparisonResult,
+    EpochCells,
     GroupSummary,
     Histogram,
     INDEX_NAMES,
     compare_groups,
     empirical_histogram,
+    group_by_cell,
     group_summaries,
     histograms_by_cell,
     p_value,
@@ -154,12 +156,14 @@ __all__ = [
     "GroupSummary",
     "ComparisonResult",
     "Histogram",
+    "EpochCells",
     "INDEX_NAMES",
     "summarize",
     "welch_t",
     "welch_satterthwaite_df",
     "p_value",
     "compare_groups",
+    "group_by_cell",
     "group_summaries",
     "empirical_histogram",
     "histograms_by_cell",

@@ -50,7 +50,7 @@ from .sleep import (
     select_lag,
     select_theiler,
 )
-from .stats import compare_groups, group_summaries, histograms_by_cell
+from .stats import compare_groups, group_by_cell, group_summaries, histograms_by_cell
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -143,10 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_reports(out_dir: Path, epochs, fingerprint: str, hist_bins: int) -> dict:
-    scored = [e for e in epochs if e.group is not None and e.stage is not SleepStage.UNKNOWN]
-    summaries = group_summaries(scored)
-    comparisons = compare_groups(scored)
-    histograms = histograms_by_cell(scored, hist_bins)
+    cells = group_by_cell(e for e in epochs if e.group is not None and e.stage is not SleepStage.UNKNOWN)
+    summaries = group_summaries(cells)
+    comparisons = compare_groups(cells)
+    histograms = histograms_by_cell(cells, hist_bins)
     write_table1_csv(out_dir / "summary.csv", summaries, fingerprint)
     write_pvalues_csv(out_dir / "pvalues.csv", comparisons, fingerprint)
     hist_paths = write_histogram_csvs(out_dir / "histograms", histograms, fingerprint)

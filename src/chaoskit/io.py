@@ -1,7 +1,9 @@
 """File formats: signal CSV, hypnogram CSV, manifest JSON, NDJSON, reports.
 
 Signal files are one sample per line with ``#``-prefixed ``key=value``
-metadata lines up front (``# fs=100`` is required to rebuild a series).
+metadata lines up front (``# fs=100`` is required to rebuild a series);
+every line after the first sample is a sample, and numpy parses them
+all in one call.
 Multi-channel files declare ``# channels=A,B`` and put one column per
 channel on each line; a channel must then be named explicitly, it is
 never guessed.
@@ -97,6 +99,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 def read_signal_csv(path: str | Path, channel: str | None = None) -> tuple[TimeSeries, dict]:
     """Parse a signal file into a series plus its metadata dict.
 
+    The metadata lines and the first sample line are read in Python;
+    every sample line is then parsed by one ``np.loadtxt`` call, so the
+    metadata must all come before the first sample, and every column
+    must hold numbers even when another channel is selected.
+
     Raises
     ------
     InputError
@@ -104,34 +111,30 @@ def read_signal_csv(path: str | Path, channel: str | None = None) -> tuple[TimeS
         or a missing/ambiguous channel selection.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read signal file {path}: {exc}") from exc
     metadata: dict[str, str] = {}
-    rows: list[list[str]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                metadata[key.strip()] = value.strip()
-            continue
-        rows.append([p.strip() for p in line.split(",")])
+    header_lines = 0
+    n_cols = 0
+    try:
+        with open(path, encoding="utf-8") as handle:
+            # Blank and '#' lines up to the first sample; '# key=value'
+            # lines among them are the metadata.
+            for raw in handle:
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    n_cols = line.count(",") + 1
+                    break
+                header_lines += 1
+                key, eq, value = line[1:].partition("=")
+                if eq:
+                    metadata[key.strip()] = value.strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read signal file {path}: {exc}") from exc
+    if n_cols == 0:
+        raise InputError(f"signal file {path} has no samples")
 
     channels = None
     if "channels" in metadata:
         channels = [c.strip() for c in metadata["channels"].split(",") if c.strip()]
-
-    n_cols = len(rows[0]) if rows else 0
-    if n_cols == 0:
-        raise InputError(f"signal file {path} has no samples")
-    if any(len(r) != n_cols for r in rows):
-        raise InputError(f"signal file {path} has rows of varying width")
-
     if n_cols == 1:
         # A single column is unambiguous; a requested channel only has
         # to be checked against whatever name the file declares.
@@ -162,10 +165,26 @@ def read_signal_csv(path: str | Path, channel: str | None = None) -> tuple[TimeS
             )
         col = channels.index(channel)
 
+    # Parsed from the path, not from the open handle: numpy reads a path
+    # in large blocks but iterates a handle one line at a time.
     try:
-        samples = np.array([float(r[col]) for r in rows], dtype=np.float64)
+        table = np.loadtxt(
+            path,
+            delimiter=",",
+            comments=None,
+            skiprows=header_lines,
+            ndmin=2,
+            dtype=np.float64,
+            encoding="utf-8",
+        )
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read signal file {path}: {exc}") from exc
     except ValueError as exc:
+        if "number of columns changed" in str(exc):
+            raise InputError(f"signal file {path} has rows of varying width") from exc
         raise InputError(f"signal file {path} has a non-numeric sample: {exc}") from exc
+    # A copy of its own, so a multi-channel read keeps no other channel alive.
+    samples = table[:, col].copy()
 
     if "fs" not in metadata:
         raise InputError(f"signal file {path} is missing '# fs=' metadata")

@@ -117,13 +117,15 @@ class Group(Enum):
     APNEA = "Apnea"
 
 
+_GROUPS_BY_SPELLING = {group.value.lower(): group for group in Group}
+
+
 def parse_group(text: str) -> Group:
     """Group from its manifest spelling; never inferred from anything else."""
-    lowered = text.strip().lower()
-    for group in Group:
-        if lowered == group.value.lower():
-            return group
-    raise InputError(f"unknown group {text!r}; expected 'Healthy' or 'Apnea'")
+    try:
+        return _GROUPS_BY_SPELLING[text.strip().lower()]
+    except KeyError:
+        raise InputError(f"unknown group {text!r}; expected 'Healthy' or 'Apnea'") from None
 
 
 def samples_per_epoch(sample_rate_hz: float) -> int:

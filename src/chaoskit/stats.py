@@ -31,12 +31,14 @@ __all__ = [
     "GroupSummary",
     "ComparisonResult",
     "Histogram",
+    "EpochCells",
     "INDEX_NAMES",
     "summarize",
     "welch_t",
     "welch_satterthwaite_df",
     "p_value",
     "compare_groups",
+    "group_by_cell",
     "group_summaries",
     "empirical_histogram",
     "histograms_by_cell",
@@ -154,20 +156,36 @@ def p_value(t: float, df: float) -> float:
     return float(special.stdtr(df, -t))
 
 
-def _values_by_cell(epochs: Iterable[EpochIndices]) -> dict[tuple, list[float]]:
-    """Every index value, keyed by (index, stage, group), in epoch order."""
+@dataclass(frozen=True)
+class EpochCells:
+    """Every index value of a set of epochs, keyed by (index, stage,
+    group), in epoch order.
+
+    Built once by :func:`group_by_cell`; the table builders take it in
+    place of the epochs, so several tables share one grouping pass.
+    """
+
+    values: dict[tuple, list[float]]
+
+
+def group_by_cell(epochs: Iterable[EpochIndices]) -> EpochCells:
+    """Group every index value by (index, stage, group) in one pass."""
     cells: dict[tuple, list[float]] = {}
     for e in epochs:
         for index_name in INDEX_NAMES:
             v = getattr(e, index_name)
             if v is not None:
                 cells.setdefault((index_name, e.stage, e.group), []).append(float(v))
-    return cells
+    return EpochCells(cells)
 
 
-def group_summaries(epochs: Sequence[EpochIndices]) -> list[GroupSummary]:
+def _cells(epochs: Iterable[EpochIndices] | EpochCells) -> dict[tuple, list[float]]:
+    return (epochs if isinstance(epochs, EpochCells) else group_by_cell(epochs)).values
+
+
+def group_summaries(epochs: Sequence[EpochIndices] | EpochCells) -> list[GroupSummary]:
     """Per (group, stage, index) summaries over all cells with n >= 2."""
-    cells = _values_by_cell(epochs)
+    cells = _cells(epochs)
     out = []
     for index_name in INDEX_NAMES:
         for stage in SCORED_STAGES:
@@ -183,7 +201,7 @@ def group_summaries(epochs: Sequence[EpochIndices]) -> list[GroupSummary]:
 
 
 def compare_groups(
-    epochs: Sequence[EpochIndices],
+    epochs: Sequence[EpochIndices] | EpochCells,
     group_a: Group = Group.APNEA,
     group_b: Group = Group.HEALTHY,
 ) -> list[ComparisonResult]:
@@ -194,7 +212,7 @@ def compare_groups(
     higher under apnea. Cells where either group has fewer than two
     values are left out.
     """
-    cells = _values_by_cell(epochs)
+    cells = _cells(epochs)
     results = []
     for stage in SCORED_STAGES:
         for index_name in INDEX_NAMES:
@@ -232,9 +250,9 @@ def empirical_histogram(values: Sequence[float], n_bins: int) -> Histogram:
     return Histogram(bin_edges=edges, relative_frequencies=counts / arr.size)
 
 
-def histograms_by_cell(epochs: Sequence[EpochIndices], n_bins: int = 16) -> list[Histogram]:
+def histograms_by_cell(epochs: Sequence[EpochIndices] | EpochCells, n_bins: int = 16) -> list[Histogram]:
     """One histogram per (index, stage, group) cell that has any values."""
-    cells = _values_by_cell(epochs)
+    cells = _cells(epochs)
     out = []
     for index_name in INDEX_NAMES:
         for stage in SCORED_STAGES:

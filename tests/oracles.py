@@ -255,3 +255,38 @@ def jacobian_lle_logistic(r: float, x0: float, n_steps: int, transient: int = 10
             total += math.log(abs(r * (1.0 - 2.0 * x)))
         x = r * x * (1.0 - x)
     return total / n_steps
+
+
+def rowwise_read_signal_csv(path, channel: str | None = None) -> tuple[np.ndarray, dict]:
+    """(samples of the selected column, metadata) of a signal file,
+    parsed line by line with ``float()``.
+
+    ``#`` lines count as metadata wherever they sit, and only the
+    selected column is converted. There are no ``fs`` or series checks.
+    Malformed files raise ValueError.
+    """
+    metadata: dict[str, str] = {}
+    rows: list[list[str]] = []
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                metadata[key.strip()] = value.strip()
+            continue
+        rows.append([p.strip() for p in line.split(",")])
+    if not rows:
+        raise ValueError("no samples")
+    n_cols = len(rows[0])
+    if any(len(r) != n_cols for r in rows):
+        raise ValueError("rows of varying width")
+    col = 0
+    if n_cols > 1:
+        channels = [c.strip() for c in metadata["channels"].split(",") if c.strip()]
+        col = channels.index(channel)
+    return np.array([float(r[col]) for r in rows], dtype=np.float64), metadata

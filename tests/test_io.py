@@ -34,6 +34,7 @@ from chaoskit.sleep import EpochIndices, EstimatorConfig, Group, SleepStage
 from chaoskit.stats import ComparisonResult, GroupSummary, Histogram
 
 from conftest import build_sleep_fixture
+from oracles import rowwise_read_signal_csv
 
 
 def make_epoch(**overrides):
@@ -191,6 +192,129 @@ class TestMultiChannel:
         path.write_text("# fs=10\n# channels=C3,C4\n1.0,10.0\n2.0\n")
         with pytest.raises(InputError, match="varying width"):
             read_signal_csv(path, channel="C3")
+
+
+def assert_same_bits(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSignalReaderParity:
+    """The one-call numpy reader against the row-by-row oracle."""
+
+    EXTREMES = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        2.2250738585072009e-308,  # largest subnormal
+        -1.5e-310,
+        2.2250738585072014e-308,  # smallest normal
+        1.7976931348623157e308,
+        -1.7976931348623157e308,
+    ]
+
+    def check(self, path, channel=None):
+        series, metadata = read_signal_csv(path, channel=channel)
+        samples, oracle_metadata = rowwise_read_signal_csv(path, channel=channel)
+        assert_same_bits(series.samples, samples)
+        assert metadata == oracle_metadata
+        return series, metadata
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_written_floats_read_back_bit_exact(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = np.concatenate([values[np.isfinite(values)], rng.standard_normal(500), self.EXTREMES])
+        path = tmp_path / "sig.csv"
+        written = {"channel": "C3", "note": "a=b, c", "fs": "ignored"}
+        write_signal_csv(path, TimeSeries(values, 256.0), metadata=written)
+        series, metadata = self.check(path)
+        assert_same_bits(series.samples, values)
+        assert metadata == {"fs": "256", "channel": "C3", "note": "a=b, c"}
+
+    def test_crlf_blank_lines_and_padding(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        text = "# fs = 10 \r\n\r\n#  note =  x \r\n 1.5 \r\n\r\n\t-2.25\r\n\r\n3e-5 \r\n\r\n"
+        path.write_bytes(text.encode("utf-8"))
+        series, metadata = self.check(path)
+        assert_same_bits(series.samples, [1.5, -2.25, 3e-5])
+        assert metadata == {"fs": "10", "note": "x"}
+
+    @pytest.mark.parametrize("names", [("C3", "C4"), ("C3", "C4", "O1")])
+    def test_each_channel_of_a_multichannel_file(self, tmp_path, names):
+        rng = np.random.default_rng(len(names))
+        table = rng.standard_normal((200, len(names))) * 10.0 ** rng.integers(-300, 300, size=(200, len(names)))
+        lines = ["# fs=100", f"# channels={','.join(names)}"]
+        lines += [" , ".join(format_float(v) for v in row) for row in table]
+        path = tmp_path / "sig.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for k, name in enumerate(names):
+            series, _ = self.check(path, channel=name)
+            assert_same_bits(series.samples, table[:, k])
+
+    def test_selected_channel_owns_contiguous_float64(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("# fs=10\n# channels=C3,C4,O1\n1,10,100\n2,20,200\n3,30,300\n")
+        series, _ = read_signal_csv(path, channel="C4")
+        samples = series.samples
+        assert samples.dtype == np.float64
+        assert samples.ndim == 1
+        assert samples.flags.c_contiguous
+        assert samples.flags.owndata
+        np.testing.assert_array_equal(samples, [10.0, 20.0, 30.0])
+
+
+class TestSignalReaderNarrowing:
+    """Inputs the row-by-row reader accepted and the one-call reader
+    refuses: metadata comes first, every column is numeric, and a sample
+    is spelled the way numpy parses it."""
+
+    def test_metadata_after_first_sample_rejected(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("# fs=10\n1.0\n# note=late\n2.0\n")
+        rowwise_read_signal_csv(path)
+        with pytest.raises(InputError, match="non-numeric"):
+            read_signal_csv(path)
+
+    def test_non_numeric_unselected_column_rejected(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("# fs=10\n# channels=C3,C4\n1.0,10.0\n2.0,bad\n")
+        rowwise_read_signal_csv(path, channel="C3")
+        with pytest.raises(InputError, match="non-numeric"):
+            read_signal_csv(path, channel="C3")
+
+    @pytest.mark.parametrize("spelling", ["1_0", "\u0661\u0662", "\uff11.5"])
+    def test_spellings_only_float_accepts_rejected(self, tmp_path, spelling):
+        path = tmp_path / "sig.csv"
+        path.write_text(f"# fs=10\n1.0\n{spelling}\n", encoding="utf-8")
+        rowwise_read_signal_csv(path)
+        with pytest.raises(InputError, match="non-numeric"):
+            read_signal_csv(path)
+
+    def test_whitespace_only_body_line_rejected(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("# fs=10\n1.0\n  \t \n2.0\n")
+        rowwise_read_signal_csv(path)
+        with pytest.raises(InputError, match="non-numeric"):
+            read_signal_csv(path)
+
+    def test_channel_choice_checked_before_body(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("# fs=10\n# channels=C3,C4\n1.0,10.0\n2.0,bad\n3.0\n")
+        with pytest.raises(InputError, match="pick one"):
+            read_signal_csv(path)
+        with pytest.raises(InputError, match="no channel"):
+            read_signal_csv(path, channel="O2")
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(b"# fs=10\n1.0\n\xff\xfe\n")
+        with pytest.raises(InputError, match="cannot read"):
+            read_signal_csv(path)
 
 
 class TestHypnogramCsv:

@@ -13,6 +13,7 @@ from chaoskit.stats import (
     Histogram,
     compare_groups,
     empirical_histogram,
+    group_by_cell,
     group_summaries,
     histograms_by_cell,
     p_value,
@@ -232,6 +233,30 @@ class TestSummariesAndHistograms:
         assert hist.group is Group.APNEA
         assert hist.stage is SleepStage.S2
         assert hist.relative_frequencies.size == 4
+
+    def test_one_grouping_serves_every_table(self):
+        rng = np.random.default_rng(5)
+        groups = (Group.APNEA, Group.HEALTHY)
+        epochs = [
+            epoch(
+                groups[k % 2],
+                SleepStage.S2 if k % 3 else SleepStage.REM,
+                lle=float(rng.normal()),
+                mi=None if k % 4 == 0 else float(rng.normal()),
+                d2=float(rng.normal()),
+            )
+            for k in range(60)
+        ]
+        cells = group_by_cell(epochs)
+        assert cells.values[("mi", SleepStage.S2, Group.HEALTHY)] == [
+            e.mi for e in epochs if e.mi is not None and e.stage is SleepStage.S2 and e.group is Group.HEALTHY
+        ]
+        assert group_summaries(cells) == group_summaries(epochs)
+        assert compare_groups(cells) == compare_groups(epochs)
+        for a, b in zip(histograms_by_cell(cells, 5), histograms_by_cell(epochs, 5), strict=True):
+            assert (a.index_name, a.stage, a.group) == (b.index_name, b.stage, b.group)
+            np.testing.assert_array_equal(a.bin_edges, b.bin_edges)
+            np.testing.assert_array_equal(a.relative_frequencies, b.relative_frequencies)
 
     def test_container_validation(self):
         with pytest.raises(ConfigError):
