@@ -15,6 +15,10 @@ so under the maximum norm it is just ``max(d_m, |new component gap|)``.
 The ratios E1(m) = E(m+1)/E(m) and E2(m) = E*(m+1)/E*(m) drive the
 selection: E1 stops changing once the dimension suffices, and E2 stays
 near 1 at every m only for noise-like data.
+
+Neighbours come from a KD-tree queried for the three nearest hits of
+every point, with k doubled only while duplicates or distance ties may
+lie beyond the k-th hit, so they equal a full scan's, ties included.
 """
 
 from __future__ import annotations
@@ -83,17 +87,25 @@ def _nearest_positive_neighbors(points: np.ndarray) -> tuple[np.ndarray, np.ndar
     skipped; ties on distance resolve to the lowest index. A point whose
     every companion is a duplicate has no neighbour, which only happens
     when the whole cloud is degenerate.
+
+    The tree is asked for the k = 3 nearest hits of every point (the
+    point, its nearest neighbour and one beyond: the fewest that can
+    show the nearest positive distance is settled), and k doubles while
+    some point's k-th hit still lies at or below its best positive
+    distance, since duplicates or ties may then lie beyond it. Once
+    every k-th hit is farther, each point's hits hold all of its
+    duplicates and every neighbour at the best distance, so the lowest
+    index among those is the full scan's answer. A Chebyshev distance
+    is one rounded difference per coordinate and a maximum, so it is the
+    same whichever k returned it.
     """
     n = points.shape[0]
     tree = cKDTree(points)
-    k = min(n, 8)
+    k = min(n, 3)
     while True:
         # One thread: under ``--jobs`` every worker process already has
         # a core, and at these sizes extra threads cost more than they save.
         dist, idx = tree.query(points, k=k, p=np.inf, workers=1)
-        if k == 1:
-            dist = dist[:, None]
-            idx = idx[:, None]
         first = np.where(dist > 0.0, dist, np.inf).min(axis=1)
         # Escalate while the k-th hit is still at (or below) the best
         # positive distance: more duplicates or ties may lie beyond k.

@@ -11,19 +11,22 @@ empty the nearest admissible point is taken regardless of angle; if
 nothing is admissible the old pair is kept. The exponent is the log sum
 divided by the total number of evolved samples, in nats per sample.
 
-Distances are Euclidean. A KD-tree over the ``M`` embedded points is
-built once per call (O(M log M)); each renormalisation then asks it for
-the points within ``max_separation`` of the fiducial point and applies
-the exact tests to those K candidates only, so a run costs about
-O(M log M + (M / evolve_steps) * (log M + K)) instead of a full
-O(M) scan per renormalisation. The tests use the same arithmetic as a
-full scan, so the walk is the one a full scan would take.
+Distances are Euclidean. From two dimensions up, a KD-tree over the
+``M`` embedded points is built once per call (O(M log M)); each
+renormalisation then asks it for the points within ``max_separation``
+of the fiducial point and applies the exact tests to those K candidates
+only, so a run costs about O(M log M + (M / evolve_steps) * (log M + K))
+instead of a full O(M) scan per renormalisation. One-dimensional points
+skip the tree: there the ball is a tenth of the extent by default and
+holds a large share of the points, and one vectorised ``|x - x_i|``
+scan gives the exact ball, already in index order, for less than the
+tree takes to list it. The tests use the same arithmetic as a full
+scan, so the walk is the one a full scan would take.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,37 +131,49 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     cos_cone = math.cos(params.max_replacement_angle)
     w = params.theiler_w
     last = n - 1
-    tree = cKDTree(pts)
-    ball = d_max * (1.0 + _BALL_PAD)
-
     one_dim = pts.shape[1] == 1
+    if one_dim:
+        flat = pts[:, 0]
+    else:
+        tree = cKDTree(pts)
+        ball = d_max * (1.0 + _BALL_PAD)
 
     def pick(i: int, separation: np.ndarray | None, sep_norm: float) -> int | None:
         """Nearest admissible neighbour of point i, angle cone first.
 
-        The tree returns the candidates in index order, so the exclusion
-        window is one slice of them and ``argmin`` still breaks distance
-        ties toward the lowest index.
+        The candidates come in index order, so the exclusion window is
+        one slice of them and ``argmin`` still breaks distance ties
+        toward the lowest index. Point i itself is always among them.
         """
-        near = tree.query_ball_point(pts[i], ball, return_sorted=True)
-        cand = np.array(near, dtype=np.intp)
-        diff = pts[cand] - pts[i]
-        d = np.abs(diff[:, 0]) if one_dim else np.sqrt((diff**2).sum(axis=1))
+        if one_dim:
+            offset = flat - flat[i]
+            span = np.abs(offset)
+            cand = np.flatnonzero(span <= d_max)
+            d = span[cand]
+        else:
+            cand = np.array(tree.query_ball_point(pts[i], ball, return_sorted=True), dtype=np.intp)
+            diff = pts[cand] - pts[i]
+            d = np.sqrt((diff**2).sum(axis=1))
         ok = (d >= d_min) & (d <= d_max)
-        ok[bisect_left(near, i - w) : bisect_right(near, i + w)] = False
-        if near[-1] == last:
+        ok[np.searchsorted(cand, i - w) : np.searchsorted(cand, i + w, side="right")] = False
+        if cand[-1] == last:
             ok[-1] = False  # the final point has no future to evolve into
         keep = np.flatnonzero(ok)
         if keep.size == 0:
             return None
         if separation is not None and sep_norm > 0.0:
-            # A matrix-vector product's row sums depend on which rows it
-            # holds, so over the candidates alone a cosine may differ in
-            # the last bits from a full scan's. Only one at the cone's
-            # edge could flip the test; then the full product decides.
-            cos = (diff[keep] @ separation) / (d[keep] * sep_norm)
-            if np.abs(cos - cos_cone).min() <= _CONE_EDGE:
-                cos = ((pts - pts[i]) @ separation)[cand[keep]] / (d[keep] * sep_norm)
+            if one_dim:
+                # A one-term product has no summation order to differ in.
+                cos = (offset[cand[keep]] * separation[0]) / (d[keep] * sep_norm)
+            else:
+                # A matrix-vector product's row sums depend on which rows
+                # it holds, so over the candidates alone a cosine may
+                # differ in the last bits from a full scan's. Only one at
+                # the cone's edge could flip the test; then the full
+                # product decides.
+                cos = (diff[keep] @ separation) / (d[keep] * sep_norm)
+                if np.abs(cos - cos_cone).min() <= _CONE_EDGE:
+                    cos = ((pts - pts[i]) @ separation)[cand[keep]] / (d[keep] * sep_norm)
             cone = keep[cos >= cos_cone]
             if cone.size:
                 keep = cone

@@ -152,6 +152,62 @@ def per_offset_correlation_curve(points: np.ndarray, n_radii: int, theiler_w: in
     return radii, np.cumsum(counts[:n_radii]) / total
 
 
+def double_loop_fits(radii: np.ndarray, c_values: np.ndarray) -> tuple[np.ndarray, list[tuple[float, int, int, float]]]:
+    """The radii with 0 < C < 1, and (R^2, length, start, slope) of every
+    window of them at least max(4, 40%) of them long, one ``np.cov`` fit
+    per window.
+
+    ``start`` indexes the eligible radii. Slope and r follow
+    ``scipy.stats.linregress``'s arithmetic; R^2 is NaN where r is (a
+    window with no variance in C).
+    """
+    radii = np.asarray(radii, dtype=np.float64)
+    c = np.asarray(c_values, dtype=np.float64)
+    eligible = np.nonzero((c > 0.0) & (c < 1.0))[0]
+    log_r = np.log(radii[eligible])
+    log_c = np.log(c[eligible])
+    n = eligible.size
+    fits = []
+    for length in range(max(4, math.ceil(0.4 * n)), n + 1):
+        for start in range(n - length + 1):
+            x = log_r[start : start + length]
+            y = log_c[start : start + length]
+            ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+            if ssxm == 0.0 or ssym == 0.0:
+                r = math.nan if ssxym == 0 else 0.0
+            else:
+                r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fits.append((r**2, length, start, ssxym / ssxm))
+    return eligible, fits
+
+
+def double_loop_correlation_dimension(
+    radii: np.ndarray, c_values: np.ndarray, n_points: int, theiler_w: int, min_fit_r2: float
+) -> tuple[float, tuple[float, float], float, int] | None:
+    """(d2, fit_range, fit_r2, n_pairs_in_range) of the best window, by
+    fitting every window; None when there is no scaling region.
+
+    The best window has the largest R^2, then the greatest length, then
+    the smallest start; it needs R^2 >= min_fit_r2 and at least 8
+    eligible radii.
+    """
+    radii = np.asarray(radii, dtype=np.float64)
+    c = np.asarray(c_values, dtype=np.float64)
+    eligible, fits = double_loop_fits(radii, c)
+    finite = [f for f in fits if not math.isnan(f[0])]
+    if eligible.size < 8 or not finite:
+        return None
+    r2, length, start, slope = max(finite, key=lambda f: (f[0], f[1], -f[2]))
+    if r2 < min_fit_r2:
+        return None
+    lo = eligible[start]
+    hi = eligible[start + length - 1]
+    gaps = n_points - 1 - theiler_w
+    n_pairs = gaps * (gaps + 1) // 2
+    return float(slope), (float(radii[lo]), float(radii[hi])), float(r2), int(round((c[hi] - c[lo]) * n_pairs))
+
+
 def brute_restricted_points(x: np.ndarray, m: int, t: int) -> np.ndarray:
     """First N - m*t delay vectors of dimension m at lag t."""
     n_pts = x.size - m * t

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from scipy.spatial import cKDTree
+
 from chaoskit.cao import (
     CaoProfile,
+    _cao_terms,
+    _nearest_positive_neighbors,
+    _restricted_embedding,
     cao_e,
     cao_e1,
     cao_e2,
@@ -74,6 +79,32 @@ class TestExpansionRatios:
     def test_short_series_raises(self):
         with pytest.raises(ShortSeriesError):
             cao_e(ts(np.arange(10.0)), 5, 2)
+
+
+class TestNeighbourTies:
+    """Duplicates and exact distance ties, where the k = 3 query must grow."""
+
+    @staticmethod
+    def series(kind: str, logistic_20k) -> np.ndarray:
+        if kind == "quantised":
+            # Eleven levels: most delay vectors have exact duplicates.
+            return np.round(logistic_20k.samples[:700], 1)
+        # Small integers: every distance is an integer, so ties abound.
+        return np.random.default_rng(17).integers(0, 6, 700).astype(np.float64)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("kind", ["quantised", "integer"])
+    def test_neighbours_and_terms_match_full_scan(self, logistic_20k, kind, m):
+        x = self.series(kind, logistic_20k)
+        t = 2
+        pts = _restricted_embedding(x, m, t)
+        dist, _ = cKDTree(pts).query(pts, k=3, p=np.inf)
+        first = np.where(dist > 0.0, dist, np.inf).min(axis=1)
+        assert np.any(dist[:, -1] <= first), "three hits already settle every point"
+        neighbours, _ = _nearest_positive_neighbors(pts)
+        e, e_star, expected = brute_cao_terms(x, m, t)
+        np.testing.assert_array_equal(neighbours, expected)
+        assert _cao_terms(x, m, t) == (e, e_star)
 
 
 class TestProfileSelection:

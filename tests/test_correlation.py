@@ -7,17 +7,24 @@ from chaoskit.correlation import (
     _PAIR_SAMPLE_CAP,
     CorrelationCurve,
     D2Estimate,
+    _fit_line,
     _n_admissible_pairs,
+    _r2_bounds,
     _sum_of_squares,
     correlation_curve,
     correlation_dimension,
     correlation_sum,
 )
 from chaoskit.errors import ConfigError, DegenerateSeriesError, NoScalingRegionError
-from chaoskit.generators import uniform_stream
+from chaoskit.generators import GeneratorSpec, generate, uniform_stream
 from chaoskit.series import EmbeddingParams, TimeSeries, delay_embed
 
-from oracles import brute_correlation_sum, per_offset_correlation_curve
+from oracles import (
+    brute_correlation_sum,
+    double_loop_correlation_dimension,
+    double_loop_fits,
+    per_offset_correlation_curve,
+)
 
 
 def embed(x, m, t=1):
@@ -199,3 +206,169 @@ class TestCorrelationDimension:
             D2Estimate(d2=1.0, fit_range=(2.0, 1.0), fit_r2=0.99, n_pairs_in_range=10)
         with pytest.raises(ConfigError):
             D2Estimate(d2=1.0, fit_range=(1.0, 2.0), fit_r2=1.5, n_pairs_in_range=10)
+
+
+def bits(fields) -> tuple:
+    """Fields with every float spelled out bit for bit."""
+    out = []
+    for v in fields:
+        if isinstance(v, tuple):
+            out.append(bits(v))
+        elif isinstance(v, float):
+            out.append(v.hex())
+        else:
+            out.append(v)
+    return tuple(out)
+
+
+def check_against_double_loop(curve: CorrelationCurve, min_fit_r2: float) -> bool:
+    """Assert the screened fit equals fitting every window; True when
+    the curve has a scaling region."""
+    expected = double_loop_correlation_dimension(
+        curve.radii, curve.c_values, curve.n_points, curve.theiler_w, min_fit_r2
+    )
+    if expected is None:
+        with pytest.raises(NoScalingRegionError):
+            correlation_dimension(curve, min_fit_r2)
+        return False
+    est = correlation_dimension(curve, min_fit_r2)
+    assert bits((est.d2, est.fit_range, est.fit_r2, est.n_pairs_in_range)) == bits(expected)
+    return True
+
+
+def hand_curve(radii, c_values, n_points=400) -> CorrelationCurve:
+    return CorrelationCurve(radii=radii, c_values=c_values, theiler_w=0, n_points=n_points)
+
+
+class TestScreenedFit:
+    """The screened D2 fit against the double loop over every window."""
+
+    def test_real_curves_match_double_loop(self):
+        # 105 curves from five systems, three dimensions and radius grids
+        # of 8 to 64 points: over 9,639 fitted windows in all.
+        systems = [
+            ("lorenz", {}),
+            ("henon", {}),
+            ("logistic", {"r": 4.0}),
+            ("white_noise", {}),
+            ("sine", {"freq_hz": 1.1, "noise_std": 0.05, "fs": 10.0}),
+        ]
+        windows = found = 0
+        for k, (kind, parameters) in enumerate(systems):
+            x = generate(GeneratorSpec(kind, n_samples=320, seed=k, parameters=parameters)).samples
+            for m in (1, 2, 4):
+                pts = embed(x[: 300 + m - 1], m)
+                for n_radii in (8, 12, 16, 24, 32, 48, 64):
+                    curve = correlation_curve(pts, n_radii=n_radii, theiler_w=(m + n_radii) % 4)
+                    windows += len(double_loop_fits(curve.radii, curve.c_values)[1])
+                    found += check_against_double_loop(curve, 0.98)
+        assert windows >= 9_639
+        assert found >= 50
+
+    @pytest.mark.parametrize("min_fit_r2", [0.0, 0.98, 1.0])
+    def test_constant_runs_match_double_loop(self, min_fit_r2):
+        # Counts of a few hundred pairs repeat over long runs of radii,
+        # so many windows have no variance in C and no finite r.
+        rng = np.random.default_rng(5)
+        nan_windows = 0
+        for _ in range(40):
+            n = int(rng.integers(8, 40))
+            total = int(rng.integers(50, 400))
+            steps = np.where(rng.random(n) < 0.7, 0, rng.integers(1, 30, n))
+            plateau = int(rng.integers(0, n // 2))
+            steps[plateau : plateau + max(4, int(np.ceil(0.4 * n)))] = 0
+            counts = np.minimum(np.cumsum(steps) + 1, total)
+            curve = hand_curve(np.geomspace(1e-3, 2.0, n), counts / total)
+            nan_windows += sum(np.isnan(f[0]) for f in double_loop_fits(curve.radii, curve.c_values)[1])
+            check_against_double_loop(curve, min_fit_r2)
+        assert nan_windows > 0
+
+    @pytest.mark.parametrize("min_fit_r2", [0.0, 0.98])
+    def test_rounding_level_runs_match_double_loop(self, min_fit_r2):
+        # Runs of C that climb by an ulp or two at a time: the fit's r
+        # there is rounding noise, and often the best of the curve. The
+        # screen cannot bound such windows and must keep them.
+        rng = np.random.default_rng(9)
+        wins_inside = 0
+        for _ in range(60):
+            n = int(rng.integers(8, 30))
+            min_len = max(4, int(np.ceil(0.4 * n)))
+            c = np.sort(rng.uniform(0.01, 0.9, n))
+            c = np.maximum.accumulate(np.where(rng.random(n) < 0.5, c, np.roll(c, 1)))
+            length = int(rng.integers(min_len, min(n, min_len + 4) + 1))
+            start = int(rng.integers(0, n - length + 1))
+            c[start : start + length] = c[start] * (1.0 + np.cumsum(rng.integers(0, 3, length)) * 2.0**-52)
+            c = np.clip(np.maximum.accumulate(c), 1e-9, 0.95)
+            curve = hand_curve(np.geomspace(1e-3, 1.0, n), c)
+            if check_against_double_loop(curve, min_fit_r2):
+                lo, hi = correlation_dimension(curve, min_fit_r2).fit_range
+                wins_inside += bool(curve.radii[start] <= lo and hi <= curve.radii[start + length - 1])
+        assert wins_inside >= 5
+
+    @pytest.mark.parametrize("min_fit_r2", [0.0, 0.98, 1.0])
+    def test_straight_segments_with_ties_match_double_loop(self, min_fit_r2):
+        # Two or three exactly straight pieces of equal length: windows
+        # inside different pieces tie at R^2 = 1 whenever their r rounds
+        # to 1, and then length, then the earliest start, decide.
+        rng = np.random.default_rng(13)
+        tied = 0
+        for _ in range(40):
+            pieces = int(rng.integers(1, 4))
+            size = int(rng.integers(4, 22))
+            log_r = np.linspace(-6.0, 0.5, pieces * size)
+            log_c = np.empty_like(log_r)
+            level = -30.0
+            for p in range(pieces):
+                part = slice(p * size, (p + 1) * size)
+                seg = log_r[part]
+                log_c[part] = level + rng.uniform(0.5, 3.0) * (seg - seg[0])
+                level = log_c[part][-1] + rng.uniform(0.0, 2.0)
+            curve = hand_curve(np.exp(log_r), np.exp(log_c))
+            fits = [f for f in double_loop_fits(curve.radii, curve.c_values)[1] if not np.isnan(f[0])]
+            if fits:
+                top = max(f[0] for f in fits)
+                tied += sum(f[0] == top for f in fits) > 1
+            check_against_double_loop(curve, min_fit_r2)
+        assert tied >= 10
+
+    @pytest.mark.parametrize(
+        "c_values",
+        [
+            np.concatenate([np.linspace(0.1, 0.9, 7), np.ones(9)]),  # seven eligible radii
+            np.full(16, 0.25),  # no window with a finite r
+            np.concatenate([np.zeros(3), np.full(13, 0.5)]),
+        ],
+        ids=["seven-eligible", "all-constant", "zeros-then-constant"],
+    )
+    def test_no_scaling_region_like_double_loop(self, c_values):
+        curve = hand_curve(np.geomspace(0.01, 1.0, c_values.size), c_values)
+        for min_fit_r2 in (0.0, 0.98, 1.0):
+            assert not check_against_double_loop(curve, min_fit_r2)
+
+    def test_bound_holds_for_every_established_window(self):
+        # The screen is only as sound as its bound: the exact fit's R^2
+        # must lie within it wherever it is established.
+        rng = np.random.default_rng(21)
+        curves = [
+            correlation_curve(embed(generate(GeneratorSpec(kind, n_samples=310, seed=3)).samples[:302], 3), n_radii=n_radii)
+            for kind in ("lorenz", "white_noise")
+            for n_radii in (8, 24, 64)
+        ]
+        for _ in range(30):
+            n = int(rng.integers(8, 40))
+            c = np.maximum.accumulate(np.sort(rng.uniform(0.0, 1.0, n)) ** rng.uniform(1.0, 40.0))
+            curves.append(hand_curve(np.geomspace(10.0 ** rng.uniform(-200, 0), 1e3, n), np.clip(c, 1e-300, 0.99)))
+        established = 0
+        for curve in curves:
+            c = curve.c_values
+            eligible = np.nonzero((c > 0) & (c < 1))[0]
+            log_r, log_c = np.log(curve.radii[eligible]), np.log(c[eligible])
+            min_len = max(4, int(np.ceil(0.4 * eligible.size)))
+            grid = np.arange(eligible.size + 1)
+            start, end = np.nonzero(grid[None, :] - grid[:, None] >= min_len)
+            r2, bound = _r2_bounds(log_r, log_c, start, end - start)
+            for k in np.flatnonzero(~np.isnan(bound)):
+                _, r = _fit_line(log_r[start[k] : end[k]], log_c[start[k] : end[k]])
+                assert abs(r**2 - r2[k]) <= bound[k]
+                established += 1
+        assert established > 1000

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,7 +412,7 @@ class TestManifest:
 
     def test_load_is_all_or_nothing(self, tmp_path):
         manifest_path = build_sleep_fixture(tmp_path, n_epochs=2)
-        entries = json.loads(open(manifest_path).read())
+        entries = json.loads(Path(manifest_path).read_text())
         entries.append(
             {
                 "subject_id": "ghost",

@@ -117,6 +117,15 @@ class TestFullScanOracle:
         assert walk_fields(result) == expected
         assert result.low_confidence == (expected[1] < 10)
 
+    @pytest.mark.parametrize("w", [0, 50])
+    def test_one_dimensional_walk_matches_full_scan_at_20k(self, logistic_20k, w):
+        # One-dimensional points skip the tree; on the whole logistic
+        # orbit each ball holds thousands of the 20,000 points.
+        x = logistic_20k.samples
+        assert x.size >= 20_000
+        expected = full_scan_wolf(x, theiler_w=w)
+        assert walk_fields(largest_lyapunov_wolf(x, WolfParams(theiler_w=w))) == expected
+
     def test_cone_edge_fallback_matches_full_scan(self, lorenz_20k, monkeypatch):
         # With the edge band wider than any cosine range, every cone test
         # takes the full-product route.
