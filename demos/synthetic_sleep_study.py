@@ -67,7 +67,7 @@ cohort = [healthy("h01", 21), healthy("h02", 22), patient("a01", 23), patient("a
 # Short windows of a high-dimensional embedding need a wider neighbour
 # search than the default fraction-of-extent ceiling allows.
 config = EstimatorConfig(max_separation=0.7)
-epochs = analyze_recordings(cohort, config, mode="per-epoch", jobs=2)
+epochs = analyze_recordings(cohort, config, jobs=2)
 
 failed = [e for e in epochs if e.failed]
 print(f"{len(epochs)} windows analysed, {len(failed)} with estimator failures")

@@ -68,7 +68,6 @@ from .sleep import (
     SleepStage,
     analyze_recordings,
     compute_epoch_indices,
-    concatenate_by_stage,
     epoch_split,
     parse_group,
     parse_stage_token,
@@ -149,7 +148,6 @@ __all__ = [
     "EpochIndices",
     "samples_per_epoch",
     "epoch_split",
-    "concatenate_by_stage",
     "compute_epoch_indices",
     "analyze_recordings",
     # stats

@@ -9,8 +9,10 @@ Four commands:
 * ``report``    rebuild the tables from an existing NDJSON file
 
 Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input,
-4 estimator or internal failure. Per-window estimator failures during
-``analyze`` are recorded in the output, not fatal.
+4 estimator or internal failure. An estimator setting no window could
+use, or ``--hist-bins`` or ``--jobs`` below 1, exits 4 before any input
+is read. Per-window estimator failures during ``analyze`` are recorded
+in the output, not fatal.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .sleep import (
     select_lag,
     select_theiler,
 )
-from .stats import compare_groups, group_by_cell, group_summaries, histograms_by_cell
+from .stats import MIN_HIST_BINS, compare_groups, group_by_cell, group_summaries, histograms_by_cell
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -90,12 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="run the index pipeline over a manifest of recordings")
     p_analyze.add_argument("--manifest", required=True, help="JSON manifest of recordings")
     p_analyze.add_argument("--out", required=True, help="output directory")
-    p_analyze.add_argument(
-        "--mode",
-        choices=("per-epoch", "per-stage-concat"),
-        default="per-epoch",
-        help="analyse every 30 s window (default) or the concatenated stage signals",
-    )
     p_analyze.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p_analyze.add_argument("--hist-bins", type=int, default=16, help="bins for the report histograms")
     _add_config_flags(p_analyze)
@@ -159,8 +155,10 @@ def _write_reports(out_dir: Path, epochs, fingerprint: str, hist_bins: int) -> d
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    _checked(args, "jobs", 1)
+    _checked(args, "hist_bins", MIN_HIST_BINS)
     recordings = load_recordings(args.manifest)  # InputError -> exit 3, nothing written
-    epochs = analyze_recordings(recordings, config, mode=args.mode, jobs=args.jobs)
+    epochs = analyze_recordings(recordings, config, jobs=args.jobs)
     out_dir = Path(args.out)
     fingerprint = config.fingerprint()
     write_epochs_ndjson(out_dir / "epoch_indices.ndjson", epochs)
@@ -172,7 +170,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         fingerprint,
         inputs={
             "manifest": str(args.manifest),
-            "mode": args.mode,
             "subjects": [r.subject_id for r in recordings],
         },
         outputs={
@@ -188,20 +185,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _override(args: argparse.Namespace, name: str, minimum: int) -> int | None:
-    """The explicit ``--<name>`` value, checked, or None to take the plan's."""
+def _checked(args: argparse.Namespace, name: str, minimum: int) -> int | None:
+    """The ``--<name>`` value, checked against ``minimum``; None, which
+    leaves an estimate flag to the plan, passes."""
     value = getattr(args, name)
     if value is not None and value < minimum:
-        raise ConfigError(f"--{name} must be >= {minimum}, got {value}")
+        raise ConfigError(f"--{name.replace('_', '-')} must be >= {minimum}, got {value}")
     return value
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     series, metadata = read_signal_csv(args.input, channel=args.channel)
-    lag_override = _override(args, "lag", 1)
-    theiler_override = _override(args, "theiler", 0)
-    m_override = _override(args, "m", 1)
+    lag_override = _checked(args, "lag", 1)
+    theiler_override = _checked(args, "theiler", 0)
+    m_override = _checked(args, "m", 1)
     params: dict = {"input": str(args.input), "n_samples": len(series), "fs": series.sample_rate_hz}
     diagnostics: dict = {}
 
@@ -338,6 +336,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    _checked(args, "hist_bins", MIN_HIST_BINS)
     epochs = read_epochs_ndjson(args.epochs)
     if not epochs:
         raise InputError(f"epoch file {args.epochs} has no records")

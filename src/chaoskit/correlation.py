@@ -50,6 +50,8 @@ __all__ = [
 # are reproducible; it has no effect once the grid is chosen.
 _PAIR_SAMPLE_SEED = 411
 _PAIR_SAMPLE_CAP = 1_000_000
+# Fewest radii on a correlation curve.
+MIN_RADII = 8
 # Pairs per block of the pair count. A block holds two float64 arrays of
 # this size, about a dozen from 8 coordinates up: a few MB at most, and
 # small enough to stay in cache between its passes.
@@ -254,8 +256,8 @@ def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> Correla
     pts = _as_points(vectors)
     n = pts.shape[0]
     w = _check_theiler(n, theiler_w)
-    if int(n_radii) != n_radii or n_radii < 8:
-        raise ConfigError(f"n_radii must be an integer >= 8, got {n_radii!r}")
+    if int(n_radii) != n_radii or n_radii < MIN_RADII:
+        raise ConfigError(f"n_radii must be an integer >= {MIN_RADII}, got {n_radii!r}")
     n_radii = int(n_radii)
     radii = _radius_grid(pts, n_radii, w)
     c = _pair_counts(pts, w, radii * radii) / _n_admissible_pairs(n, w)

@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-9
+# Fewest cells a joint histogram, and so mutual information, can use.
+MIN_MI_BINS = 2
+# Smallest cap of the delay scan: the first minimum needs lags 0, 1, 2.
+MIN_LAG_SCAN = 2
 
 
 def _check_probabilities(p: np.ndarray) -> np.ndarray:
@@ -141,8 +145,8 @@ def joint_distribution(x, y, bins: int) -> JointDistribution:
     ya = _as_finite_1d(y, "y")
     if xa.size != ya.size:
         raise ConfigError(f"x and y must have equal length, got {xa.size} and {ya.size}")
-    if bins < 2:
-        raise ConfigError(f"bins must be >= 2, got {bins!r}")
+    if bins < MIN_MI_BINS:
+        raise ConfigError(f"bins must be >= {MIN_MI_BINS}, got {bins!r}")
     if xa.size < bins:
         raise ConfigError(f"need at least {bins} paired samples, got {xa.size}")
     x_edges = equal_width_edges(xa, bins)
@@ -226,8 +230,8 @@ def select_lag_first_minimum(series: TimeSeries, max_lag: int, bins: int = 16) -
     value one lag past it; if autoMI decreases through the whole scan to
     ``max_lag``, the cap is returned with the saturated flag set.
     """
-    if int(max_lag) != max_lag or max_lag < 2:
-        raise ConfigError(f"max_lag must be an integer >= 2, got {max_lag!r}")
+    if int(max_lag) != max_lag or max_lag < MIN_LAG_SCAN:
+        raise ConfigError(f"max_lag must be an integer >= {MIN_LAG_SCAN}, got {max_lag!r}")
     max_lag = int(max_lag)
     if max_lag > series.samples.size - 2:
         raise ConfigError(f"max_lag must be at most {series.samples.size - 2} for this series, got {max_lag}")

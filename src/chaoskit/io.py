@@ -74,10 +74,6 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _format_opt(x) -> str:
-    return "" if x is None else format_float(x)
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see
     a partial file."""

@@ -34,6 +34,9 @@ __all__ = [
     "theiler_window",
 ]
 
+# Smallest cap of the exclusion-window scan, which starts at lag 1.
+MIN_THEILER_SCAN = 1
+
 
 def _as_samples(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
@@ -197,8 +200,8 @@ def theiler_window(series: TimeSeries, max_lag: int) -> LagResult:
     the window is capped at ``max_lag`` and the result is flagged as
     saturated.
     """
-    if max_lag < 1:
-        raise ConfigError(f"max_lag must be >= 1, got {max_lag!r}")
+    if max_lag < MIN_THEILER_SCAN:
+        raise ConfigError(f"max_lag must be >= {MIN_THEILER_SCAN}, got {max_lag!r}")
     acf = autocorrelation(series, max_lag)
     nonpos = np.nonzero(acf[1:] <= 0.0)[0]
     if nonpos.size:

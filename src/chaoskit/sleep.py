@@ -16,10 +16,6 @@ index and per window: a window that cannot support one estimator still
 reports the others, and the batch never aborts. Every result carries a
 fingerprint of the estimator configuration so mixed-config outputs are
 detectable.
-
-Sampling rates are kept native per group (no resampling); concatenation
-across subjects therefore requires a uniform rate within each
-(group, stage) cell and refuses otherwise.
 """
 
 from __future__ import annotations
@@ -32,14 +28,12 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .cao import CaoProfile, minimum_embedding_dimension
-from .correlation import correlation_curve, correlation_dimension
+from .correlation import MIN_RADII, correlation_curve, correlation_dimension
 from .errors import ChaosKitError, ConfigError, InputError, ShortSeriesError
-from .information import auto_mutual_information, select_lag_first_minimum
+from .information import MIN_LAG_SCAN, MIN_MI_BINS, auto_mutual_information, select_lag_first_minimum
 from .lyapunov import WolfParams, largest_lyapunov_wolf
-from .series import EmbeddingParams, TimeSeries, delay_embed, theiler_window
+from .series import MIN_THEILER_SCAN, EmbeddingParams, TimeSeries, delay_embed, theiler_window
 
 __all__ = [
     "EPOCH_SECONDS",
@@ -61,7 +55,6 @@ __all__ = [
     "select_embedding_dimension",
     "samples_per_epoch",
     "epoch_split",
-    "concatenate_by_stage",
     "compute_epoch_indices",
     "analyze_recordings",
 ]
@@ -188,39 +181,14 @@ def epoch_split(recording: Recording) -> list[EpochWindow]:
     ]
 
 
-def concatenate_by_stage(recordings: Sequence[Recording]) -> dict[tuple[Group, SleepStage], TimeSeries]:
-    """Concatenate every scored stage's windows per group.
-
-    Subjects contribute in input order, epochs in time order. Unknown
-    epochs are left out; cells with no epochs are absent. All windows
-    landing in one cell must share a sampling rate.
-    """
-    pieces: dict[tuple[Group, SleepStage], list[np.ndarray]] = {}
-    rates: dict[tuple[Group, SleepStage], float] = {}
-    for rec in recordings:
-        for ew in epoch_split(rec):
-            if ew.stage is SleepStage.UNKNOWN:
-                continue
-            key = (rec.group, ew.stage)
-            known = rates.setdefault(key, ew.window.sample_rate_hz)
-            if known != ew.window.sample_rate_hz:
-                raise ConfigError(
-                    f"mixed sampling rates in cell ({key[0].value}, {key[1].value}): "
-                    f"{known} Hz vs {ew.window.sample_rate_hz} Hz"
-                )
-            pieces.setdefault(key, []).append(ew.window.samples)
-    return {
-        key: TimeSeries(np.concatenate(chunks), rates[key]) for key, chunks in pieces.items()
-    }
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Every estimator knob the pipeline uses, in one hashable place.
 
     Each field is also a command-line flag: ``--`` and the field name
     with dashes, unless the metadata names a ``flag``; the metadata's
-    ``help`` is the flag's help text.
+    ``help`` is the flag's help text. A value that no window could use
+    is refused here, before any window is read.
     """
 
     bins: int = field(default=16, metadata={"help": "histogram bins for MI (default %(default)s)"})
@@ -241,6 +209,18 @@ class EstimatorConfig:
     )
     n_radii: int = field(default=24, metadata={"help": "radii on the correlation curve"})
     min_fit_r2: float = field(default=0.98, metadata={"help": "linearity bar for the D2 fit"})
+
+    def __post_init__(self):
+        for name, floor in (
+            ("bins", MIN_MI_BINS),
+            ("mi_max_lag", MIN_LAG_SCAN),
+            ("theiler_max_lag", MIN_THEILER_SCAN),
+            ("n_radii", MIN_RADII),
+        ):
+            value = getattr(self, name)
+            if int(value) != value or value < floor:
+                raise ConfigError(f"{name} must be an integer >= {floor}, got {value!r}")
+        self.wolf_params(0)  # WolfParams checks the walk's own fields
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -485,14 +465,10 @@ def _run_task(task: _Task, config: EstimatorConfig) -> EpochIndices:
 def analyze_recordings(
     recordings: Sequence[Recording],
     config: EstimatorConfig | None = None,
-    mode: str = "per-epoch",
     jobs: int = 1,
 ) -> list[EpochIndices]:
-    """Compute indices for a whole cohort.
+    """Compute indices for every 30 s window of every subject.
 
-    ``mode="per-epoch"`` analyses every 30 s window of every subject;
-    ``mode="per-stage-concat"`` first concatenates each (group, stage)
-    cell across subjects and analyses the twelve concatenated signals.
     Results come back in task order (subjects as given, epochs in time
     order) regardless of ``jobs``, and are identical for any job count.
     """
@@ -502,23 +478,11 @@ def analyze_recordings(
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
     jobs = int(jobs)
 
-    tasks: list[_Task] = []
-    if mode == "per-epoch":
-        for rec in recordings:
-            for ew in epoch_split(rec):
-                tasks.append(_Task(rec.subject_id, rec.group, ew.stage, ew.epoch_index, ew.window))
-    elif mode == "per-stage-concat":
-        cells = concatenate_by_stage(recordings)
-        for group in Group:
-            for stage in SCORED_STAGES:
-                series = cells.get((group, stage))
-                if series is None:
-                    continue
-                name = f"concat-{group.value}-{stage.value}"
-                tasks.append(_Task(name, group, stage, 0, series))
-    else:
-        raise ConfigError(f"unknown mode {mode!r}; expected 'per-epoch' or 'per-stage-concat'")
-
+    tasks = [
+        _Task(rec.subject_id, rec.group, ew.stage, ew.epoch_index, ew.window)
+        for rec in recordings
+        for ew in epoch_split(rec)
+    ]
     if jobs == 1 or len(tasks) < 2:
         return [_run_task(task, config) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

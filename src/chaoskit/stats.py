@@ -44,6 +44,10 @@ __all__ = [
     "histograms_by_cell",
 ]
 
+# Fewest cells a report histogram can have.
+MIN_HIST_BINS = 1
+
+
 @dataclass(frozen=True)
 class GroupSummary:
     """Sample mean, sample standard deviation, and count for one cell."""
@@ -243,8 +247,8 @@ def empirical_histogram(values: Sequence[float], n_bins: int) -> Histogram:
         raise ConfigError("need at least one value")
     if not np.all(np.isfinite(arr)):
         raise ConfigError("values must be finite")
-    if int(n_bins) != n_bins or n_bins < 1:
-        raise ConfigError(f"n_bins must be an integer >= 1, got {n_bins!r}")
+    if int(n_bins) != n_bins or n_bins < MIN_HIST_BINS:
+        raise ConfigError(f"n_bins must be an integer >= {MIN_HIST_BINS}, got {n_bins!r}")
     edges = equal_width_edges(arr, int(n_bins))
     counts = np.bincount(bin_indices(arr, edges), minlength=int(n_bins))
     return Histogram(bin_edges=edges, relative_frequencies=counts / arr.size)

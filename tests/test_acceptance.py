@@ -5,7 +5,6 @@ criterion. Everything here is covered in more depth by the per-module
 suites; this file is the contract.
 """
 
-import json
 import math
 import os
 import subprocess
@@ -184,13 +183,12 @@ def test_welch_statistics_suite():
 
 def test_end_to_end_determinism(tmp_path):
     manifest = build_sleep_fixture(tmp_path, n_epochs=6)
-    outs = {name: tmp_path / name for name in ("run1", "run2", "par", "concat")}
+    outs = {name: tmp_path / name for name in ("run1", "run2", "par")}
     base = ("analyze", "--manifest", str(manifest), "--max-separation", "0.7")
     for name, extra in (
         ("run1", ()),
         ("run2", ()),
         ("par", ("--jobs", "2")),
-        ("concat", ("--mode", "per-stage-concat")),
     ):
         proc = run_cli(*base, "--out", str(outs[name]), *extra)
         assert proc.returncode == 0, proc.stderr
@@ -201,14 +199,6 @@ def test_end_to_end_determinism(tmp_path):
         outs["run1"] / "epoch_indices.ndjson"
     ).read_bytes()
 
-    # The concatenated-stage map has exactly one signal per (group, stage).
-    concat_rows = [
-        json.loads(line)
-        for line in (outs["concat"] / "epoch_indices.ndjson").read_text().splitlines()
-    ]
-    assert len(concat_rows) == 12
-    assert len({(r["group"], r["stage"]) for r in concat_rows}) == 12
-
     p_rows = (outs["run1"] / "pvalues.csv").read_text().splitlines()[2:]
     assert 0 < len(p_rows) <= 24
 
@@ -217,7 +207,7 @@ def test_lle_separates_groups_in_every_stage(tmp_path):
     manifest = build_sleep_fixture(tmp_path, n_epochs=24)
     recordings = load_recordings(manifest)
     config = EstimatorConfig(max_separation=0.7)
-    epochs = analyze_recordings(recordings, config, mode="per-epoch", jobs=2)
+    epochs = analyze_recordings(recordings, config, jobs=2)
     lle_rows = [c for c in compare_groups(epochs) if c.index_name == "lle"]
     stages = {c.stage for c in lle_rows}
     assert stages == {
@@ -241,9 +231,7 @@ def test_real_dataset_orderings():
     recordings = load_recordings(os.environ["CHAOSKIT_SLEEP_MANIFEST"])
     groups = {r.group for r in recordings}
     assert groups == {Group.HEALTHY, Group.APNEA}, "need at least one recording per group"
-    epochs = analyze_recordings(
-        recordings, EstimatorConfig(), mode="per-epoch", jobs=os.cpu_count() or 1
-    )
+    epochs = analyze_recordings(recordings, EstimatorConfig(), jobs=os.cpu_count() or 1)
     summaries = group_summaries(epochs)
 
     def cell_mean(index_name, stage, group):

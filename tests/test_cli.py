@@ -300,16 +300,6 @@ class TestAnalyze:
             study["out"] / "epoch_indices.ndjson"
         ).read_bytes()
 
-    def test_concat_mode_yields_one_row_per_cell(self, study):
-        out4 = study["root"] / "out4"
-        proc = run_cli("analyze", "--manifest", str(study["manifest"]),
-                       "--out", str(out4), "--max-separation", "0.7",
-                       "--mode", "per-stage-concat")
-        assert proc.returncode == 0, proc.stderr
-        lines = (out4 / "epoch_indices.ndjson").read_text().splitlines()
-        assert len(lines) == 12
-        assert all(json.loads(l)["subject_id"].startswith("concat-") for l in lines)
-
     def test_bad_manifest_writes_nothing(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps([
@@ -326,10 +316,28 @@ class TestAnalyze:
                        "--out", str(study["root"] / "nowhere"), "--jobs", "0")
         assert proc.returncode == 4
 
-    def test_bad_mode_is_usage_error(self, study):
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_bad_hist_bins_exits_4_writing_nothing(self, study, tmp_path, command):
+        source = (("--manifest", str(study["manifest"])) if command == "analyze"
+                  else ("--epochs", str(study["out"] / "epoch_indices.ndjson")))
+        out = tmp_path / "out"
+        proc = run_cli(command, *source, "--out", str(out), "--hist-bins", "0")
+        assert proc.returncode == 4
+        assert "--hist-bins" in stderr_error(proc)["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--n-radii", "4"), ("--evolve-steps", "0"), ("--bins", "1"), ("--max-angle", "4"),
+         ("--mi-max-lag", "1"), ("--theiler-max-lag", "0")],
+    )
+    def test_unusable_config_exits_4_writing_nothing(self, study, tmp_path, flag, value):
+        out = tmp_path / "out"
         proc = run_cli("analyze", "--manifest", str(study["manifest"]),
-                       "--out", str(study["root"] / "nowhere"), "--mode", "weekly")
-        assert proc.returncode == 2
+                       "--out", str(out), flag, value)
+        assert proc.returncode == 4
+        assert stderr_error(proc)["type"] == "ConfigError"
+        assert not out.exists()
 
 
 class TestReport:

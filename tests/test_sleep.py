@@ -1,4 +1,4 @@
-"""Epoching, per-cell concatenation, and the per-window index pipeline."""
+"""Epoching and the per-window index pipeline."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from chaoskit.sleep import (
     EstimatorConfig,
     Group,
     Recording,
-    SCORED_STAGES,
     SleepStage,
     analyze_recordings,
     compute_epoch_indices,
-    concatenate_by_stage,
     epoch_split,
     parse_group,
     parse_stage_token,
@@ -116,56 +114,6 @@ class TestEpoching:
             )
 
 
-class TestConcatenation:
-    def test_cells_and_order(self):
-        a = make_recording("h1", Group.HEALTHY, "sine", seed=1)
-        b = make_recording("h2", Group.HEALTHY, "sine", seed=2)
-        c = make_recording("a1", Group.APNEA, "logistic", seed=3)
-        cells = concatenate_by_stage([a, b, c])
-        assert len(cells) == 12
-        wake = cells[(Group.HEALTHY, SleepStage.WAKE)]
-        spe = samples_per_epoch(10.0)
-        # Subject order is preserved: first a's wake epoch, then b's.
-        np.testing.assert_array_equal(wake.samples[:spe], epoch_split(a)[0].window.samples)
-        np.testing.assert_array_equal(wake.samples[spe:], epoch_split(b)[0].window.samples)
-
-    def test_sample_conservation(self):
-        recs = [
-            make_recording("h1", Group.HEALTHY, "sine", seed=1),
-            make_recording("a1", Group.APNEA, "logistic", seed=3),
-        ]
-        cells = concatenate_by_stage(recs)
-        total = sum(len(s) for s in cells.values())
-        assert total == sum(len(r.series) for r in recs)
-
-    def test_unknown_epochs_left_out(self):
-        fs = 10.0
-        spe = samples_per_epoch(fs)
-        x = np.sin(np.arange(3 * spe) * 0.05) + 0.01 * np.arange(3 * spe)
-        rec = Recording(
-            subject_id="s1",
-            group=Group.APNEA,
-            series=TimeSeries(x, fs),
-            hypnogram=(SleepStage.WAKE, SleepStage.UNKNOWN, SleepStage.WAKE),
-        )
-        cells = concatenate_by_stage([rec])
-        assert set(cells) == {(Group.APNEA, SleepStage.WAKE)}
-        assert len(cells[(Group.APNEA, SleepStage.WAKE)]) == 2 * spe
-
-    def test_mixed_rates_in_one_cell_refused(self):
-        fast = make_recording("h1", Group.HEALTHY, "sine", seed=1, fs=10.0)
-        slow = make_recording("h2", Group.HEALTHY, "sine", seed=2, fs=5.0)
-        with pytest.raises(ConfigError, match="mixed sampling rates"):
-            concatenate_by_stage([fast, slow])
-
-    def test_different_rates_in_different_cells_allowed(self):
-        healthy = make_recording("h1", Group.HEALTHY, "sine", seed=1, fs=10.0)
-        apnea = make_recording("a1", Group.APNEA, "logistic", seed=3, fs=5.0)
-        cells = concatenate_by_stage([healthy, apnea])
-        assert cells[(Group.HEALTHY, SleepStage.WAKE)].sample_rate_hz == 10.0
-        assert cells[(Group.APNEA, SleepStage.WAKE)].sample_rate_hz == 5.0
-
-
 class TestEstimatorConfig:
     def test_fingerprint_is_stable(self):
         assert EstimatorConfig().fingerprint() == EstimatorConfig().fingerprint()
@@ -183,6 +131,17 @@ class TestEstimatorConfig:
         assert EstimatorConfig(bins=17).fingerprint() != base
         assert EstimatorConfig(max_separation=0.7).fingerprint() != base
         assert EstimatorConfig(min_fit_r2=0.97).fingerprint() != base
+
+    @pytest.mark.parametrize(
+        "name, floor",
+        [("bins", 2), ("mi_max_lag", 2), ("theiler_max_lag", 1), ("n_radii", 8)],
+    )
+    def test_estimator_floors(self, name, floor):
+        # The floor itself is usable; one below it, or a fraction, no window can use.
+        EstimatorConfig(**{name: floor})
+        for bad in (floor - 1, floor + 0.5):
+            with pytest.raises(ConfigError, match=name):
+                EstimatorConfig(**{name: bad})
 
 
 class TestComputeEpochIndices:
@@ -270,21 +229,6 @@ class TestAnalyzeRecordings:
         serial = analyze_recordings(cohort, PIPELINE_CONFIG, jobs=1)
         parallel = analyze_recordings(cohort, PIPELINE_CONFIG, jobs=3)
         assert serial == parallel
-
-    def test_per_stage_concat_cells(self, cohort):
-        results = analyze_recordings(cohort, PIPELINE_CONFIG, mode="per-stage-concat")
-        assert len(results) == 12
-        assert {r.subject_id for r in results} == {
-            f"concat-{g.value}-{s.value}" for g in Group for s in SCORED_STAGES
-        }
-        assert all(r.epoch_index == 0 for r in results)
-        # Healthy cells first (enum order), stages in scored order.
-        assert results[0].subject_id == "concat-Healthy-Wake"
-        assert results[6].subject_id == "concat-Apnea-Wake"
-
-    def test_unknown_mode_rejected(self, cohort):
-        with pytest.raises(ConfigError):
-            analyze_recordings(cohort, mode="per-subject")
 
     def test_bad_jobs_rejected(self, cohort):
         with pytest.raises(ConfigError):
