@@ -13,12 +13,19 @@ passes instead of one Python iteration per index offset, and no
 distance matrix is held beyond one block.
 
 For the curve, radii are log-spaced between the 0.1th percentile and
-the maximum of sampled pairwise distances. Sampling uses at most one
-million pairs drawn uniformly from the admissible set with a fixed
-seed, so the grid, and everything downstream of it, is reproducible.
-Only the maximum and a percentile of the sample are read, and neither
+the maximum of sampled pairwise distances. When the admissible pairs
+number at most ``_PAIR_SAMPLE_CAP`` (one million), the sample is all of
+them: their squared distances are built once, by the blocked kernel,
+and sorted once; the grid's ends come from their square roots, and each
+radius is counted by one binary search in them, with no second pass.
+Beyond the cap, a million pairs are drawn uniformly from the admissible
+set with a fixed seed, so the grid, and everything downstream of it, is
+reproducible; the pairs are then counted block by block as above. Only
+the maximum and a percentile of the sample are read, and neither
 depends on order, so the draws are sorted before they are turned into
-pairs; the gathers then walk the points in memory order.
+pairs, and the pairs are gathered ``_SAMPLE_BLOCK`` at a time, walking
+the points in memory order.
+
 D2 is read off as the least-squares slope of log C(R) against log R
 over an automatically selected scaling region. Every candidate window's
 R^2 is first estimated from prefix sums in one vectorised pass, with a
@@ -56,6 +63,10 @@ MIN_RADII = 8
 # this size, about a dozen from 8 coordinates up: a few MB at most, and
 # small enough to stay in cache between its passes.
 _PAIR_BLOCK = 1 << 16
+# Sampled pairs gathered at a time for the radius grid: a block's
+# per-coordinate arrays stay in cache, and no array of the whole sample
+# is held beyond its distances.
+_SAMPLE_BLOCK = 1 << 15
 # Unit roundoff of float64.
 _U = 2.0**-53
 
@@ -178,18 +189,16 @@ def _row_sum(terms: Iterator[np.ndarray], m: int) -> np.ndarray:
     return acc
 
 
-def _pair_counts(pts: np.ndarray, w: int, r_sq: np.ndarray) -> np.ndarray:
-    """Admissible pairs at squared distance <= each of ``r_sq``.
+def _pair_blocks(pts: np.ndarray, w: int) -> Iterator[np.ndarray]:
+    """Squared distances of the admissible pairs, a row block at a time.
 
     Rows ``a .. b-1`` of a block meet the columns ``a + w + 1 .. n-1``,
     so its entry (r, c) is the pair (a + r, a + w + 1 + c); the entries
     with c < r lie inside the exclusion band and are set to +inf, which
-    no radius reaches. Each block is sorted, and one binary search per
-    radius counts its pairs at or below it.
+    no radius reaches.
     """
     n, m = pts.shape
     columns = _columns(pts)
-    counts = np.zeros(r_sq.size, dtype=np.int64)
     a = 0
     while a < n - w - 1:
         lo = a + w + 1
@@ -197,37 +206,55 @@ def _pair_counts(pts: np.ndarray, w: int, r_sq: np.ndarray) -> np.ndarray:
         rows = max(1, min(_PAIR_BLOCK // width, width))
         d_sq = _sum_of_squares((np.subtract.outer(x[a : a + rows], x[lo:]) for x in columns), m)
         d_sq[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.inf
+        yield d_sq
+        a += rows
+
+
+def _pair_counts(pts: np.ndarray, w: int, r_sq: np.ndarray) -> np.ndarray:
+    """Admissible pairs at squared distance <= each of ``r_sq``: each
+    block is sorted, and one binary search per radius counts its pairs
+    at or below it."""
+    counts = np.zeros(r_sq.size, dtype=np.int64)
+    for d_sq in _pair_blocks(pts, w):
         flat = d_sq.ravel()
         flat.sort()
         counts += np.searchsorted(flat, r_sq, side="right")
-        a += rows
     return counts
 
 
+def _all_pair_distances(pts: np.ndarray, w: int) -> np.ndarray:
+    """Squared distances of every admissible pair, sorted."""
+    d_sq = np.concatenate([block.ravel() for block in _pair_blocks(pts, w)])
+    d_sq.sort()
+    return d_sq[: _n_admissible_pairs(pts.shape[0], w)]  # the band's +inf sort last
+
+
 def _sampled_pair_distances(pts: np.ndarray, w: int) -> np.ndarray:
-    """Distances of every admissible pair, or of a seeded uniform sample
-    of ``_PAIR_SAMPLE_CAP`` of them, in no particular order."""
-    n = pts.shape[0]
+    """Distances of a seeded uniform sample of ``_PAIR_SAMPLE_CAP``
+    admissible pairs, in no particular order, gathered a block of
+    ``_SAMPLE_BLOCK`` pairs at a time."""
+    n, m = pts.shape
     total = _n_admissible_pairs(n, w)
-    if total <= _PAIR_SAMPLE_CAP:
-        i, j = np.triu_indices(n, k=w + 1)
-    else:
-        rng = np.random.default_rng(_PAIR_SAMPLE_SEED)
-        draws = np.sort(rng.integers(0, total, size=_PAIR_SAMPLE_CAP))
-        # Pairs are ranked by offset k then start index; sorted, the
-        # draws of each offset form one run, so the ranking inverts by
-        # repeating each offset's first rank over its run.
-        offsets = np.arange(w + 1, n)
-        per_offset = n - offsets
-        ends = np.cumsum(per_offset)
-        runs = np.diff(np.searchsorted(draws, ends), prepend=0)
-        i = draws - np.repeat(ends - per_offset, runs)
-        j = i + np.repeat(offsets, runs)
-    return np.sqrt(_sum_of_squares((x[i] - x[j] for x in _columns(pts)), pts.shape[1]))
+    rng = np.random.default_rng(_PAIR_SAMPLE_SEED)
+    draws = np.sort(rng.integers(0, total, size=_PAIR_SAMPLE_CAP))
+    # Pairs are ranked by offset k then start index: the pairs of offset
+    # w + 1 + q take the ranks ends[q] - (n - w - 1 - q) .. ends[q] - 1.
+    per_offset = np.arange(n - w - 1, 0, -1)
+    ends = np.cumsum(per_offset)
+    columns = _columns(pts)
+    d = np.empty(draws.size)
+    for s in range(0, draws.size, _SAMPLE_BLOCK):
+        block = draws[s : s + _SAMPLE_BLOCK]
+        q = np.searchsorted(ends, block, side="right")
+        i = block - (ends - per_offset)[q]
+        j = i + (w + 1) + q
+        d[s : s + block.size] = np.sqrt(_sum_of_squares((np.take(x, i) - np.take(x, j) for x in columns), m))
+    return d
 
 
-def _radius_grid(pts: np.ndarray, n_radii: int, w: int) -> np.ndarray:
-    d = _sampled_pair_distances(pts, w)
+def _radius_grid(d: np.ndarray, n_radii: int) -> np.ndarray:
+    """Log-spaced radii from the 0.1th percentile of the pair distances
+    ``d`` to their maximum."""
     hi = float(d.max())
     if hi <= 0.0:
         raise DegenerateSeriesError("all sampled pair distances are zero")
@@ -249,9 +276,11 @@ def _radius_grid(pts: np.ndarray, n_radii: int, w: int) -> np.ndarray:
 def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> CorrelationCurve:
     """C(R) over a log-spaced radius grid derived from the data.
 
-    The admissible pairs are counted once against the whole squared
-    radius grid, a bounded row block at a time. Identical arithmetic to
-    :func:`correlation_sum` radius by radius.
+    Up to ``_PAIR_SAMPLE_CAP`` admissible pairs, their sorted squared
+    distances give both the grid and the counts; beyond it the pairs are
+    counted once against the whole squared radius grid, a bounded row
+    block at a time. Identical arithmetic to :func:`correlation_sum`
+    radius by radius.
     """
     pts = _as_points(vectors)
     n = pts.shape[0]
@@ -259,9 +288,15 @@ def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> Correla
     if int(n_radii) != n_radii or n_radii < MIN_RADII:
         raise ConfigError(f"n_radii must be an integer >= {MIN_RADII}, got {n_radii!r}")
     n_radii = int(n_radii)
-    radii = _radius_grid(pts, n_radii, w)
-    c = _pair_counts(pts, w, radii * radii) / _n_admissible_pairs(n, w)
-    return CorrelationCurve(radii=radii, c_values=c, theiler_w=w, n_points=n)
+    total = _n_admissible_pairs(n, w)
+    if total <= _PAIR_SAMPLE_CAP:
+        d_sq = _all_pair_distances(pts, w)
+        radii = _radius_grid(np.sqrt(d_sq), n_radii)
+        counts = np.searchsorted(d_sq, radii * radii, side="right")
+    else:
+        radii = _radius_grid(_sampled_pair_distances(pts, w), n_radii)
+        counts = _pair_counts(pts, w, radii * radii)
+    return CorrelationCurve(radii=radii, c_values=counts / total, theiler_w=w, n_points=n)
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

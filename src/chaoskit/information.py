@@ -96,15 +96,18 @@ class JointDistribution:
         return DiscreteDistribution(self.probabilities.sum(axis=0), self.y_edges)
 
 
+def _cell_range(lo: float, hi: float) -> tuple[float, float]:
+    """The histogram range of values spanning ``[lo, hi]``; a constant
+    sequence gets one unit-wide cell centred on its value."""
+    if lo == hi:
+        return lo - 0.5, hi + 0.5
+    return lo, hi
+
+
 def equal_width_edges(values: np.ndarray, bins: int) -> np.ndarray:
     """Equal-width edges over ``[min, max]``; a constant sequence gets
     one unit-wide cell centred on its value."""
-    lo = float(np.min(values))
-    hi = float(np.max(values))
-    if lo == hi:
-        lo -= 0.5
-        hi += 0.5
-    return np.linspace(lo, hi, bins + 1)
+    return np.linspace(*_cell_range(float(np.min(values)), float(np.max(values))), bins + 1)
 
 
 def bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -113,8 +116,11 @@ def bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     Interior cells are half-open on the right; the top edge is folded
     into the last cell so the maximum never spills over.
     """
-    lo, hi = float(edges[0]), float(edges[-1])
-    bins = edges.size - 1
+    return _cells(values, float(edges[0]), float(edges[-1]), edges.size - 1)
+
+
+def _cells(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
+    """:func:`bin_indices` from the end edges alone, which are all it reads."""
     scaled = (values - lo) * (bins / (hi - lo))
     idx = scaled.astype(np.intp)
     return np.minimum(np.maximum(idx, 0), bins - 1)
@@ -192,18 +198,50 @@ def mutual_information(x, y, bins: int = 16) -> float:
     return mi_from_joint(joint_distribution(x, y, bins), route="entropy")
 
 
+class _LagScan:
+    """A series' samples with their running minima and maxima, from which
+    the histogram range of ``x[:n - lag]`` and of ``x[lag:]`` is read at
+    any lag without a pass over the samples. Both ranges are those that
+    :func:`equal_width_edges` finds, and :func:`bin_indices` reads only
+    the end edges, which ``np.linspace`` returns exactly, so the cells and
+    every count are those of :func:`mutual_information` on the two parts.
+    """
+
+    def __init__(self, samples: np.ndarray):
+        self.samples = samples
+        self.head_lo = np.minimum.accumulate(samples)
+        self.head_hi = np.maximum.accumulate(samples)
+        self.tail_lo = np.minimum.accumulate(samples[::-1])[::-1]
+        self.tail_hi = np.maximum.accumulate(samples[::-1])[::-1]
+
+    def mutual_information(self, lag: int, bins: int) -> float:
+        """Mutual information in bits of ``x[:n - lag]`` and ``x[lag:]``."""
+        x = self.samples
+        n = x.size - lag
+        if bins < MIN_MI_BINS:
+            raise ConfigError(f"bins must be >= {MIN_MI_BINS}, got {bins!r}")
+        if n < bins:
+            raise ConfigError(f"need at least {bins} paired samples, got {n}")
+        ix = _cells(x[:n], *_cell_range(float(self.head_lo[n - 1]), float(self.head_hi[n - 1])), bins)
+        iy = _cells(x[lag:], *_cell_range(float(self.tail_lo[lag]), float(self.tail_hi[lag])), bins)
+        p = np.bincount(ix * bins + iy, minlength=bins * bins).reshape(bins, bins) / n
+        return _entropy_bits(p.sum(axis=1)) + _entropy_bits(p.sum(axis=0)) - _entropy_bits(p)
+
+
 def auto_mutual_information(series: TimeSeries, lag: int, bins: int = 16) -> float:
     """Mutual information between the series and itself ``lag`` samples later.
 
     ``lag=0`` degenerates to the entropy of the series' own histogram.
+    The value equals ``mutual_information(x[:n - lag], x[lag:], bins)``
+    to the bit. :func:`select_lag_first_minimum` passes one ``_LagScan``
+    of its window in place of the series, so the running extremes are
+    computed once for all its lags.
     """
-    x = series.samples
+    scan = series if isinstance(series, _LagScan) else _LagScan(series.samples)
+    x = scan.samples
     if int(lag) != lag or lag < 0 or lag > x.size - 2:
         raise ConfigError(f"lag must be an integer in [0, {x.size - 2}], got {lag!r}")
-    lag = int(lag)
-    if lag == 0:
-        return mutual_information(x, x, bins)
-    return mutual_information(x[:-lag], x[lag:], bins)
+    return scan.mutual_information(int(lag), bins)
 
 
 def first_local_minimum(values) -> LagResult:
@@ -235,9 +273,10 @@ def select_lag_first_minimum(series: TimeSeries, max_lag: int, bins: int = 16) -
     max_lag = int(max_lag)
     if max_lag > series.samples.size - 2:
         raise ConfigError(f"max_lag must be at most {series.samples.size - 2} for this series, got {max_lag}")
-    ami = [auto_mutual_information(series, 0, bins), auto_mutual_information(series, 1, bins)]
+    scan = _LagScan(series.samples)
+    ami = [auto_mutual_information(scan, 0, bins), auto_mutual_information(scan, 1, bins)]
     for lag in range(2, max_lag + 1):
-        ami.append(auto_mutual_information(series, lag, bins))
+        ami.append(auto_mutual_information(scan, lag, bins))
         if ami[-2] < ami[-3] and ami[-2] <= ami[-1]:
             return LagResult(lag - 1, False)
     return first_local_minimum(ami)

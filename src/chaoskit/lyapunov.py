@@ -12,26 +12,39 @@ nothing is admissible the old pair is kept. The exponent is the log sum
 divided by the total number of evolved samples, in nats per sample.
 
 Distances are Euclidean. From two dimensions up, a KD-tree over the
-``M`` embedded points is built once per call (O(M log M)); each
-renormalisation then asks it for the points within ``max_separation``
-of the fiducial point and applies the exact tests to those K candidates
-only, so a run costs about O(M log M + (M / evolve_steps) * (log M + K))
-instead of a full O(M) scan per renormalisation. One-dimensional points
-skip the tree: there the ball is a tenth of the extent by default and
-holds a large share of the points, and one vectorised ``|x - x_i|``
-scan gives the exact ball, already in index order, for less than the
-tree takes to list it. The tests use the same arithmetic as a full
-scan, so the walk is the one a full scan would take.
+``M`` embedded points is built once per call (O(M log M)). One query
+asks it for the points within ``max_separation`` of up to 512 upcoming
+fiducial points i, i + E, i + 2E, ... (E = ``evolve_steps``); one
+vectorised pass computes every candidate's distance and applies the
+separation, exclusion and last-point tests, and keeps each fiducial
+point's admissible candidates as one index-sorted slice. A step of the
+walk then only runs the angle test and picks the nearest. A neighbour
+within E of the last point shortens the step, which moves i off that
+grid; then, or when the walk passes the fetched points, the candidates
+are fetched again from i (fewer after a short step, which often repeats
+at once). A run costs about O(M log M + (M / E) * (log M + K)) for K
+candidates per ball, with no tree query of its own in any step. The
+distances before and after each step are summed as Python floats in
+numpy's row-sum order: numpy's call overhead would exceed the arithmetic.
+One-dimensional points skip the tree: there the ball is a tenth of the
+extent by default and holds a large share of the points, and one
+vectorised ``|x - x_i|`` scan per step gives the exact ball, already in
+index order, for less than the tree takes to list it. The tests use the
+same arithmetic as a full scan, so the walk is the one a full scan
+would take, to the bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .correlation import _row_sum
 from .errors import ConfigError, DegenerateSeriesError, EstimationError, ShortSeriesError
 from .series import DelayVectors
 
@@ -46,6 +59,12 @@ _BALL_PAD = 1e-9
 # 2 m 2^-53 of |a| |b|, so a cosine this far from the cone's edge cannot
 # fall on the other side of it whichever order computed it.
 _CONE_EDGE = 1e-9
+# Fiducial points i, i + E, i + 2E, ... whose neighbours one tree query
+# fetches. With K candidates per ball in m dimensions a fetch holds about
+# 512 K (m + 3) numbers: 4 MB at K = 100 and m = 8.
+_FETCH_POINTS = 512
+# Points fetched from a fiducial point off the last fetch's grid.
+_REFETCH_POINTS = 32
 
 
 @dataclass(frozen=True)
@@ -100,6 +119,59 @@ class LyapunovResult:
     low_confidence: bool
 
 
+class _Fetched(NamedTuple):
+    """Admissible neighbours of the fiducial points ``start + k * step``:
+    those of the k-th are rows ``bounds[k]:bounds[k + 1]``, in index order."""
+
+    start: int
+    step: int
+    bounds: list[int]
+    cand: np.ndarray
+    d: np.ndarray
+    diff: np.ndarray
+
+    def rows(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Point i's candidates, distances and offsets; None if point i
+        is not one of the fetched fiducial points."""
+        k, off_grid = divmod(i - self.start, self.step)
+        if off_grid or not 0 <= k < len(self.bounds) - 1:
+            return None
+        lo, hi = self.bounds[k], self.bounds[k + 1]
+        return self.cand[lo:hi], self.d[lo:hi], self.diff[lo:hi]
+
+
+def _fetch_admissible(
+    tree: cKDTree, pts: np.ndarray, start: int, stop: int, step: int, ball: float, d_min: float, d_max: float, w: int
+) -> _Fetched:
+    """Admissible neighbours of the fiducial points ``range(start, stop,
+    step)``, from one tree query.
+
+    Each candidate's distance is a row sum of its squared offsets, the
+    arithmetic of a full scan; the separation, exclusion and last-point
+    tests then run over all the candidates at once.
+    """
+    fiducials = np.arange(start, stop, step)
+    found = tree.query_ball_point(pts[fiducials], ball, return_sorted=True)
+    sizes = np.fromiter(map(len, found), dtype=np.intp, count=fiducials.size)
+    cand = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=int(sizes.sum()))
+    owner = np.repeat(np.arange(fiducials.size), sizes)
+    centre = fiducials[owner]
+    diff = np.take(pts, cand, axis=0) - np.repeat(pts[fiducials], sizes, axis=0)
+    d = np.sqrt((diff**2).sum(axis=1))
+    # The final point has no future to evolve into.
+    ok = (d >= d_min) & (d <= d_max) & (np.abs(cand - centre) > w) & (cand != pts.shape[0] - 1)
+    bounds = np.searchsorted(owner[ok], np.arange(fiducials.size + 1)).tolist()
+    return _Fetched(start, step, bounds, cand[ok], d[ok], diff[ok])
+
+
+def _separation(p: list[float], q: list[float]) -> float:
+    """Distance of two points held as lists of floats, equal bit for bit
+    to ``float(np.sqrt(((p - q) ** 2).sum()))`` on arrays: the squares
+    are added in numpy's row-sum order. Once per step, numpy's call
+    overhead would cost more than the arithmetic."""
+    return math.sqrt(_row_sum(iter([(a - b) * (a - b) for a, b in zip(p, q)]), len(p)))
+
+
 def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams | None = None) -> LyapunovResult:
     """Estimate the largest Lyapunov exponent of an embedded trajectory.
 
@@ -134,51 +206,67 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     one_dim = pts.shape[1] == 1
     if one_dim:
         flat = pts[:, 0]
+
+        def admissible(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """Index-sorted admissible neighbours of point i, their
+            distances, and their offsets from it."""
+            offset = flat - flat[i]
+            span = np.abs(offset)
+            ok = (span >= d_min) & (span <= d_max)
+            ok[max(i - w, 0) : i + w + 1] = False
+            ok[last] = False  # the final point has no future to evolve into
+            cand = np.flatnonzero(ok)
+            return cand, span[cand], offset[cand]
+
     else:
         tree = cKDTree(pts)
         ball = d_max * (1.0 + _BALL_PAD)
+        fetched = None
+
+        def admissible(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """Index-sorted admissible neighbours of point i, their
+            distances, and their offsets from it."""
+            nonlocal fetched
+            found = None if fetched is None else fetched.rows(i)
+            if found is None:
+                # The walk moved past the fetched points, or a short step
+                # to the series' end moved i off their grid: fetch from i.
+                # Such a step often repeats at once, so fetch fewer then.
+                on_grid = fetched is None or (i - fetched.start) % params.evolve_steps == 0
+                count = _FETCH_POINTS if on_grid else _REFETCH_POINTS
+                stop = min(i + count * params.evolve_steps, last)
+                fetched = _fetch_admissible(tree, pts, i, stop, params.evolve_steps, ball, d_min, d_max, w)
+                found = fetched.rows(i)
+            return found
 
     def pick(i: int, separation: np.ndarray | None, sep_norm: float) -> int | None:
         """Nearest admissible neighbour of point i, angle cone first.
 
-        The candidates come in index order, so the exclusion window is
-        one slice of them and ``argmin`` still breaks distance ties
-        toward the lowest index. Point i itself is always among them.
+        The candidates come in index order, so ``argmin`` breaks
+        distance ties toward the lowest index, as a full scan does.
         """
-        if one_dim:
-            offset = flat - flat[i]
-            span = np.abs(offset)
-            cand = np.flatnonzero(span <= d_max)
-            d = span[cand]
-        else:
-            cand = np.array(tree.query_ball_point(pts[i], ball, return_sorted=True), dtype=np.intp)
-            diff = pts[cand] - pts[i]
-            d = np.sqrt((diff**2).sum(axis=1))
-        ok = (d >= d_min) & (d <= d_max)
-        ok[np.searchsorted(cand, i - w) : np.searchsorted(cand, i + w, side="right")] = False
-        if cand[-1] == last:
-            ok[-1] = False  # the final point has no future to evolve into
-        keep = np.flatnonzero(ok)
-        if keep.size == 0:
+        cand, d, diff = admissible(i)
+        if cand.size == 0:
             return None
         if separation is not None and sep_norm > 0.0:
             if one_dim:
                 # A one-term product has no summation order to differ in.
-                cos = (offset[cand[keep]] * separation[0]) / (d[keep] * sep_norm)
+                cos = (diff * separation[0]) / (d * sep_norm)
             else:
                 # A matrix-vector product's row sums depend on which rows
                 # it holds, so over the candidates alone a cosine may
                 # differ in the last bits from a full scan's. Only one at
                 # the cone's edge could flip the test; then the full
                 # product decides.
-                cos = (diff[keep] @ separation) / (d[keep] * sep_norm)
+                cos = (diff @ separation) / (d * sep_norm)
                 if np.abs(cos - cos_cone).min() <= _CONE_EDGE:
-                    cos = ((pts - pts[i]) @ separation)[cand[keep]] / (d[keep] * sep_norm)
-            cone = keep[cos >= cos_cone]
-            if cone.size:
-                keep = cone
-        return int(cand[keep[d[keep].argmin()]])
+                    cos = ((pts - pts[i]) @ separation)[cand] / (d * sep_norm)
+            cone = cos >= cos_cone
+            if cone.any():
+                cand, d = cand[cone], d[cone]
+        return int(cand[d.argmin()])
 
+    rows = pts.tolist()
     i = 0
     j = pick(0, None, 0.0)
     if j is None:
@@ -192,10 +280,10 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     replacements = 0
     while i < last and j < last:
         steps = min(params.evolve_steps, last - i, last - j)
-        d_before = float(np.sqrt(((pts[i] - pts[j]) ** 2).sum()))
+        d_before = _separation(rows[i], rows[j])
         i += steps
         j += steps
-        d_after = float(np.sqrt(((pts[i] - pts[j]) ** 2).sum()))
+        d_after = _separation(rows[i], rows[j])
         if d_before > 0.0 and d_after > 0.0:
             log_sum += math.log(d_after / d_before)
             evolved += steps

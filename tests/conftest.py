@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from chaoskit import lyapunov
 from chaoskit.generators import GeneratorSpec, generate
 from chaoskit.io import write_hypnogram_csv, write_signal_csv
 from chaoskit.series import TimeSeries
@@ -67,22 +68,25 @@ _STAGE_CYCLE = (
 )
 
 
-def build_sleep_fixture(root, n_epochs: int = 12, fs: float = 10.0) -> str:
+def build_sleep_fixture(root, n_epochs: int = 12, fs: float = 10.0, subjects=None) -> str:
     """Write a four-subject study under ``root``; return the manifest path.
 
     Two healthy subjects carry a noisy slow sine, two apnea subjects a
     fully chaotic logistic orbit, so every stage separates on the
     trajectory-divergence index. Hypnograms cycle through all six
-    stages, which populates every group-by-stage cell.
+    stages, which populates every group-by-stage cell. ``subjects``,
+    a list of (subject id, group, GeneratorSpec of ``30 * fs *
+    n_epochs`` samples), replaces the four.
     """
     root = str(root)
     n_samples = int(30 * fs) * n_epochs
-    subjects = [
-        ("h01", "Healthy", GeneratorSpec("sine", n_samples, seed=21, parameters={"freq_hz": 0.31, "noise_std": 0.05, "fs": fs})),
-        ("h02", "Healthy", GeneratorSpec("sine", n_samples, seed=22, parameters={"freq_hz": 0.31, "noise_std": 0.05, "fs": fs})),
-        ("a01", "Apnea", GeneratorSpec("logistic", n_samples, seed=23, transient_skip=100, parameters={"r": 4.0, "fs": fs})),
-        ("a02", "Apnea", GeneratorSpec("logistic", n_samples, seed=24, transient_skip=100, parameters={"r": 4.0, "fs": fs})),
-    ]
+    if subjects is None:
+        subjects = [
+            ("h01", "Healthy", GeneratorSpec("sine", n_samples, seed=21, parameters={"freq_hz": 0.31, "noise_std": 0.05, "fs": fs})),
+            ("h02", "Healthy", GeneratorSpec("sine", n_samples, seed=22, parameters={"freq_hz": 0.31, "noise_std": 0.05, "fs": fs})),
+            ("a01", "Apnea", GeneratorSpec("logistic", n_samples, seed=23, transient_skip=100, parameters={"r": 4.0, "fs": fs})),
+            ("a02", "Apnea", GeneratorSpec("logistic", n_samples, seed=24, transient_skip=100, parameters={"r": 4.0, "fs": fs})),
+        ]
     entries = []
     stages = [_STAGE_CYCLE[k % len(_STAGE_CYCLE)] for k in range(n_epochs)]
     for subject_id, group, spec in subjects:
@@ -104,6 +108,28 @@ def build_sleep_fixture(root, n_epochs: int = 12, fs: float = 10.0) -> str:
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=2)
     return manifest_path
+
+
+@pytest.fixture
+def wolf_fetches(monkeypatch) -> list[tuple[int, int]]:
+    """(first fiducial point, step) of every candidate fetch the Wolf
+    walk makes while the test runs."""
+    fetches = []
+    fetch = lyapunov._fetch_admissible
+
+    def recorded(tree, pts, start, stop, step, *args):
+        fetches.append((start, step))
+        return fetch(tree, pts, start, stop, step, *args)
+
+    monkeypatch.setattr(lyapunov, "_fetch_admissible", recorded)
+    return fetches
+
+
+def off_grid_fetches(fetches: list[tuple[int, int]]) -> int:
+    """Fetches from a point off the grid of the fetch before, which only
+    a short step near the series' end causes. Every walk fetches first
+    from point 0."""
+    return sum(start > 0 and (start - prev) % step != 0 for (prev, _), (start, step) in zip(fetches, fetches[1:]))
 
 
 @pytest.fixture(scope="session")

@@ -114,16 +114,18 @@ def full_scan_wolf(
     return log_sum / evolved, renorms, replacements, evolved
 
 
-def per_offset_correlation_curve(points: np.ndarray, n_radii: int, theiler_w: int) -> tuple[np.ndarray, np.ndarray]:
+def per_offset_correlation_curve(
+    points: np.ndarray, n_radii: int, theiler_w: int, cap: int = 1_000_000
+) -> tuple[np.ndarray, np.ndarray]:
     """Radius grid and C(R) with one numpy pass per index offset.
 
-    The radius grid comes from every admissible pair, or from a million
-    pairs drawn with seed 411 (the production sample's size and seed)
-    and located by a search per draw; the counts come from a histogram
-    per offset. This is the arithmetic the blocked pair count must
-    reproduce bit for bit.
+    The radius grid comes from every admissible pair, or, when there are
+    more than ``cap`` of them, from ``cap`` pairs drawn with seed 411
+    (the production sample's size and seed) and located by a search per
+    draw; the counts come from a histogram per offset. This is the
+    arithmetic the blocked pair count must reproduce bit for bit.
     """
-    seed, cap = 411, 1_000_000
+    seed = 411
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]

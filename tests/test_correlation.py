@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chaoskit import correlation
 from chaoskit.correlation import (
     _PAIR_SAMPLE_CAP,
     CorrelationCurve,
@@ -146,6 +147,32 @@ class TestBlockedPairCount:
         radii, c_values = per_offset_correlation_curve(pts.points, 8, n - 1 - gap)
         np.testing.assert_array_equal(curve.radii, radii)
         np.testing.assert_array_equal(curve.c_values, c_values)
+
+
+class TestSampleCap:
+    """Up to the cap the grid and the counts come from one sorted array of
+    every pair; one pair beyond it, from a seeded sample and the blocked
+    count. The cap is lowered to a triangular number so that a window
+    can sit exactly on it."""
+
+    N, W = 300, 4
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    @pytest.mark.parametrize("beyond", [0, 1], ids=["at-cap", "one-above"])
+    def test_curve_matches_per_offset_reference(self, lorenz_20k, monkeypatch, m, beyond):
+        cap = _n_admissible_pairs(self.N, self.W) - beyond
+        monkeypatch.setattr(correlation, "_PAIR_SAMPLE_CAP", cap)
+        pts = embed(lorenz_20k.samples[: self.N + 3 * (m - 1)], m, 3)
+        curve = correlation_curve(pts, n_radii=24, theiler_w=self.W)
+        radii, c_values = per_offset_correlation_curve(pts.points, 24, self.W, cap=cap)
+        assert curve.radii.tobytes() == radii.tobytes()
+        assert curve.c_values.tobytes() == c_values.tobytes()
+
+    @pytest.mark.parametrize("beyond", [0, 1], ids=["at-cap", "one-above"])
+    def test_all_distances_zero_is_degenerate(self, monkeypatch, beyond):
+        monkeypatch.setattr(correlation, "_PAIR_SAMPLE_CAP", _n_admissible_pairs(self.N, self.W) - beyond)
+        with pytest.raises(DegenerateSeriesError, match="all sampled pair distances are zero"):
+            correlation_curve(np.full((self.N, 3), 2.5), n_radii=8, theiler_w=self.W)
 
 
 class TestCorrelationDimension:

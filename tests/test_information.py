@@ -209,3 +209,43 @@ class TestLagSelection:
     def test_rejects_tiny_max_lag(self, noise_10k):
         with pytest.raises(ConfigError):
             select_lag_first_minimum(noise_10k, 1)
+
+
+def _lag_scan_series() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(3)
+    return {
+        "noise": rng.standard_normal(400),
+        "constant-head": np.concatenate([np.zeros(60), rng.standard_normal(340)]),
+        "constant-tail": np.concatenate([rng.standard_normal(340), np.full(60, 2.0)]),
+        "signed-zeros": np.where(rng.random(400) < 0.5, 0.0, -0.0) + (rng.random(400) < 0.1),
+        "subnormal": rng.standard_normal(400) * 1e-310,
+        "range-overflows": rng.uniform(-1.0, 1.0, 400) * 1.7e308,
+        "steps": np.repeat(rng.integers(0, 5, 40).astype(float), 10),
+    }
+
+
+class TestLagScanRanges:
+    """The scan reads each lag's histogram range from running extremes;
+    every value must equal the generic route's, which builds the edges."""
+
+    @pytest.mark.parametrize("name", sorted(_lag_scan_series()))
+    @pytest.mark.parametrize("bins", [2, 16])
+    def test_every_lag_matches_mutual_information(self, name, bins):
+        x = _lag_scan_series()[name]
+        series = TimeSeries(x, sample_rate_hz=1.0)
+        for lag in [*range(0, 80), x.size - bins]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = mutual_information(x[: x.size - lag], x[lag:], bins)
+                got = auto_mutual_information(series, lag, bins)
+            assert got.hex() == expected.hex(), lag
+
+    @pytest.mark.parametrize("lag, bins", [(5, 16), (0, 1), (3, 1)])
+    def test_errors_match_mutual_information(self, lag, bins):
+        # Twenty samples leave fewer than 16 pairs at lag 5; one cell is
+        # below the floor at any lag.
+        x = np.sin(np.arange(20.0))
+        with pytest.raises(ConfigError) as generic:
+            mutual_information(x[: x.size - lag], x[lag:], bins)
+        with pytest.raises(ConfigError) as scanned:
+            auto_mutual_information(TimeSeries(x, sample_rate_hz=1.0), lag, bins)
+        assert str(scanned.value) == str(generic.value)

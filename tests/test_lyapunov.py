@@ -13,9 +13,10 @@ from chaoskit.errors import (
 )
 from chaoskit import lyapunov
 from chaoskit.generators import henon_lle_oracle
-from chaoskit.lyapunov import LyapunovResult, WolfParams, largest_lyapunov_wolf
+from chaoskit.lyapunov import LyapunovResult, WolfParams, _separation, largest_lyapunov_wolf
 from chaoskit.series import EmbeddingParams, TimeSeries, delay_embed
 
+from conftest import off_grid_fetches
 from oracles import full_scan_wolf
 
 
@@ -142,6 +143,93 @@ class TestFullScanOracle:
         assert full_scan_wolf(pts, min_separation=1e-3, max_separation=1.0) is None
         with pytest.raises(EstimationError, match="no admissible initial neighbour"):
             largest_lyapunov_wolf(pts, params)
+
+
+class TestBatchedFetch:
+    """The walk's candidates come from fetches of many fiducial points at
+    once; every route through them must take the full scan's steps."""
+
+    lorenz_points = staticmethod(TestFullScanOracle.lorenz_points)
+
+    @pytest.mark.parametrize("m", [2, 7, 8, 9])
+    def test_walk_longer_than_one_fetch(self, lorenz_20k, wolf_fetches, m):
+        pts = self.lorenz_points(lorenz_20k, m, n=4000)
+        result = largest_lyapunov_wolf(pts)
+        assert walk_fields(result) == full_scan_wolf(pts)
+        assert result.n_renormalizations > lyapunov._FETCH_POINTS
+        assert len(wolf_fetches) > 1
+
+    @pytest.mark.parametrize("m, n, w", [(2, 300, 50), (3, 500, 50), (8, 1500, 0)])
+    def test_short_step_refetches_off_the_grid(self, lorenz_20k, wolf_fetches, m, n, w):
+        # The neighbour comes within evolve_steps of the last point, the
+        # step is cut short, and i lands off the grid of the last fetch.
+        pts = self.lorenz_points(lorenz_20k, m, n=n)
+        result = largest_lyapunov_wolf(pts, WolfParams(theiler_w=w))
+        assert walk_fields(result) == full_scan_wolf(pts, theiler_w=w)
+        assert off_grid_fetches(wolf_fetches) > 0
+
+    @pytest.mark.parametrize("m", [3, 8])
+    @pytest.mark.parametrize("quantile", [0.25, 0.5, 0.9])
+    def test_cone_edge_inside_a_fetch(self, lorenz_20k, m, quantile):
+        # The first renormalisation, at fiducial point E inside the first
+        # fetch, does not depend on the angle. Set the cone's cosine to
+        # that of one of point E's admissible candidates, so that one lies
+        # within _CONE_EDGE of the edge and the full product decides.
+        pts = self.lorenz_points(lorenz_20k, m)
+        n = pts.shape[0]
+        extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+        index = np.arange(n)
+
+        def admissible(i):
+            d = np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
+            ok = (d >= 1e-3 * extent) & (d <= 0.1 * extent) & (index != i) & (index != n - 1)
+            return np.flatnonzero(ok), d
+
+        steps = WolfParams().evolve_steps
+        cand, d = admissible(0)
+        i, j = steps, int(cand[d[cand].argmin()]) + steps
+        separation = pts[j] - pts[i]
+        cand, d = admissible(i)
+        cos = ((pts - pts[i]) @ separation)[cand] / (d[cand] * float(np.sqrt((separation**2).sum())))
+        edge = float(np.quantile(cos, quantile, method="lower"))
+        angle = math.acos(edge)
+        assert abs(math.cos(angle) - edge) <= lyapunov._CONE_EDGE
+        expected = full_scan_wolf(pts, max_replacement_angle=angle)
+        assert walk_fields(largest_lyapunov_wolf(pts, WolfParams(max_replacement_angle=angle))) == expected
+
+    @pytest.mark.parametrize("m", [2, 8])
+    @pytest.mark.parametrize("gap", [2, 100, 400, 800])
+    def test_window_close_to_n(self, lorenz_20k, m, gap):
+        # With w = n - gap only pairs more than n - gap apart qualify, so
+        # the first neighbour lies near the end and short steps come soon.
+        # At gap 2 point 0's one candidate is the last point, and at gap
+        # 100 none of point 0's is close enough: the walk cannot start.
+        pts = self.lorenz_points(lorenz_20k, m)
+        w = pts.shape[0] - gap
+        params = WolfParams(theiler_w=w)
+        expected = full_scan_wolf(pts, theiler_w=w)
+        if expected is None:
+            with pytest.raises(EstimationError, match="no admissible initial neighbour"):
+                largest_lyapunov_wolf(pts, params)
+            return
+        assert gap > 2
+        assert walk_fields(largest_lyapunov_wolf(pts, params)) == expected
+
+
+@pytest.mark.parametrize("m", [*range(1, 17), 131])
+def test_separation_matches_numpy_row_sum(m):
+    # Subnormal coordinates, whose squares underflow, and very large ones,
+    # whose squares or sums overflow, in some entries of the rows.
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((257, m)) * rng.uniform(0.01, 100.0, size=(257, m))
+    b = rng.standard_normal((257, m))
+    a[rng.random((257, m)) < 0.1] *= 1e-310
+    b[rng.random((257, m)) < 0.1] *= 1e-310
+    a[rng.random((257, m)) < 0.05] *= 1e154
+    for p, q in zip(a, b):
+        with np.errstate(over="ignore"):
+            expected = float(np.sqrt(((p - q) ** 2).sum()))
+        assert _separation(p.tolist(), q.tolist()).hex() == expected.hex()
 
 
 class TestValidation:
