@@ -39,6 +39,9 @@ __all__ = [
     "minimum_embedding_dimension",
 ]
 
+# Smallest m_max of a scan: E1 then has the two values a plateau needs.
+MIN_M_MAX = 3
+
 
 @dataclass(frozen=True)
 class CaoProfile:
@@ -164,6 +167,19 @@ def cao_e2(series: TimeSeries, m: int, t: int) -> float:
     return s_m1 / s_m
 
 
+def check_scan_settings(m_max: int, plateau_tol: float, e2_tol: float) -> int:
+    """``m_max`` as an int, once it and both tolerances are usable: the
+    plateau test compares two E1 values, so ``m_max`` is at least
+    ``MIN_M_MAX``, and each tolerance is positive (NaN is not)."""
+    if int(m_max) != m_max or m_max < MIN_M_MAX:
+        raise ConfigError(f"m_max must be an integer >= {MIN_M_MAX}, got {m_max!r}")
+    if not (0 < plateau_tol):
+        raise ConfigError(f"plateau_tol must be positive, got {plateau_tol!r}")
+    if not (0 < e2_tol):
+        raise ConfigError(f"e2_tol must be positive, got {e2_tol!r}")
+    return int(m_max)
+
+
 def minimum_embedding_dimension(
     series: TimeSeries,
     t: int,
@@ -193,13 +209,7 @@ def minimum_embedding_dimension(
         than ``m_max * t + 2`` samples.
     """
     _, t = _check_m_t(1, t)
-    if int(m_max) != m_max or m_max < 3:
-        raise ConfigError(f"m_max must be an integer >= 3, got {m_max!r}")
-    m_max = int(m_max)
-    if not (0 < plateau_tol):
-        raise ConfigError(f"plateau_tol must be positive, got {plateau_tol!r}")
-    if not (0 < e2_tol):
-        raise ConfigError(f"e2_tol must be positive, got {e2_tol!r}")
+    m_max = check_scan_settings(m_max, plateau_tol, e2_tol)
     x = series.samples
     if x.size < m_max * t + 2:
         raise ShortSeriesError(

@@ -25,10 +25,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .correlation import correlation_curve, correlation_dimension
-from .errors import ChaosKitError, ConfigError, InputError, ShortSeriesError
+from .errors import ChaosKitError, ConfigError, InputError
 from .generators import GeneratorSpec, generate, generator_kinds
-from .information import auto_mutual_information
 from .io import (
     format_float,
     load_recordings,
@@ -41,17 +39,7 @@ from .io import (
     write_signal_csv,
     write_table1_csv,
 )
-from .lyapunov import largest_lyapunov_wolf
-from .series import EmbeddingParams, delay_embed
-from .sleep import (
-    EstimatorConfig,
-    SleepStage,
-    analyze_recordings,
-    scan_dimensions,
-    select_embedding_dimension,
-    select_lag,
-    select_theiler,
-)
+from .sleep import EstimatorConfig, SleepStage, WindowPlan, analyze_recordings
 from .stats import MIN_HIST_BINS, compare_groups, group_by_cell, group_summaries, histograms_by_cell
 
 EXIT_OK = 0
@@ -197,72 +185,51 @@ def _checked(args: argparse.Namespace, name: str, minimum: int) -> int | None:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     series, metadata = read_signal_csv(args.input, channel=args.channel)
-    lag_override = _checked(args, "lag", 1)
-    theiler_override = _checked(args, "theiler", 0)
-    m_override = _checked(args, "m", 1)
+    plan = WindowPlan(
+        series,
+        config,
+        lag=_checked(args, "lag", 1),
+        theiler=_checked(args, "theiler", 0),
+        m=_checked(args, "m", 1),
+    )
     params: dict = {"input": str(args.input), "n_samples": len(series), "fs": series.sample_rate_hz}
     diagnostics: dict = {}
 
-    def pick_lag() -> tuple[int, bool]:
-        return select_lag(series, config) if lag_override is None else (lag_override, False)
-
-    def pick_theiler() -> tuple[int, bool]:
-        return select_theiler(series, config) if theiler_override is None else (theiler_override, False)
-
     if args.estimator == "lag":
-        lag, saturated = pick_lag()
-        value: float | int | None = int(lag)
-        units = "samples"
-        diagnostics["saturated"] = bool(saturated)
+        value, units = plan.lag.lag, "samples"
+        diagnostics["saturated"] = plan.lag.saturated
         params["bins"] = config.bins
     elif args.estimator == "theiler":
-        w, saturated = pick_theiler()
-        value = int(w)
-        units = "samples"
-        diagnostics["saturated"] = bool(saturated)
+        value, units = plan.theiler.lag, "samples"
+        diagnostics["saturated"] = plan.theiler.saturated
     elif args.estimator == "mi":
-        lag, saturated = pick_lag()
-        value = auto_mutual_information(series, lag, config.bins)
-        units = "bits"
-        params.update(lag=int(lag), bins=config.bins)
-        diagnostics["lag_saturated"] = bool(saturated)
+        value, units = plan.mi(), "bits"
+        params.update(lag=plan.lag.lag, bins=config.bins)
+        diagnostics["lag_saturated"] = plan.lag.saturated
     elif args.estimator == "med":
-        lag, _ = pick_lag()
-        profile = scan_dimensions(series, lag, config)
+        profile = plan.dimension_scan()
         value = None if profile.selected_m is None else int(profile.selected_m)
         units = "dimensions"
-        params.update(lag=int(lag), m_max=profile.m_max, plateau_tol=config.plateau_tol)
+        params.update(lag=plan.lag.lag, m_max=profile.m_max, plateau_tol=config.plateau_tol)
         diagnostics.update(
             deterministic=profile.deterministic,
             e1_values=[float(v) for v in profile.e1_values],
             e2_values=[float(v) for v in profile.e2_values],
         )
-    elif args.estimator in ("lle", "d2"):
-        lag, _ = pick_lag()
-        w, _ = pick_theiler()
-        if m_override is not None:
-            m = m_override
-            diagnostics.update(embedding_m=m, m_source="explicit")
-        else:
-            choice = select_embedding_dimension(series, lag, config)
-            if choice.embed_m is None:
-                raise ShortSeriesError(f"{choice.med_failure}; no embedding dimension available")
-            m = choice.embed_m
-            diagnostics.update(embedding_m=m, m_source=choice.source)
-            if choice.profile is not None:
-                diagnostics["deterministic"] = choice.profile.deterministic
-            else:
-                diagnostics["m_fallback_reason"] = choice.med_failure
-        vectors = delay_embed(series, EmbeddingParams(m, lag, w))
-        params.update(lag=int(lag), theiler_w=int(w))
+    else:  # lle or d2, on the delay embedding
+        result = plan.lyapunov() if args.estimator == "lle" else plan.d2()
+        choice = plan.embedding
+        diagnostics.update(embedding_m=choice.embed_m, m_source=choice.source)
+        if choice.profile is not None:
+            diagnostics["deterministic"] = choice.profile.deterministic
+        elif choice.med_failure is not None:
+            diagnostics["m_fallback_reason"] = choice.med_failure
+        params.update(lag=plan.lag.lag, theiler_w=plan.theiler.lag)
         if args.estimator == "lle":
-            result = largest_lyapunov_wolf(vectors, config.wolf_params(w))
             if args.log2:
-                value = result.exponent / math.log(2.0)
-                units = "bits/sample"
+                value, units = result.exponent / math.log(2.0), "bits/sample"
             else:
-                value = result.exponent
-                units = "nats/sample"
+                value, units = result.exponent, "nats/sample"
             diagnostics.update(
                 per_second=result.exponent * series.sample_rate_hz,
                 per_second_units="nats/s",
@@ -272,17 +239,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                 low_confidence=result.low_confidence,
             )
         else:
-            curve = correlation_curve(vectors, config.n_radii, w)
-            estimate = correlation_dimension(curve, config.min_fit_r2)
-            value = estimate.d2
-            units = "dimensions"
+            value, units = result.d2, "dimensions"
             diagnostics.update(
-                fit_range=[estimate.fit_range[0], estimate.fit_range[1]],
-                fit_r2=estimate.fit_r2,
-                n_pairs_in_range=estimate.n_pairs_in_range,
+                fit_range=[result.fit_range[0], result.fit_range[1]],
+                fit_r2=result.fit_r2,
+                n_pairs_in_range=result.n_pairs_in_range,
             )
-    else:  # unreachable; argparse constrains choices
-        raise ConfigError(f"unknown estimator {args.estimator!r}")
 
     if metadata.get("channel"):
         params["channel"] = metadata["channel"]

@@ -435,6 +435,13 @@ def _r2_bounds(log_r: np.ndarray, log_c: np.ndarray, start: np.ndarray, length: 
     return r2, np.where(settled, bound, np.nan)
 
 
+def check_min_fit_r2(min_fit_r2: float) -> None:
+    """Refuse a linearity bar no fit can meet, or one that NaN would
+    make vanish (``r2 < nan`` is false)."""
+    if not (0.0 <= min_fit_r2 <= 1.0):
+        raise ConfigError(f"min_fit_r2 must be in [0, 1], got {min_fit_r2!r}")
+
+
 def correlation_dimension(curve: CorrelationCurve, min_fit_r2: float = 0.98) -> D2Estimate:
     """Slope of log C against log R over the best scaling region.
 
@@ -452,11 +459,14 @@ def correlation_dimension(curve: CorrelationCurve, min_fit_r2: float = 0.98) -> 
 
     Raises
     ------
+    ConfigError
+        If ``min_fit_r2`` is not in [0, 1].
     NoScalingRegionError
         With fewer than 8 usable radii, or when no window reaches the
         required linearity. Widening the radius grid or the data is the
         usual remedy.
     """
+    check_min_fit_r2(min_fit_r2)
     c = curve.c_values
     eligible = np.nonzero((c > 0.0) & (c < 1.0))[0]
     if eligible.size < 8:

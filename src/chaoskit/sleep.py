@@ -11,9 +11,11 @@ stage label, and the four indices are computed per window:
 4. largest Lyapunov exponent and correlation dimension on the delay
    embedding at that dimension and delay.
 
-Mutual information is evaluated at the selected delay. Failures are per
-index and per window: a window that cannot support one estimator still
-reports the others, and the batch never aborts. Every result carries a
+Mutual information is evaluated at the selected delay. ``WindowPlan``
+holds this sequence, one lazy step at a time, for both the pipeline and
+``chaoskit estimate``. Failures are per index and per window: a window
+that cannot support one estimator still reports the others, and the
+batch never aborts. Every result carries a
 fingerprint of the estimator configuration so mixed-config outputs are
 detectable.
 """
@@ -26,14 +28,23 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .cao import CaoProfile, minimum_embedding_dimension
-from .correlation import MIN_RADII, correlation_curve, correlation_dimension
+from .cao import MIN_M_MAX, CaoProfile, check_scan_settings, minimum_embedding_dimension
+from .correlation import MIN_RADII, D2Estimate, check_min_fit_r2, correlation_curve, correlation_dimension
 from .errors import ChaosKitError, ConfigError, InputError, ShortSeriesError
 from .information import MIN_LAG_SCAN, MIN_MI_BINS, auto_mutual_information, select_lag_first_minimum
-from .lyapunov import WolfParams, largest_lyapunov_wolf
-from .series import MIN_THEILER_SCAN, EmbeddingParams, TimeSeries, delay_embed, theiler_window
+from .lyapunov import LyapunovResult, WolfParams, largest_lyapunov_wolf
+from .series import (
+    MIN_THEILER_SCAN,
+    DelayVectors,
+    EmbeddingParams,
+    LagResult,
+    TimeSeries,
+    delay_embed,
+    theiler_window,
+)
 
 __all__ = [
     "EPOCH_SECONDS",
@@ -48,11 +59,8 @@ __all__ = [
     "EstimatorConfig",
     "EpochIndices",
     "INDEX_NAMES",
-    "select_lag",
-    "select_theiler",
-    "scan_dimensions",
     "EmbeddingChoice",
-    "select_embedding_dimension",
+    "WindowPlan",
     "samples_per_epoch",
     "epoch_split",
     "compute_epoch_indices",
@@ -220,6 +228,8 @@ class EstimatorConfig:
             value = getattr(self, name)
             if int(value) != value or value < floor:
                 raise ConfigError(f"{name} must be an integer >= {floor}, got {value!r}")
+        check_scan_settings(self.m_max, self.plateau_tol, self.e2_tol)
+        check_min_fit_r2(self.min_fit_r2)
         self.wolf_params(0)  # WolfParams checks the walk's own fields
 
     def as_dict(self) -> dict:
@@ -279,38 +289,14 @@ class EpochIndices:
 INDEX_NAMES = ("lle", "mi", "med", "d2")
 
 
-# The per-window plan: delay, exclusion window, then the embedding
-# dimension. The pipeline and ``chaoskit estimate`` both take these
-# steps, so one window gets the same embedding from either.
-
-
-def select_lag(window: TimeSeries, config: EstimatorConfig) -> tuple[int, bool]:
-    """Delay at the first AMI minimum, scanned to ``mi_max_lag`` or ``n - 2``."""
-    return select_lag_first_minimum(window, min(config.mi_max_lag, len(window) - 2), config.bins)
-
-
-def select_theiler(window: TimeSeries, config: EstimatorConfig) -> tuple[int, bool]:
-    """Exclusion window, scanned to ``theiler_max_lag`` or ``n - 1``."""
-    return theiler_window(window, min(config.theiler_max_lag, len(window) - 1))
-
-
-def scan_dimensions(window: TimeSeries, lag: int, config: EstimatorConfig) -> CaoProfile:
-    """Cao scan up to ``m_max``, capped at ``(n - 2) // lag`` so every
-    dimension keeps two points; a cap below 3 cannot be scanned."""
-    n = len(window)
-    m_max = min(config.m_max, (n - 2) // lag)
-    if m_max < 3:
-        raise ShortSeriesError(f"window of {n} samples cannot support a dimension scan at lag {lag}")
-    return minimum_embedding_dimension(window, lag, m_max, config.plateau_tol, config.e2_tol)
-
-
 class EmbeddingChoice(NamedTuple):
     """Embedding dimension for the trajectory indices and its source.
 
-    ``source`` is ``cao-plateau``, ``plateau-missing-fallback-m-max`` or
-    ``cao-failed-fallback``. ``profile`` is None when the scan failed;
-    ``med_failure`` says why there is no minimum embedding dimension.
-    ``embed_m`` is None when the window is too short to embed at all.
+    ``source`` is ``explicit`` (a fixed ``m``), ``cao-plateau``,
+    ``plateau-missing-fallback-m-max`` or ``cao-failed-fallback``.
+    ``profile`` is None unless a Cao scan ran; ``med_failure`` says why
+    there is no minimum embedding dimension. ``embed_m`` is None when
+    the window is too short to embed at all.
     """
 
     embed_m: int | None
@@ -319,24 +305,104 @@ class EmbeddingChoice(NamedTuple):
     med_failure: str | None
 
 
-def select_embedding_dimension(window: TimeSeries, lag: int, config: EstimatorConfig) -> EmbeddingChoice:
-    """The Cao plateau dimension; the scanned maximum when E1 never
-    plateaus; ``max(2, min(m_max, (n - 1) // lag))`` when the scan fails,
-    so the trajectory-based indices are still attempted."""
-    try:
-        profile = scan_dimensions(window, lag, config)
-    except ChaosKitError as exc:
-        fallback = (len(window) - 1) // lag
-        embed_m = max(2, min(config.m_max, fallback)) if fallback >= 2 else None
-        return EmbeddingChoice(embed_m, "cao-failed-fallback", None, str(exc))
-    if profile.selected_m is None:
-        return EmbeddingChoice(
-            profile.m_max,
-            "plateau-missing-fallback-m-max",
-            profile,
-            "E1 curve never plateaus; no finite embedding dimension",
+class WindowPlan:
+    """The per-window plan: delay, exclusion window, embedding
+    dimension, then the indices on the delay embedding.
+
+    ``compute_epoch_indices`` and ``chaoskit estimate`` both read one
+    window through a plan, so the window gets the same numbers from
+    either. Each step runs when it is first read and keeps its result; a
+    step that cannot run raises its own ``ChaosKitError``, and only the
+    steps that need its result fail with it. A fixed ``lag``,
+    ``theiler`` or ``m`` takes the place of that step's estimate.
+
+    The estimators are looked up in this module's namespace at call
+    time, where a tracer may rebind them.
+    """
+
+    def __init__(
+        self,
+        window: TimeSeries,
+        config: EstimatorConfig,
+        *,
+        lag: int | None = None,
+        theiler: int | None = None,
+        m: int | None = None,
+    ):
+        self.window = window
+        self.config = config
+        # A fixed value fills the step's cache, so the step never runs.
+        if lag is not None:
+            self.lag = LagResult(lag, False)
+        if theiler is not None:
+            self.theiler = LagResult(theiler, False)
+        if m is not None:
+            self.embedding = EmbeddingChoice(m, "explicit", None, None)
+
+    @cached_property
+    def lag(self) -> LagResult:
+        """Delay at the first AMI minimum, scanned to ``mi_max_lag`` or ``n - 2``."""
+        return select_lag_first_minimum(
+            self.window, min(self.config.mi_max_lag, len(self.window) - 2), self.config.bins
         )
-    return EmbeddingChoice(profile.selected_m, "cao-plateau", profile, None)
+
+    @cached_property
+    def theiler(self) -> LagResult:
+        """Exclusion window, scanned to ``theiler_max_lag`` or ``n - 1``."""
+        return theiler_window(self.window, min(self.config.theiler_max_lag, len(self.window) - 1))
+
+    def mi(self) -> float:
+        """Auto mutual information at the delay, in bits."""
+        return auto_mutual_information(self.window, self.lag.lag, self.config.bins)
+
+    def dimension_scan(self) -> CaoProfile:
+        """Cao scan up to ``m_max``, capped at ``(n - 2) // lag`` so every
+        dimension keeps two points; a cap below ``MIN_M_MAX`` cannot be
+        scanned."""
+        n, lag = len(self.window), self.lag.lag
+        m_max = min(self.config.m_max, (n - 2) // lag)
+        if m_max < MIN_M_MAX:
+            raise ShortSeriesError(f"window of {n} samples cannot support a dimension scan at lag {lag}")
+        return minimum_embedding_dimension(self.window, lag, m_max, self.config.plateau_tol, self.config.e2_tol)
+
+    @cached_property
+    def embedding(self) -> EmbeddingChoice:
+        """The Cao plateau dimension; the scanned maximum when E1 never
+        plateaus; ``max(2, min(m_max, (n - 1) // lag))`` when the scan fails,
+        so the trajectory-based indices are still attempted."""
+        lag = self.lag.lag
+        try:
+            profile = self.dimension_scan()
+        except ChaosKitError as exc:
+            fallback = (len(self.window) - 1) // lag
+            embed_m = max(2, min(self.config.m_max, fallback)) if fallback >= 2 else None
+            return EmbeddingChoice(embed_m, "cao-failed-fallback", None, str(exc))
+        if profile.selected_m is None:
+            return EmbeddingChoice(
+                profile.m_max,
+                "plateau-missing-fallback-m-max",
+                profile,
+                "E1 curve never plateaus; no finite embedding dimension",
+            )
+        return EmbeddingChoice(profile.selected_m, "cao-plateau", profile, None)
+
+    @cached_property
+    def vectors(self) -> DelayVectors:
+        """The delay embedding at the delay, exclusion window and dimension."""
+        lag, w = self.lag.lag, self.theiler.lag
+        m = self.embedding.embed_m
+        if m is None:
+            raise ShortSeriesError("no embedding dimension available")
+        return delay_embed(self.window, EmbeddingParams(m, lag, w))
+
+    def lyapunov(self) -> LyapunovResult:
+        """Wolf walk on the embedding, in nats per sample."""
+        return largest_lyapunov_wolf(self.vectors, self.config.wolf_params(self.theiler.lag))
+
+    def d2(self) -> D2Estimate:
+        """Correlation dimension of the embedding."""
+        curve = correlation_curve(self.vectors, self.config.n_radii, self.theiler.lag)
+        return correlation_dimension(curve, self.config.min_fit_r2)
 
 
 def compute_epoch_indices(
@@ -348,48 +414,38 @@ def compute_epoch_indices(
     stage: SleepStage = SleepStage.UNKNOWN,
     epoch_index: int = 0,
 ) -> EpochIndices:
-    """Run the full index pipeline on one window.
+    """Run the full index pipeline on one window, as a :class:`WindowPlan`.
 
-    Order: delay selection, exclusion window, minimum embedding
-    dimension, then the Lyapunov exponent and correlation dimension on
-    the resulting embedding, plus mutual information at the selected
-    delay. Per-index errors land in ``failures`` instead of raising.
-    The embedding dimension falls back as
-    :func:`select_embedding_dimension` describes.
+    Per-index errors land in ``failures`` instead of raising. Without a
+    delay and an exclusion window nothing downstream can run, so their
+    failure fails all four indices.
     """
     if config is None:
         config = EstimatorConfig()
-    fingerprint = config.fingerprint()
-    fs = window.sample_rate_hz
+    plan = WindowPlan(window, config)
+    epoch = dict(
+        subject_id=subject_id,
+        group=group,
+        stage=stage,
+        epoch_index=epoch_index,
+        sample_rate_hz=window.sample_rate_hz,
+        config_fingerprint=config.fingerprint(),
+    )
+    try:
+        lag, w = plan.lag.lag, plan.theiler.lag
+    except ChaosKitError as exc:
+        return EpochIndices(**epoch, failures={name: str(exc) for name in INDEX_NAMES})
     failures: dict[str, str] = {}
 
-    def failed_epoch(reason: str) -> EpochIndices:
-        return EpochIndices(
-            subject_id=subject_id,
-            group=group,
-            stage=stage,
-            epoch_index=epoch_index,
-            sample_rate_hz=fs,
-            failures={name: reason for name in INDEX_NAMES},
-            config_fingerprint=fingerprint,
-        )
+    def attempt(name, step):
+        try:
+            return step()
+        except ChaosKitError as exc:
+            failures[name] = str(exc)
+            return None
 
-    # Shared prerequisites: the delay and the exclusion window. If these
-    # cannot be computed nothing downstream can run.
-    try:
-        lag, _lag_saturated = select_lag(window, config)
-        w, _w_saturated = select_theiler(window, config)
-    except ChaosKitError as exc:
-        return failed_epoch(str(exc))
-
-    mi = None
-    try:
-        mi = auto_mutual_information(window, lag, config.bins)
-    except ChaosKitError as exc:
-        failures["mi"] = str(exc)
-
-    choice = select_embedding_dimension(window, lag, config)
-    embed_m = choice.embed_m
+    mi = attempt("mi", plan.mi)
+    choice = plan.embedding
     if choice.med_failure is not None:
         failures["med"] = choice.med_failure
     med = e1_at_selected = deterministic = None
@@ -398,48 +454,20 @@ def compute_epoch_indices(
         med = choice.profile.selected_m
         if med is not None:
             e1_at_selected = float(choice.profile.e1_values[med - 1])
-
-    vectors = None
-    if embed_m is not None:
-        try:
-            vectors = delay_embed(window, EmbeddingParams(embed_m, lag, w))
-        except ChaosKitError as exc:
-            failures["lle"] = str(exc)
-            failures["d2"] = str(exc)
-    else:
-        failures["lle"] = failures["d2"] = "no embedding dimension available"
-
-    lle = None
-    d2 = None
-    if vectors is not None:
-        try:
-            result = largest_lyapunov_wolf(vectors, config.wolf_params(w))
-            lle = result.exponent * fs  # nats per sample -> nats per second
-        except ChaosKitError as exc:
-            failures["lle"] = str(exc)
-        try:
-            curve = correlation_curve(vectors, config.n_radii, w)
-            d2 = correlation_dimension(curve, config.min_fit_r2).d2
-        except ChaosKitError as exc:
-            failures["d2"] = str(exc)
-
+    lyapunov = attempt("lle", plan.lyapunov)
+    d2 = attempt("d2", plan.d2)
     return EpochIndices(
-        subject_id=subject_id,
-        group=group,
-        stage=stage,
-        epoch_index=epoch_index,
-        sample_rate_hz=fs,
-        lle=lle,
+        **epoch,
+        lle=None if lyapunov is None else lyapunov.exponent * window.sample_rate_hz,  # nats/s
         mi=mi,
         mi_lag=int(lag),
         med=med,
         e1_at_selected=e1_at_selected,
-        d2=d2,
+        d2=None if d2 is None else d2.d2,
         theiler_w=int(w),
-        embed_m=embed_m,
+        embed_m=choice.embed_m,
         deterministic=deterministic,
         failures=failures,
-        config_fingerprint=fingerprint,
     )
 
 

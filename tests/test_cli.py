@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from chaoskit.cli import _config_from_args, build_parser
-from chaoskit.io import read_signal_csv
+from chaoskit.io import read_signal_csv, write_signal_csv
+from chaoskit.series import TimeSeries
 from chaoskit.sleep import EstimatorConfig, compute_epoch_indices
 
 from conftest import build_sleep_fixture
@@ -56,6 +57,12 @@ def signals(tmp_path_factory):
         proc = run_cli("synth", *args)
         assert proc.returncode == 0, proc.stderr
     return paths
+
+
+@pytest.fixture(scope="module")
+def logistic_epoch(signals):
+    series, _ = read_signal_csv(signals["logistic"])
+    return compute_epoch_indices(series, EstimatorConfig(max_separation=0.7))
 
 
 @pytest.fixture(scope="module")
@@ -226,17 +233,30 @@ class TestEstimate:
         assert payload["diagnostics"]["fit_r2"] > 0.98
         assert len(payload["diagnostics"]["fit_range"]) == 2
 
-    @pytest.mark.parametrize("estimator", ["lle", "d2"])
-    def test_auto_embedding_matches_pipeline(self, signals, estimator):
+    @pytest.mark.parametrize("estimator", ["mi", "med", "lle", "d2"])
+    def test_auto_embedding_matches_pipeline(self, signals, logistic_epoch, estimator):
         payload = stdout_json(run_cli("estimate", "--estimator", estimator,
                                       "--input", str(signals["logistic"]),
                                       "--max-separation", "0.7"))
-        series, _ = read_signal_csv(signals["logistic"])
-        epoch = compute_epoch_indices(series, EstimatorConfig(max_separation=0.7))
-        assert payload["parameters"]["lag"] == epoch.mi_lag
-        assert payload["parameters"]["theiler_w"] == epoch.theiler_w
-        assert payload["diagnostics"]["embedding_m"] == epoch.embed_m
-        assert payload["diagnostics"]["m_source"] == "cao-plateau"
+        assert payload["parameters"]["lag"] == logistic_epoch.mi_lag
+        # Bit for bit: JSON floats round-trip exactly.
+        value = payload["diagnostics"]["per_second"] if estimator == "lle" else payload["value"]
+        assert value == getattr(logistic_epoch, estimator)
+        if estimator in ("lle", "d2"):
+            assert payload["parameters"]["theiler_w"] == logistic_epoch.theiler_w
+            assert payload["diagnostics"]["embedding_m"] == logistic_epoch.embed_m
+            assert payload["diagnostics"]["m_source"] == "cao-plateau"
+
+    def test_steps_run_only_when_read(self, tmp_path):
+        # A flat signal has a delay and its MI but no exclusion window, so
+        # only the estimator that reads the Theiler step may fail.
+        flat = tmp_path / "flat.csv"
+        write_signal_csv(flat, TimeSeries(np.full(300, 2.5), 10.0), {})
+        codes = {
+            estimator: run_cli("estimate", "--estimator", estimator, "--input", str(flat)).returncode
+            for estimator in ("lag", "mi", "theiler")
+        }
+        assert codes == {"lag": 0, "mi": 0, "theiler": 4}
 
     def test_failed_dimension_scan_falls_back(self, signals):
         # At lag 1400 the 3000 samples cannot hold a scan to m = 3; the
@@ -329,7 +349,9 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "flag, value",
         [("--n-radii", "4"), ("--evolve-steps", "0"), ("--bins", "1"), ("--max-angle", "4"),
-         ("--mi-max-lag", "1"), ("--theiler-max-lag", "0")],
+         ("--mi-max-lag", "1"), ("--theiler-max-lag", "0"), ("--m-max", "2"),
+         ("--plateau-tol", "0"), ("--e2-tol", "nan"), ("--min-fit-r2", "1.01"),
+         ("--min-fit-r2", "nan")],
     )
     def test_unusable_config_exits_4_writing_nothing(self, study, tmp_path, flag, value):
         out = tmp_path / "out"

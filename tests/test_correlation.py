@@ -207,6 +207,16 @@ class TestCorrelationDimension:
         with pytest.raises(NoScalingRegionError):
             correlation_dimension(curve, min_fit_r2=0.998)
 
+    @pytest.mark.parametrize("min_fit_r2", [-1e-12, 1.0 + 1e-12, float("nan")])
+    def test_unusable_linearity_bar_refused(self, min_fit_r2):
+        # Above 1 no fit qualifies; NaN, since r2 < nan is false, would
+        # let any fit through. Both refuse even on a straight curve.
+        radii = np.geomspace(1e-3, 1.0, 24)
+        curve = CorrelationCurve(radii=radii, c_values=0.5 * radii**2, theiler_w=0, n_points=100)
+        assert correlation_dimension(curve, 1.0).d2 == pytest.approx(2.0)
+        with pytest.raises(ConfigError, match="min_fit_r2"):
+            correlation_dimension(curve, min_fit_r2)
+
     def test_too_few_eligible_radii_rejected(self):
         # Five radii inside (0, 1), the rest saturated at 1.
         radii = np.geomspace(0.01, 1.0, 12)

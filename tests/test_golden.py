@@ -1,4 +1,5 @@
-"""Golden outputs: ``chaoskit analyze`` on the synthetic study, pinned by hash.
+"""Golden outputs: ``chaoskit analyze`` on the synthetic study, and
+``chaoskit estimate`` on three signal files, pinned by hash.
 
 The hashes were recorded before the neighbour-search kernels of the
 Wolf walk and the correlation sum replaced their full scans. A faster
@@ -94,3 +95,70 @@ def test_lorenz_outputs_match_golden_hashes(tmp_path, wolf_fetches, case):
         assert any("no admissible initial neighbour" in r["failures"].get("lle", "") for r in records)
     else:
         assert off_grid_fetches(wolf_fetches) > 0
+
+
+# ``chaoskit estimate``: every estimator on three synthesised files, run
+# once per argument set. A case pins the exit code of each run and the
+# SHA-256 of their stdouts joined in order. The digests were recorded
+# before ``estimate`` and ``analyze`` came to share one window plan.
+ESTIMATE_SIGNALS = {
+    "logistic": ("--kind", "logistic", "--n", "1200", "--seed", "7", "--skip", "100", "--param", "r=4"),
+    "sine": ("--kind", "sine", "--n", "400", "--fs", "100", "--param", "freq_hz=1.3", "--param", "noise_std=0.05"),
+    "noise": ("--kind", "white_noise", "--n", "1000", "--seed", "5"),
+}
+ESTIMATE_ARGS = (
+    (),
+    ("--lag", "1"),
+    ("--theiler", "5"),
+    ("--m", "3"),
+    ("--lag", "2", "--theiler", "3", "--m", "2"),
+    ("--lag", "400", "--theiler", "0"),  # too few samples for a Cao scan at this delay
+    ("--max-separation", "0.7"),
+)
+ESTIMATE_LOG2_ARGS = (("--log2",), ("--log2", "--lag", "1", "--m", "1", "--theiler", "10"))
+ESTIMATE_GOLDEN = {
+    ("lag", "logistic"): ((0, 0, 0, 0, 0, 0, 0), "ade172801d26bfe001d95ceb3ff7821ca25a71bd887c0ab1cdff021e962f18f9"),
+    ("lag", "sine"): ((0, 0, 0, 0, 0, 0, 0), "080a4f429b904041c4196327d4fa00262b523a0330e7aa2f54e82f2230e20ef6"),
+    ("lag", "noise"): ((0, 0, 0, 0, 0, 0, 0), "87d844695b5fd0dcfef26d0cfce7dc996e18ec3f918a1575b9da67f0575d7c89"),
+    ("theiler", "logistic"): ((0, 0, 0, 0, 0, 0, 0), "d9f7a6fac5aa5d9868d78ef388c4fd1a73836c80d50bd56d2b516b30c418156b"),
+    ("theiler", "sine"): ((0, 0, 0, 0, 0, 0, 0), "317ef7e2fe1596759454806d310eada76663c955b1fba11203baa0161fbf9efe"),
+    ("theiler", "noise"): ((0, 0, 0, 0, 0, 0, 0), "2be26c797ef0d6d8b26d368810a2bb53136d37d2643dfd2d11e833b9a02bb86b"),
+    ("mi", "logistic"): ((0, 0, 0, 0, 0, 0, 0), "db818c9f0d20c0376fe7762e35eed8bfe7dd7c5193e834006fdbfacdd0b44964"),
+    ("mi", "sine"): ((0, 0, 0, 0, 0, 4, 0), "0c63ad176562a9e80777d0a0c21daf9864362aea37bb433607c383f52251a2da"),
+    ("mi", "noise"): ((0, 0, 0, 0, 0, 0, 0), "70a8c2d89aa5d3c8b0717e6bd269155df29a8a036406a96d542855e64ac152ac"),
+    ("med", "logistic"): ((0, 0, 0, 0, 0, 4, 0), "8f179b0e2e61c17b3dab4391f615a5aaa5f8f6bc4714cb45c45ff21f3ffc9b29"),
+    ("med", "sine"): ((0, 0, 0, 0, 0, 4, 0), "784baa3123492099b788c4040e8851fb98fbafa26f21394633c4977abd803d6c"),
+    ("med", "noise"): ((0, 0, 0, 0, 0, 4, 0), "f9aab59b29eb377f8fa0153fdb03ef66f6de369b944b1eea9d5ec63f66dcadc9"),
+    ("lle", "logistic"): ((4, 0, 4, 0, 0, 0, 0, 4, 0), "ebb593a9f62ba3012db4c01150967aba6908e8dd43433347c1cb2c7a188f8360"),
+    ("lle", "sine"): ((0, 0, 0, 0, 0, 4, 0, 0, 0), "9296a5e92944ca60ce9bc7086a04e76e6e6e1235ff6416cf7ede3ed2b8af478e"),
+    ("lle", "noise"): ((4, 4, 4, 0, 0, 0, 0, 4, 0), "db4b3b676ef8ec865d16b7c3cb87f3cf64a43498384490f7c989936b4802597f"),
+    ("d2", "logistic"): ((0, 0, 0, 0, 0, 0, 0), "ea43daa5c2649513ea99877a3dac0338574d5f29751554833563fdf499c32ab3"),
+    ("d2", "sine"): ((0, 0, 0, 0, 0, 4, 0), "9d4422699f5e595754fce2584b79ae25a994b28f687a4bd93e2bc41896102c7c"),
+    ("d2", "noise"): ((0, 0, 0, 0, 0, 0, 0), "a7a6c700920d0d21f2074da57aa024e82468f1174cf099af9efab7e1196927ba"),
+}
+
+
+@pytest.fixture(scope="module")
+def estimate_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("estimate")
+    for name, synth in ESTIMATE_SIGNALS.items():
+        assert main(["synth", *synth, "--out", str(root / f"{name}.csv")]) == 0
+    return root
+
+
+def _estimate_runs(estimator, signal, capsys):
+    """Exit codes and the joined stdout of every argument set, run from
+    the signals' directory so the ``input`` parameter reads the same."""
+    argsets = ESTIMATE_ARGS + (ESTIMATE_LOG2_ARGS if estimator == "lle" else ())
+    capsys.readouterr()
+    codes, out = [], []
+    for extra in argsets:
+        codes.append(main(["estimate", "--estimator", estimator, "--input", f"{signal}.csv", *extra]))
+        out.append(capsys.readouterr().out)
+    return tuple(codes), hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("estimator, signal", sorted(ESTIMATE_GOLDEN))
+def test_estimate_outputs_match_golden_hashes(estimate_dir, monkeypatch, capsys, estimator, signal):
+    monkeypatch.chdir(estimate_dir)
+    assert _estimate_runs(estimator, signal, capsys) == ESTIMATE_GOLDEN[estimator, signal]

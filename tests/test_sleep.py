@@ -1,5 +1,7 @@
 """Epoching and the per-window index pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -134,7 +136,7 @@ class TestEstimatorConfig:
 
     @pytest.mark.parametrize(
         "name, floor",
-        [("bins", 2), ("mi_max_lag", 2), ("theiler_max_lag", 1), ("n_radii", 8)],
+        [("bins", 2), ("mi_max_lag", 2), ("theiler_max_lag", 1), ("m_max", 3), ("n_radii", 8)],
     )
     def test_estimator_floors(self, name, floor):
         # The floor itself is usable; one below it, or a fraction, no window can use.
@@ -142,6 +144,23 @@ class TestEstimatorConfig:
         for bad in (floor - 1, floor + 0.5):
             with pytest.raises(ConfigError, match=name):
                 EstimatorConfig(**{name: bad})
+
+    @pytest.mark.parametrize(
+        "name, usable, unusable",
+        [
+            ("plateau_tol", (1e-300, math.inf), (0.0, -0.05, math.nan)),
+            ("e2_tol", (1e-300, math.inf), (0.0, -0.1, math.nan)),
+            ("min_fit_r2", (0.0, 1.0), (-1e-12, 1.0 + 1e-12, math.nan)),
+        ],
+    )
+    def test_estimator_ranges(self, name, usable, unusable):
+        # A tolerance at or below zero, a linearity bar outside [0, 1],
+        # or NaN for either, would fail or skew every window alike.
+        for value in usable:
+            EstimatorConfig(**{name: value})
+        for value in unusable:
+            with pytest.raises(ConfigError, match=name):
+                EstimatorConfig(**{name: value})
 
 
 class TestComputeEpochIndices:

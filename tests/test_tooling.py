@@ -1,5 +1,6 @@
 """The repository's scripts against the package: the names the benchmark
-tracer rebinds still exist, and every demo runs to the end."""
+tracer rebinds still exist and are called, and every demo runs to the
+end."""
 
 import importlib
 import importlib.util
@@ -9,6 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from chaoskit import sleep
+from chaoskit.generators import GeneratorSpec, generate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,3 +46,22 @@ def test_demo_runs(demo, tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_sleep_names_are_called(monkeypatch):
+    # Each name is wrapped where the tracer wraps it. A window plan that
+    # reached an estimator some other way would leave its span, and so
+    # its per-layer metric, silently empty.
+    names = [attr for module_name, attr, _span, _counts in _load_tracing().TRACED if module_name == "chaoskit.sleep"]
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _call=getattr(sleep, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(sleep, name, counted)
+    window = generate(GeneratorSpec("lorenz", 300, seed=1, transient_skip=1000, parameters={"fs": 10.0}))
+    recording = sleep.Recording("l1", sleep.Group.HEALTHY, window, (sleep.SleepStage.S2,))
+    (epoch,) = sleep.analyze_recordings([recording])
+    assert epoch.failures == {}
+    assert [name for name, n in calls.items() if n == 0] == []
