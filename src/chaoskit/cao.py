@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError
+from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_int
 from .series import TimeSeries
 
 __all__ = [
@@ -135,23 +135,15 @@ def _cao_terms(x: np.ndarray, m: int, t: int) -> tuple[float, float]:
     return e, e_star
 
 
-def _check_m_t(m: int, t: int) -> tuple[int, int]:
-    if int(m) != m or m < 1:
-        raise ConfigError(f"m must be an integer >= 1, got {m!r}")
-    if int(t) != t or t < 1:
-        raise ConfigError(f"t must be an integer >= 1, got {t!r}")
-    return int(m), int(t)
-
-
 def cao_e(series: TimeSeries, m: int, t: int) -> float:
     """Mean neighbour expansion ratio E(m) at lag t."""
-    m, t = _check_m_t(m, t)
+    m, t = check_int("m", m, 1), check_int("t", t, 1)
     return _cao_terms(series.samples, m, t)[0]
 
 
 def cao_e1(series: TimeSeries, m: int, t: int) -> float:
     """E1(m) = E(m+1) / E(m)."""
-    m, t = _check_m_t(m, t)
+    m, t = check_int("m", m, 1), check_int("t", t, 1)
     e_m, _ = _cao_terms(series.samples, m, t)
     e_m1, _ = _cao_terms(series.samples, m + 1, t)
     return e_m1 / e_m
@@ -159,7 +151,7 @@ def cao_e1(series: TimeSeries, m: int, t: int) -> float:
 
 def cao_e2(series: TimeSeries, m: int, t: int) -> float:
     """E2(m) = E*(m+1) / E*(m), near 1 at every m for noise-like data."""
-    m, t = _check_m_t(m, t)
+    m, t = check_int("m", m, 1), check_int("t", t, 1)
     _, s_m = _cao_terms(series.samples, m, t)
     _, s_m1 = _cao_terms(series.samples, m + 1, t)
     if s_m == 0.0:
@@ -171,13 +163,12 @@ def check_scan_settings(m_max: int, plateau_tol: float, e2_tol: float) -> int:
     """``m_max`` as an int, once it and both tolerances are usable: the
     plateau test compares two E1 values, so ``m_max`` is at least
     ``MIN_M_MAX``, and each tolerance is positive (NaN is not)."""
-    if int(m_max) != m_max or m_max < MIN_M_MAX:
-        raise ConfigError(f"m_max must be an integer >= {MIN_M_MAX}, got {m_max!r}")
+    m_max = check_int("m_max", m_max, MIN_M_MAX)
     if not (0 < plateau_tol):
         raise ConfigError(f"plateau_tol must be positive, got {plateau_tol!r}")
     if not (0 < e2_tol):
         raise ConfigError(f"e2_tol must be positive, got {e2_tol!r}")
-    return int(m_max)
+    return m_max
 
 
 def minimum_embedding_dimension(
@@ -208,7 +199,7 @@ def minimum_embedding_dimension(
         If the series cannot support E(m_max) at lag t, i.e. has fewer
         than ``m_max * t + 2`` samples.
     """
-    _, t = _check_m_t(1, t)
+    t = check_int("t", t, 1)
     m_max = check_scan_settings(m_max, plateau_tol, e2_tol)
     x = series.samples
     if x.size < m_max * t + 2:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSeriesError, NoScalingRegionError
+from .errors import ConfigError, DegenerateSeriesError, NoScalingRegionError, check_int
 from .series import DelayVectors
 
 __all__ = [
@@ -129,9 +129,7 @@ def _n_admissible_pairs(n: int, w: int) -> int:
 
 
 def _check_theiler(n: int, w) -> int:
-    if int(w) != w or w < 0:
-        raise ConfigError(f"theiler_w must be an integer >= 0, got {w!r}")
-    w = int(w)
+    w = check_int("theiler_w", w, 0)
     if _n_admissible_pairs(n, w) < 1:
         raise ConfigError(
             f"theiler_w={w} excludes every pair of the {n} points; widen the data or shrink the window"
@@ -285,9 +283,7 @@ def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> Correla
     pts = _as_points(vectors)
     n = pts.shape[0]
     w = _check_theiler(n, theiler_w)
-    if int(n_radii) != n_radii or n_radii < MIN_RADII:
-        raise ConfigError(f"n_radii must be an integer >= {MIN_RADII}, got {n_radii!r}")
-    n_radii = int(n_radii)
+    n_radii = check_int("n_radii", n_radii, MIN_RADII)
     total = _n_admissible_pairs(n, w)
     if total <= _PAIR_SAMPLE_CAP:
         d_sq = _all_pair_distances(pts, w)

@@ -2,7 +2,8 @@
 
 Everything raised on purpose by this package derives from ChaosKitError,
 so callers that want blanket per-window error handling (the batch runner
-does) can catch one type and keep going.
+does) can catch one type and keep going. Every argument check raises
+ConfigError; whole-number arguments all pass through :func:`check_int`.
 """
 
 
@@ -36,3 +37,21 @@ class ConfigError(ChaosKitError):
 
 class InputError(ChaosKitError):
     """A file, manifest, or record could not be parsed."""
+
+
+def check_int(name: str, value, lo: float, hi: float | None = None) -> int:
+    """``value`` as an ``int`` when it is a whole number in ``[lo, hi]``.
+
+    Whole floats and numpy integers pass and come back as Python ``int``;
+    a fraction, NaN, an infinity, ``None`` or a non-number raises
+    ConfigError naming ``name``. ``hi`` of None means no upper bound.
+    """
+    try:
+        n = int(value)
+        ok = n == value and lo <= n and (hi is None or n <= hi)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
+    return n

@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, GenerationError
+from .errors import ConfigError, GenerationError, check_int
 from .series import TimeSeries
 
 __all__ = [
@@ -47,11 +47,11 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 def _splitmix64(seed: int, n: int, offset: int = 0) -> np.ndarray:
     """Outputs ``offset .. offset + n - 1`` of the SplitMix64 stream."""
-    if n < 0:
-        raise ConfigError(f"n must be >= 0, got {n!r}")
+    seed = check_int("seed", seed, -math.inf)
+    n, offset = check_int("n", n, 0), check_int("offset", offset, 0)
     with np.errstate(over="ignore"):
         counter = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
-        z = counter * _GOLDEN + np.uint64(int(seed) & _MASK64)
+        z = counter * _GOLDEN + np.uint64(seed & _MASK64)
         z = (z ^ (z >> np.uint64(30))) * _MIX1
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         z = z ^ (z >> np.uint64(31))
@@ -69,6 +69,7 @@ def gaussian_stream(seed: int, n: int) -> np.ndarray:
     Pair ``k`` consumes stream outputs ``2k`` and ``2k + 1``; the first
     uniform is shifted into (0, 1] so the log never sees zero.
     """
+    n = check_int("n", n, 0)
     pairs = (n + 1) // 2
     bits = _splitmix64(seed, 2 * pairs)
     u1 = ((bits[0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
@@ -243,13 +244,8 @@ class GeneratorSpec:
             raise ConfigError(
                 f"unknown generator kind {self.kind!r}; expected one of {', '.join(generator_kinds())}"
             )
-        if int(self.n_samples) != self.n_samples or self.n_samples < 2:
-            raise ConfigError(f"n_samples must be an integer >= 2, got {self.n_samples!r}")
-        if int(self.transient_skip) != self.transient_skip or self.transient_skip < 0:
-            raise ConfigError(f"transient_skip must be an integer >= 0, got {self.transient_skip!r}")
-        object.__setattr__(self, "n_samples", int(self.n_samples))
-        object.__setattr__(self, "transient_skip", int(self.transient_skip))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, lo in (("n_samples", 2), ("transient_skip", 0), ("seed", -math.inf)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
         object.__setattr__(self, "parameters", dict(self.parameters))
 
 
@@ -285,8 +281,7 @@ def tangent_map_lle(
     is the calibration oracle for trajectory-based estimates: it needs
     the map's equations, which measured data never offers.
     """
-    if n_steps < 1:
-        raise ConfigError(f"n_steps must be >= 1, got {n_steps!r}")
+    n_steps = check_int("n_steps", n_steps, 1)
     state = np.atleast_1d(np.asarray(state0, dtype=np.float64))
     tangent = np.zeros(state.size)
     tangent[0] = 1.0
@@ -312,8 +307,7 @@ def henon_lle_oracle(n_steps: int, a: float = 1.4, b: float = 0.3, transient: in
     Scalar tangent recursion with per-step renormalisation; requires at
     least 10000 steps so the average has settled.
     """
-    if n_steps < 10_000:
-        raise ConfigError(f"n_steps must be >= 10000, got {n_steps!r}")
+    n_steps = check_int("n_steps", n_steps, 10_000)
     x, y = 0.0, 0.0
     v0, v1 = 1.0, 0.0
     total = 0.0
@@ -336,8 +330,7 @@ def logistic_lle_oracle(n_steps: int, r: float = 4.0, x0: float = 0.3, transient
 
     At r = 4 the analytic value is ln 2.
     """
-    if n_steps < 1:
-        raise ConfigError(f"n_steps must be >= 1, got {n_steps!r}")
+    n_steps = check_int("n_steps", n_steps, 1)
     x = x0
     total = 0.0
     for k in range(transient + n_steps):

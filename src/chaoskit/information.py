@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .series import LagResult, TimeSeries
 
 __all__ = [
@@ -138,8 +138,7 @@ def _as_finite_1d(values, name: str) -> np.ndarray:
 def marginal_distribution(values, bins: int) -> DiscreteDistribution:
     """Equal-width histogram of a sequence as a probability distribution."""
     arr = _as_finite_1d(values, "values")
-    if bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {bins!r}")
+    bins = check_int("bins", bins, 1)
     edges = equal_width_edges(arr, bins)
     counts = np.bincount(bin_indices(arr, edges), minlength=bins)
     return DiscreteDistribution(counts / arr.size, edges)
@@ -151,8 +150,7 @@ def joint_distribution(x, y, bins: int) -> JointDistribution:
     ya = _as_finite_1d(y, "y")
     if xa.size != ya.size:
         raise ConfigError(f"x and y must have equal length, got {xa.size} and {ya.size}")
-    if bins < MIN_MI_BINS:
-        raise ConfigError(f"bins must be >= {MIN_MI_BINS}, got {bins!r}")
+    bins = check_int("bins", bins, MIN_MI_BINS)
     if xa.size < bins:
         raise ConfigError(f"need at least {bins} paired samples, got {xa.size}")
     x_edges = equal_width_edges(xa, bins)
@@ -218,8 +216,7 @@ class _LagScan:
         """Mutual information in bits of ``x[:n - lag]`` and ``x[lag:]``."""
         x = self.samples
         n = x.size - lag
-        if bins < MIN_MI_BINS:
-            raise ConfigError(f"bins must be >= {MIN_MI_BINS}, got {bins!r}")
+        bins = check_int("bins", bins, MIN_MI_BINS)
         if n < bins:
             raise ConfigError(f"need at least {bins} paired samples, got {n}")
         ix = _cells(x[:n], *_cell_range(float(self.head_lo[n - 1]), float(self.head_hi[n - 1])), bins)
@@ -238,10 +235,7 @@ def auto_mutual_information(series: TimeSeries, lag: int, bins: int = 16) -> flo
     computed once for all its lags.
     """
     scan = series if isinstance(series, _LagScan) else _LagScan(series.samples)
-    x = scan.samples
-    if int(lag) != lag or lag < 0 or lag > x.size - 2:
-        raise ConfigError(f"lag must be an integer in [0, {x.size - 2}], got {lag!r}")
-    return scan.mutual_information(int(lag), bins)
+    return scan.mutual_information(check_int("lag", lag, 0, scan.samples.size - 2), bins)
 
 
 def first_local_minimum(values) -> LagResult:
@@ -268,9 +262,7 @@ def select_lag_first_minimum(series: TimeSeries, max_lag: int, bins: int = 16) -
     value one lag past it; if autoMI decreases through the whole scan to
     ``max_lag``, the cap is returned with the saturated flag set.
     """
-    if int(max_lag) != max_lag or max_lag < MIN_LAG_SCAN:
-        raise ConfigError(f"max_lag must be an integer >= {MIN_LAG_SCAN}, got {max_lag!r}")
-    max_lag = int(max_lag)
+    max_lag = check_int("max_lag", max_lag, MIN_LAG_SCAN)
     if max_lag > series.samples.size - 2:
         raise ConfigError(f"max_lag must be at most {series.samples.size - 2} for this series, got {max_lag}")
     scan = _LagScan(series.samples)
@@ -279,4 +271,4 @@ def select_lag_first_minimum(series: TimeSeries, max_lag: int, bins: int = 16) -
         ami.append(auto_mutual_information(scan, lag, bins))
         if ami[-2] < ami[-3] and ami[-2] <= ami[-1]:
             return LagResult(lag - 1, False)
-    return first_local_minimum(ami)
+    return LagResult(max_lag, True)

@@ -363,36 +363,32 @@ def read_epochs_ndjson(path: str | Path) -> list[EpochIndices]:
     return epochs
 
 
-def _fingerprint_header(fingerprint: str) -> str:
-    return f"# config_fingerprint={fingerprint}\n"
+def _write_csv(path: str | Path, fingerprint: str, header: str, rows: Iterable[str]) -> None:
+    """A table under its ``# config_fingerprint=`` line, written atomically."""
+    atomic_write_text(path, "\n".join([f"# config_fingerprint={fingerprint}", header, *rows]) + "\n")
 
 
 def write_table1_csv(path: str | Path, summaries: Sequence[GroupSummary], fingerprint: str) -> None:
     """Mean/std/count per (index, stage, group), one row per cell."""
-    lines = [_fingerprint_header(fingerprint).rstrip("\n"), "index,stage,group,mean,std,n"]
+    rows = []
     for s in summaries:
         group = "" if s.group is None else s.group.value
         stage = "" if s.stage is None else s.stage.value
-        lines.append(
-            f"{s.index_name},{stage},{group},{format_float(s.mean)},{format_float(s.std)},{s.n}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        rows.append(f"{s.index_name},{stage},{group},{format_float(s.mean)},{format_float(s.std)},{s.n}")
+    _write_csv(path, fingerprint, "index,stage,group,mean,std,n", rows)
 
 
 def write_pvalues_csv(path: str | Path, comparisons: Sequence[ComparisonResult], fingerprint: str) -> None:
     """Welch test per (stage, index); ``p_reported`` is floored at
     0.0005 to match the report granularity, ``p_raw`` is not."""
-    lines = [
-        _fingerprint_header(fingerprint).rstrip("\n"),
-        "stage,index,t_value,df,p_raw,p_reported",
-    ]
+    rows = []
     for c in comparisons:
         reported = max(c.p_value, REPORTED_P_FLOOR)
-        lines.append(
+        rows.append(
             f"{c.stage.value},{c.index_name},{format_float(c.t_value)},"
             f"{format_float(c.degrees_of_freedom)},{format_float(c.p_value)},{format_float(reported)}"
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, fingerprint, "stage,index,t_value,df,p_raw,p_reported", rows)
 
 
 def write_histogram_csvs(directory: str | Path, histograms: Sequence[Histogram], fingerprint: str) -> list[Path]:
@@ -402,14 +398,12 @@ def write_histogram_csvs(directory: str | Path, histograms: Sequence[Histogram],
     for h in histograms:
         stage = "any" if h.stage is None else h.stage.value
         group = "any" if h.group is None else h.group.value
-        name = f"hist_{h.index_name or 'values'}_{stage}_{group}.csv"
-        lines = [_fingerprint_header(fingerprint).rstrip("\n"), "bin_left,bin_right,relative_frequency"]
-        for k, freq in enumerate(h.relative_frequencies):
-            lines.append(
-                f"{format_float(h.bin_edges[k])},{format_float(h.bin_edges[k + 1])},{format_float(freq)}"
-            )
-        target = directory / name
-        atomic_write_text(target, "\n".join(lines) + "\n")
+        target = directory / f"hist_{h.index_name or 'values'}_{stage}_{group}.csv"
+        rows = [
+            f"{format_float(h.bin_edges[k])},{format_float(h.bin_edges[k + 1])},{format_float(freq)}"
+            for k, freq in enumerate(h.relative_frequencies)
+        ]
+        _write_csv(target, fingerprint, "bin_left,bin_right,relative_frequency", rows)
         written.append(target)
     return written
 

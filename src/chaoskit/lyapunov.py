@@ -45,7 +45,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .correlation import _row_sum
-from .errors import ConfigError, DegenerateSeriesError, EstimationError, ShortSeriesError
+from .errors import ConfigError, DegenerateSeriesError, EstimationError, ShortSeriesError, check_int
 from .series import DelayVectors
 
 __all__ = ["WolfParams", "LyapunovResult", "largest_lyapunov_wolf"]
@@ -84,8 +84,7 @@ class WolfParams:
     max_replacement_angle: float = 0.5
 
     def __post_init__(self):
-        if int(self.evolve_steps) != self.evolve_steps or self.evolve_steps < 1:
-            raise ConfigError(f"evolve_steps must be an integer >= 1, got {self.evolve_steps!r}")
+        object.__setattr__(self, "evolve_steps", check_int("evolve_steps", self.evolve_steps, 1))
         for name in ("min_separation", "max_separation"):
             v = getattr(self, name)
             if v is not None and not (np.isfinite(v) and v > 0):
@@ -96,8 +95,7 @@ class WolfParams:
             and not self.min_separation < self.max_separation
         ):
             raise ConfigError("min_separation must be smaller than max_separation")
-        if int(self.theiler_w) != self.theiler_w or self.theiler_w < 0:
-            raise ConfigError(f"theiler_w must be an integer >= 0, got {self.theiler_w!r}")
+        object.__setattr__(self, "theiler_w", check_int("theiler_w", self.theiler_w, 0))
         if not 0 < self.max_replacement_angle < math.pi:
             raise ConfigError(
                 f"max_replacement_angle must be in (0, pi), got {self.max_replacement_angle!r}"

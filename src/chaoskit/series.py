@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError
+from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_int
 
 __all__ = [
     "TimeSeries",
@@ -96,15 +96,8 @@ class EmbeddingParams:
     theiler_w: int = 0
 
     def __post_init__(self):
-        if int(self.dimension_m) != self.dimension_m or self.dimension_m < 1:
-            raise ConfigError(f"dimension_m must be an integer >= 1, got {self.dimension_m!r}")
-        if int(self.lag_t) != self.lag_t or self.lag_t < 1:
-            raise ConfigError(f"lag_t must be an integer >= 1, got {self.lag_t!r}")
-        if int(self.theiler_w) != self.theiler_w or self.theiler_w < 0:
-            raise ConfigError(f"theiler_w must be an integer >= 0, got {self.theiler_w!r}")
-        object.__setattr__(self, "dimension_m", int(self.dimension_m))
-        object.__setattr__(self, "lag_t", int(self.lag_t))
-        object.__setattr__(self, "theiler_w", int(self.theiler_w))
+        for name, lo in (("dimension_m", 1), ("lag_t", 1), ("theiler_w", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
 
 
 @dataclass(frozen=True)
@@ -172,9 +165,7 @@ def autocorrelation(series: TimeSeries, max_lag: int) -> np.ndarray:
     """
     x = series.samples
     n = x.size
-    if int(max_lag) != max_lag or not 0 <= max_lag < n:
-        raise ConfigError(f"max_lag must be an integer in [0, {n - 1}], got {max_lag!r}")
-    max_lag = int(max_lag)
+    max_lag = check_int("max_lag", max_lag, 0, n - 1)
     xc = x - x.mean()
     c0 = float(np.dot(xc, xc)) / n
     if c0 == 0.0:
@@ -200,10 +191,9 @@ def theiler_window(series: TimeSeries, max_lag: int) -> LagResult:
     the window is capped at ``max_lag`` and the result is flagged as
     saturated.
     """
-    if max_lag < MIN_THEILER_SCAN:
-        raise ConfigError(f"max_lag must be >= {MIN_THEILER_SCAN}, got {max_lag!r}")
+    max_lag = check_int("max_lag", max_lag, MIN_THEILER_SCAN)
     acf = autocorrelation(series, max_lag)
     nonpos = np.nonzero(acf[1:] <= 0.0)[0]
     if nonpos.size:
         return LagResult(int(nonpos[0]) + 1, False)
-    return LagResult(int(max_lag), True)
+    return LagResult(max_lag, True)

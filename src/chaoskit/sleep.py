@@ -26,14 +26,14 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 from .cao import MIN_M_MAX, CaoProfile, check_scan_settings, minimum_embedding_dimension
 from .correlation import MIN_RADII, D2Estimate, check_min_fit_r2, correlation_curve, correlation_dimension
-from .errors import ChaosKitError, ConfigError, InputError, ShortSeriesError
+from .errors import ChaosKitError, ConfigError, InputError, ShortSeriesError, check_int
 from .information import MIN_LAG_SCAN, MIN_MI_BINS, auto_mutual_information, select_lag_first_minimum
 from .lyapunov import LyapunovResult, WolfParams, largest_lyapunov_wolf
 from .series import (
@@ -225,12 +225,16 @@ class EstimatorConfig:
             ("theiler_max_lag", MIN_THEILER_SCAN),
             ("n_radii", MIN_RADII),
         ):
-            value = getattr(self, name)
-            if int(value) != value or value < floor:
-                raise ConfigError(f"{name} must be an integer >= {floor}, got {value!r}")
-        check_scan_settings(self.m_max, self.plateau_tol, self.e2_tol)
+            object.__setattr__(self, name, check_int(name, getattr(self, name), floor))
+        object.__setattr__(self, "m_max", check_scan_settings(self.m_max, self.plateau_tol, self.e2_tol))
         check_min_fit_r2(self.min_fit_r2)
-        self.wolf_params(0)  # WolfParams checks the walk's own fields
+        wolf = self.wolf_params(0)  # WolfParams checks the walk's own fields
+        object.__setattr__(self, "evolve_steps", wolf.evolve_steps)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # As for the flags: a knob without an integer default is a float, or None.
+            if not isinstance(f.default, int) and value is not None:
+                object.__setattr__(self, f.name, float(value))
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -502,9 +506,7 @@ def analyze_recordings(
     """
     if config is None:
         config = EstimatorConfig()
-    if int(jobs) != jobs or jobs < 1:
-        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
-    jobs = int(jobs)
+    jobs = check_int("jobs", jobs, 1)
 
     tasks = [
         _Task(rec.subject_id, rec.group, ew.stage, ew.epoch_index, ew.window)

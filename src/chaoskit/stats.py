@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .information import bin_indices, equal_width_edges
 from .sleep import INDEX_NAMES, EpochIndices, Group, SleepStage, SCORED_STAGES
 
@@ -60,13 +60,11 @@ class GroupSummary:
     stage: SleepStage | None = None
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ConfigError(f"n must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", check_int("n", self.n, 2))
         if not (math.isfinite(self.mean) and math.isfinite(self.std)):
             raise ConfigError("mean and std must be finite")
         if self.std < 0:
             raise ConfigError(f"std must be >= 0, got {self.std!r}")
-        object.__setattr__(self, "n", int(self.n))
 
 
 @dataclass(frozen=True)
@@ -247,10 +245,9 @@ def empirical_histogram(values: Sequence[float], n_bins: int) -> Histogram:
         raise ConfigError("need at least one value")
     if not np.all(np.isfinite(arr)):
         raise ConfigError("values must be finite")
-    if int(n_bins) != n_bins or n_bins < MIN_HIST_BINS:
-        raise ConfigError(f"n_bins must be an integer >= {MIN_HIST_BINS}, got {n_bins!r}")
-    edges = equal_width_edges(arr, int(n_bins))
-    counts = np.bincount(bin_indices(arr, edges), minlength=int(n_bins))
+    n_bins = check_int("n_bins", n_bins, MIN_HIST_BINS)
+    edges = equal_width_edges(arr, n_bins)
+    counts = np.bincount(bin_indices(arr, edges), minlength=n_bins)
     return Histogram(bin_edges=edges, relative_frequencies=counts / arr.size)
 
 

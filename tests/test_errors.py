@@ -1,0 +1,124 @@
+"""The one integer-argument rule, `check_int`, and every entry point that
+uses it: a fraction, NaN, an infinity or None is refused with a
+ConfigError naming the argument, and a whole float or numpy integer
+gives exactly what the Python int gives."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from chaoskit.cao import cao_e, cao_e1, cao_e2, minimum_embedding_dimension
+from chaoskit.correlation import correlation_curve, correlation_sum
+from chaoskit.errors import ConfigError, check_int
+from chaoskit.generators import (
+    GeneratorSpec,
+    gaussian_stream,
+    generate,
+    henon_lle_oracle,
+    logistic_lle_oracle,
+    tangent_map_lle,
+    uniform_stream,
+)
+from chaoskit.information import (
+    auto_mutual_information,
+    joint_distribution,
+    marginal_distribution,
+    mutual_information,
+    select_lag_first_minimum,
+)
+from chaoskit.lyapunov import WolfParams, largest_lyapunov_wolf
+from chaoskit.series import EmbeddingParams, autocorrelation, theiler_window
+from chaoskit.sleep import EstimatorConfig, analyze_recordings, compute_epoch_indices
+from chaoskit.stats import GroupSummary, empirical_histogram
+
+X = generate(GeneratorSpec("logistic", 400, seed=3, transient_skip=100, parameters={"r": 4.0}))
+PTS = np.column_stack([X.samples[:-1], X.samples[1:]])
+
+
+def _canon(value):
+    """A comparable form that tells 3 from 3.0 and compares arrays bit for bit."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if dataclasses.is_dataclass(value):
+        return (type(value), tuple(_canon(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if isinstance(value, (tuple, list)):
+        return (type(value), tuple(_canon(v) for v in value))
+    if isinstance(value, dict):
+        return (dict, tuple((k, _canon(v)) for k, v in sorted(value.items())))
+    return (type(value), value)
+
+
+# (argument name, call with the argument set to v, a usable whole value)
+SITES = {
+    "cao_e m": ("m", lambda v: cao_e(X, v, 1), 3),
+    "cao_e1 t": ("t", lambda v: cao_e1(X, 2, v), 3),
+    "cao_e2 m": ("m", lambda v: cao_e2(X, v, 1), 3),
+    "minimum_embedding_dimension t": ("t", lambda v: minimum_embedding_dimension(X, v, m_max=4), 3),
+    "minimum_embedding_dimension m_max": ("m_max", lambda v: minimum_embedding_dimension(X, 1, m_max=v), 3),
+    "correlation_sum theiler_w": ("theiler_w", lambda v: correlation_sum(PTS, 0.1, theiler_w=v), 3),
+    "correlation_curve theiler_w": ("theiler_w", lambda v: correlation_curve(PTS, theiler_w=v), 3),
+    "correlation_curve n_radii": ("n_radii", lambda v: correlation_curve(PTS, n_radii=v), 8),
+    "GeneratorSpec n_samples": ("n_samples", lambda v: GeneratorSpec("henon", v), 3),
+    "GeneratorSpec transient_skip": ("transient_skip", lambda v: GeneratorSpec("henon", 3, transient_skip=v), 3),
+    "GeneratorSpec seed": ("seed", lambda v: GeneratorSpec("henon", 3, seed=v), 3),
+    "uniform_stream n": ("n", lambda v: uniform_stream(1, v), 3),
+    "uniform_stream offset": ("offset", lambda v: uniform_stream(1, 3, offset=v), 3),
+    "uniform_stream seed": ("seed", lambda v: uniform_stream(v, 3), 3),
+    "gaussian_stream n": ("n", lambda v: gaussian_stream(1, v), 3),
+    "tangent_map_lle n_steps": (
+        "n_steps",
+        lambda v: tangent_map_lle(lambda s: 4.0 * s * (1.0 - s), lambda s: 4.0 - 8.0 * s, 0.3, v, transient=10),
+        3,
+    ),
+    "henon_lle_oracle n_steps": ("n_steps", lambda v: henon_lle_oracle(v, transient=10), 10_000),
+    "logistic_lle_oracle n_steps": ("n_steps", lambda v: logistic_lle_oracle(v), 1000),
+    "marginal_distribution bins": ("bins", lambda v: marginal_distribution(X.samples, v), 3),
+    "joint_distribution bins": ("bins", lambda v: joint_distribution(X.samples, X.samples[::-1], v), 3),
+    "mutual_information bins": ("bins", lambda v: mutual_information(X.samples, X.samples[::-1], v), 3),
+    "auto_mutual_information lag": ("lag", lambda v: auto_mutual_information(X, v), 3),
+    "auto_mutual_information bins": ("bins", lambda v: auto_mutual_information(X, 1, v), 3),
+    "select_lag_first_minimum max_lag": ("max_lag", lambda v: select_lag_first_minimum(X, v), 3),
+    "select_lag_first_minimum bins": ("bins", lambda v: select_lag_first_minimum(X, 10, v), 3),
+    "WolfParams evolve_steps": ("evolve_steps", lambda v: WolfParams(evolve_steps=v), 3),
+    "WolfParams theiler_w": ("theiler_w", lambda v: WolfParams(theiler_w=v), 3),
+    "1-D Wolf walk theiler_w": ("theiler_w", lambda v: largest_lyapunov_wolf(X.samples, WolfParams(theiler_w=v)), 50),
+    "EmbeddingParams dimension_m": ("dimension_m", lambda v: EmbeddingParams(v, 1), 3),
+    "EmbeddingParams lag_t": ("lag_t", lambda v: EmbeddingParams(1, v), 3),
+    "EmbeddingParams theiler_w": ("theiler_w", lambda v: EmbeddingParams(1, 1, v), 3),
+    "autocorrelation max_lag": ("max_lag", lambda v: autocorrelation(X, v), 3),
+    "theiler_window max_lag": ("max_lag", lambda v: theiler_window(X, v), 3),
+    "analyze_recordings jobs": ("jobs", lambda v: analyze_recordings([], jobs=v), 3),
+    "GroupSummary n": ("n", lambda v: GroupSummary(1.0, 1.0, v), 3),
+    "empirical_histogram n_bins": ("n_bins", lambda v: empirical_histogram(X.samples, v), 3),
+}
+
+
+def test_check_int():
+    assert check_int("k", 3.0, 1) == 3 and type(check_int("k", np.int64(3), 1)) is int
+    assert check_int("k", -7, -math.inf) == -7
+    assert check_int("k", 5, 0, 5) == 5
+    with pytest.raises(ConfigError, match=r"^k must be an integer in \[0, 4\], got 5$"):
+        check_int("k", 5, 0, 4)
+    for bad in (0, 2.5, math.nan, math.inf, -math.inf, None, "3", [3]):
+        with pytest.raises(ConfigError, match=r"^k must be an integer >= 1, got "):
+            check_int("k", bad, 1)
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_integer_argument(site):
+    name, call, whole = SITES[site]
+    for bad in (math.nan, math.inf, -math.inf, None, 2.5):
+        with pytest.raises(ConfigError, match=rf"^{name} must be an integer "):
+            call(bad)
+    expected = _canon(call(whole))
+    assert _canon(call(float(whole))) == expected
+    assert _canon(call(np.int64(whole))) == expected
+
+
+def test_whole_float_config_runs_a_window_like_the_default():
+    window = generate(GeneratorSpec("lorenz", 300, seed=1, transient_skip=1000, parameters={"fs": 10.0}))
+    got = compute_epoch_indices(window, EstimatorConfig(evolve_steps=3.0, bins=16.0))
+    assert got.failures == {}
+    assert _canon(got) == _canon(compute_epoch_indices(window, EstimatorConfig()))

@@ -130,20 +130,31 @@ class TestEstimatorConfig:
 
     def test_fingerprint_tracks_every_knob(self):
         base = EstimatorConfig().fingerprint()
+        assert base == "e7b1db60eac956c7ef1b067e79b51e59dcbd5f4b6fec13e37cf3fe6e911d2a45"
         assert EstimatorConfig(bins=17).fingerprint() != base
         assert EstimatorConfig(max_separation=0.7).fingerprint() != base
         assert EstimatorConfig(min_fit_r2=0.97).fingerprint() != base
+        # A float knob given as a whole number is the same configuration.
+        assert EstimatorConfig(min_fit_r2=1).fingerprint() == EstimatorConfig(min_fit_r2=1.0).fingerprint()
+        wide = EstimatorConfig(max_separation=2)
+        assert type(wide.max_separation) is float
+        assert wide.fingerprint() == EstimatorConfig(max_separation=2.0).fingerprint()
 
     @pytest.mark.parametrize(
         "name, floor",
-        [("bins", 2), ("mi_max_lag", 2), ("theiler_max_lag", 1), ("m_max", 3), ("n_radii", 8)],
+        [("bins", 2), ("mi_max_lag", 2), ("theiler_max_lag", 1), ("m_max", 3), ("evolve_steps", 1), ("n_radii", 8)],
     )
     def test_estimator_floors(self, name, floor):
-        # The floor itself is usable; one below it, or a fraction, no window can use.
+        # The floor itself is usable; one below it, a fraction, NaN, an
+        # infinity or None no window can use.
         EstimatorConfig(**{name: floor})
-        for bad in (floor - 1, floor + 0.5):
+        for bad in (floor - 1, floor + 0.5, math.nan, math.inf, -math.inf, None):
             with pytest.raises(ConfigError, match=name):
                 EstimatorConfig(**{name: bad})
+        # A whole float is the same configuration as the int.
+        whole = EstimatorConfig(**{name: floor + 0.0})
+        assert type(getattr(whole, name)) is int
+        assert whole.fingerprint() == EstimatorConfig(**{name: floor}).fingerprint()
 
     @pytest.mark.parametrize(
         "name, usable, unusable",

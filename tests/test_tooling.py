@@ -1,10 +1,11 @@
 """The repository's scripts against the package: the names the benchmark
-tracer rebinds still exist and are called, and every demo runs to the
-end."""
+tracer rebinds still exist and are called, every demo runs to the end,
+and the package keeps a single integer-argument check."""
 
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,3 +66,16 @@ def test_traced_sleep_names_are_called(monkeypatch):
     (epoch,) = sleep.analyze_recordings([recording])
     assert epoch.failures == {}
     assert [name for name, n in calls.items() if n == 0] == []
+
+
+def test_one_integer_rule():
+    # Whole-number arguments are checked by errors.check_int alone, so
+    # every entry point refuses NaN and returns whole floats as int alike.
+    copies = [
+        f"{path.name}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "chaoskit").glob("*.py"))
+        if path.name != "errors.py"
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if re.search(r"int\((\w+(?:\.\w+)*)\) != \1\b", line)
+    ]
+    assert copies == []
