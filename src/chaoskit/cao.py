@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_int
+from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_float, check_int
 from .series import TimeSeries
 
 __all__ = [
@@ -159,16 +159,15 @@ def cao_e2(series: TimeSeries, m: int, t: int) -> float:
     return s_m1 / s_m
 
 
-def check_scan_settings(m_max: int, plateau_tol: float, e2_tol: float) -> int:
-    """``m_max`` as an int, once it and both tolerances are usable: the
-    plateau test compares two E1 values, so ``m_max`` is at least
-    ``MIN_M_MAX``, and each tolerance is positive (NaN is not)."""
-    m_max = check_int("m_max", m_max, MIN_M_MAX)
-    if not (0 < plateau_tol):
-        raise ConfigError(f"plateau_tol must be positive, got {plateau_tol!r}")
-    if not (0 < e2_tol):
-        raise ConfigError(f"e2_tol must be positive, got {e2_tol!r}")
-    return m_max
+def check_scan_settings(m_max: int, plateau_tol: float, e2_tol: float) -> tuple[int, float, float]:
+    """``m_max`` as an int and both tolerances as floats, once all three
+    are usable: the plateau test compares two E1 values, so ``m_max`` is
+    at least ``MIN_M_MAX``, and each tolerance is positive and finite."""
+    return (
+        check_int("m_max", m_max, MIN_M_MAX),
+        check_float("plateau_tol", plateau_tol, above=0),
+        check_float("e2_tol", e2_tol, above=0),
+    )
 
 
 def minimum_embedding_dimension(
@@ -200,7 +199,7 @@ def minimum_embedding_dimension(
         than ``m_max * t + 2`` samples.
     """
     t = check_int("t", t, 1)
-    m_max = check_scan_settings(m_max, plateau_tol, e2_tol)
+    m_max, plateau_tol, e2_tol = check_scan_settings(m_max, plateau_tol, e2_tol)
     x = series.samples
     if x.size < m_max * t + 2:
         raise ShortSeriesError(

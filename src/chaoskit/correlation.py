@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSeriesError, NoScalingRegionError, check_int
+from .errors import ConfigError, DegenerateSeriesError, NoScalingRegionError, check_float, check_int
 from .series import DelayVectors
 
 __all__ = [
@@ -106,8 +106,7 @@ class D2Estimate:
         lo, hi = self.fit_range
         if not 0 < lo < hi:
             raise ConfigError(f"fit_range must be an increasing positive pair, got {self.fit_range!r}")
-        if not 0 <= self.fit_r2 <= 1:
-            raise ConfigError(f"fit_r2 must be within [0, 1], got {self.fit_r2!r}")
+        check_float("fit_r2", self.fit_r2, at_least=0, at_most=1)
 
 
 def _as_points(vectors) -> np.ndarray:
@@ -142,8 +141,7 @@ def correlation_sum(vectors, radius: float, theiler_w: int = 0) -> float:
     pts = _as_points(vectors)
     n = pts.shape[0]
     w = _check_theiler(n, theiler_w)
-    if not (np.isfinite(radius) and radius > 0):
-        raise ConfigError(f"radius must be positive and finite, got {radius!r}")
+    radius = check_float("radius", radius, above=0)
     count = _pair_counts(pts, w, np.array([radius * radius]))[0]
     return int(count) / _n_admissible_pairs(n, w)
 
@@ -431,11 +429,10 @@ def _r2_bounds(log_r: np.ndarray, log_c: np.ndarray, start: np.ndarray, length: 
     return r2, np.where(settled, bound, np.nan)
 
 
-def check_min_fit_r2(min_fit_r2: float) -> None:
-    """Refuse a linearity bar no fit can meet, or one that NaN would
-    make vanish (``r2 < nan`` is false)."""
-    if not (0.0 <= min_fit_r2 <= 1.0):
-        raise ConfigError(f"min_fit_r2 must be in [0, 1], got {min_fit_r2!r}")
+def check_min_fit_r2(min_fit_r2: float) -> float:
+    """``min_fit_r2`` as a float, refusing a linearity bar no fit can
+    meet, or one that NaN would make vanish (``r2 < nan`` is false)."""
+    return check_float("min_fit_r2", min_fit_r2, at_least=0, at_most=1)
 
 
 def correlation_dimension(curve: CorrelationCurve, min_fit_r2: float = 0.98) -> D2Estimate:
@@ -462,7 +459,7 @@ def correlation_dimension(curve: CorrelationCurve, min_fit_r2: float = 0.98) -> 
         required linearity. Widening the radius grid or the data is the
         usual remedy.
     """
-    check_min_fit_r2(min_fit_r2)
+    min_fit_r2 = check_min_fit_r2(min_fit_r2)
     c = curve.c_values
     eligible = np.nonzero((c > 0.0) & (c < 1.0))[0]
     if eligible.size < 8:

@@ -3,8 +3,12 @@
 Everything raised on purpose by this package derives from ChaosKitError,
 so callers that want blanket per-window error handling (the batch runner
 does) can catch one type and keep going. Every argument check raises
-ConfigError; whole-number arguments all pass through :func:`check_int`.
+ConfigError; whole-number arguments all pass through :func:`check_int`,
+real-valued ones through :func:`check_float`.
 """
+
+import math
+import numbers
 
 
 class ChaosKitError(Exception):
@@ -55,3 +59,39 @@ def check_int(name: str, value, lo: float, hi: float | None = None) -> int:
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
     return n
+
+
+def check_float(
+    name: str,
+    value,
+    *,
+    above: float | None = None,
+    at_least: float | None = None,
+    below: float | None = None,
+    at_most: float | None = None,
+) -> float:
+    """``value`` as a ``float`` when it is a finite real number within the
+    given bounds: ``above`` and ``below`` are open ends, ``at_least`` and
+    ``at_most`` closed ones, and an end left None is no bound.
+
+    Numpy reals and ints pass and come back as Python ``float``; NaN, an
+    infinity, ``None``, a string or any other non-real raises ConfigError
+    naming ``name``.
+    """
+    try:
+        x = float(value)
+        ok = (
+            isinstance(value, numbers.Real)
+            and math.isfinite(x)
+            and (above is None or x > above)
+            and (at_least is None or x >= at_least)
+            and (below is None or x < below)
+            and (at_most is None or x <= at_most)
+        )
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        ends = ((">", above), (">=", at_least), ("<", below), ("<=", at_most))
+        bound = " and ".join(f"{op} {end}" for op, end in ends if end is not None)
+        raise ConfigError(f"{name} must be a finite number{' ' + bound if bound else ''}, got {value!r}")
+    return x

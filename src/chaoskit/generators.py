@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, GenerationError, check_int
+from .errors import ConfigError, GenerationError, check_float, check_int
 from .series import TimeSeries
 
 __all__ = [
@@ -82,29 +82,17 @@ def gaussian_stream(seed: int, n: int) -> np.ndarray:
     return out[:n]
 
 
-def _param(params: Mapping[str, float], name: str, default: float) -> float:
-    v = params.get(name, default)
-    try:
-        v = float(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"parameter {name!r} must be a number, got {v!r}") from None
-    if not np.isfinite(v):
-        raise ConfigError(f"parameter {name!r} must be finite, got {v!r}")
-    return v
+def _param(spec: "GeneratorSpec", name: str, default: float, **bounds: float) -> float:
+    """Parameter ``name`` of ``spec``, or ``default``, checked by
+    :func:`check_float` against ``bounds``."""
+    return check_float(f"{spec.kind} {name}", spec.parameters.get(name, default), **bounds)
 
 
 def _gen_logistic(spec: "GeneratorSpec", total: int) -> np.ndarray:
-    r = _param(spec.parameters, "r", 4.0)
-    x = spec.parameters.get("x0")
-    if x is None:
-        # No explicit start: derive one from the seed so different seeds
-        # give different orbits of the same map.
-        x = 0.05 + 0.9 * float(uniform_stream(spec.seed, 1)[0])
-    x = float(x)
-    if not 0.0 < r <= 4.0:
-        raise ConfigError(f"logistic r must be in (0, 4], got {r!r}")
-    if not 0.0 < x < 1.0:
-        raise ConfigError(f"logistic x0 must be in (0, 1), got {x!r}")
+    r = _param(spec, "r", 4.0, above=0, at_most=4)
+    # No explicit start: derive one from the seed so different seeds
+    # give different orbits of the same map.
+    x = _param(spec, "x0", 0.05 + 0.9 * float(uniform_stream(spec.seed, 1)[0]), above=0, below=1)
     out = np.empty(total, dtype=np.float64)
     for k in range(total):
         out[k] = x
@@ -113,15 +101,13 @@ def _gen_logistic(spec: "GeneratorSpec", total: int) -> np.ndarray:
 
 
 def _gen_henon(spec: "GeneratorSpec", total: int) -> np.ndarray:
-    a = _param(spec.parameters, "a", 1.4)
-    b = _param(spec.parameters, "b", 0.3)
+    a = _param(spec, "a", 1.4)
+    b = _param(spec, "b", 0.3)
     units = uniform_stream(spec.seed, 2)
-    x = spec.parameters.get("x0")
-    y = spec.parameters.get("y0")
     # Defaulted starts are drawn from the seed inside [-0.25, 0.25],
     # comfortably within the attractor's basin.
-    x = float(0.5 * units[0] - 0.25 if x is None else x)
-    y = float(0.5 * units[1] - 0.25 if y is None else y)
+    x = _param(spec, "x0", 0.5 * units[0] - 0.25)
+    y = _param(spec, "y0", 0.5 * units[1] - 0.25)
     out = np.empty(total, dtype=np.float64)
     for k in range(total):
         out[k] = x
@@ -132,21 +118,16 @@ def _gen_henon(spec: "GeneratorSpec", total: int) -> np.ndarray:
 
 
 def _gen_lorenz(spec: "GeneratorSpec", total: int) -> np.ndarray:
-    sigma = _param(spec.parameters, "sigma", 10.0)
-    rho = _param(spec.parameters, "rho", 28.0)
-    beta = _param(spec.parameters, "beta", 8.0 / 3.0)
-    dt = _param(spec.parameters, "dt", 0.01)
+    sigma = _param(spec, "sigma", 10.0)
+    rho = _param(spec, "rho", 28.0)
+    beta = _param(spec, "beta", 8.0 / 3.0)
+    dt = _param(spec, "dt", 0.01, above=0)
     units = uniform_stream(spec.seed, 3)
-    x = spec.parameters.get("x0")
-    y = spec.parameters.get("y0")
-    z = spec.parameters.get("z0")
     # Defaulted starts sit near (1, 1, 1) with a seed-dependent offset;
     # the transient skip settles the orbit onto the attractor.
-    x = float(1.0 + units[0] if x is None else x)
-    y = float(1.0 + units[1] if y is None else y)
-    z = float(1.0 + units[2] if z is None else z)
-    if dt <= 0:
-        raise ConfigError(f"lorenz dt must be positive, got {dt!r}")
+    x = _param(spec, "x0", 1.0 + units[0])
+    y = _param(spec, "y0", 1.0 + units[1])
+    z = _param(spec, "z0", 1.0 + units[2])
 
     def deriv(x, y, z):
         return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
@@ -167,13 +148,11 @@ def _gen_lorenz(spec: "GeneratorSpec", total: int) -> np.ndarray:
 
 
 def _gen_sine(spec: "GeneratorSpec", total: int) -> np.ndarray:
-    freq = _param(spec.parameters, "freq_hz", 1.0)
-    amp = _param(spec.parameters, "amplitude", 1.0)
-    phase = _param(spec.parameters, "phase", 0.0)
-    noise = _param(spec.parameters, "noise_std", 0.0)
-    fs = _param(spec.parameters, "fs", 1.0)
-    if noise < 0:
-        raise ConfigError(f"noise_std must be >= 0, got {noise!r}")
+    freq = _param(spec, "freq_hz", 1.0)
+    amp = _param(spec, "amplitude", 1.0)
+    phase = _param(spec, "phase", 0.0)
+    noise = _param(spec, "noise_std", 0.0, at_least=0)
+    fs = _param(spec, "fs", 1.0, above=0)
     k = np.arange(total, dtype=np.float64)
     out = amp * np.sin(2.0 * math.pi * freq * k / fs + phase)
     if noise > 0:
@@ -195,10 +174,8 @@ def _gen_ar1(spec: "GeneratorSpec", total: int) -> np.ndarray:
     # package's import time and only this generator uses it.
     from scipy.signal import lfilter
 
-    phi = _param(spec.parameters, "phi", 0.9)
-    noise = _param(spec.parameters, "noise_std", 1.0)
-    if noise <= 0:
-        raise ConfigError(f"noise_std must be positive, got {noise!r}")
+    phi = _param(spec, "phi", 0.9)
+    noise = _param(spec, "noise_std", 1.0, above=0)
     eps = noise * gaussian_stream(spec.seed, total)
     # x[k] = phi x[k-1] + eps[k], started at zero; the transient skip
     # washes the start-up out.
@@ -261,10 +238,7 @@ def generate(spec: GeneratorSpec) -> TimeSeries:
     samples = _GENERATORS[spec.kind](spec, total)[spec.transient_skip :]
     if not np.all(np.isfinite(samples)):
         raise GenerationError(f"{spec.kind} produced non-finite samples")
-    fs = _param(spec.parameters, "fs", 1.0)
-    if fs <= 0:
-        raise ConfigError(f"fs must be positive, got {fs!r}")
-    return TimeSeries(samples=samples, sample_rate_hz=fs)
+    return TimeSeries(samples=samples, sample_rate_hz=_param(spec, "fs", 1.0, above=0))
 
 
 def tangent_map_lle(
@@ -281,7 +255,7 @@ def tangent_map_lle(
     is the calibration oracle for trajectory-based estimates: it needs
     the map's equations, which measured data never offers.
     """
-    n_steps = check_int("n_steps", n_steps, 1)
+    n_steps, transient = check_int("n_steps", n_steps, 1), check_int("transient", transient, 0)
     state = np.atleast_1d(np.asarray(state0, dtype=np.float64))
     tangent = np.zeros(state.size)
     tangent[0] = 1.0
@@ -307,7 +281,7 @@ def henon_lle_oracle(n_steps: int, a: float = 1.4, b: float = 0.3, transient: in
     Scalar tangent recursion with per-step renormalisation; requires at
     least 10000 steps so the average has settled.
     """
-    n_steps = check_int("n_steps", n_steps, 10_000)
+    n_steps, transient = check_int("n_steps", n_steps, 10_000), check_int("transient", transient, 0)
     x, y = 0.0, 0.0
     v0, v1 = 1.0, 0.0
     total = 0.0
@@ -330,7 +304,7 @@ def logistic_lle_oracle(n_steps: int, r: float = 4.0, x0: float = 0.3, transient
 
     At r = 4 the analytic value is ln 2.
     """
-    n_steps = check_int("n_steps", n_steps, 1)
+    n_steps, transient = check_int("n_steps", n_steps, 1), check_int("transient", transient, 0)
     x = x0
     total = 0.0
     for k in range(transient + n_steps):

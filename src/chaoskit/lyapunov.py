@@ -29,9 +29,12 @@ numpy's row-sum order: numpy's call overhead would exceed the arithmetic.
 One-dimensional points skip the tree: there the ball is a tenth of the
 extent by default and holds a large share of the points, and one
 vectorised ``|x - x_i|`` scan per step gives the exact ball, already in
-index order, for less than the tree takes to list it. The tests use the
-same arithmetic as a full scan, so the walk is the one a full scan
-would take, to the bit.
+index order, for less than the tree takes to list it. Every distance and
+every dot product of the cone test is a numpy row sum, whose value for a
+row does not depend on the other rows of the array (a BLAS
+matrix-vector product's may). Over a ball's candidates each therefore
+equals a full scan's to the bit, and the walk is the one a full scan
+would take.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .correlation import _row_sum
-from .errors import ConfigError, DegenerateSeriesError, EstimationError, ShortSeriesError, check_int
+from .errors import ConfigError, DegenerateSeriesError, EstimationError, ShortSeriesError, check_float, check_int
 from .series import DelayVectors
 
 __all__ = ["WolfParams", "LyapunovResult", "largest_lyapunov_wolf"]
@@ -55,10 +58,6 @@ _LOW_CONFIDENCE_RENORMS = 10
 # The tree's own distance arithmetic may round differently from the
 # exact test, so its ball is this much wider and the exact test decides.
 _BALL_PAD = 1e-9
-# Two summation orders of an m-term dot product differ by at most about
-# 2 m 2^-53 of |a| |b|, so a cosine this far from the cone's edge cannot
-# fall on the other side of it whichever order computed it.
-_CONE_EDGE = 1e-9
 # Fiducial points i, i + E, i + 2E, ... whose neighbours one tree query
 # fetches. With K candidates per ball in m dimensions a fetch holds about
 # 512 K (m + 3) numbers: 4 MB at K = 100 and m = 8.
@@ -87,8 +86,8 @@ class WolfParams:
         object.__setattr__(self, "evolve_steps", check_int("evolve_steps", self.evolve_steps, 1))
         for name in ("min_separation", "max_separation"):
             v = getattr(self, name)
-            if v is not None and not (np.isfinite(v) and v > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
+            if v is not None:
+                object.__setattr__(self, name, check_float(name, v, above=0))
         if (
             self.min_separation is not None
             and self.max_separation is not None
@@ -96,10 +95,8 @@ class WolfParams:
         ):
             raise ConfigError("min_separation must be smaller than max_separation")
         object.__setattr__(self, "theiler_w", check_int("theiler_w", self.theiler_w, 0))
-        if not 0 < self.max_replacement_angle < math.pi:
-            raise ConfigError(
-                f"max_replacement_angle must be in (0, pi), got {self.max_replacement_angle!r}"
-            )
+        angle = check_float("max_replacement_angle", self.max_replacement_angle, above=0, below=math.pi)
+        object.__setattr__(self, "max_replacement_angle", angle)
 
 
 @dataclass(frozen=True)
@@ -170,6 +167,12 @@ def _separation(p: list[float], q: list[float]) -> float:
     return math.sqrt(_row_sum(iter([(a - b) * (a - b) for a, b in zip(p, q)]), len(p)))
 
 
+def _dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each row's dot product with ``v``, as numpy's row sum of the
+    products: a row's value does not depend on the other rows."""
+    return (rows * v).sum(axis=1)
+
+
 def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams | None = None) -> LyapunovResult:
     """Estimate the largest Lyapunov exponent of an embedded trajectory.
 
@@ -201,8 +204,7 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     cos_cone = math.cos(params.max_replacement_angle)
     w = params.theiler_w
     last = n - 1
-    one_dim = pts.shape[1] == 1
-    if one_dim:
+    if pts.shape[1] == 1:
         flat = pts[:, 0]
 
         def admissible(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,7 +216,7 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
             ok[max(i - w, 0) : i + w + 1] = False
             ok[last] = False  # the final point has no future to evolve into
             cand = np.flatnonzero(ok)
-            return cand, span[cand], offset[cand]
+            return cand, span[cand], offset[cand, None]
 
     else:
         tree = cKDTree(pts)
@@ -247,19 +249,7 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
         if cand.size == 0:
             return None
         if separation is not None and sep_norm > 0.0:
-            if one_dim:
-                # A one-term product has no summation order to differ in.
-                cos = (diff * separation[0]) / (d * sep_norm)
-            else:
-                # A matrix-vector product's row sums depend on which rows
-                # it holds, so over the candidates alone a cosine may
-                # differ in the last bits from a full scan's. Only one at
-                # the cone's edge could flip the test; then the full
-                # product decides.
-                cos = (diff @ separation) / (d * sep_norm)
-                if np.abs(cos - cos_cone).min() <= _CONE_EDGE:
-                    cos = ((pts - pts[i]) @ separation)[cand] / (d * sep_norm)
-            cone = cos >= cos_cone
+            cone = _dots(diff, separation) / (d * sep_norm) >= cos_cone
             if cone.any():
                 cand, d = cand[cone], d[cone]
         return int(cand[d.argmin()])

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_int
+from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_float, check_int
 
 __all__ = [
     "TimeSeries",
@@ -69,10 +69,7 @@ class TimeSeries:
         arr = _as_samples(self.samples)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        rate = float(self.sample_rate_hz)
-        if not (np.isfinite(rate) and rate > 0):
-            raise ConfigError(f"sample_rate_hz must be positive and finite, got {rate!r}")
-        object.__setattr__(self, "sample_rate_hz", rate)
+        object.__setattr__(self, "sample_rate_hz", check_float("sample_rate_hz", self.sample_rate_hz, above=0))
 
     def __len__(self) -> int:
         return int(self.samples.size)

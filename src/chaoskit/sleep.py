@@ -26,7 +26,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
@@ -226,15 +226,13 @@ class EstimatorConfig:
             ("n_radii", MIN_RADII),
         ):
             object.__setattr__(self, name, check_int(name, getattr(self, name), floor))
-        object.__setattr__(self, "m_max", check_scan_settings(self.m_max, self.plateau_tol, self.e2_tol))
-        check_min_fit_r2(self.min_fit_r2)
+        scan = check_scan_settings(self.m_max, self.plateau_tol, self.e2_tol)
+        for name, value in zip(("m_max", "plateau_tol", "e2_tol"), scan):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "min_fit_r2", check_min_fit_r2(self.min_fit_r2))
         wolf = self.wolf_params(0)  # WolfParams checks the walk's own fields
-        object.__setattr__(self, "evolve_steps", wolf.evolve_steps)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # As for the flags: a knob without an integer default is a float, or None.
-            if not isinstance(f.default, int) and value is not None:
-                object.__setattr__(self, f.name, float(value))
+        for name in ("evolve_steps", "min_separation", "max_separation", "max_replacement_angle"):
+            object.__setattr__(self, name, getattr(wolf, name))
 
     def as_dict(self) -> dict:
         return asdict(self)

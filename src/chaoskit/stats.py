@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_float, check_int
 from .information import bin_indices, equal_width_edges
 from .sleep import INDEX_NAMES, EpochIndices, Group, SleepStage, SCORED_STAGES
 
@@ -61,10 +61,8 @@ class GroupSummary:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_int("n", self.n, 2))
-        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
-            raise ConfigError("mean and std must be finite")
-        if self.std < 0:
-            raise ConfigError(f"std must be >= 0, got {self.std!r}")
+        check_float("mean", self.mean)
+        check_float("std", self.std, at_least=0)
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,7 @@ class ComparisonResult:
     p_value: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ConfigError(f"p_value must be within [0, 1], got {self.p_value!r}")
+        check_float("p_value", self.p_value, at_least=0, at_most=1)
         if not self.degrees_of_freedom > 0:
             raise ConfigError(f"degrees_of_freedom must be positive, got {self.degrees_of_freedom!r}")
 

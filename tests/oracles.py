@@ -76,7 +76,7 @@ def full_scan_wolf(
         if not ok.any():
             return None
         if separation is not None and sep_norm > 0.0:
-            cos = ((pts - pts[i]) @ separation) / (np.where(d > 0, d, np.inf) * sep_norm)
+            cos = ((pts - pts[i]) * separation).sum(axis=1) / (np.where(d > 0, d, np.inf) * sep_norm)
             cone = ok & (cos >= cos_cone)
             pool = cone if cone.any() else ok
         else:

@@ -1,17 +1,22 @@
-"""The one integer-argument rule, `check_int`, and every entry point that
-uses it: a fraction, NaN, an infinity or None is refused with a
-ConfigError naming the argument, and a whole float or numpy integer
-gives exactly what the Python int gives."""
+"""The one integer-argument rule, `check_int`, the one real-argument rule,
+`check_float`, and every entry point that uses them.
+
+An integer argument refuses a fraction, NaN, an infinity or None with a
+ConfigError naming it, and a whole float or numpy integer gives exactly
+what the Python int gives. A real argument refuses NaN, an infinity,
+None, a string or a value past its bounds the same way, and a numpy
+float gives exactly what the Python float gives."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from chaoskit.cao import cao_e, cao_e1, cao_e2, minimum_embedding_dimension
-from chaoskit.correlation import correlation_curve, correlation_sum
-from chaoskit.errors import ConfigError, check_int
+from chaoskit.correlation import correlation_curve, correlation_dimension, correlation_sum
+from chaoskit.errors import ConfigError, check_float, check_int
 from chaoskit.generators import (
     GeneratorSpec,
     gaussian_stream,
@@ -29,12 +34,17 @@ from chaoskit.information import (
     select_lag_first_minimum,
 )
 from chaoskit.lyapunov import WolfParams, largest_lyapunov_wolf
-from chaoskit.series import EmbeddingParams, autocorrelation, theiler_window
+from chaoskit.series import EmbeddingParams, TimeSeries, autocorrelation, theiler_window
 from chaoskit.sleep import EstimatorConfig, analyze_recordings, compute_epoch_indices
 from chaoskit.stats import GroupSummary, empirical_histogram
 
 X = generate(GeneratorSpec("logistic", 400, seed=3, transient_skip=100, parameters={"r": 4.0}))
 PTS = np.column_stack([X.samples[:-1], X.samples[1:]])
+CURVE = correlation_curve(PTS)
+
+
+def logistic_tangent_lle(n_steps, transient):
+    return tangent_map_lle(lambda s: 4.0 * s * (1.0 - s), lambda s: 4.0 - 8.0 * s, 0.3, n_steps, transient=transient)
 
 
 def _canon(value):
@@ -67,13 +77,12 @@ SITES = {
     "uniform_stream offset": ("offset", lambda v: uniform_stream(1, 3, offset=v), 3),
     "uniform_stream seed": ("seed", lambda v: uniform_stream(v, 3), 3),
     "gaussian_stream n": ("n", lambda v: gaussian_stream(1, v), 3),
-    "tangent_map_lle n_steps": (
-        "n_steps",
-        lambda v: tangent_map_lle(lambda s: 4.0 * s * (1.0 - s), lambda s: 4.0 - 8.0 * s, 0.3, v, transient=10),
-        3,
-    ),
+    "tangent_map_lle n_steps": ("n_steps", lambda v: logistic_tangent_lle(v, 10), 3),
+    "tangent_map_lle transient": ("transient", lambda v: logistic_tangent_lle(3, v), 3),
     "henon_lle_oracle n_steps": ("n_steps", lambda v: henon_lle_oracle(v, transient=10), 10_000),
+    "henon_lle_oracle transient": ("transient", lambda v: henon_lle_oracle(10_000, transient=v), 3),
     "logistic_lle_oracle n_steps": ("n_steps", lambda v: logistic_lle_oracle(v), 1000),
+    "logistic_lle_oracle transient": ("transient", lambda v: logistic_lle_oracle(1000, transient=v), 3),
     "marginal_distribution bins": ("bins", lambda v: marginal_distribution(X.samples, v), 3),
     "joint_distribution bins": ("bins", lambda v: joint_distribution(X.samples, X.samples[::-1], v), 3),
     "mutual_information bins": ("bins", lambda v: mutual_information(X.samples, X.samples[::-1], v), 3),
@@ -115,6 +124,92 @@ def test_integer_argument(site):
     expected = _canon(call(whole))
     assert _canon(call(float(whole))) == expected
     assert _canon(call(np.int64(whole))) == expected
+
+
+def test_negative_transient_refused():
+    # Summing from step -5 would average 995 steps over 1000.
+    with pytest.raises(ConfigError, match=r"^transient must be an integer >= 0, got -5$"):
+        logistic_lle_oracle(1000, transient=-5)
+
+
+def _generated(kind, name):
+    return lambda v: generate(GeneratorSpec(kind, 50, seed=1, parameters={name: v}))
+
+
+# (name in the message, call with the argument set to v, a usable value,
+# values past the argument's bounds). An end that is open refuses the
+# bound itself; a usable value on a closed end shows that it is closed.
+FLOAT_SITES = {
+    "WolfParams min_separation": ("min_separation", lambda v: WolfParams(min_separation=v), 0.01, (0.0, -1.0)),
+    "WolfParams max_separation": ("max_separation", lambda v: WolfParams(max_separation=v), 2.0, (0.0,)),
+    "WolfParams max_replacement_angle": (
+        "max_replacement_angle",
+        lambda v: WolfParams(max_replacement_angle=v),
+        0.5,
+        (0.0, math.pi, 4.0),
+    ),
+    "EstimatorConfig plateau_tol": ("plateau_tol", lambda v: EstimatorConfig(plateau_tol=v), 0.05, (0.0,)),
+    "EstimatorConfig e2_tol": ("e2_tol", lambda v: EstimatorConfig(e2_tol=v), 0.1, (-0.1,)),
+    "EstimatorConfig min_fit_r2": ("min_fit_r2", lambda v: EstimatorConfig(min_fit_r2=v), 1.0, (1.5, -0.1)),
+    "EstimatorConfig min_separation": ("min_separation", lambda v: EstimatorConfig(min_separation=v), 0.01, (0.0,)),
+    "EstimatorConfig max_replacement_angle": (
+        "max_replacement_angle",
+        lambda v: EstimatorConfig(max_replacement_angle=v),
+        1.0,
+        (math.pi,),
+    ),
+    "minimum_embedding_dimension plateau_tol": (
+        "plateau_tol",
+        lambda v: minimum_embedding_dimension(X, 1, m_max=4, plateau_tol=v),
+        0.05,
+        (0.0,),
+    ),
+    "minimum_embedding_dimension e2_tol": (
+        "e2_tol",
+        lambda v: minimum_embedding_dimension(X, 1, m_max=4, e2_tol=v),
+        0.1,
+        (0.0,),
+    ),
+    "correlation_dimension min_fit_r2": ("min_fit_r2", lambda v: correlation_dimension(CURVE, v), 0.0, (-0.5,)),
+    "correlation_sum radius": ("radius", lambda v: correlation_sum(PTS, v), 0.1, (0.0, -0.1)),
+    "TimeSeries sample_rate_hz": ("sample_rate_hz", lambda v: TimeSeries(X.samples, v), 100.0, (0.0, -1.0)),
+    "logistic r": ("logistic r", _generated("logistic", "r"), 4.0, (0.0, 4.5)),
+    "logistic x0": ("logistic x0", _generated("logistic", "x0"), 0.3, (0.0, 1.0)),
+    "henon x0": ("henon x0", _generated("henon", "x0"), 0.1, ()),
+    "lorenz dt": ("lorenz dt", _generated("lorenz", "dt"), 0.01, (0.0,)),
+    "lorenz z0": ("lorenz z0", _generated("lorenz", "z0"), 2.0, ()),
+    "sine noise_std": ("sine noise_std", _generated("sine", "noise_std"), 0.0, (-0.1,)),
+    "sine fs": ("sine fs", _generated("sine", "fs"), 10.0, (0.0,)),
+    "ar1 noise_std": ("ar1 noise_std", _generated("ar1", "noise_std"), 1.0, (0.0,)),
+    "white_noise fs": ("white_noise fs", _generated("white_noise", "fs"), 10.0, (0.0, -10.0)),
+}
+# None leaves these to their data-dependent defaults.
+OPTIONAL = {"min_separation", "max_separation"}
+
+
+def test_check_float():
+    assert check_float("x", 3) == 3.0 and type(check_float("x", np.float32(0.5))) is float
+    assert check_float("x", 0, at_least=0) == 0.0 and check_float("x", 1, at_most=1) == 1.0
+    with pytest.raises(ConfigError, match=r"^x must be a finite number > 0 and <= 4, got 0$"):
+        check_float("x", 0, above=0, at_most=4)
+    with pytest.raises(ConfigError, match=r"^x must be a finite number >= 0 and < 1, got 1$"):
+        check_float("x", 1, at_least=0, below=1)
+    for bad in (math.nan, math.inf, -math.inf, None, "0.5", [0.5], np.array(0.5), 1j, 10**400):
+        with pytest.raises(ConfigError, match=r"^x must be a finite number, got "):
+            check_float("x", bad)
+
+
+@pytest.mark.parametrize("site", FLOAT_SITES)
+def test_real_argument(site):
+    name, call, usable, past_bounds = FLOAT_SITES[site]
+    bad_values = (math.nan, math.inf, -math.inf, "abc", *past_bounds)
+    for bad in bad_values if name in OPTIONAL else (*bad_values, None):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be a finite number"):
+            call(bad)
+    expected = _canon(call(usable))
+    assert _canon(call(np.float64(usable))) == expected
+    if usable == int(usable):
+        assert _canon(call(int(usable))) == expected
 
 
 def test_whole_float_config_runs_a_window_like_the_default():

@@ -13,7 +13,7 @@ from chaoskit.errors import (
 )
 from chaoskit import lyapunov
 from chaoskit.generators import henon_lle_oracle
-from chaoskit.lyapunov import LyapunovResult, WolfParams, _separation, largest_lyapunov_wolf
+from chaoskit.lyapunov import LyapunovResult, WolfParams, _dots, _separation, largest_lyapunov_wolf
 from chaoskit.series import EmbeddingParams, TimeSeries, delay_embed
 
 from conftest import off_grid_fetches
@@ -127,13 +127,6 @@ class TestFullScanOracle:
         expected = full_scan_wolf(x, theiler_w=w)
         assert walk_fields(largest_lyapunov_wolf(x, WolfParams(theiler_w=w))) == expected
 
-    def test_cone_edge_fallback_matches_full_scan(self, lorenz_20k, monkeypatch):
-        # With the edge band wider than any cosine range, every cone test
-        # takes the full-product route.
-        monkeypatch.setattr(lyapunov, "_CONE_EDGE", 3.0)
-        pts = self.lorenz_points(lorenz_20k, 3)
-        assert walk_fields(largest_lyapunov_wolf(pts)) == full_scan_wolf(pts)
-
     def test_no_initial_neighbour_where_full_scan_has_none(self, lorenz_20k):
         # Point 0 moved far off the attractor: most points have
         # neighbours, point 0 has none.
@@ -174,7 +167,8 @@ class TestBatchedFetch:
         # The first renormalisation, at fiducial point E inside the first
         # fetch, does not depend on the angle. Set the cone's cosine to
         # that of one of point E's admissible candidates, so that one lies
-        # within _CONE_EDGE of the edge and the full product decides.
+        # on the edge, where a last-bit difference from the full scan's
+        # cosine would flip the test.
         pts = self.lorenz_points(lorenz_20k, m)
         n = pts.shape[0]
         extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
@@ -190,10 +184,10 @@ class TestBatchedFetch:
         i, j = steps, int(cand[d[cand].argmin()]) + steps
         separation = pts[j] - pts[i]
         cand, d = admissible(i)
-        cos = ((pts - pts[i]) @ separation)[cand] / (d[cand] * float(np.sqrt((separation**2).sum())))
+        cos = ((pts - pts[i]) * separation).sum(axis=1)[cand] / (d[cand] * float(np.sqrt((separation**2).sum())))
         edge = float(np.quantile(cos, quantile, method="lower"))
         angle = math.acos(edge)
-        assert abs(math.cos(angle) - edge) <= lyapunov._CONE_EDGE
+        assert abs(math.cos(angle) - edge) <= 2 * math.ulp(1.0)
         expected = full_scan_wolf(pts, max_replacement_angle=angle)
         assert walk_fields(largest_lyapunov_wolf(pts, WolfParams(max_replacement_angle=angle))) == expected
 
@@ -230,6 +224,32 @@ def test_separation_matches_numpy_row_sum(m):
         with np.errstate(over="ignore"):
             expected = float(np.sqrt(((p - q) ** 2).sum()))
         assert _separation(p.tolist(), q.tolist()).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("m", [*range(1, 17), 131])
+def test_cone_dots_do_not_depend_on_the_other_rows(m):
+    # The walk takes the cone's dot products over a ball's candidates
+    # alone, a full scan over every point: each row must come out the
+    # same either way. Subnormal entries, and large ones whose products
+    # overflow, in some rows and in the separation.
+    rng = np.random.default_rng(m)
+    rows = rng.standard_normal((257, m)) * rng.uniform(0.01, 100.0, size=(257, m))
+    v = rng.standard_normal(m)
+    rows[rng.random((257, m)) < 0.1] *= 1e-310
+    v[rng.random(m) < 0.1] *= 1e-310
+    rows[rng.random((257, m)) < 0.05] *= 1e154
+    v[rng.random(m) < 0.1] *= 1e154
+    index = np.arange(257)
+    subsets = [
+        index,
+        *index[:, None],
+        *(np.sort(rng.choice(257, size=k, replace=False)) for k in rng.integers(2, 257, size=100)),
+        *(slice(lo, lo + k) for lo, k in rng.integers(0, 200, size=(20, 2))),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = _dots(rows, v)
+        for sub in subsets:
+            assert _dots(rows[sub], v).tobytes() == full[sub].tobytes()
 
 
 class TestValidation:

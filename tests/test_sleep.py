@@ -159,14 +159,15 @@ class TestEstimatorConfig:
     @pytest.mark.parametrize(
         "name, usable, unusable",
         [
-            ("plateau_tol", (1e-300, math.inf), (0.0, -0.05, math.nan)),
-            ("e2_tol", (1e-300, math.inf), (0.0, -0.1, math.nan)),
-            ("min_fit_r2", (0.0, 1.0), (-1e-12, 1.0 + 1e-12, math.nan)),
+            ("plateau_tol", (1e-300, 1e300), (0.0, -0.05, math.nan, math.inf, None, "0.05")),
+            ("e2_tol", (1e-300, 1e300), (0.0, -0.1, math.nan, math.inf, None, "x")),
+            ("min_fit_r2", (0.0, 1.0), (-1e-12, 1.0 + 1e-12, math.nan, None)),
         ],
     )
     def test_estimator_ranges(self, name, usable, unusable):
-        # A tolerance at or below zero, a linearity bar outside [0, 1],
-        # or NaN for either, would fail or skew every window alike.
+        # A tolerance at or below zero or infinite, a linearity bar
+        # outside [0, 1], NaN or a non-number for either, would fail or
+        # skew every window alike.
         for value in usable:
             EstimatorConfig(**{name: value})
         for value in unusable:

@@ -1,6 +1,7 @@
 """The repository's scripts against the package: the names the benchmark
 tracer rebinds still exist and are called, every demo runs to the end,
-and the package keeps a single integer-argument check."""
+and the package keeps a single integer-argument check and a single
+real-argument check."""
 
 import importlib
 import importlib.util
@@ -77,5 +78,25 @@ def test_one_integer_rule():
         if path.name != "errors.py"
         for line in path.read_text(encoding="utf-8").splitlines()
         if re.search(r"int\((\w+(?:\.\w+)*)\) != \1\b", line)
+    ]
+    assert copies == []
+
+
+def test_one_float_rule():
+    # Real-valued arguments are checked by errors.check_float alone: no
+    # hand-made "finite and bounded" test, and no range test of a value
+    # against literal ends, which NaN or a string would slip past or crash.
+    number = r"-?\d+(?:\.\d+)?"
+    idioms = (
+        r"isfinite\((\w+(?:\.\w+)*)\) and \1\b",
+        rf"\bnot \(?{number} <=? \w+(?:\.\w+)* <=? (?:{number}|math\.pi)\b",
+        rf"\bnot \({number} <=? \w+(?:\.\w+)*\)",
+    )
+    copies = [
+        f"{path.name}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "chaoskit").glob("*.py"))
+        if path.name != "errors.py"
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if any(re.search(idiom, line) for idiom in idioms)
     ]
     assert copies == []
