@@ -282,6 +282,7 @@ def henon_lle_oracle(n_steps: int, a: float = 1.4, b: float = 0.3, transient: in
     least 10000 steps so the average has settled.
     """
     n_steps, transient = check_int("n_steps", n_steps, 10_000), check_int("transient", transient, 0)
+    a, b = check_float("a", a), check_float("b", b)
     x, y = 0.0, 0.0
     v0, v1 = 1.0, 0.0
     total = 0.0
@@ -305,7 +306,7 @@ def logistic_lle_oracle(n_steps: int, r: float = 4.0, x0: float = 0.3, transient
     At r = 4 the analytic value is ln 2.
     """
     n_steps, transient = check_int("n_steps", n_steps, 1), check_int("transient", transient, 0)
-    x = x0
+    r, x = check_float("r", r), check_float("x0", x0)
     total = 0.0
     for k in range(transient + n_steps):
         if k >= transient:

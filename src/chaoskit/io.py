@@ -12,11 +12,20 @@ Hypnograms are ``epoch_index,stage_token`` rows with tokens
 W R 1 2 3 4 ? counted from epoch 0; unrecognised tokens parse as
 Unknown rather than failing the file.
 
+Epoch files are NDJSON: one JSON object per line, one line per window.
+A line is what the file's own line ends (LF, CR LF or CR) delimit; no
+other character, such as U+2028 or a form feed, splits a record. The
+writer escapes every non-ASCII character, so it never emits one that
+another reader might take for a line break.
+
 All numeric output is serialised with 17 significant digits so a
 written value reparses to the identical float. Writers go through a
 temp-file-and-rename so a crash never leaves a half-written table, and
 every report carries the configuration fingerprint of the run that
-produced it.
+produced it. Large files are streamed: the signal and NDJSON writers
+write one sample or record per line as they go, the NDJSON reader
+parses the open file line by line, and a signal read keeps only the
+selected channel's samples, so no file is held twice in memory.
 """
 
 from __future__ import annotations
@@ -24,15 +33,17 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .errors import InputError
 from .series import TimeSeries
 from .sleep import (
+    INDEX_NAMES,
     EpochIndices,
     Group,
     Recording,
@@ -74,15 +85,17 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see
-    a partial file."""
+@contextmanager
+def _atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """A text handle on a sibling temp file that replaces ``path`` when
+    the block ends; if the block raises, the temp file is removed and
+    ``path`` is left as it was, so readers never see a partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -90,6 +103,13 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write via a sibling temp file and rename, so readers never see
+    a partial file."""
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def read_signal_csv(path: str | Path, channel: str | None = None) -> tuple[TimeSeries, dict]:
@@ -179,8 +199,9 @@ def read_signal_csv(path: str | Path, channel: str | None = None) -> tuple[TimeS
         if "number of columns changed" in str(exc):
             raise InputError(f"signal file {path} has rows of varying width") from exc
         raise InputError(f"signal file {path} has a non-numeric sample: {exc}") from exc
-    # A copy of its own, so a multi-channel read keeps no other channel alive.
-    samples = table[:, col].copy()
+    # A strided column of a multi-channel table is copied, so no other
+    # channel stays alive; a one-column table is already the samples.
+    samples = np.ascontiguousarray(table[:, col])
 
     if "fs" not in metadata:
         raise InputError(f"signal file {path} is missing '# fs=' metadata")
@@ -197,13 +218,13 @@ def read_signal_csv(path: str | Path, channel: str | None = None) -> tuple[TimeS
 
 def write_signal_csv(path: str | Path, series: TimeSeries, metadata: dict | None = None) -> None:
     """Write a single-channel signal file; ``fs`` is always recorded."""
-    lines = [f"# fs={format_float(series.sample_rate_hz)}"]
-    for key, value in (metadata or {}).items():
-        if key == "fs":
-            continue
-        lines.append(f"# {key}={value}")
-    lines.extend(format_float(v) for v in series.samples)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with _atomic_open(path) as handle:
+        handle.write(f"# fs={format_float(series.sample_rate_hz)}\n")
+        for key, value in (metadata or {}).items():
+            if key != "fs":
+                handle.write(f"# {key}={value}\n")
+        for v in series.samples:
+            handle.write(format_float(v) + "\n")
 
 
 def read_hypnogram_csv(path: str | Path) -> tuple[SleepStage, ...]:
@@ -211,7 +232,7 @@ def read_hypnogram_csv(path: str | Path) -> tuple[SleepStage, ...]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read hypnogram {path}: {exc}") from exc
     stages: list[SleepStage] = []
     expected = 0
@@ -263,7 +284,7 @@ def read_manifest(path: str | Path) -> list[RecordingSpec]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"manifest {path} is not valid JSON: {exc}") from exc
@@ -325,11 +346,29 @@ def epoch_to_dict(epoch: EpochIndices) -> dict:
 
 
 def epoch_from_dict(record: dict) -> EpochIndices:
-    """Inverse of :func:`epoch_to_dict`; keys it does not know are ignored."""
-    missing = [name for name in _EPOCH_KEYS if name not in record]
-    if missing:
-        raise InputError(f"epoch record is missing fields: {', '.join(missing)}")
-    values = {name: record[name] for name in _EPOCH_KEYS}
+    """Inverse of :func:`epoch_to_dict`; keys it does not know are ignored.
+
+    Raises
+    ------
+    InputError
+        When ``record`` is not a dict, lacks a field, names an unknown
+        group or stage, holds an index value (``lle``, ``mi``, ``med``,
+        ``d2``) that is neither a number nor None, or has ``failures``
+        that is not a dict.
+    """
+    if not isinstance(record, dict):
+        raise InputError(f"epoch record is not a JSON object: {record!r}")
+    try:
+        values = {name: record[name] for name in _EPOCH_KEYS}
+    except KeyError:
+        missing = [name for name in _EPOCH_KEYS if name not in record]
+        raise InputError(f"epoch record is missing fields: {', '.join(missing)}") from None
+    for name in INDEX_NAMES:
+        v = values[name]
+        if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
+            raise InputError(f"epoch record field {name!r} must be a number or null, got {v!r}")
+    if not isinstance(values["failures"], dict):
+        raise InputError(f"epoch record field 'failures' must be an object, got {values['failures']!r}")
     if values["group"] is not None:
         values["group"] = parse_group(values["group"])
     try:
@@ -340,26 +379,38 @@ def epoch_from_dict(record: dict) -> EpochIndices:
 
 
 def write_epochs_ndjson(path: str | Path, epochs: Iterable[EpochIndices]) -> None:
-    """One JSON object per line, one line per window."""
-    lines = [json.dumps(epoch_to_dict(e), ensure_ascii=True) for e in epochs]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    """One JSON object per line, one line per window, each written as
+    it is made."""
+    with _atomic_open(path) as handle:
+        for e in epochs:
+            handle.write(json.dumps(epoch_to_dict(e), ensure_ascii=True) + "\n")
 
 
 def read_epochs_ndjson(path: str | Path) -> list[EpochIndices]:
+    """Every record of an epoch file, parsed line by line from the open
+    file; blank lines are skipped.
+
+    Raises
+    ------
+    InputError
+        When the file cannot be read or decoded as UTF-8, or a line is
+        not a valid record; the message names ``file:line``.
+    """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read epoch file {path}: {exc}") from exc
     epochs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"epoch file {path}:{lineno} is not valid JSON: {exc}") from exc
-        epochs.append(epoch_from_dict(record))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    epochs.append(epoch_from_dict(json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"epoch file {path}:{lineno} is not valid JSON: {exc}") from exc
+                except InputError as exc:
+                    raise InputError(f"epoch file {path}:{lineno}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read epoch file {path}: {exc}") from exc
     return epochs
 
 

@@ -122,10 +122,11 @@ _GROUPS_BY_SPELLING = {group.value.lower(): group for group in Group}
 
 
 def parse_group(text: str) -> Group:
-    """Group from its manifest spelling; never inferred from anything else."""
+    """Group from its manifest spelling; never inferred from anything else.
+    Anything but a known spelling, a non-string included, raises InputError."""
     try:
         return _GROUPS_BY_SPELLING[text.strip().lower()]
-    except KeyError:
+    except (KeyError, AttributeError):
         raise InputError(f"unknown group {text!r}; expected 'Healthy' or 'Apnea'") from None
 
 

@@ -168,13 +168,21 @@ class EpochCells:
 
 
 def group_by_cell(epochs: Iterable[EpochIndices]) -> EpochCells:
-    """Group every index value by (index, stage, group) in one pass."""
-    cells: dict[tuple, list[float]] = {}
+    """Group every index value by (index, stage, group), reading the
+    epochs once.
+
+    Each epoch is keyed by (stage, group) once, not once per index:
+    hashing an Enum runs in Python.
+    """
+    by_stage_group: dict[tuple, list[EpochIndices]] = {}
     for e in epochs:
+        by_stage_group.setdefault((e.stage, e.group), []).append(e)
+    cells: dict[tuple, list[float]] = {}
+    for (stage, group), members in by_stage_group.items():
         for index_name in INDEX_NAMES:
-            v = getattr(e, index_name)
-            if v is not None:
-                cells.setdefault((index_name, e.stage, e.group), []).append(float(v))
+            values = [float(v) for e in members if (v := getattr(e, index_name)) is not None]
+            if values:
+                cells[(index_name, stage, group)] = values
     return EpochCells(cells)
 
 

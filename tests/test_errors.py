@@ -182,6 +182,10 @@ FLOAT_SITES = {
     "sine fs": ("sine fs", _generated("sine", "fs"), 10.0, (0.0,)),
     "ar1 noise_std": ("ar1 noise_std", _generated("ar1", "noise_std"), 1.0, (0.0,)),
     "white_noise fs": ("white_noise fs", _generated("white_noise", "fs"), 10.0, (0.0, -10.0)),
+    "logistic_lle_oracle r": ("r", lambda v: logistic_lle_oracle(1000, r=v), 4.0, ()),
+    "logistic_lle_oracle x0": ("x0", lambda v: logistic_lle_oracle(1000, x0=v), 0.3, ()),
+    "henon_lle_oracle a": ("a", lambda v: henon_lle_oracle(10_000, a=v, transient=10), 1.4, ()),
+    "henon_lle_oracle b": ("b", lambda v: henon_lle_oracle(10_000, b=v, transient=10), 0.3, ()),
 }
 # None leaves these to their data-dependent defaults.
 OPTIONAL = {"min_separation", "max_separation"}

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoskit.cli import main as cli_main
 from chaoskit.errors import InputError
 from chaoskit.io import (
     REPORTED_P_FLOOR,
@@ -89,6 +91,68 @@ class TestAtomicWrite:
     def test_leaves_no_temp_files(self, tmp_path):
         atomic_write_text(tmp_path / "out.txt", "x\n")
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_writer_failing_halfway_leaves_no_file(self, tmp_path):
+        def epochs():
+            yield make_epoch()
+            raise RuntimeError("window failed")
+
+        target = tmp_path / "epochs.ndjson"
+        with pytest.raises(RuntimeError, match="window failed"):
+            write_epochs_ndjson(target, epochs())
+        assert os.listdir(tmp_path) == []
+        write_epochs_ndjson(target, [make_epoch(epoch_index=9)])
+        before = target.read_bytes()
+        with pytest.raises(RuntimeError, match="window failed"):
+            write_epochs_ndjson(target, epochs())
+        assert os.listdir(tmp_path) == ["epochs.ndjson"]
+        assert target.read_bytes() == before
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes traced while ``call`` runs, above what was held before."""
+    call()  # first-call caches and lazy imports are not the file's cost
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    """Large files are written and read without a second copy of the file
+    in memory: the writers allocate a constant beyond their inputs, and a
+    one-column read holds about one samples array."""
+
+    SMALL_CONSTANT = 256 * 1024
+
+    def test_ndjson_write_allocates_a_constant(self, tmp_path):
+        epochs = [make_epoch(epoch_index=k) for k in range(5000)]
+        path = tmp_path / "epochs.ndjson"
+        peak = _traced_peak(lambda: write_epochs_ndjson(path, epochs))
+        assert path.stat().st_size > 6 * self.SMALL_CONSTANT
+        assert peak < self.SMALL_CONSTANT
+
+    def test_signal_write_allocates_a_constant(self, tmp_path):
+        series = TimeSeries(np.random.default_rng(3).standard_normal(100_000), 100.0)
+        path = tmp_path / "sig.csv"
+        peak = _traced_peak(lambda: write_signal_csv(path, series, {"channel": "C3"}))
+        assert path.stat().st_size > 6 * self.SMALL_CONSTANT
+        assert peak < self.SMALL_CONSTANT
+
+    def test_one_column_read_holds_one_samples_array(self, tmp_path):
+        x = np.random.default_rng(4).standard_normal(200_000)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(path, TimeSeries(x, 100.0))
+        peak = _traced_peak(lambda: read_signal_csv(path))
+        # Two copies of the samples would be 2.0 x nbytes.
+        assert peak < 1.5 * x.nbytes
+        series, _ = read_signal_csv(path)
+        np.testing.assert_array_equal(series.samples, x)
+        assert series.samples.flags.c_contiguous
 
 
 class TestSignalCsv:
@@ -360,6 +424,12 @@ class TestHypnogramCsv:
         with pytest.raises(InputError, match="no epochs"):
             read_hypnogram_csv(path)
 
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "stages.csv"
+        path.write_bytes(b"0,W\n1,\xff\n")
+        with pytest.raises(InputError, match="cannot read hypnogram"):
+            read_hypnogram_csv(path)
+
 
 class TestManifest:
     def test_loads_fixture_study(self, tmp_path):
@@ -392,6 +462,15 @@ class TestManifest:
         path.write_text("[{broken")
         with pytest.raises(InputError, match="not valid JSON"):
             read_manifest(path)
+
+    def test_undecodable_manifest_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(b'[{"subject_id": "\xff"}]')
+        with pytest.raises(InputError, match="cannot read manifest"):
+            read_manifest(path)
+        assert cli_main(["analyze", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_group_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -505,6 +584,60 @@ class TestEpochsNdjson:
         write_epochs_ndjson(path, [make_epoch()])
         path.write_text(path.read_text() + "\n\n")
         assert len(read_epochs_ndjson(path)) == 1
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("5", "not a JSON object"),
+            ('"x"', "not a JSON object"),
+            ("[1]", "not a JSON object"),
+            ({"group": 7}, "unknown group 7"),
+            ({"lle": "abc"}, "'lle' must be a number or null, got 'abc'"),
+            ({"lle": True}, "'lle' must be a number or null, got True"),
+            ({"d2": [1.0]}, "'d2' must be a number or null"),
+            ({"failures": "none"}, "'failures' must be an object"),
+            ("drop d2", "missing fields: d2"),
+        ],
+        ids=["number", "string", "array", "group-7", "lle-abc", "lle-true", "d2-array", "failures-string",
+             "missing-d2"],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, capsys, bad, message):
+        record = epoch_to_dict(make_epoch())
+        if isinstance(bad, dict):
+            line = json.dumps({**record, **bad})
+        elif bad == "drop d2":
+            record.pop("d2")
+            line = json.dumps(record)
+        else:
+            line = bad
+        path = tmp_path / "epochs.ndjson"
+        path.write_text(json.dumps(epoch_to_dict(make_epoch())) + "\n\n" + line + "\n")
+        with pytest.raises(InputError) as info:
+            read_epochs_ndjson(path)
+        assert str(info.value).startswith(f"epoch file {path}:3: ")
+        assert message in str(info.value)
+        assert cli_main(["report", "--epochs", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
+
+    def test_undecodable_byte_after_the_first_block_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "epochs.ndjson"
+        write_epochs_ndjson(path, [make_epoch(epoch_index=k) for k in range(100)])
+        # Past the reader's first decoded block, so the error comes mid-iteration.
+        assert path.stat().st_size > 32 * 1024
+        path.write_bytes(path.read_bytes() + b'{"subject_id": "\xff"}\n')
+        with pytest.raises(InputError, match="cannot read epoch file"):
+            read_epochs_ndjson(path)
+        assert cli_main(["report", "--epochs", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
+
+    def test_only_line_ends_split_records(self, tmp_path):
+        # Raw U+2028, U+2029 and U+0085 inside a string stay in their
+        # record; \r\n and \r end lines as \n does.
+        odd = make_epoch(subject_id="s\u2028\u2029\x85")
+        lines = [json.dumps(epoch_to_dict(e), ensure_ascii=False) for e in (odd, make_epoch())]
+        path = tmp_path / "epochs.ndjson"
+        path.write_bytes((lines[0] + "\r\n" + lines[1] + "\r").encode("utf-8"))
+        assert read_epochs_ndjson(path) == [odd, make_epoch()]
 
 
 class TestReportTables:
