@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ChaosKitError, ConfigError, InputError
+from .errors import ChaosKitError, ConfigError, InputError, check_int
 from .generators import GeneratorSpec, generate, generator_kinds
 from .io import (
     format_float,
@@ -143,8 +143,8 @@ def _write_reports(out_dir: Path, epochs, fingerprint: str, hist_bins: int) -> d
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _checked(args, "jobs", 1)
-    _checked(args, "hist_bins", MIN_HIST_BINS)
+    check_int("--jobs", args.jobs, 1)
+    check_int("--hist-bins", args.hist_bins, MIN_HIST_BINS)
     recordings = load_recordings(args.manifest)  # InputError -> exit 3, nothing written
     epochs = analyze_recordings(recordings, config, jobs=args.jobs)
     out_dir = Path(args.out)
@@ -173,25 +173,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _checked(args: argparse.Namespace, name: str, minimum: int) -> int | None:
-    """The ``--<name>`` value, checked against ``minimum``; None, which
-    leaves an estimate flag to the plan, passes."""
-    value = getattr(args, name)
-    if value is not None and value < minimum:
-        raise ConfigError(f"--{name.replace('_', '-')} must be >= {minimum}, got {value}")
-    return value
-
-
 def _cmd_estimate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     series, metadata = read_signal_csv(args.input, channel=args.channel)
-    plan = WindowPlan(
-        series,
-        config,
-        lag=_checked(args, "lag", 1),
-        theiler=_checked(args, "theiler", 0),
-        m=_checked(args, "m", 1),
-    )
+    # A flag left out (None) leaves its step to the plan.
+    fixed = {
+        name: None if getattr(args, name) is None else check_int(f"--{name}", getattr(args, name), lo)
+        for name, lo in (("lag", 1), ("theiler", 0), ("m", 1))
+    }
+    plan = WindowPlan(series, config, **fixed)
     params: dict = {"input": str(args.input), "n_samples": len(series), "fs": series.sample_rate_hz}
     diagnostics: dict = {}
 
@@ -298,7 +288,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    _checked(args, "hist_bins", MIN_HIST_BINS)
+    check_int("--hist-bins", args.hist_bins, MIN_HIST_BINS)
     epochs = read_epochs_ndjson(args.epochs)
     if not epochs:
         raise InputError(f"epoch file {args.epochs} has no records")

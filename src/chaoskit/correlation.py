@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSeriesError, NoScalingRegionError, check_float, check_int
-from .series import DelayVectors
+from .series import as_points
 
 __all__ = [
     "CorrelationCurve",
@@ -109,19 +109,6 @@ class D2Estimate:
         check_float("fit_r2", self.fit_r2, at_least=0, at_most=1)
 
 
-def _as_points(vectors) -> np.ndarray:
-    if isinstance(vectors, DelayVectors):
-        return vectors.points
-    pts = np.asarray(vectors, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ConfigError(f"need a (n >= 2, m) point array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ConfigError("points must be finite")
-    return pts
-
-
 def _n_admissible_pairs(n: int, w: int) -> int:
     gaps = n - 1 - w
     return gaps * (gaps + 1) // 2 if gaps > 0 else 0
@@ -138,7 +125,7 @@ def _check_theiler(n: int, w) -> int:
 
 def correlation_sum(vectors, radius: float, theiler_w: int = 0) -> float:
     """Fraction of admissible pairs within ``radius`` (inclusive)."""
-    pts = _as_points(vectors)
+    pts = as_points(vectors)
     n = pts.shape[0]
     w = _check_theiler(n, theiler_w)
     radius = check_float("radius", radius, above=0)
@@ -278,7 +265,7 @@ def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> Correla
     block at a time. Identical arithmetic to :func:`correlation_sum`
     radius by radius.
     """
-    pts = _as_points(vectors)
+    pts = as_points(vectors)
     n = pts.shape[0]
     w = _check_theiler(n, theiler_w)
     n_radii = check_int("n_radii", n_radii, MIN_RADII)

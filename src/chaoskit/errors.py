@@ -4,11 +4,14 @@ Everything raised on purpose by this package derives from ChaosKitError,
 so callers that want blanket per-window error handling (the batch runner
 does) can catch one type and keep going. Every argument check raises
 ConfigError; whole-number arguments all pass through :func:`check_int`,
-real-valued ones through :func:`check_float`.
+real-valued ones through :func:`check_float` and arrays through
+:func:`check_array`.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ChaosKitError(Exception):
@@ -95,3 +98,44 @@ def check_float(
         bound = " and ".join(f"{op} {end}" for op, end in ends if end is not None)
         raise ConfigError(f"{name} must be a finite number{' ' + bound if bound else ''}, got {value!r}")
     return x
+
+
+def check_array(
+    name: str,
+    value,
+    *,
+    ndim: int | tuple[int, ...],
+    min_len: int,
+    short: type[ChaosKitError] = ConfigError,
+) -> np.ndarray:
+    """``value`` as a float64 array when it is numeric, has ``ndim``
+    dimensions (or one of them, given a tuple), holds at least
+    ``min_len`` rows, none of them empty, and is finite everywhere.
+
+    A float64 array comes back as itself, not a copy, so a view stays a
+    view; other numbers are converted once. A string, ``None``, a ragged
+    sequence, another number of dimensions, rows of no entries, NaN or an
+    infinity raises ConfigError naming ``name``; too few rows raises
+    ``short``.
+    """
+    dims = (ndim,) if isinstance(ndim, int) else ndim
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged sequence
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        got, error = ("a ragged sequence" if arr is None else f"dtype {arr.dtype}"), ConfigError
+    elif arr.ndim not in dims or 0 in arr.shape[1:]:
+        got, error = f"shape {arr.shape}", ConfigError
+    elif arr.shape[0] < min_len:
+        got, error = f"{arr.shape[0]}", short
+    else:
+        arr = arr.astype(np.float64, copy=False)
+        if np.isfinite(arr).all():
+            return arr
+        got, error = "NaN or infinite values", ConfigError
+    rule = f"{name} must be a {' or '.join(f'{d}-d' for d in dims)} array of finite numbers"
+    if min_len > 0:
+        rows = ("value" if dims == (1,) else "row") + ("" if min_len == 1 else "s")
+        rule += f" with at least {min_len} {rows}"
+    raise error(f"{rule}, got {got}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_array, check_int
 from .series import LagResult, TimeSeries
 
 __all__ = [
@@ -126,18 +126,9 @@ def _cells(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
     return np.minimum(np.maximum(idx, 0), bins - 1)
 
 
-def _as_finite_1d(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ConfigError(f"{name} must be a non-empty one-dimensional sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} must contain only finite values")
-    return arr
-
-
 def marginal_distribution(values, bins: int) -> DiscreteDistribution:
     """Equal-width histogram of a sequence as a probability distribution."""
-    arr = _as_finite_1d(values, "values")
+    arr = check_array("values", values, ndim=1, min_len=1)
     bins = check_int("bins", bins, 1)
     edges = equal_width_edges(arr, bins)
     counts = np.bincount(bin_indices(arr, edges), minlength=bins)
@@ -146,8 +137,8 @@ def marginal_distribution(values, bins: int) -> DiscreteDistribution:
 
 def joint_distribution(x, y, bins: int) -> JointDistribution:
     """Joint equal-width histogram of two equally long sequences."""
-    xa = _as_finite_1d(x, "x")
-    ya = _as_finite_1d(y, "y")
+    xa = check_array("x", x, ndim=1, min_len=1)
+    ya = check_array("y", y, ndim=1, min_len=1)
     if xa.size != ya.size:
         raise ConfigError(f"x and y must have equal length, got {xa.size} and {ya.size}")
     bins = check_int("bins", bins, MIN_MI_BINS)
@@ -245,9 +236,7 @@ def first_local_minimum(values) -> LagResult:
     If no interior position qualifies, the last index is returned with
     the saturated flag set.
     """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 3:
-        raise ConfigError("need a one-dimensional sequence of at least 3 values")
+    v = check_array("values", values, ndim=1, min_len=3)
     for lag in range(1, v.size - 1):
         if v[lag] < v[lag - 1] and v[lag] <= v[lag + 1]:
             return LagResult(lag, False)

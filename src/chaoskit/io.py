@@ -31,6 +31,7 @@ selected channel's samples, so no file is held twice in memory.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -43,7 +44,6 @@ import numpy as np
 from .errors import InputError
 from .series import TimeSeries
 from .sleep import (
-    INDEX_NAMES,
     EpochIndices,
     Group,
     Recording,
@@ -334,6 +334,10 @@ def load_recordings(manifest_path: str | Path) -> list[Recording]:
 
 # Record keys, in the field order of EpochIndices.
 _EPOCH_KEYS = tuple(f.name for f in fields(EpochIndices))
+# The fields that hold a string, an integer or null, and a finite number or null.
+_TEXT_KEYS = ("subject_id", "lle_units", "config_fingerprint")
+_COUNT_KEYS = ("mi_lag", "med", "theiler_w", "embed_m")
+_REAL_KEYS = ("lle", "mi", "d2", "e1_at_selected")
 
 
 def epoch_to_dict(epoch: EpochIndices) -> dict:
@@ -345,16 +349,32 @@ def epoch_to_dict(epoch: EpochIndices) -> dict:
     return record
 
 
+def _field_error(values: dict, name: str, kind: str) -> InputError:
+    return InputError(f"epoch record field {name!r} must be {kind}, got {values[name]!r}")
+
+
+def _is_finite_number(value) -> bool:
+    """A finite JSON number: an int or a float, not a bool."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def epoch_from_dict(record: dict) -> EpochIndices:
     """Inverse of :func:`epoch_to_dict`; keys it does not know are ignored.
 
     Raises
     ------
     InputError
-        When ``record`` is not a dict, lacks a field, names an unknown
-        group or stage, holds an index value (``lle``, ``mi``, ``med``,
-        ``d2``) that is neither a number nor None, or has ``failures``
-        that is not a dict.
+        When ``record`` is not a dict, lacks a field, or holds a field of
+        the wrong kind: ``subject_id``, ``lle_units`` and
+        ``config_fingerprint`` are strings, ``epoch_index`` an integer
+        >= 0, ``sample_rate_hz`` a finite number > 0, ``mi_lag``, ``med``,
+        ``theiler_w`` and ``embed_m`` integers or null, ``deterministic``
+        a bool or null, ``lle``, ``mi``, ``d2`` and ``e1_at_selected``
+        finite numbers or null, ``failures`` an object of strings, and
+        ``group`` and ``stage`` known names.
     """
     if not isinstance(record, dict):
         raise InputError(f"epoch record is not a JSON object: {record!r}")
@@ -363,12 +383,31 @@ def epoch_from_dict(record: dict) -> EpochIndices:
     except KeyError:
         missing = [name for name in _EPOCH_KEYS if name not in record]
         raise InputError(f"epoch record is missing fields: {', '.join(missing)}") from None
-    for name in INDEX_NAMES:
+    # Plain type tests, since they run once per record of a night's file;
+    # a real field tests for a float, the usual case, before any number.
+    for name in _TEXT_KEYS:
+        if type(values[name]) is not str:
+            raise _field_error(values, name, "a string")
+    v = values["epoch_index"]
+    if type(v) is not int or v < 0:
+        raise _field_error(values, "epoch_index", "an integer >= 0")
+    v = values["sample_rate_hz"]
+    if not (_is_finite_number(v) and v > 0):
+        raise _field_error(values, "sample_rate_hz", "a finite number > 0")
+    for name in _COUNT_KEYS:
         v = values[name]
-        if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
-            raise InputError(f"epoch record field {name!r} must be a number or null, got {v!r}")
-    if not isinstance(values["failures"], dict):
-        raise InputError(f"epoch record field 'failures' must be an object, got {values['failures']!r}")
+        if v is not None and type(v) is not int:
+            raise _field_error(values, name, "an integer or null")
+    for name in _REAL_KEYS:
+        v = values[name]
+        if not (v is None or type(v) is float and math.isfinite(v) or _is_finite_number(v)):
+            raise _field_error(values, name, "a finite number or null")
+    v = values["deterministic"]
+    if v is not None and type(v) is not bool:
+        raise _field_error(values, "deterministic", "a bool or null")
+    v = values["failures"]
+    if type(v) is not dict or v and any(type(reason) is not str for reason in v.values()):
+        raise _field_error(values, "failures", "an object of strings")
     if values["group"] is not None:
         values["group"] = parse_group(values["group"])
     try:

@@ -49,7 +49,7 @@ from scipy.spatial import cKDTree
 
 from .correlation import _row_sum
 from .errors import ConfigError, DegenerateSeriesError, EstimationError, ShortSeriesError, check_float, check_int
-from .series import DelayVectors
+from .series import DelayVectors, as_points
 
 __all__ = ["WolfParams", "LyapunovResult", "largest_lyapunov_wolf"]
 
@@ -178,6 +178,9 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
 
     Raises
     ------
+    ConfigError
+        If the points are not a finite numeric array (see
+        :func:`~chaoskit.series.as_points`).
     ShortSeriesError
         With fewer than 100 embedded points.
     EstimationError
@@ -186,9 +189,7 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     """
     if params is None:
         params = WolfParams()
-    pts = vectors.points if isinstance(vectors, DelayVectors) else np.asarray(vectors, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = as_points(vectors)
     n = pts.shape[0]
     if n < _MIN_POINTS:
         raise ShortSeriesError(f"Wolf estimator needs at least {_MIN_POINTS} points, got {n}")
@@ -199,8 +200,6 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     d_max = params.max_separation if params.max_separation is not None else 0.1 * extent
     if not d_min < d_max:
         raise ConfigError(f"resolved separation bounds are empty: [= {d_min!r}, {d_max!r}]")
-    if not np.all(np.isfinite(pts)):
-        raise DegenerateSeriesError("embedded points must be finite")
     cos_cone = math.cos(params.max_replacement_angle)
     w = params.theiler_w
     last = n - 1

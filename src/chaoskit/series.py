@@ -22,13 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_float, check_int
+from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_array, check_float, check_int
 
 __all__ = [
     "TimeSeries",
     "EmbeddingParams",
     "DelayVectors",
     "LagResult",
+    "as_points",
     "delay_embed",
     "autocorrelation",
     "theiler_window",
@@ -36,17 +37,6 @@ __all__ = [
 
 # Smallest cap of the exclusion-window scan, which starts at lag 1.
 MIN_THEILER_SCAN = 1
-
-
-def _as_samples(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ConfigError(f"samples must be one-dimensional, got shape {arr.shape}")
-    if arr.size < 2:
-        raise ShortSeriesError(f"a time series needs at least 2 samples, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise DegenerateSeriesError("samples contain NaN or infinite values")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -66,7 +56,7 @@ class TimeSeries:
     sample_rate_hz: float
 
     def __post_init__(self):
-        arr = _as_samples(self.samples)
+        arr = check_array("samples", self.samples, ndim=1, min_len=2, short=ShortSeriesError)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate_hz", check_float("sample_rate_hz", self.sample_rate_hz, above=0))
@@ -101,26 +91,21 @@ class EmbeddingParams:
 class DelayVectors:
     """Points of a delay embedding, row ``k`` starting at sample ``k``.
 
-    ``points`` has shape ``(n_points, dimension_m)`` and
-    ``origin_index[k]`` is the sample index the row starts at (always
-    ``k`` for vectors built by :func:`delay_embed`).
+    ``points`` is a read-only float64 array of shape
+    ``(n_points, dimension_m)``, finite everywhere, with at least one row.
     """
 
     points: np.ndarray
     params: EmbeddingParams
-    origin_index: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.params.dimension_m:
+        pts = check_array("points", self.points, ndim=2, min_len=1)
+        if pts.shape[1] != self.params.dimension_m:
             raise ConfigError(
                 f"points must have shape (n, {self.params.dimension_m}), got {pts.shape}"
             )
-        origin = np.asarray(self.origin_index, dtype=np.intp)
-        if origin.shape != (pts.shape[0],):
-            raise ConfigError("origin_index must have one entry per point")
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "origin_index", origin)
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
@@ -143,7 +128,20 @@ def delay_embed(series: TimeSeries, params: EmbeddingParams) -> DelayVectors:
             f"embedding with m={m}, t={t} needs at least {(m - 1) * t + 1} samples, got {x.size}"
         )
     idx = np.arange(n_points)[:, None] + np.arange(m)[None, :] * t
-    return DelayVectors(points=x[idx], params=params, origin_index=np.arange(n_points))
+    return DelayVectors(points=x[idx], params=params)
+
+
+def as_points(vectors: DelayVectors | np.ndarray) -> np.ndarray:
+    """The ``(n, m)`` points of delay vectors, or of an array checked by
+    :func:`~chaoskit.errors.check_array`, a 1-d array being one column.
+
+    A ``DelayVectors`` was checked when it was made. The point count is
+    left to the caller, whose estimator knows how many it needs.
+    """
+    if isinstance(vectors, DelayVectors):
+        return vectors.points
+    pts = check_array("points", vectors, ndim=(1, 2), min_len=0)
+    return pts[:, None] if pts.ndim == 1 else pts
 
 
 def autocorrelation(series: TimeSeries, max_lag: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError, check_float, check_int
+from .errors import ConfigError, check_array, check_float, check_int
 from .information import bin_indices, equal_width_edges
 from .sleep import INDEX_NAMES, EpochIndices, Group, SleepStage, SCORED_STAGES
 
@@ -77,8 +77,7 @@ class ComparisonResult:
 
     def __post_init__(self):
         check_float("p_value", self.p_value, at_least=0, at_most=1)
-        if not self.degrees_of_freedom > 0:
-            raise ConfigError(f"degrees_of_freedom must be positive, got {self.degrees_of_freedom!r}")
+        check_float("degrees_of_freedom", self.degrees_of_freedom, above=0)
 
 
 @dataclass(frozen=True)
@@ -104,11 +103,7 @@ class Histogram:
 
 def summarize(values: Sequence[float]) -> tuple[float, float, int]:
     """Sample mean, sample standard deviation (ddof=1), and count."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ConfigError(f"need a one-dimensional sequence of at least 2 values, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError("values must be finite")
+    arr = check_array("values", values, ndim=1, min_len=2)
     return float(arr.mean()), float(arr.std(ddof=1)), int(arr.size)
 
 
@@ -144,10 +139,10 @@ def p_value(t: float, df: float) -> float:
 
     Computed as the lower-tail CDF at ``-t``, which is exact for t = 0
     (p = 0.5) and antisymmetric by construction. Infinite t pins to 0
-    or 1.
+    or 1. ``df`` is finite: Welch-Satterthwaite and its pooled fallback
+    never give an infinite one.
     """
-    if not df > 0:
-        raise ConfigError(f"df must be positive, got {df!r}")
+    df = check_float("df", df, above=0)
     if math.isnan(t):
         raise ConfigError("t must not be NaN")
     if math.isinf(t):
@@ -245,11 +240,7 @@ def compare_groups(
 
 def empirical_histogram(values: Sequence[float], n_bins: int) -> Histogram:
     """Relative-frequency histogram with equal-width cells over [min, max]."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ConfigError("need at least one value")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError("values must be finite")
+    arr = check_array("values", values, ndim=1, min_len=1)
     n_bins = check_int("n_bins", n_bins, MIN_HIST_BINS)
     edges = equal_width_edges(arr, n_bins)
     counts = np.bincount(bin_indices(arr, edges), minlength=n_bins)

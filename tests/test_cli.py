@@ -280,6 +280,7 @@ class TestEstimate:
         proc = run_cli("estimate", "--estimator", "lag",
                        "--input", str(signals["sine"]), "--lag", "0")
         assert proc.returncode == 4
+        assert stderr_error(proc)["message"] == "--lag must be an integer >= 1, got 0"
 
 
 class TestAnalyze:
@@ -335,6 +336,7 @@ class TestAnalyze:
         proc = run_cli("analyze", "--manifest", str(study["manifest"]),
                        "--out", str(study["root"] / "nowhere"), "--jobs", "0")
         assert proc.returncode == 4
+        assert stderr_error(proc)["message"] == "--jobs must be an integer >= 1, got 0"
 
     @pytest.mark.parametrize("command", ["analyze", "report"])
     def test_bad_hist_bins_exits_4_writing_nothing(self, study, tmp_path, command):

@@ -1,11 +1,15 @@
 """The one integer-argument rule, `check_int`, the one real-argument rule,
-`check_float`, and every entry point that uses them.
+`check_float`, the one array-argument rule, `check_array`, and every
+entry point that uses them.
 
 An integer argument refuses a fraction, NaN, an infinity or None with a
 ConfigError naming it, and a whole float or numpy integer gives exactly
 what the Python int gives. A real argument refuses NaN, an infinity,
 None, a string or a value past its bounds the same way, and a numpy
-float gives exactly what the Python float gives."""
+float gives exactly what the Python float gives. An array argument
+refuses NaN, an infinity, strings, a ragged sequence or the wrong number
+of dimensions the same way, and too few rows with the class its
+estimator has always raised for them."""
 
 import dataclasses
 import math
@@ -16,7 +20,7 @@ import pytest
 
 from chaoskit.cao import cao_e, cao_e1, cao_e2, minimum_embedding_dimension
 from chaoskit.correlation import correlation_curve, correlation_dimension, correlation_sum
-from chaoskit.errors import ConfigError, check_float, check_int
+from chaoskit.errors import ConfigError, ShortSeriesError, check_array, check_float, check_int
 from chaoskit.generators import (
     GeneratorSpec,
     gaussian_stream,
@@ -28,15 +32,16 @@ from chaoskit.generators import (
 )
 from chaoskit.information import (
     auto_mutual_information,
+    first_local_minimum,
     joint_distribution,
     marginal_distribution,
     mutual_information,
     select_lag_first_minimum,
 )
 from chaoskit.lyapunov import WolfParams, largest_lyapunov_wolf
-from chaoskit.series import EmbeddingParams, TimeSeries, autocorrelation, theiler_window
+from chaoskit.series import DelayVectors, EmbeddingParams, TimeSeries, autocorrelation, theiler_window
 from chaoskit.sleep import EstimatorConfig, analyze_recordings, compute_epoch_indices
-from chaoskit.stats import GroupSummary, empirical_histogram
+from chaoskit.stats import GroupSummary, empirical_histogram, summarize
 
 X = generate(GeneratorSpec("logistic", 400, seed=3, transient_skip=100, parameters={"r": 4.0}))
 PTS = np.column_stack([X.samples[:-1], X.samples[1:]])
@@ -221,3 +226,68 @@ def test_whole_float_config_runs_a_window_like_the_default():
     got = compute_epoch_indices(window, EstimatorConfig(evolve_steps=3.0, bins=16.0))
     assert got.failures == {}
     assert _canon(got) == _canon(compute_epoch_indices(window, EstimatorConfig()))
+
+
+def test_check_array():
+    a = np.arange(6.0)
+    assert check_array("a", a, ndim=1, min_len=6) is a
+    view = a[::2]
+    assert check_array("a", view, ndim=1, min_len=3) is view
+    got = check_array("a", [[1, 2], [3, 4]], ndim=(1, 2), min_len=2)
+    assert got.dtype == np.float64 and got.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(ConfigError, match=r"^a must be a 1-d array of finite numbers with at least 2 values, got NaN"):
+        check_array("a", [1.0, math.nan], ndim=1, min_len=2)
+    with pytest.raises(ConfigError, match=r"^a must be a 1-d or 2-d array of finite numbers with at least 1 row, got 0$"):
+        check_array("a", np.empty((0, 3)), ndim=(1, 2), min_len=1)
+    with pytest.raises(ConfigError, match=r"^a must be a 2-d array .*, got shape \(5, 0\)$"):
+        check_array("a", np.empty((5, 0)), ndim=2, min_len=1)
+    with pytest.raises(ShortSeriesError, match=r"^a must be a 1-d array .* at least 3 values, got 2$"):
+        check_array("a", [1.0, 2.0], ndim=1, min_len=3, short=ShortSeriesError)
+
+
+# (argument name, call with the argument set to v, a usable value, the
+# fewest rows it takes, and the class that fewer rows raise)
+ARRAY_SITES = {
+    "TimeSeries samples": ("samples", lambda v: TimeSeries(v, 10.0), X.samples, 2, ShortSeriesError),
+    "DelayVectors points": ("points", lambda v: DelayVectors(v, EmbeddingParams(2, 1)), PTS, 1, ConfigError),
+    "marginal_distribution values": ("values", lambda v: marginal_distribution(v, 4), X.samples, 1, ConfigError),
+    "joint_distribution x": ("x", lambda v: joint_distribution(v, X.samples, 4), X.samples, 1, ConfigError),
+    "joint_distribution y": ("y", lambda v: joint_distribution(X.samples, v, 4), X.samples, 1, ConfigError),
+    "first_local_minimum values": ("values", first_local_minimum, X.samples, 3, ConfigError),
+    "summarize values": ("values", summarize, X.samples, 2, ConfigError),
+    "empirical_histogram values": ("values", lambda v: empirical_histogram(v, 4), X.samples, 1, ConfigError),
+    "correlation_sum points": ("points", lambda v: correlation_sum(v, 0.1), PTS, 2, ConfigError),
+    "correlation_curve points": ("points", correlation_curve, PTS, 2, ConfigError),
+    "Wolf walk points": ("points", largest_lyapunov_wolf, PTS, 100, ShortSeriesError),
+}
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_array_argument(site):
+    name, call, usable, min_len, short = ARRAY_SITES[site]
+    nan, inf = usable.copy(), usable.copy()
+    nan.flat[7], inf.flat[7] = math.nan, -math.inf
+    # usable[None] has one dimension too many: a 2-d array for the 1-d
+    # sites, and a 3-d one for the points, which may be 1-d or 2-d.
+    empty_rows = usable.reshape(len(usable), -1)[:, :0]
+    for bad in (nan, inf, usable.astype(str), [[1.0, 2.0], [3.0]], None, 0.5, usable[None], empty_rows):
+        with pytest.raises(ConfigError, match=rf"^{name} must be a "):
+            call(bad)
+    with pytest.raises(short) as info:
+        call(usable[: min_len - 1])
+    assert type(info.value) is short
+    call(usable)
+
+
+def test_delay_vectors_holding_nan_are_refused():
+    # Such vectors once reached correlation_sum, which counted the NaN
+    # point's pairs as never close: C(1.0) came out as 0.2306... here.
+    points = np.random.default_rng(5).standard_normal((200, 2))
+    points[17, 1] = math.nan
+    with pytest.raises(ConfigError, match=r"^points must be a 2-d array of finite numbers"):
+        DelayVectors(points, EmbeddingParams(2, 1))
+    # Points that pass are read-only, so no NaN can be written in later.
+    points[17, 1] = 0.0
+    vectors = DelayVectors(points, EmbeddingParams(2, 1))
+    with pytest.raises(ValueError, match="read-only"):
+        vectors.points[17, 1] = math.nan

@@ -592,14 +592,30 @@ class TestEpochsNdjson:
             ('"x"', "not a JSON object"),
             ("[1]", "not a JSON object"),
             ({"group": 7}, "unknown group 7"),
-            ({"lle": "abc"}, "'lle' must be a number or null, got 'abc'"),
-            ({"lle": True}, "'lle' must be a number or null, got True"),
-            ({"d2": [1.0]}, "'d2' must be a number or null"),
+            ({"lle": "abc"}, "'lle' must be a finite number or null, got 'abc'"),
+            ({"lle": True}, "'lle' must be a finite number or null, got True"),
+            ({"d2": [1.0]}, "'d2' must be a finite number or null"),
             ({"failures": "none"}, "'failures' must be an object"),
             ("drop d2", "missing fields: d2"),
+            ({"lle": math.nan}, "'lle' must be a finite number or null, got nan"),
+            ({"e1_at_selected": -math.inf}, "'e1_at_selected' must be a finite number or null, got -inf"),
+            ({"mi": 10**400}, "'mi' must be a finite number or null"),
+            ({"subject_id": 5}, "'subject_id' must be a string, got 5"),
+            ({"config_fingerprint": None}, "'config_fingerprint' must be a string, got None"),
+            ({"epoch_index": [1]}, "'epoch_index' must be an integer >= 0, got [1]"),
+            ({"epoch_index": -1}, "'epoch_index' must be an integer >= 0, got -1"),
+            ({"sample_rate_hz": "x"}, "'sample_rate_hz' must be a finite number > 0, got 'x'"),
+            ({"sample_rate_hz": 0}, "'sample_rate_hz' must be a finite number > 0, got 0"),
+            ({"mi_lag": "abc"}, "'mi_lag' must be an integer or null, got 'abc'"),
+            ({"med": 2.5}, "'med' must be an integer or null, got 2.5"),
+            ({"embed_m": True}, "'embed_m' must be an integer or null, got True"),
+            ({"deterministic": 1}, "'deterministic' must be a bool or null, got 1"),
+            ({"failures": {"lle": 3}}, "'failures' must be an object of strings"),
         ],
         ids=["number", "string", "array", "group-7", "lle-abc", "lle-true", "d2-array", "failures-string",
-             "missing-d2"],
+             "missing-d2", "lle-nan", "e1-inf", "mi-huge", "subject-number", "fingerprint-null", "index-array",
+             "index-negative", "rate-string", "rate-zero", "lag-string", "med-fraction", "embed-m-true",
+             "deterministic-1", "failure-number"],
     )
     def test_malformed_record_names_file_and_line(self, tmp_path, capsys, bad, message):
         record = epoch_to_dict(make_epoch())

@@ -264,7 +264,7 @@ class TestValidation:
     def test_non_finite_points(self):
         x = np.sin(np.arange(300.0))
         x[7] = np.nan
-        with pytest.raises(DegenerateSeriesError):
+        with pytest.raises(ConfigError, match="^points must be"):
             largest_lyapunov_wolf(x, WolfParams(min_separation=1e-3, max_separation=0.5))
 
     def test_no_admissible_initial_neighbour(self):

@@ -1,7 +1,7 @@
 """The repository's scripts against the package: the names the benchmark
 tracer rebinds still exist and are called, every demo runs to the end,
-and the package keeps a single integer-argument check and a single
-real-argument check."""
+and the package keeps a single integer-argument check, a single
+real-argument check and a single array-argument check."""
 
 import importlib
 import importlib.util
@@ -96,6 +96,22 @@ def test_one_float_rule():
         f"{path.name}: {line.strip()}"
         for path in sorted((ROOT / "src" / "chaoskit").glob("*.py"))
         if path.name != "errors.py"
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if any(re.search(idiom, line) for idiom in idioms)
+    ]
+    assert copies == []
+
+
+def test_one_array_rule():
+    # Array arguments are checked by errors.check_array alone, so every
+    # entry point refuses NaN, strings and ragged input alike. Two modules
+    # test arrays they compute themselves: generators.py its orbits,
+    # cao.py its neighbour distances.
+    idioms = (r"np\.all\(np\.isfinite\(", r"np\.isfinite\([^()]*\)\.all\(\)")
+    copies = [
+        f"{path.name}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "chaoskit").glob("*.py"))
+        if path.name not in ("errors.py", "generators.py", "cao.py")
         for line in path.read_text(encoding="utf-8").splitlines()
         if any(re.search(idiom, line) for idiom in idioms)
     ]
