@@ -116,6 +116,8 @@ def _n_admissible_pairs(n: int, w: int) -> int:
 
 def _check_theiler(n: int, w) -> int:
     w = check_int("theiler_w", w, 0)
+    if n < 2:
+        raise ConfigError(f"a correlation sum needs at least 2 points, got {n}")
     if _n_admissible_pairs(n, w) < 1:
         raise ConfigError(
             f"theiler_w={w} excludes every pair of the {n} points; widen the data or shrink the window"

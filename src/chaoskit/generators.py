@@ -82,17 +82,28 @@ def gaussian_stream(seed: int, n: int) -> np.ndarray:
     return out[:n]
 
 
-def _param(spec: "GeneratorSpec", name: str, default: float, **bounds: float) -> float:
-    """Parameter ``name`` of ``spec``, or ``default``, checked by
-    :func:`check_float` against ``bounds``."""
-    return check_float(f"{spec.kind} {name}", spec.parameters.get(name, default), **bounds)
+class _Parameters:
+    """A spec's seed and parameters as its generator reads them. ``read``
+    holds every name asked for: the names a kind accepts are its reads."""
+
+    def __init__(self, spec: "GeneratorSpec"):
+        self.kind, self.seed, self.values = spec.kind, spec.seed, spec.parameters
+        self.read: set[str] = set()
+
+    def get(self, name: str, default):
+        self.read.add(name)
+        return self.values.get(name, default)
+
+    def real(self, name: str, default: float, **bounds: float) -> float:
+        """Parameter ``name``, or ``default``, checked by :func:`check_float` against ``bounds``."""
+        return check_float(f"{self.kind} {name}", self.get(name, default), **bounds)
 
 
-def _gen_logistic(spec: "GeneratorSpec", total: int) -> np.ndarray:
-    r = _param(spec, "r", 4.0, above=0, at_most=4)
+def _gen_logistic(p: _Parameters, total: int) -> np.ndarray:
+    r = p.real("r", 4.0, above=0, at_most=4)
     # No explicit start: derive one from the seed so different seeds
     # give different orbits of the same map.
-    x = _param(spec, "x0", 0.05 + 0.9 * float(uniform_stream(spec.seed, 1)[0]), above=0, below=1)
+    x = p.real("x0", 0.05 + 0.9 * float(uniform_stream(p.seed, 1)[0]), above=0, below=1)
     out = np.empty(total, dtype=np.float64)
     for k in range(total):
         out[k] = x
@@ -100,14 +111,14 @@ def _gen_logistic(spec: "GeneratorSpec", total: int) -> np.ndarray:
     return out
 
 
-def _gen_henon(spec: "GeneratorSpec", total: int) -> np.ndarray:
-    a = _param(spec, "a", 1.4)
-    b = _param(spec, "b", 0.3)
-    units = uniform_stream(spec.seed, 2)
+def _gen_henon(p: _Parameters, total: int) -> np.ndarray:
+    a = p.real("a", 1.4)
+    b = p.real("b", 0.3)
+    units = uniform_stream(p.seed, 2)
     # Defaulted starts are drawn from the seed inside [-0.25, 0.25],
     # comfortably within the attractor's basin.
-    x = _param(spec, "x0", 0.5 * units[0] - 0.25)
-    y = _param(spec, "y0", 0.5 * units[1] - 0.25)
+    x = p.real("x0", 0.5 * units[0] - 0.25)
+    y = p.real("y0", 0.5 * units[1] - 0.25)
     out = np.empty(total, dtype=np.float64)
     for k in range(total):
         out[k] = x
@@ -117,17 +128,17 @@ def _gen_henon(spec: "GeneratorSpec", total: int) -> np.ndarray:
     return out
 
 
-def _gen_lorenz(spec: "GeneratorSpec", total: int) -> np.ndarray:
-    sigma = _param(spec, "sigma", 10.0)
-    rho = _param(spec, "rho", 28.0)
-    beta = _param(spec, "beta", 8.0 / 3.0)
-    dt = _param(spec, "dt", 0.01, above=0)
-    units = uniform_stream(spec.seed, 3)
+def _gen_lorenz(p: _Parameters, total: int) -> np.ndarray:
+    sigma = p.real("sigma", 10.0)
+    rho = p.real("rho", 28.0)
+    beta = p.real("beta", 8.0 / 3.0)
+    dt = p.real("dt", 0.01, above=0)
+    units = uniform_stream(p.seed, 3)
     # Defaulted starts sit near (1, 1, 1) with a seed-dependent offset;
     # the transient skip settles the orbit onto the attractor.
-    x = _param(spec, "x0", 1.0 + units[0])
-    y = _param(spec, "y0", 1.0 + units[1])
-    z = _param(spec, "z0", 1.0 + units[2])
+    x = p.real("x0", 1.0 + units[0])
+    y = p.real("y0", 1.0 + units[1])
+    z = p.real("z0", 1.0 + units[2])
 
     def deriv(x, y, z):
         return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
@@ -147,36 +158,36 @@ def _gen_lorenz(spec: "GeneratorSpec", total: int) -> np.ndarray:
     return out
 
 
-def _gen_sine(spec: "GeneratorSpec", total: int) -> np.ndarray:
-    freq = _param(spec, "freq_hz", 1.0)
-    amp = _param(spec, "amplitude", 1.0)
-    phase = _param(spec, "phase", 0.0)
-    noise = _param(spec, "noise_std", 0.0, at_least=0)
-    fs = _param(spec, "fs", 1.0, above=0)
+def _gen_sine(p: _Parameters, total: int) -> np.ndarray:
+    freq = p.real("freq_hz", 1.0)
+    amp = p.real("amplitude", 1.0)
+    phase = p.real("phase", 0.0)
+    noise = p.real("noise_std", 0.0, at_least=0)
+    fs = p.real("fs", 1.0, above=0)
     k = np.arange(total, dtype=np.float64)
     out = amp * np.sin(2.0 * math.pi * freq * k / fs + phase)
     if noise > 0:
-        out = out + noise * gaussian_stream(spec.seed, total)
+        out = out + noise * gaussian_stream(p.seed, total)
     return out
 
 
-def _gen_white_noise(spec: "GeneratorSpec", total: int) -> np.ndarray:
-    dist = spec.parameters.get("distribution", "uniform")
+def _gen_white_noise(p: _Parameters, total: int) -> np.ndarray:
+    dist = p.get("distribution", "uniform")
     if dist == "uniform":
-        return uniform_stream(spec.seed, total)
+        return uniform_stream(p.seed, total)
     if dist == "gaussian":
-        return gaussian_stream(spec.seed, total)
+        return gaussian_stream(p.seed, total)
     raise ConfigError(f"unknown white-noise distribution {dist!r}")
 
 
-def _gen_ar1(spec: "GeneratorSpec", total: int) -> np.ndarray:
+def _gen_ar1(p: _Parameters, total: int) -> np.ndarray:
     # Imported here: scipy.signal costs a noticeable share of the
     # package's import time and only this generator uses it.
     from scipy.signal import lfilter
 
-    phi = _param(spec, "phi", 0.9)
-    noise = _param(spec, "noise_std", 1.0, above=0)
-    eps = noise * gaussian_stream(spec.seed, total)
+    phi = p.real("phi", 0.9)
+    noise = p.real("noise_std", 1.0, above=0)
+    eps = noise * gaussian_stream(p.seed, total)
     # x[k] = phi x[k-1] + eps[k], started at zero; the transient skip
     # washes the start-up out.
     out = lfilter([1.0], [1.0, -phi], eps)
@@ -185,7 +196,7 @@ def _gen_ar1(spec: "GeneratorSpec", total: int) -> np.ndarray:
     return np.asarray(out, dtype=np.float64)
 
 
-_GENERATORS: dict[str, Callable[["GeneratorSpec", int], np.ndarray]] = {
+_GENERATORS: dict[str, Callable[[_Parameters, int], np.ndarray]] = {
     "logistic": _gen_logistic,
     "henon": _gen_henon,
     "lorenz": _gen_lorenz,
@@ -205,7 +216,8 @@ class GeneratorSpec:
     """Recipe for one synthetic series.
 
     ``parameters`` holds kind-specific values; every kind accepts
-    ``fs`` (sampling rate of the produced series, default 1.0).
+    ``fs`` (sampling rate of the produced series, default 1.0), and
+    :func:`generate` refuses a name its kind never reads.
     ``transient_skip`` samples are generated and discarded before the
     kept run starts.
     """
@@ -233,12 +245,22 @@ def generate(spec: GeneratorSpec) -> TimeSeries:
     ------
     GenerationError
         If the orbit diverges (non-finite sample).
+    ConfigError
+        If a parameter is out of range, or is one the kind never reads.
     """
+    p = _Parameters(spec)
     total = spec.n_samples + spec.transient_skip
-    samples = _GENERATORS[spec.kind](spec, total)[spec.transient_skip :]
+    samples = _GENERATORS[spec.kind](p, total)[spec.transient_skip :]
+    fs = p.real("fs", 1.0, above=0)
+    unknown = sorted(set(p.values) - p.read)
+    if unknown:
+        raise ConfigError(
+            f"unknown {spec.kind} parameter{'s' * (len(unknown) > 1)} {', '.join(unknown)}; "
+            f"expected one of {', '.join(sorted(p.read))}"
+        )
     if not np.all(np.isfinite(samples)):
         raise GenerationError(f"{spec.kind} produced non-finite samples")
-    return TimeSeries(samples=samples, sample_rate_hz=_param(spec, "fs", 1.0, above=0))
+    return TimeSeries(samples=samples, sample_rate_hz=fs)
 
 
 def tangent_map_lle(

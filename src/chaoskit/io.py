@@ -31,7 +31,7 @@ selected channel's samples, so no file is held twice in memory.
 from __future__ import annotations
 
 import json
-import math
+import operator
 import os
 import tempfile
 from contextlib import contextmanager
@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .series import TimeSeries
 from .sleep import (
     EpochIndices,
@@ -277,9 +277,10 @@ class RecordingSpec:
 def read_manifest(path: str | Path) -> list[RecordingSpec]:
     """Parse a manifest: a JSON array of recording entries.
 
-    Each entry needs ``subject_id``, ``group``, ``signal_path``, and
-    ``hypnogram_path``; ``channel`` is optional. Relative paths are
-    resolved against the manifest's own directory.
+    Each entry needs the strings ``subject_id`` (non-empty and not
+    repeated: it names the entry's windows), ``group``, ``signal_path``
+    and ``hypnogram_path``; a ``channel`` string is optional. Relative
+    paths are resolved against the manifest's own directory.
     """
     path = Path(path)
     try:
@@ -291,22 +292,29 @@ def read_manifest(path: str | Path) -> list[RecordingSpec]:
     if not isinstance(raw, list) or not raw:
         raise InputError(f"manifest {path} must be a non-empty JSON array")
     base = path.parent
-    specs = []
+    specs: dict[str, RecordingSpec] = {}
     for pos, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise InputError(f"manifest {path}: entry {pos} is not an object")
         missing = [k for k in ("subject_id", "group", "signal_path", "hypnogram_path") if k not in entry]
         if missing:
             raise InputError(f"manifest {path}: entry {pos} is missing {', '.join(missing)}")
-        subject_id = str(entry["subject_id"])
-        group = parse_group(str(entry["group"]))
-        signal_path = base / str(entry["signal_path"])
-        hypnogram_path = base / str(entry["hypnogram_path"])
-        channel = entry.get("channel")
-        if channel is not None:
-            channel = str(channel)
-        specs.append(RecordingSpec(subject_id, group, signal_path, hypnogram_path, channel))
-    return specs
+        for key in ("subject_id", "group", "signal_path", "hypnogram_path", "channel"):
+            if key in entry and type(entry[key]) is not str:
+                raise InputError(f"manifest {path}: entry {pos} field {key!r} must be a string, got {entry[key]!r}")
+        subject_id = entry["subject_id"]
+        if not subject_id:
+            raise InputError(f"manifest {path}: entry {pos} has an empty subject_id")
+        if subject_id in specs:
+            raise InputError(f"manifest {path}: entry {pos} repeats subject_id {subject_id!r}")
+        specs[subject_id] = RecordingSpec(
+            subject_id,
+            parse_group(entry["group"]),
+            base / entry["signal_path"],
+            base / entry["hypnogram_path"],
+            entry.get("channel"),
+        )
+    return list(specs.values())
 
 
 def load_recordings(manifest_path: str | Path) -> list[Recording]:
@@ -332,12 +340,11 @@ def load_recordings(manifest_path: str | Path) -> list[Recording]:
     return recordings
 
 
-# Record keys, in the field order of EpochIndices.
+# Record keys, in the field order of EpochIndices, and a getter of their
+# values in that order, which is the order of its positional arguments.
 _EPOCH_KEYS = tuple(f.name for f in fields(EpochIndices))
-# The fields that hold a string, an integer or null, and a finite number or null.
-_TEXT_KEYS = ("subject_id", "lle_units", "config_fingerprint")
-_COUNT_KEYS = ("mi_lag", "med", "theiler_w", "embed_m")
-_REAL_KEYS = ("lle", "mi", "d2", "e1_at_selected")
+_EPOCH_VALUES = operator.itemgetter(*_EPOCH_KEYS)
+_GROUP_AT, _STAGE_AT = _EPOCH_KEYS.index("group"), _EPOCH_KEYS.index("stage")
 
 
 def epoch_to_dict(epoch: EpochIndices) -> dict:
@@ -349,72 +356,34 @@ def epoch_to_dict(epoch: EpochIndices) -> dict:
     return record
 
 
-def _field_error(values: dict, name: str, kind: str) -> InputError:
-    return InputError(f"epoch record field {name!r} must be {kind}, got {values[name]!r}")
-
-
-def _is_finite_number(value) -> bool:
-    """A finite JSON number: an int or a float, not a bool."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
-
-
 def epoch_from_dict(record: dict) -> EpochIndices:
     """Inverse of :func:`epoch_to_dict`; keys it does not know are ignored.
+    The group and stage spellings become enums here; every other rule is
+    the record's own (:class:`~chaoskit.sleep.EpochIndices`).
 
     Raises
     ------
     InputError
-        When ``record`` is not a dict, lacks a field, or holds a field of
-        the wrong kind: ``subject_id``, ``lle_units`` and
-        ``config_fingerprint`` are strings, ``epoch_index`` an integer
-        >= 0, ``sample_rate_hz`` a finite number > 0, ``mi_lag``, ``med``,
-        ``theiler_w`` and ``embed_m`` integers or null, ``deterministic``
-        a bool or null, ``lle``, ``mi``, ``d2`` and ``e1_at_selected``
-        finite numbers or null, ``failures`` an object of strings, and
-        ``group`` and ``stage`` known names.
+        When ``record`` is not a dict, lacks a field, names an unknown
+        group or stage, or holds a value the record refuses.
     """
     if not isinstance(record, dict):
         raise InputError(f"epoch record is not a JSON object: {record!r}")
     try:
-        values = {name: record[name] for name in _EPOCH_KEYS}
+        values = list(_EPOCH_VALUES(record))
     except KeyError:
         missing = [name for name in _EPOCH_KEYS if name not in record]
         raise InputError(f"epoch record is missing fields: {', '.join(missing)}") from None
-    # Plain type tests, since they run once per record of a night's file;
-    # a real field tests for a float, the usual case, before any number.
-    for name in _TEXT_KEYS:
-        if type(values[name]) is not str:
-            raise _field_error(values, name, "a string")
-    v = values["epoch_index"]
-    if type(v) is not int or v < 0:
-        raise _field_error(values, "epoch_index", "an integer >= 0")
-    v = values["sample_rate_hz"]
-    if not (_is_finite_number(v) and v > 0):
-        raise _field_error(values, "sample_rate_hz", "a finite number > 0")
-    for name in _COUNT_KEYS:
-        v = values[name]
-        if v is not None and type(v) is not int:
-            raise _field_error(values, name, "an integer or null")
-    for name in _REAL_KEYS:
-        v = values[name]
-        if not (v is None or type(v) is float and math.isfinite(v) or _is_finite_number(v)):
-            raise _field_error(values, name, "a finite number or null")
-    v = values["deterministic"]
-    if v is not None and type(v) is not bool:
-        raise _field_error(values, "deterministic", "a bool or null")
-    v = values["failures"]
-    if type(v) is not dict or v and any(type(reason) is not str for reason in v.values()):
-        raise _field_error(values, "failures", "an object of strings")
-    if values["group"] is not None:
-        values["group"] = parse_group(values["group"])
+    if values[_GROUP_AT] is not None:
+        values[_GROUP_AT] = parse_group(values[_GROUP_AT])
     try:
-        values["stage"] = SleepStage(values["stage"])
+        values[_STAGE_AT] = SleepStage(values[_STAGE_AT])
     except ValueError as exc:
         raise InputError(f"unknown stage {record['stage']!r}") from exc
-    return EpochIndices(**values)
+    try:
+        return EpochIndices(*values)
+    except ConfigError as exc:
+        raise InputError(str(exc)) from None
 
 
 def write_epochs_ndjson(path: str | Path, epochs: Iterable[EpochIndices]) -> None:

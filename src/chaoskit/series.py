@@ -74,8 +74,9 @@ class TimeSeries:
 class EmbeddingParams:
     """Delay-embedding parameters: dimension, lag, and temporal exclusion.
 
-    ``theiler_w`` is carried along for the neighbour-based estimators;
-    it does not change the embedding itself.
+    ``theiler_w`` is only recorded: it does not change the embedding, and
+    no estimator reads it. Each estimator takes its own exclusion window
+    (``WolfParams.theiler_w``, ``correlation_curve``'s ``theiler_w``).
     """
 
     dimension_m: int

@@ -25,8 +25,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
@@ -260,7 +261,8 @@ class EpochIndices:
 
     A value of None pairs with an entry in ``failures`` naming the
     index and why it is missing. ``failures`` empty means the window
-    produced every index.
+    produced every index. A record checks each field by the rule of its
+    annotation (``_RECORD_RULES``), so any record reads back equal.
     """
 
     subject_id: str
@@ -282,11 +284,68 @@ class EpochIndices:
     config_fingerprint: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "failures", dict(self.failures))
+        # Plain type tests by kind: report makes a record per line of a
+        # night's file. Fields are read with getattr, since reading
+        # self.__dict__ would give every record a dict of its own.
+        for name, types in _TYPED:
+            if type(getattr(self, name)) not in types:
+                raise self._refusal(name)
+        for name in _INDICES:
+            if getattr(self, name) < 0:
+                raise self._refusal(name)
+        for name in _RATES:
+            x = getattr(self, name)
+            if not (_is_finite_real(x) and x > 0):
+                raise self._refusal(name)
+        for name in _REALS:
+            x = getattr(self, name)
+            if not (x is None or type(x) is float and math.isfinite(x) or _is_finite_real(x)):
+                raise self._refusal(name)
+        for name in _REASONS:
+            x = getattr(self, name)
+            if type(x) is not dict and not isinstance(x, Mapping) or x and any(
+                type(k) is not str or type(r) is not str for k, r in x.items()
+            ):
+                raise self._refusal(name)
+            object.__setattr__(self, name, dict(x))
+
+    def _refusal(self, name: str) -> ConfigError:
+        rule = _RECORD_RULES[self.__dataclass_fields__[name].type][1]
+        return ConfigError(f"epoch record field {name!r} must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def failed(self) -> bool:
         return bool(self.failures)
+
+
+# The rule of each annotation an EpochIndices field may have: the exact
+# types of its value (None where __post_init__ tests the number or the
+# mapping itself) and the words of its error. A field with any other
+# annotation stops the import here, with a KeyError naming it.
+_RECORD_RULES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer >= 0"),
+    "float": (None, "a finite number > 0"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float | None": (None, "a finite number or null"),
+    "bool | None": ((bool, type(None)), "a bool or null"),
+    "Mapping[str, str]": (None, "an object of strings"),
+    "Group | None": ((Group, type(None)), "a Group or null"),
+    "SleepStage": ((SleepStage,), "a SleepStage"),
+}
+_FIELDS = fields(EpochIndices)
+_TYPED = tuple((f.name, _RECORD_RULES[f.type][0]) for f in _FIELDS if _RECORD_RULES[f.type][0])
+_INDICES, _RATES, _REALS, _REASONS = (
+    tuple(f.name for f in _FIELDS if f.type == kind) for kind in ("int", "float", "float | None", "Mapping[str, str]")
+)
+
+
+def _is_finite_real(value) -> bool:
+    """A finite float (numpy's float64 too) or int, not a bool: JSON writes each exactly."""
+    try:
+        return (type(value) is int or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 INDEX_NAMES = ("lle", "mi", "med", "d2")

@@ -166,6 +166,17 @@ class TestSynth:
         assert proc.returncode == 4
         assert "error" in proc.stderr
 
+    def test_unknown_param_fails_and_writes_nothing(self, tmp_path):
+        # rr=3.5 used to run the default r = 4 orbit and still record it.
+        out = tmp_path / "x.csv"
+        proc = run_cli("synth", "--kind", "logistic", "--n", "100", "--param", "rr=3.5", "--out", str(out))
+        assert proc.returncode == 4
+        assert stderr_error(proc) == {
+            "type": "ConfigError",
+            "message": "unknown logistic parameter rr; expected one of fs, r, x0",
+        }
+        assert not out.exists()
+
     def test_malformed_param_fails(self, tmp_path):
         proc = run_cli("synth", "--kind", "sine", "--n", "100",
                        "--param", "freq", "--out", str(tmp_path / "x.csv"))

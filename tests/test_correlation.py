@@ -75,6 +75,13 @@ class TestCorrelationSum:
         with pytest.raises(ConfigError):
             correlation_sum(np.array([[1.0]]), 1.0)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_points_named_as_such(self, n):
+        # No Theiler window is to blame when there is no pair at all.
+        for call in (lambda pts: correlation_sum(pts, 1.0), correlation_curve):
+            with pytest.raises(ConfigError, match=rf"^a correlation sum needs at least 2 points, got {n}$"):
+                call(np.zeros((n, 2)))
+
 
 class TestCorrelationCurve:
     def test_values_match_pointwise_sums(self, henon_20k):

@@ -166,6 +166,26 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             generate(GeneratorSpec(kind, n_samples=100, parameters=params))
 
+    @pytest.mark.parametrize(
+        "kind, accepted",
+        [
+            ("logistic", "fs, r, x0"),
+            ("henon", "a, b, fs, x0, y0"),
+            ("lorenz", "beta, dt, fs, rho, sigma, x0, y0, z0"),
+            ("sine", "amplitude, freq_hz, fs, noise_std, phase"),
+            ("white_noise", "distribution, fs"),
+            ("ar1", "fs, noise_std, phi"),
+        ],
+    )
+    def test_unknown_parameter_names_accepted_ones(self, kind, accepted):
+        with pytest.raises(ConfigError) as info:
+            generate(GeneratorSpec(kind, n_samples=100, parameters={"rr": 3.5, "fs": 2.0}))
+        assert str(info.value) == f"unknown {kind} parameter rr; expected one of {accepted}"
+        # Every accepted name is read: giving them all generates.
+        usable = dict(distribution="gaussian", r=3.9, dt=0.01, fs=2.0, noise_std=0.1, phi=0.5)
+        values = {name: usable.get(name, 0.1) for name in accepted.split(", ")}
+        assert len(generate(GeneratorSpec(kind, n_samples=100, parameters=values))) == 100
+
 
 class TestTangentOracles:
     def test_logistic_oracle_near_ln2(self):

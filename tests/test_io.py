@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoskit.cli import main as cli_main
-from chaoskit.errors import InputError
+from chaoskit.errors import ConfigError, InputError
 from chaoskit.io import (
     REPORTED_P_FLOOR,
     atomic_write_text,
@@ -33,7 +34,7 @@ from chaoskit.io import (
     write_table1_csv,
 )
 from chaoskit.series import TimeSeries
-from chaoskit.sleep import EpochIndices, EstimatorConfig, Group, SleepStage
+from chaoskit.sleep import EpochIndices, EstimatorConfig, Group, SleepStage, parse_group
 from chaoskit.stats import ComparisonResult, GroupSummary, Histogram
 
 from conftest import build_sleep_fixture
@@ -511,6 +512,67 @@ class TestManifest:
         with pytest.raises(InputError, match="hypnogram"):
             load_recordings(manifest_path)
 
+    ENTRY = {"subject_id": "x", "group": "Healthy", "signal_path": "x.csv", "hypnogram_path": "x_stages.csv"}
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("subject_id", None),
+            ("subject_id", 7),
+            ("group", 7),
+            ("group", None),
+            ("signal_path", None),
+            ("hypnogram_path", ["x.csv"]),
+            ("channel", None),
+            ("channel", 3),
+        ],
+    )
+    def test_non_string_value_exits_3(self, tmp_path, capsys, key, value):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([self.ENTRY, {**self.ENTRY, "subject_id": "y", key: value}]))
+        expected = f"manifest {path}: entry 1 field {key!r} must be a string, got {value!r}"
+        with pytest.raises(InputError) as info:
+            read_manifest(path)
+        assert str(info.value) == expected
+        assert cli_main(["analyze", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == {"type": "input", "message": expected}
+        assert not (tmp_path / "out").exists()
+
+    def test_null_subject_ids_exit_3(self, tmp_path, capsys):
+        # Two null ids used to run as one subject "None" in both groups.
+        manifest = build_sleep_fixture(tmp_path, n_epochs=2)
+        entries = json.loads(Path(manifest).read_text())
+        entries[0]["subject_id"] = entries[2]["subject_id"] = None
+        Path(manifest).write_text(json.dumps(entries))
+        assert cli_main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 3
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == f"manifest {manifest}: entry 0 field 'subject_id' must be a string, got None"
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_subject_id_exits_3(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([{**self.ENTRY, "subject_id": ""}]))
+        with pytest.raises(InputError, match=r": entry 0 has an empty subject_id$"):
+            read_manifest(path)
+
+    def test_repeated_subject_id_exits_3(self, tmp_path, capsys):
+        manifest = build_sleep_fixture(tmp_path, n_epochs=2)
+        entries = json.loads(Path(manifest).read_text())
+        entries[3]["subject_id"] = entries[1]["subject_id"]
+        Path(manifest).write_text(json.dumps(entries))
+        expected = f"manifest {manifest}: entry 3 repeats subject_id 'h02'"
+        with pytest.raises(InputError) as info:
+            read_manifest(manifest)
+        assert str(info.value) == expected
+        assert cli_main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == expected
+        assert not (tmp_path / "out").exists()
+
+    def test_channel_may_be_left_out(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([self.ENTRY, {**self.ENTRY, "subject_id": "y", "channel": "C4"}]))
+        assert [spec.channel for spec in read_manifest(path)] == [None, "C4"]
+
 
 class TestEpochsNdjson:
     def test_round_trip(self, tmp_path):
@@ -654,6 +716,127 @@ class TestEpochsNdjson:
         path = tmp_path / "epochs.ndjson"
         path.write_bytes((lines[0] + "\r\n" + lines[1] + "\r").encode("utf-8"))
         assert read_epochs_ndjson(path) == [odd, make_epoch()]
+
+
+def _spelled(values: dict) -> dict:
+    """A JSON record's values with known group and stage spellings made
+    enums, the reader's one file-specific step; any other value is kept."""
+    out = dict(values)
+    try:
+        out["group"] = None if out["group"] is None else parse_group(out["group"])
+    except InputError:
+        pass
+    if out["stage"] in [s.value for s in SleepStage]:
+        out["stage"] = SleepStage(out["stage"])
+    return out
+
+
+_VALID_JSON = epoch_to_dict(make_epoch())
+# Values of every JSON kind, including the ones no field admits.
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=2**70) | st.just(10**400),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["Healthy", "Apnea", "S2", "Unknown"]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.text(max_size=3) | st.integers(), max_size=2),
+)
+_PYTHON_VALUES = _JSON_VALUES | st.floats().map(np.float64) | st.sampled_from([*Group, *SleepStage])
+_VALID_REALS = st.none() | st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+_VALID = {
+    "subject_id": st.text(),
+    "group": st.sampled_from([None, *Group]),
+    "stage": st.sampled_from(list(SleepStage)),
+    "epoch_index": st.integers(min_value=0, max_value=2**70),
+    "sample_rate_hz": st.floats(min_value=1e-300, allow_infinity=False) | st.floats(1.0, 1e4).map(np.float64),
+    "lle": _VALID_REALS | st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    "mi": _VALID_REALS,
+    "mi_lag": st.none() | st.integers(),
+    "e1_at_selected": _VALID_REALS,
+    "deterministic": st.sampled_from([None, True, False]),
+    "failures": st.dictionaries(st.text(max_size=4), st.text(max_size=8), max_size=3),
+}
+
+
+class TestRecordRule:
+    """The record's rules live in EpochIndices: what the reader refuses
+    cannot be made, and what can be made reads back equal."""
+
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("lle", math.nan, "a finite number or null"),
+            ("mi_lag", 2.0, "an integer or null"),
+            ("embed_m", True, "an integer or null"),
+            ("group", "Healthy", "a Group or null"),
+            ("stage", "S2", "a SleepStage"),
+            ("epoch_index", -1, "an integer >= 0"),
+            ("sample_rate_hz", 0, "a finite number > 0"),
+            ("sample_rate_hz", np.float64(math.inf), "a finite number > 0"),
+            ("d2", np.float64(math.nan), "a finite number or null"),
+            ("mi", 10**400, "a finite number or null"),
+            ("subject_id", None, "a string"),
+            ("deterministic", np.True_, "a bool or null"),
+            ("failures", {"lle": 3}, "an object of strings"),
+            ("failures", {1: "x"}, "an object of strings"),
+            ("failures", [("lle", "x")], "an object of strings"),
+        ],
+    )
+    def test_refused_with_the_reader_text(self, field, value, rule):
+        with pytest.raises(ConfigError) as info:
+            make_epoch(**{field: value})
+        assert str(info.value) == f"epoch record field {field!r} must be {rule}, got {value!r}"
+
+    def test_reader_reports_the_record_text(self):
+        record = {**epoch_to_dict(make_epoch()), "mi_lag": 2.0}
+        with pytest.raises(InputError) as info:
+            epoch_from_dict(record)
+        assert str(info.value) == "epoch record field 'mi_lag' must be an integer or null, got 2.0"
+
+    def test_numpy_reals_are_written_exactly(self, tmp_path):
+        epoch = make_epoch(lle=np.float64(0.1), sample_rate_hz=np.float64(256.0), d2=-0.0)
+        path = tmp_path / "epochs.ndjson"
+        write_epochs_ndjson(path, [epoch])
+        assert json.loads(path.read_text())["lle"] == 0.1
+        assert read_epochs_ndjson(path) == [epoch]
+
+    def test_failures_mapping_is_copied(self):
+        failures = {"lle": "walk failed"}
+        epoch = make_epoch(failures=failures)
+        failures["mi"] = "later"
+        assert epoch.failures == {"lle": "walk failed"}
+
+    @given(st.fixed_dictionaries({}, optional={**_VALID}), st.sampled_from(sorted(_VALID_JSON)), _PYTHON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_every_record_made_reads_back_equal(self, valid, field, value):
+        values = {**_spelled(_VALID_JSON), **valid}
+        for candidate in (values, {**values, field: value}):
+            try:
+                epoch = EpochIndices(**candidate)
+            except ConfigError:
+                continue
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "epochs.ndjson"
+                write_epochs_ndjson(path, [epoch])
+                # Strict JSON: no NaN or Infinity token.
+                json.loads(path.read_text(), parse_constant=lambda token: pytest.fail(token))
+                assert read_epochs_ndjson(path) == [epoch]
+
+    @given(st.sampled_from(sorted(_VALID_JSON)), _JSON_VALUES)
+    @settings(max_examples=500, deadline=None)
+    def test_what_the_reader_refuses_cannot_be_made(self, field, value):
+        record = {**_VALID_JSON, field: value}
+        try:
+            read = epoch_from_dict(record)
+        except InputError as exc:
+            with pytest.raises(ConfigError) as info:
+                EpochIndices(**_spelled(record))
+            if not str(exc).startswith("unknown "):  # a group or stage spelling
+                assert str(info.value) == str(exc)
+        else:
+            assert EpochIndices(**_spelled(record)) == read
 
 
 class TestReportTables:

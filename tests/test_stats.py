@@ -109,6 +109,15 @@ class TestPValue:
         with pytest.raises(ConfigError):
             p_value(math.nan, 5.0)
 
+    @pytest.mark.parametrize("t", [None, "1", math.nan, [1.0]])
+    def test_rejects_non_number_t(self, t):
+        with pytest.raises(ConfigError, match=r"^t must be a finite number, got "):
+            p_value(t, 5.0)
+
+    def test_numpy_infinite_t_pins(self):
+        assert p_value(np.float64(math.inf), 5.0) == 0.0
+        assert p_value(np.float64(-math.inf), 5.0) == 1.0
+
     def test_antisymmetry_and_monotonicity_randomised(self):
         rng = np.random.default_rng(99)
         for _ in range(1000):

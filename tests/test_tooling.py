@@ -1,8 +1,11 @@
 """The repository's scripts against the package: the names the benchmark
 tracer rebinds still exist and are called, every demo runs to the end,
 and the package keeps a single integer-argument check, a single
-real-argument check and a single array-argument check."""
+real-argument check, a single array-argument check and a single epoch
+record rule."""
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -116,3 +119,29 @@ def test_one_array_rule():
         if any(re.search(idiom, line) for idiom in idioms)
     ]
     assert copies == []
+
+
+def test_one_record_rule():
+    # The epoch record's rules live in sleep.EpochIndices, one per kind of
+    # annotation, so io.py restates no field's rule and lists no field by
+    # name: it only turns the group and stage spellings into enums and
+    # sorts the failures it writes. Outside the two manifest functions,
+    # whose keys merely share names with fields, any other field name is
+    # a restated rule.
+    fields = {f.name for f in dataclasses.fields(sleep.EpochIndices)}
+    source = (ROOT / "src" / "chaoskit" / "io.py").read_text(encoding="utf-8")
+    module = ast.parse(source)
+    nodes = [
+        node
+        for top in module.body
+        if not (isinstance(top, ast.FunctionDef) and top.name in ("read_manifest", "write_run_manifest"))
+        for node in ast.walk(top)
+    ]
+    named = sorted(
+        node.value
+        for node in nodes
+        if isinstance(node, ast.Constant) and node.value in fields - {"group", "stage", "failures"}
+    )
+    assert named == []
+    assert "epoch record field" not in source
+    assert not re.search(r"\bmath\.isfinite\(", source)
