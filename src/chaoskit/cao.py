@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_float, check_int
+from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_array, check_float, check_int
 from .series import TimeSeries
 
 __all__ = [
@@ -60,17 +60,15 @@ class CaoProfile:
     deterministic: bool
 
     def __post_init__(self):
-        e1 = np.asarray(self.e1_values, dtype=np.float64)
-        e2 = np.asarray(self.e2_values, dtype=np.float64)
-        if e1.shape != (self.m_max - 1,) or e2.shape != (self.m_max - 1,):
-            raise ConfigError("E1/E2 arrays must have length m_max - 1")
-        if np.any(e1 <= 0) or np.any(e2 <= 0):
-            raise ConfigError("E1/E2 values must be positive")
-        object.__setattr__(self, "e1_values", e1)
-        object.__setattr__(self, "e2_values", e2)
+        m_max = check_int("m_max", self.m_max, MIN_M_MAX)
+        for name in ("e1_values", "e2_values"):
+            values = check_array(name, getattr(self, name), ndim=1, min_len=m_max - 1)
+            if values.size != m_max - 1 or np.any(values <= 0):
+                raise ConfigError(f"{name} must hold m_max - 1 = {m_max - 1} positive values")
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "m_max", m_max)
         if self.selected_m is not None:
-            if not 2 <= self.selected_m <= self.m_max:
-                raise ConfigError(f"selected_m out of range: {self.selected_m!r}")
+            object.__setattr__(self, "selected_m", check_int("selected_m", self.selected_m, 2, m_max))
 
 
 def _restricted_embedding(x: np.ndarray, m: int, t: int) -> np.ndarray:

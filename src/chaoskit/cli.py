@@ -259,6 +259,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         name, sep, raw = item.partition("=")
         if not sep or not name:
             raise ConfigError(f"--param needs NAME=VALUE, got {item!r}")
+        if name == "fs":
+            raise ConfigError(f"the sampling rate is set by --fs, not --param {item!r}")
         try:
             parameters[name] = float(raw)
         except ValueError:

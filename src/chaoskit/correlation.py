@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSeriesError, NoScalingRegionError, check_float, check_int
-from .series import as_points
+from .errors import ConfigError, DegenerateSeriesError, NoScalingRegionError, check_array, check_float, check_int
+from .series import as_points, point_extent
 
 __all__ = [
     "CorrelationCurve",
@@ -81,10 +81,10 @@ class CorrelationCurve:
     n_points: int
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=np.float64)
-        c = np.asarray(self.c_values, dtype=np.float64)
-        if r.ndim != 1 or r.shape != c.shape:
-            raise ConfigError("radii and c_values must be one-dimensional and equally long")
+        r = check_array("radii", self.radii, ndim=1, min_len=0)
+        c = check_array("c_values", self.c_values, ndim=1, min_len=0)
+        if r.shape != c.shape:
+            raise ConfigError("radii and c_values must be equally long")
         if np.any(r <= 0) or np.any(np.diff(r) <= 0):
             raise ConfigError("radii must be positive and strictly increasing")
         if np.any(c < 0) or np.any(c > 1) or np.any(np.diff(c) < 0):
@@ -103,9 +103,11 @@ class D2Estimate:
     n_pairs_in_range: int
 
     def __post_init__(self):
-        lo, hi = self.fit_range
-        if not 0 < lo < hi:
-            raise ConfigError(f"fit_range must be an increasing positive pair, got {self.fit_range!r}")
+        if not (isinstance(self.fit_range, (tuple, list)) and len(self.fit_range) == 2):
+            raise ConfigError(f"fit_range must be a pair of radii, got {self.fit_range!r}")
+        lo = check_float("fit_range[0]", self.fit_range[0], above=0)
+        check_float("fit_range[1]", self.fit_range[1], above=lo)
+        check_float("d2", self.d2)
         check_float("fit_r2", self.fit_r2, at_least=0, at_most=1)
 
 
@@ -265,12 +267,14 @@ def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> Correla
     distances give both the grid and the counts; beyond it the pairs are
     counted once against the whole squared radius grid, a bounded row
     block at a time. Identical arithmetic to :func:`correlation_sum`
-    radius by radius.
+    radius by radius. Points whose squared distances may overflow
+    float64 raise DegenerateSeriesError (:func:`~chaoskit.series.point_extent`).
     """
     pts = as_points(vectors)
     n = pts.shape[0]
     w = _check_theiler(n, theiler_w)
     n_radii = check_int("n_radii", n_radii, MIN_RADII)
+    point_extent(pts)
     total = _n_admissible_pairs(n, w)
     if total <= _PAIR_SAMPLE_CAP:
         d_sq = _all_pair_distances(pts, w)

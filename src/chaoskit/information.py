@@ -15,11 +15,12 @@ agree to rounding on identical data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_array, check_int
+from .errors import ConfigError, DegenerateSeriesError, check_array, check_int
 from .series import LagResult, TimeSeries
 
 __all__ = [
@@ -44,12 +45,13 @@ MIN_MI_BINS = 2
 MIN_LAG_SCAN = 2
 
 
-def _check_probabilities(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
+def check_probabilities(name: str, p, ndim: int) -> np.ndarray:
+    """``p`` as a float64 ``ndim``-d array, non-negative and summing to 1."""
+    p = check_array(name, p, ndim=ndim, min_len=1)
     if np.any(p < 0):
-        raise ConfigError("probabilities must be non-negative")
+        raise ConfigError(f"{name} must be non-negative")
     if abs(float(p.sum()) - 1.0) > _PROB_TOL:
-        raise ConfigError(f"probabilities must sum to 1, got {float(p.sum())!r}")
+        raise ConfigError(f"{name} must sum to 1, got {float(p.sum())!r}")
     return p
 
 
@@ -61,10 +63,10 @@ class DiscreteDistribution:
     bin_edges: np.ndarray
 
     def __post_init__(self):
-        p = _check_probabilities(self.probabilities)
-        edges = np.asarray(self.bin_edges, dtype=np.float64)
-        if p.ndim != 1 or edges.ndim != 1 or edges.size != p.size + 1:
-            raise ConfigError("need one-dimensional probabilities with len(edges) == len(p) + 1")
+        p = check_probabilities("probabilities", self.probabilities, 1)
+        edges = check_array("bin_edges", self.bin_edges, ndim=1, min_len=2)
+        if edges.size != p.size + 1:
+            raise ConfigError("need len(bin_edges) == len(probabilities) + 1")
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "bin_edges", edges)
 
@@ -78,11 +80,9 @@ class JointDistribution:
     y_edges: np.ndarray
 
     def __post_init__(self):
-        p = _check_probabilities(self.probabilities)
-        if p.ndim != 2:
-            raise ConfigError("joint probabilities must be a 2-d array")
-        xe = np.asarray(self.x_edges, dtype=np.float64)
-        ye = np.asarray(self.y_edges, dtype=np.float64)
+        p = check_probabilities("probabilities", self.probabilities, 2)
+        xe = check_array("x_edges", self.x_edges, ndim=1, min_len=2)
+        ye = check_array("y_edges", self.y_edges, ndim=1, min_len=2)
         if xe.size != p.shape[0] + 1 or ye.size != p.shape[1] + 1:
             raise ConfigError("edge arrays must match the joint histogram shape")
         object.__setattr__(self, "probabilities", p)
@@ -98,15 +98,17 @@ class JointDistribution:
 
 def _cell_range(lo: float, hi: float) -> tuple[float, float]:
     """The histogram range of values spanning ``[lo, hi]``; a constant
-    sequence gets one unit-wide cell centred on its value."""
+    sequence gets one unit-wide cell centred on its value. A range whose
+    width float64 cannot hold, or rounds to zero, raises DegenerateSeriesError."""
     if lo == hi:
-        return lo - 0.5, hi + 0.5
+        lo, hi = lo - 0.5, hi + 0.5
+    if not 0.0 < hi - lo < math.inf:
+        raise DegenerateSeriesError(f"the histogram range [{lo!r}, {hi!r}] has no width that float64 can hold")
     return lo, hi
 
 
 def equal_width_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    """Equal-width edges over ``[min, max]``; a constant sequence gets
-    one unit-wide cell centred on its value."""
+    """Equal-width edges over the :func:`_cell_range` of ``[min, max]``."""
     return np.linspace(*_cell_range(float(np.min(values)), float(np.max(values))), bins + 1)
 
 

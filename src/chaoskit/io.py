@@ -120,6 +120,13 @@ def read_signal_csv(path: str | Path, channel: str | None = None) -> tuple[TimeS
     metadata must all come before the first sample, and every column
     must hold numbers even when another channel is selected.
 
+    One channel rule holds for any number of columns. The names come
+    from ``# channels=``, or from ``# channel=`` when only that is given;
+    a file giving both must name the same single channel in each.
+    Declared names must match the columns, a multi-column file needs a
+    ``channel`` pick, and a pick must be a declared name. A one-column
+    file without names reads under any requested name.
+
     Raises
     ------
     InputError
@@ -148,38 +155,23 @@ def read_signal_csv(path: str | Path, channel: str | None = None) -> tuple[TimeS
     if n_cols == 0:
         raise InputError(f"signal file {path} has no samples")
 
-    channels = None
+    declared = metadata.get("channel")
+    names = [declared] if declared is not None else None
     if "channels" in metadata:
-        channels = [c.strip() for c in metadata["channels"].split(",") if c.strip()]
-    if n_cols == 1:
-        # A single column is unambiguous; a requested channel only has
-        # to be checked against whatever name the file declares.
-        declared = metadata.get("channel")
-        if declared is None and channels is not None and len(channels) == 1:
-            declared = channels[0]
-        if channel is not None and declared is not None and channel != declared:
-            raise InputError(
-                f"signal file {path} holds channel {declared!r}, not the requested {channel!r}"
-            )
-        col = 0
-    else:
-        if channels is None:
-            raise InputError(
-                f"signal file {path} has {n_cols} columns but no '# channels=' metadata"
-            )
-        if len(channels) != n_cols:
-            raise InputError(
-                f"signal file {path}: {len(channels)} channel names for {n_cols} columns"
-            )
-        if channel is None:
-            raise InputError(
-                f"signal file {path} is multi-channel ({', '.join(channels)}); pick one explicitly"
-            )
-        if channel not in channels:
-            raise InputError(
-                f"signal file {path} has no channel {channel!r}; available: {', '.join(channels)}"
-            )
-        col = channels.index(channel)
+        names = [c.strip() for c in metadata["channels"].split(",") if c.strip()]
+        if len(names) != n_cols:
+            raise InputError(f"signal file {path}: {len(names)} channel names for {n_cols} columns")
+        if declared is not None and names != [declared]:
+            raise InputError(f"signal file {path} declares channel {declared!r} but channels {', '.join(names)}")
+    elif n_cols > 1:
+        raise InputError(f"signal file {path} has {n_cols} columns but no '# channels=' metadata")
+    if n_cols > 1 and channel is None:
+        raise InputError(f"signal file {path} is multi-channel ({', '.join(names)}); pick one explicitly")
+    if channel is not None and names is not None and channel not in names:
+        if n_cols == 1:
+            raise InputError(f"signal file {path} holds channel {names[0]!r}, not the requested {channel!r}")
+        raise InputError(f"signal file {path} has no channel {channel!r}; available: {', '.join(names)}")
+    col = 0 if channel is None or names is None else names.index(channel)
 
     # Parsed from the path, not from the open handle: numpy reads a path
     # in large blocks but iterates a handle one line at a time.
@@ -307,9 +299,13 @@ def read_manifest(path: str | Path) -> list[RecordingSpec]:
             raise InputError(f"manifest {path}: entry {pos} has an empty subject_id")
         if subject_id in specs:
             raise InputError(f"manifest {path}: entry {pos} repeats subject_id {subject_id!r}")
+        try:
+            group = parse_group(entry["group"])
+        except InputError as exc:
+            raise InputError(f"manifest {path}: entry {pos} field 'group': {exc}") from None
         specs[subject_id] = RecordingSpec(
             subject_id,
-            parse_group(entry["group"]),
+            group,
             base / entry["signal_path"],
             base / entry["hypnogram_path"],
             entry.get("channel"),

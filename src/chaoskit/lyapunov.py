@@ -49,7 +49,7 @@ from scipy.spatial import cKDTree
 
 from .correlation import _row_sum
 from .errors import ConfigError, DegenerateSeriesError, EstimationError, ShortSeriesError, check_float, check_int
-from .series import DelayVectors, as_points
+from .series import DelayVectors, as_points, point_extent
 
 __all__ = ["WolfParams", "LyapunovResult", "largest_lyapunov_wolf"]
 
@@ -183,6 +183,9 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
         :func:`~chaoskit.series.as_points`).
     ShortSeriesError
         With fewer than 100 embedded points.
+    DegenerateSeriesError
+        If the points coincide, or their squared distances may overflow
+        float64 (see :func:`~chaoskit.series.point_extent`).
     EstimationError
         If no admissible initial neighbour exists, or no divergence
         segment could be accumulated.
@@ -193,7 +196,7 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     n = pts.shape[0]
     if n < _MIN_POINTS:
         raise ShortSeriesError(f"Wolf estimator needs at least {_MIN_POINTS} points, got {n}")
-    extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    extent = point_extent(pts)
     if extent == 0.0:
         raise DegenerateSeriesError("all embedded points coincide; extent is zero")
     d_min = params.min_separation if params.min_separation is not None else 1e-3 * extent

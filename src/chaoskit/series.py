@@ -17,6 +17,7 @@ temporal exclusion window handed to the neighbour searches downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,6 +31,7 @@ __all__ = [
     "DelayVectors",
     "LagResult",
     "as_points",
+    "point_extent",
     "delay_embed",
     "autocorrelation",
     "theiler_window",
@@ -145,6 +147,22 @@ def as_points(vectors: DelayVectors | np.ndarray) -> np.ndarray:
     return pts[:, None] if pts.ndim == 1 else pts
 
 
+def point_extent(pts: np.ndarray) -> float:
+    """Largest per-coordinate span of ``(n, m)`` points.
+
+    No squared distance between the points exceeds ``m * extent**2``.
+    Raises DegenerateSeriesError when that bound overflows float64, so
+    that no neighbour search or radius grid meets an infinite distance.
+    """
+    with np.errstate(over="ignore"):  # an infinite span is refused below
+        extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    if not math.isfinite(pts.shape[1] * extent * extent):
+        raise DegenerateSeriesError(
+            f"squared distances of {pts.shape[1]}-d points spanning {extent:.3g} overflow float64; rescale the series"
+        )
+    return extent
+
+
 def autocorrelation(series: TimeSeries, max_lag: int) -> np.ndarray:
     """Normalised autocorrelation at lags ``0..max_lag``.
 
@@ -155,17 +173,21 @@ def autocorrelation(series: TimeSeries, max_lag: int) -> np.ndarray:
     Raises
     ------
     DegenerateSeriesError
-        If the series has zero variance.
+        If the series has zero variance, or its squared deviations
+        overflow float64.
     ConfigError
         If ``max_lag`` is negative or not below the series length.
     """
     x = series.samples
     n = x.size
     max_lag = check_int("max_lag", max_lag, 0, n - 1)
-    xc = x - x.mean()
-    c0 = float(np.dot(xc, xc)) / n
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        xc = x - x.mean()
+        c0 = float(np.dot(xc, xc)) / n
     if c0 == 0.0:
         raise DegenerateSeriesError("autocorrelation of a zero-variance series is undefined")
+    if not math.isfinite(c0):
+        raise DegenerateSeriesError("squared deviations of the series overflow float64; rescale the series")
     acf = np.empty(max_lag + 1, dtype=np.float64)
     acf[0] = 1.0
     for k in range(1, max_lag + 1):

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConfigError, check_array, check_float, check_int
-from .information import bin_indices, equal_width_edges
+from .information import bin_indices, check_probabilities, equal_width_edges
 from .sleep import INDEX_NAMES, EpochIndices, Group, SleepStage, SCORED_STAGES
 
 __all__ = [
@@ -91,12 +91,10 @@ class Histogram:
     stage: SleepStage | None = None
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=np.float64)
-        freq = np.asarray(self.relative_frequencies, dtype=np.float64)
+        edges = check_array("bin_edges", self.bin_edges, ndim=1, min_len=2)
+        freq = check_probabilities("relative_frequencies", self.relative_frequencies, 1)
         if edges.size != freq.size + 1:
             raise ConfigError("need len(bin_edges) == len(relative_frequencies) + 1")
-        if np.any(freq < 0) or abs(float(freq.sum()) - 1.0) > 1e-9:
-            raise ConfigError("relative frequencies must be non-negative and sum to 1")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "relative_frequencies", freq)
 

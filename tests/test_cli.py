@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from chaoskit.cli import _config_from_args, build_parser
-from chaoskit.io import read_signal_csv, write_signal_csv
+from chaoskit.generators import GeneratorSpec, generate
+from chaoskit.io import read_signal_csv, write_hypnogram_csv, write_signal_csv
 from chaoskit.series import TimeSeries
-from chaoskit.sleep import EstimatorConfig, compute_epoch_indices
+from chaoskit.sleep import EstimatorConfig, SleepStage, compute_epoch_indices
 
 from conftest import build_sleep_fixture
 
@@ -174,6 +175,17 @@ class TestSynth:
         assert stderr_error(proc) == {
             "type": "ConfigError",
             "message": "unknown logistic parameter rr; expected one of fs, r, x0",
+        }
+        assert not out.exists()
+
+    def test_fs_param_refused_in_favour_of_fs_flag(self, tmp_path):
+        # --param fs=50 once silently overrode --fs 100 and wrote # fs=50.
+        out = tmp_path / "x.csv"
+        proc = run_cli("synth", "--kind", "sine", "--n", "100", "--fs", "100", "--param", "fs=50", "--out", str(out))
+        assert proc.returncode == 4
+        assert stderr_error(proc) == {
+            "type": "ConfigError",
+            "message": "the sampling rate is set by --fs, not --param 'fs=50'",
         }
         assert not out.exists()
 
@@ -342,6 +354,23 @@ class TestAnalyze:
         proc = run_cli("analyze", "--manifest", str(manifest), "--out", str(out))
         assert proc.returncode == 3
         assert not out.exists()
+
+    def test_window_whose_squares_overflow_fails_its_indices(self, tmp_path):
+        # Scaled by 1e154 a 10 Hz Lorenz window once made the Wolf walk
+        # raise scipy's ValueError, which aborted the run with exit 4.
+        window = generate(GeneratorSpec("lorenz", 600, seed=1, transient_skip=1000, parameters={"fs": 10.0}))
+        write_signal_csv(tmp_path / "s.csv", TimeSeries(window.samples * 1e154, 10.0), {"channel": "C3"})
+        write_hypnogram_csv(tmp_path / "s_stages.csv", (SleepStage.S2, SleepStage.REM))
+        (tmp_path / "m.json").write_text(json.dumps([
+            {"subject_id": "s", "group": "Healthy", "signal_path": "s.csv", "hypnogram_path": "s_stages.csv"},
+        ]))
+        proc = run_cli("analyze", "--manifest", str(tmp_path / "m.json"), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        records = [json.loads(line) for line in (tmp_path / "out" / "epoch_indices.ndjson").read_text().splitlines()]
+        assert len(records) == 2
+        for record in records:
+            assert sorted(record["failures"]) == ["d2", "lle", "med", "mi"]
+            assert all("overflow float64" in reason for reason in record["failures"].values())
 
     def test_bad_jobs_exits_4(self, study):
         proc = run_cli("analyze", "--manifest", str(study["manifest"]),

@@ -9,7 +9,8 @@ None, a string or a value past its bounds the same way, and a numpy
 float gives exactly what the Python float gives. An array argument
 refuses NaN, an infinity, strings, a ragged sequence or the wrong number
 of dimensions the same way, and too few rows with the class its
-estimator has always raised for them."""
+estimator has always raised for them. The value types hold their arrays
+and numbers by the same rules."""
 
 import dataclasses
 import math
@@ -18,8 +19,8 @@ import re
 import numpy as np
 import pytest
 
-from chaoskit.cao import cao_e, cao_e1, cao_e2, minimum_embedding_dimension
-from chaoskit.correlation import correlation_curve, correlation_dimension, correlation_sum
+from chaoskit.cao import CaoProfile, cao_e, cao_e1, cao_e2, minimum_embedding_dimension
+from chaoskit.correlation import CorrelationCurve, D2Estimate, correlation_curve, correlation_dimension, correlation_sum
 from chaoskit.errors import ConfigError, ShortSeriesError, check_array, check_float, check_int
 from chaoskit.generators import (
     GeneratorSpec,
@@ -31,6 +32,8 @@ from chaoskit.generators import (
     uniform_stream,
 )
 from chaoskit.information import (
+    DiscreteDistribution,
+    JointDistribution,
     auto_mutual_information,
     first_local_minimum,
     joint_distribution,
@@ -41,7 +44,7 @@ from chaoskit.information import (
 from chaoskit.lyapunov import WolfParams, largest_lyapunov_wolf
 from chaoskit.series import DelayVectors, EmbeddingParams, TimeSeries, autocorrelation, theiler_window
 from chaoskit.sleep import EstimatorConfig, analyze_recordings, compute_epoch_indices
-from chaoskit.stats import GroupSummary, empirical_histogram, summarize
+from chaoskit.stats import GroupSummary, Histogram, empirical_histogram, summarize
 
 X = generate(GeneratorSpec("logistic", 400, seed=3, transient_skip=100, parameters={"r": 4.0}))
 PTS = np.column_stack([X.samples[:-1], X.samples[1:]])
@@ -291,3 +294,99 @@ def test_delay_vectors_holding_nan_are_refused():
     vectors = DelayVectors(points, EmbeddingParams(2, 1))
     with pytest.raises(ValueError, match="read-only"):
         vectors.points[17, 1] = math.nan
+
+
+def _profile(**fields):
+    usable = dict(e1_values=np.ones(4), e2_values=np.ones(4), m_max=5, lag_t=1, selected_m=3, deterministic=True)
+    return CaoProfile(**{**usable, **fields})
+
+
+def _estimate(**fields):
+    return D2Estimate(**{**dict(d2=1.0, fit_range=(1.0, 2.0), fit_r2=0.99, n_pairs_in_range=10), **fields})
+
+
+EDGES = np.array([0.0, 0.5, 1.0])
+HALVES = np.array([0.5, 0.5])
+CELLS = np.full((2, 2), 0.25)
+
+# (field name, build the value with the field set to v, a usable value)
+VALUE_FIELDS = {
+    "CaoProfile e1_values": ("e1_values", lambda v: _profile(e1_values=v), np.ones(4)),
+    "CaoProfile e2_values": ("e2_values", lambda v: _profile(e2_values=v), np.ones(4)),
+    "CorrelationCurve radii": ("radii", lambda v: CorrelationCurve(v, CURVE.c_values, 0, 399), CURVE.radii),
+    "CorrelationCurve c_values": ("c_values", lambda v: CorrelationCurve(CURVE.radii, v, 0, 399), CURVE.c_values),
+    "D2Estimate fit_range": ("fit_range", lambda v: _estimate(fit_range=v), (1.0, 2.0)),
+    "DiscreteDistribution probabilities": ("probabilities", lambda v: DiscreteDistribution(v, EDGES), HALVES),
+    "DiscreteDistribution bin_edges": ("bin_edges", lambda v: DiscreteDistribution(HALVES, v), EDGES),
+    "JointDistribution probabilities": ("probabilities", lambda v: JointDistribution(v, EDGES, EDGES), CELLS),
+    "JointDistribution x_edges": ("x_edges", lambda v: JointDistribution(CELLS, v, EDGES), EDGES),
+    "JointDistribution y_edges": ("y_edges", lambda v: JointDistribution(CELLS, EDGES, v), EDGES),
+    "Histogram bin_edges": ("bin_edges", lambda v: Histogram(v, HALVES), EDGES),
+    "Histogram relative_frequencies": ("relative_frequencies", lambda v: Histogram(EDGES, v), HALVES),
+}
+
+
+@pytest.mark.parametrize("site", VALUE_FIELDS)
+def test_value_type_array(site):
+    # Each bad value is tried as an array and as a list: the value types
+    # take both, and check both by the one array rule.
+    name, build, usable = VALUE_FIELDS[site]
+    usable = np.array(usable)
+    nan, pos_inf, neg_inf = usable.copy(), usable.copy(), usable.copy()
+    nan.flat[1], pos_inf.flat[1], neg_inf.flat[0] = math.nan, math.inf, -math.inf
+    for bad in (nan, pos_inf, neg_inf, usable.astype(str), np.array([[1.0, 2.0], [3.0]], dtype=object), usable[None]):
+        for form in (bad, bad.tolist()):
+            with pytest.raises(ConfigError, match=rf"^{name}\b"):
+                build(form)
+    build(usable.tolist())
+
+
+# (field name, build the value with the field set to v, a usable value,
+# values past the field's bounds)
+VALUE_NUMBERS = {
+    "CaoProfile m_max": ("m_max", lambda v: _profile(m_max=v), 5, (5.5, 2)),
+    "CaoProfile selected_m": ("selected_m", lambda v: _profile(selected_m=v), 5, (2.5, 1, 6)),
+    "D2Estimate d2": ("d2", lambda v: _estimate(d2=v), 1.5, ()),
+    "D2Estimate fit_range low end": ("fit_range[0]", lambda v: _estimate(fit_range=(v, 2.0)), 0.5, (0.0, -1.0)),
+    "D2Estimate fit_range high end": ("fit_range[1]", lambda v: _estimate(fit_range=(1.0, v)), 3.0, (1.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("site", VALUE_NUMBERS)
+def test_value_type_number(site):
+    name, build, usable, past_bounds = VALUE_NUMBERS[site]
+    for bad in (math.nan, math.inf, -math.inf, "abc", [usable], *past_bounds):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be "):
+            build(bad)
+    build(usable)
+
+
+def test_value_type_ranges():
+    with pytest.raises(ConfigError, match=r"^selected_m must be an integer in \[2, 5\], got 6$"):
+        _profile(selected_m=6)
+    with pytest.raises(ConfigError, match=r"^m_max must be an integer >= 3, got None$"):
+        _profile(m_max=None)
+    with pytest.raises(ConfigError, match=r"^e2_values must hold m_max - 1 = 4 positive values$"):
+        _profile(e2_values=np.ones(5))
+    for pair in ((1.0, 2.0, 3.0), (1.0,), 1.0, None):
+        with pytest.raises(ConfigError, match=r"^fit_range must be a pair of radii, got "):
+            _estimate(fit_range=pair)
+    with pytest.raises(ConfigError, match=r"^fit_range\[1\] must be a finite number > 2.0, got 1.0$"):
+        _estimate(fit_range=(2.0, 1.0))
+    with pytest.raises(ConfigError, match=r"^fit_range\[0\] must be a finite number > 0, got 0.0$"):
+        _estimate(fit_range=(0.0, 1.0))
+    with pytest.raises(ConfigError, match=r"^relative_frequencies must sum to 1, got 0.7$"):
+        Histogram([0.0, 1.0], [0.7])
+    with pytest.raises(ConfigError, match=r"^relative_frequencies must be non-negative$"):
+        Histogram(EDGES, [1.5, -0.5])
+
+
+def test_curve_with_a_nan_radius_is_refused():
+    # Such a curve once reached correlation_dimension, whose windows over
+    # the NaN radius have no finite fit: the D2 of this one came out as
+    # 0.8731..., against 0.8108... for the intact curve.
+    radii = CURVE.radii.copy()
+    radii[12] = math.nan
+    with pytest.raises(ConfigError, match=r"^radii must be a 1-d array of finite numbers, got NaN"):
+        CorrelationCurve(radii, CURVE.c_values, CURVE.theiler_w, CURVE.n_points)
+    assert correlation_dimension(CURVE).d2 == pytest.approx(0.8109, abs=1e-4)

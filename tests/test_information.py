@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoskit import information
-from chaoskit.errors import ConfigError
+from chaoskit.errors import ChaosKitError, ConfigError, DegenerateSeriesError
 from chaoskit.generators import uniform_stream
 from chaoskit.information import (
     DiscreteDistribution,
@@ -211,6 +211,14 @@ class TestLagSelection:
             select_lag_first_minimum(noise_10k, 1)
 
 
+def _outcome(call) -> tuple:
+    """("value", its hex) of a call that returns, else (error class, text)."""
+    try:
+        return "value", call().hex()
+    except ChaosKitError as exc:
+        return type(exc), str(exc)
+
+
 def _lag_scan_series() -> dict[str, np.ndarray]:
     rng = np.random.default_rng(3)
     return {
@@ -231,13 +239,31 @@ class TestLagScanRanges:
     @pytest.mark.parametrize("name", sorted(_lag_scan_series()))
     @pytest.mark.parametrize("bins", [2, 16])
     def test_every_lag_matches_mutual_information(self, name, bins):
+        # Both routes give the same outcome at every lag: the same value
+        # to the bit, or the same error class and text.
         x = _lag_scan_series()[name]
         series = TimeSeries(x, sample_rate_hz=1.0)
+        outcomes = set()
         for lag in [*range(0, 80), x.size - bins]:
             with np.errstate(over="ignore", invalid="ignore"):
-                expected = mutual_information(x[: x.size - lag], x[lag:], bins)
-                got = auto_mutual_information(series, lag, bins)
-            assert got.hex() == expected.hex(), lag
+                expected = _outcome(lambda: mutual_information(x[: x.size - lag], x[lag:], bins))
+                got = _outcome(lambda: auto_mutual_information(series, lag, bins))
+            assert got == expected, lag
+            outcomes.add(expected[0])
+        # Uniform samples in +-1.7e308 span a range whose width overflows:
+        # no cell has a finite width, so every lag is refused.
+        assert outcomes == ({DegenerateSeriesError} if name == "range-overflows" else {"value"})
+
+    def test_range_without_a_float64_width_is_refused(self):
+        x = _lag_scan_series()["range-overflows"]
+        with pytest.raises(DegenerateSeriesError, match=r"^the histogram range \[.*\] has no width that float64 can hold$"):
+            equal_width_edges(x, 16)
+        # A constant sequence at 1e16 widens to [1e16 - 0.5, 1e16 + 0.5],
+        # which rounds to no width: it once raised ZeroDivisionError, out
+        # of the pipeline's reach.
+        flat = TimeSeries(np.full(300, 1e16), sample_rate_hz=10.0)
+        with pytest.raises(DegenerateSeriesError, match=r"^the histogram range \[1e\+16, 1e\+16\] has no width"):
+            select_lag_first_minimum(flat, 10)
 
     @pytest.mark.parametrize("lag, bins", [(5, 16), (0, 1), (3, 1)])
     def test_errors_match_mutual_information(self, lag, bins):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -215,6 +216,72 @@ class TestSignalCsv:
         path.write_text("# fs=10\n1.0\n2.0\n")
         series, _ = read_signal_csv(path, channel="C3")
         np.testing.assert_array_equal(series.samples, [1.0, 2.0])
+
+
+class TestChannelRule:
+    """One rule for any column count: names from 'channels', or from
+    'channel' alone; both must agree; names match the columns; several
+    columns need a pick; a pick must be a declared name."""
+
+    @pytest.mark.parametrize(
+        "header, channel",
+        [
+            ("# channels=C3,C4", None),  # two names for one column, once read as C3
+            ("# channels=C3,C4", "C4"),  # once read the only column as C4
+            ("# channels=", None),  # no name for one column
+        ],
+    )
+    def test_names_must_match_one_column(self, tmp_path, header, channel):
+        path = tmp_path / "sig.csv"
+        path.write_text(f"# fs=10\n{header}\n1.0\n2.0\n")
+        names = header.partition("=")[2]
+        count = len([n for n in names.split(",") if n])
+        with pytest.raises(InputError, match=rf"^signal file {re.escape(str(path))}: {count} channel names for 1 columns$"):
+            read_signal_csv(path, channel=channel)
+
+    @pytest.mark.parametrize("channel", [None, "C3", "C4"])
+    def test_channel_and_channels_must_agree(self, tmp_path, channel):
+        # Once read as C3 whatever 'channels' said, and refused only a
+        # request for another name.
+        path = tmp_path / "sig.csv"
+        path.write_text("# fs=10\n# channel=C3\n# channels=C4\n1.0\n2.0\n")
+        with pytest.raises(InputError, match=r"declares channel 'C3' but channels C4$"):
+            read_signal_csv(path, channel=channel)
+
+    def test_two_columns_need_one_name_each_even_with_channel(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("# fs=10\n# channel=C3\n# channels=C3,C4\n1.0,10.0\n2.0,20.0\n")
+        with pytest.raises(InputError, match=r"declares channel 'C3' but channels C3, C4$"):
+            read_signal_csv(path, channel="C3")
+
+    @pytest.mark.parametrize("header", ["# channel=C3", "# channels=C3", "# channel=C3\n# channels=C3"])
+    def test_one_declared_name_reads_under_it(self, tmp_path, header):
+        path = tmp_path / "sig.csv"
+        path.write_text(f"# fs=10\n{header}\n1.0\n2.0\n")
+        for channel in (None, "C3"):
+            series, _ = read_signal_csv(path, channel=channel)
+            np.testing.assert_array_equal(series.samples, [1.0, 2.0])
+        with pytest.raises(InputError, match=r"holds channel 'C3', not the requested 'C4'$"):
+            read_signal_csv(path, channel="C4")
+
+    @pytest.mark.parametrize(
+        "body, channel, message",
+        [
+            ("# channel=C3\n1.0\n", "C4", "{path} holds channel 'C3', not the requested 'C4'"),
+            ("# channels=C3\n1.0\n", "C4", "{path} holds channel 'C3', not the requested 'C4'"),
+            ("1.0,10.0\n", "C3", "{path} has 2 columns but no '# channels=' metadata"),
+            ("# channel=C3\n1.0,10.0\n", "C3", "{path} has 2 columns but no '# channels=' metadata"),
+            ("# channels=C3\n1.0,10.0\n", "C3", "{path}: 1 channel names for 2 columns"),
+            ("# channels=C3,C4\n1.0,10.0\n", None, "{path} is multi-channel (C3, C4); pick one explicitly"),
+            ("# channels=C3,C4\n1.0,10.0\n", "O2", "{path} has no channel 'O2'; available: C3, C4"),
+        ],
+    )
+    def test_refusals_keep_their_text(self, tmp_path, body, channel, message):
+        path = tmp_path / "sig.csv"
+        path.write_text("# fs=10\n" + body)
+        with pytest.raises(InputError) as info:
+            read_signal_csv(path, channel=channel)
+        assert str(info.value) == "signal file " + message.format(path=path)
 
 
 class TestMultiChannel:
@@ -487,8 +554,11 @@ class TestManifest:
                 ]
             )
         )
-        with pytest.raises(InputError, match="unknown group"):
+        with pytest.raises(InputError) as info:
             read_manifest(path)
+        assert str(info.value) == (
+            f"manifest {path}: entry 0 field 'group': unknown group 'Control'; expected 'Healthy' or 'Apnea'"
+        )
 
     def test_load_is_all_or_nothing(self, tmp_path):
         manifest_path = build_sleep_fixture(tmp_path, n_epochs=2)

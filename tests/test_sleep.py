@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from chaoskit.errors import ConfigError, InputError
+from chaoskit.correlation import correlation_curve
+from chaoskit.errors import ConfigError, DegenerateSeriesError, InputError
 from chaoskit.generators import GeneratorSpec, generate
-from chaoskit.series import TimeSeries
+from chaoskit.lyapunov import WolfParams, largest_lyapunov_wolf
+from chaoskit.series import EmbeddingParams, TimeSeries, delay_embed, point_extent, theiler_window
 from chaoskit.sleep import (
+    INDEX_NAMES,
     EstimatorConfig,
     Group,
     Recording,
@@ -238,6 +241,48 @@ class TestComputeEpochIndices:
         window = TimeSeries(np.sin(np.arange(60) * 0.7), 2.0)
         result = compute_epoch_indices(window)
         assert isinstance(result.failures, dict)
+
+
+def _scaled_lorenz(scale: float) -> TimeSeries:
+    window = generate(GeneratorSpec("lorenz", 300, seed=1, transient_skip=1000, parameters={"fs": 10.0}))
+    return TimeSeries(window.samples * scale, 10.0)
+
+
+class TestSquaredOverflow:
+    """Samples whose squares overflow float64 are refused, by name, at
+    the three places that square them, before scipy or the radius grid
+    sees an infinite distance. Values just below run unchanged."""
+
+    @pytest.mark.parametrize("scale", [1e154, 1e160, 1e300])
+    def test_each_route_names_the_overflow(self, scale):
+        window = _scaled_lorenz(scale)
+        points = delay_embed(window, EmbeddingParams(3, 2))
+        with pytest.raises(DegenerateSeriesError, match=r"^squared deviations of the series overflow float64"):
+            theiler_window(window, 100)
+        # Once a saturated window of 100 samples, and scipy's ValueError
+        # out of the Wolf walk, which aborted a whole analyze run.
+        with pytest.raises(DegenerateSeriesError, match=r"^squared distances of 3-d points spanning .* overflow float64"):
+            largest_lyapunov_wolf(points, WolfParams(theiler_w=5))
+        with pytest.raises(DegenerateSeriesError, match=r"^squared distances of 3-d points spanning .* overflow float64"):
+            correlation_curve(points, theiler_w=5)
+        result = compute_epoch_indices(window)
+        assert set(result.failures) == set(INDEX_NAMES)
+        assert all("overflow float64" in reason for reason in result.failures.values())
+
+    def test_window_below_the_overflow_is_unchanged(self):
+        # The values computed before the overflow checks existed, to the bit.
+        result = compute_epoch_indices(_scaled_lorenz(1e150))
+        assert result.failures == {}
+        assert (result.mi_lag, result.theiler_w, result.embed_m, result.med) == (13, 46, 3, 3)
+        assert result.lle.hex() == "0x1.44cebc43ee3c3p-3"
+        assert result.mi.hex() == "0x1.7824d2cf17430p+0"
+        assert result.d2.hex() == "0x1.ae7360d6c65d9p+0"
+        assert result.e1_at_selected.hex() == "0x1.d1eee6b4f062fp-1"
+
+    def test_a_span_that_overflows_is_refused(self):
+        points = np.array([[-1.5e308, 0.0], [1.5e308, 0.0]] * 60)
+        with pytest.raises(DegenerateSeriesError, match=r"spanning inf overflow float64"):
+            point_extent(points)
 
 
 @pytest.fixture(scope="module")

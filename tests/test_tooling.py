@@ -1,13 +1,14 @@
 """The repository's scripts against the package: the names the benchmark
 tracer rebinds still exist and are called, every demo runs to the end,
 and the package keeps a single integer-argument check, a single
-real-argument check, a single array-argument check and a single epoch
-record rule."""
+real-argument check, a single array check and a single epoch record
+rule, and its restated defaults agree with their sources."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -17,7 +18,14 @@ from pathlib import Path
 import pytest
 
 from chaoskit import sleep
+from chaoskit.cao import minimum_embedding_dimension
+from chaoskit.cli import build_parser
+from chaoskit.correlation import correlation_curve, correlation_dimension
 from chaoskit.generators import GeneratorSpec, generate
+from chaoskit.information import auto_mutual_information, mutual_information, select_lag_first_minimum
+from chaoskit.lyapunov import WolfParams
+from chaoskit.sleep import EstimatorConfig
+from chaoskit.stats import histograms_by_cell
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -106,19 +114,52 @@ def test_one_float_rule():
 
 
 def test_one_array_rule():
-    # Array arguments are checked by errors.check_array alone, so every
-    # entry point refuses NaN, strings and ragged input alike. Two modules
+    # Array arguments and the arrays of the value types are checked and
+    # converted by errors.check_array alone, so every entry point and
+    # every value refuses NaN, strings and ragged input alike. Two modules
     # test arrays they compute themselves: generators.py its orbits,
-    # cao.py its neighbour distances.
-    idioms = (r"np\.all\(np\.isfinite\(", r"np\.isfinite\([^()]*\)\.all\(\)")
+    # cao.py its neighbour distances; generators.py also converts the
+    # states its step functions return.
+    finite = ("errors.py", "generators.py", "cao.py")
+    idioms = {
+        r"np\.all\(np\.isfinite\(": finite,
+        r"np\.isfinite\([^()]*\)\.all\(\)": finite,
+        r"np\.asarray\(.*dtype=np\.float64": ("errors.py", "generators.py"),
+    }
     copies = [
         f"{path.name}: {line.strip()}"
         for path in sorted((ROOT / "src" / "chaoskit").glob("*.py"))
-        if path.name not in ("errors.py", "generators.py", "cao.py")
         for line in path.read_text(encoding="utf-8").splitlines()
-        if any(re.search(idiom, line) for idiom in idioms)
+        if any(path.name not in exempt and re.search(idiom, line) for idiom, exempt in idioms.items())
     ]
     assert copies == []
+
+
+def _default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+def test_config_defaults_are_the_estimator_defaults():
+    # EstimatorConfig restates the defaults of the estimators it feeds,
+    # and the CLI's --hist-bins that of histograms_by_cell; these copies
+    # must not drift apart.
+    config, wolf = EstimatorConfig(), WolfParams()
+    fed = {
+        "bins": [(f, "bins") for f in (select_lag_first_minimum, auto_mutual_information, mutual_information)],
+        "m_max": [(minimum_embedding_dimension, "m_max")],
+        "plateau_tol": [(minimum_embedding_dimension, "plateau_tol")],
+        "e2_tol": [(minimum_embedding_dimension, "e2_tol")],
+        "n_radii": [(correlation_curve, "n_radii")],
+        "min_fit_r2": [(correlation_dimension, "min_fit_r2")],
+    }
+    for name, sites in fed.items():
+        for function, parameter in sites:
+            assert getattr(config, name) == _default(function, parameter), (name, function.__name__)
+    for name in ("evolve_steps", "min_separation", "max_separation", "max_replacement_angle"):
+        assert getattr(config, name) == getattr(wolf, name), name
+    parser = build_parser()
+    for argv in (["analyze", "--manifest", "m.json", "--out", "o"], ["report", "--epochs", "e", "--out", "o"]):
+        assert parser.parse_args(argv).hist_bins == _default(histograms_by_cell, "n_bins"), argv[0]
 
 
 def test_one_record_rule():
