@@ -8,7 +8,7 @@ comparisons of the resulting indices.
 
 __version__ = "0.1.0"
 
-from .cao import CaoProfile, cao_e, cao_e1, cao_e2, minimum_embedding_dimension
+from .cao import CaoProfile, minimum_embedding_dimension
 from .correlation import (
     CorrelationCurve,
     D2Estimate,
@@ -113,9 +113,6 @@ __all__ = [
     "select_lag_first_minimum",
     # cao
     "CaoProfile",
-    "cao_e",
-    "cao_e1",
-    "cao_e2",
     "minimum_embedding_dimension",
     # lyapunov
     "WolfParams",

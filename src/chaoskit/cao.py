@@ -33,9 +33,6 @@ from .series import TimeSeries
 
 __all__ = [
     "CaoProfile",
-    "cao_e",
-    "cao_e1",
-    "cao_e2",
     "minimum_embedding_dimension",
 ]
 
@@ -67,6 +64,7 @@ class CaoProfile:
                 raise ConfigError(f"{name} must hold m_max - 1 = {m_max - 1} positive values")
             object.__setattr__(self, name, values)
         object.__setattr__(self, "m_max", m_max)
+        object.__setattr__(self, "lag_t", check_int("lag_t", self.lag_t, 1))
         if self.selected_m is not None:
             object.__setattr__(self, "selected_m", check_int("selected_m", self.selected_m, 2, m_max))
 
@@ -131,30 +129,6 @@ def _cao_terms(x: np.ndarray, m: int, t: int) -> tuple[float, float]:
     e = float(np.mean(np.maximum(dist_m, gap) / dist_m))
     e_star = float(np.mean(gap))
     return e, e_star
-
-
-def cao_e(series: TimeSeries, m: int, t: int) -> float:
-    """Mean neighbour expansion ratio E(m) at lag t."""
-    m, t = check_int("m", m, 1), check_int("t", t, 1)
-    return _cao_terms(series.samples, m, t)[0]
-
-
-def cao_e1(series: TimeSeries, m: int, t: int) -> float:
-    """E1(m) = E(m+1) / E(m)."""
-    m, t = check_int("m", m, 1), check_int("t", t, 1)
-    e_m, _ = _cao_terms(series.samples, m, t)
-    e_m1, _ = _cao_terms(series.samples, m + 1, t)
-    return e_m1 / e_m
-
-
-def cao_e2(series: TimeSeries, m: int, t: int) -> float:
-    """E2(m) = E*(m+1) / E*(m), near 1 at every m for noise-like data."""
-    m, t = check_int("m", m, 1), check_int("t", t, 1)
-    _, s_m = _cao_terms(series.samples, m, t)
-    _, s_m1 = _cao_terms(series.samples, m + 1, t)
-    if s_m == 0.0:
-        raise DegenerateSeriesError("E*(m) is zero; series has no usable variation")
-    return s_m1 / s_m
 
 
 def check_scan_settings(m_max: int, plateau_tol: float, e2_tol: float) -> tuple[int, float, float]:

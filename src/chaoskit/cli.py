@@ -236,8 +236,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                 n_pairs_in_range=result.n_pairs_in_range,
             )
 
-    if metadata.get("channel"):
-        params["channel"] = metadata["channel"]
+    channel = args.channel or metadata.get("channel")
+    if channel:
+        params["channel"] = channel
     print(
         json.dumps(
             {

@@ -73,12 +73,12 @@ _U = 2.0**-53
 
 @dataclass(frozen=True)
 class CorrelationCurve:
-    """C(R) sampled on an increasing radius grid."""
+    """C(R) sampled on an increasing radius grid, as fractions of the
+    ``n_pairs`` admissible pairs behind it."""
 
     radii: np.ndarray
     c_values: np.ndarray
-    theiler_w: int
-    n_points: int
+    n_pairs: int
 
     def __post_init__(self):
         r = check_array("radii", self.radii, ndim=1, min_len=0)
@@ -91,6 +91,7 @@ class CorrelationCurve:
             raise ConfigError("c_values must be non-decreasing within [0, 1]")
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "c_values", c)
+        object.__setattr__(self, "n_pairs", check_int("n_pairs", self.n_pairs, 1))
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,7 @@ class D2Estimate:
         check_float("fit_range[1]", self.fit_range[1], above=lo)
         check_float("d2", self.d2)
         check_float("fit_r2", self.fit_r2, at_least=0, at_most=1)
+        object.__setattr__(self, "n_pairs_in_range", check_int("n_pairs_in_range", self.n_pairs_in_range, 0))
 
 
 def _n_admissible_pairs(n: int, w: int) -> int:
@@ -128,12 +130,20 @@ def _check_theiler(n: int, w) -> int:
 
 
 def correlation_sum(vectors, radius: float, theiler_w: int = 0) -> float:
-    """Fraction of admissible pairs within ``radius`` (inclusive)."""
+    """Fraction of admissible pairs within ``radius`` (inclusive).
+
+    A radius whose square overflows float64 is compared as the largest
+    finite square, which every pair reaches: points whose squared
+    distances may overflow raise DegenerateSeriesError
+    (:func:`~chaoskit.series.point_extent`).
+    """
     pts = as_points(vectors)
     n = pts.shape[0]
     w = _check_theiler(n, theiler_w)
     radius = check_float("radius", radius, above=0)
-    count = _pair_counts(pts, w, np.array([radius * radius]))[0]
+    point_extent(pts)
+    r_sq = min(radius * radius, np.finfo(np.float64).max)
+    count = _pair_counts(pts, w, np.array([r_sq]))[0]
     return int(count) / _n_admissible_pairs(n, w)
 
 
@@ -283,7 +293,7 @@ def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> Correla
     else:
         radii = _radius_grid(_sampled_pair_distances(pts, w), n_radii)
         counts = _pair_counts(pts, w, radii * radii)
-    return CorrelationCurve(radii=radii, c_values=counts / total, theiler_w=w, n_points=n)
+    return CorrelationCurve(radii=radii, c_values=counts / total, n_pairs=total)
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -478,8 +488,7 @@ def correlation_dimension(curve: CorrelationCurve, min_fit_r2: float = 0.98) -> 
     r2, length, neg_start, slope, start = best
     lo_idx = eligible[start]
     hi_idx = eligible[start + length - 1]
-    n_pairs = _n_admissible_pairs(curve.n_points, curve.theiler_w)
-    in_range = int(round((c[hi_idx] - c[lo_idx]) * n_pairs))
+    in_range = int(round((c[hi_idx] - c[lo_idx]) * curve.n_pairs))
     return D2Estimate(
         d2=float(slope),
         fit_range=(float(curve.radii[lo_idx]), float(curve.radii[hi_idx])),

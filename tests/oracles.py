@@ -185,10 +185,11 @@ def double_loop_fits(radii: np.ndarray, c_values: np.ndarray) -> tuple[np.ndarra
 
 
 def double_loop_correlation_dimension(
-    radii: np.ndarray, c_values: np.ndarray, n_points: int, theiler_w: int, min_fit_r2: float
+    radii: np.ndarray, c_values: np.ndarray, n_pairs: int, min_fit_r2: float
 ) -> tuple[float, tuple[float, float], float, int] | None:
     """(d2, fit_range, fit_r2, n_pairs_in_range) of the best window, by
-    fitting every window; None when there is no scaling region.
+    fitting every window; None when there is no scaling region. C counts
+    fractions of ``n_pairs`` pairs.
 
     The best window has the largest R^2, then the greatest length, then
     the smallest start; it needs R^2 >= min_fit_r2 and at least 8
@@ -205,9 +206,17 @@ def double_loop_correlation_dimension(
         return None
     lo = eligible[start]
     hi = eligible[start + length - 1]
-    gaps = n_points - 1 - theiler_w
-    n_pairs = gaps * (gaps + 1) // 2
     return float(slope), (float(radii[lo]), float(radii[hi])), float(r2), int(round((c[hi] - c[lo]) * n_pairs))
+
+
+def ratio_mutual_information(joint) -> float:
+    """Mutual information in bits of a joint histogram by the double sum
+    over p log2(p / (p_x p_y)), the marginals from its row and column sums."""
+    p = joint.probabilities
+    mask = p > 0
+    num = p[mask]
+    den = np.outer(p.sum(axis=1), p.sum(axis=0))[mask]
+    return float((num * np.log2(num / den)).sum())
 
 
 def brute_restricted_points(x: np.ndarray, m: int, t: int) -> np.ndarray:

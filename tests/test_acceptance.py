@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from chaoskit.cao import cao_e, cao_e2, minimum_embedding_dimension
+from chaoskit.cao import _cao_terms, minimum_embedding_dimension
 from chaoskit.correlation import correlation_curve, correlation_dimension, correlation_sum
 from chaoskit.generators import henon_lle_oracle, uniform_stream
 from chaoskit.information import (
@@ -39,7 +39,7 @@ from chaoskit.stats import (
 )
 
 from conftest import build_sleep_fixture
-from oracles import brute_cao_terms, brute_correlation_sum, t_tail_quad
+from oracles import brute_cao_terms, brute_correlation_sum, ratio_mutual_information, t_tail_quad
 
 LOG_TWO = math.log(2.0)
 
@@ -130,9 +130,7 @@ def test_mutual_information_identities():
         mutual_information(u2, u1, 16), abs=1e-9
     )
     joint = joint_distribution(u1[:5000], u2[:5000], 12)
-    assert mi_from_joint(joint, route="entropy") == pytest.approx(
-        mi_from_joint(joint, route="ratio"), abs=1e-9
-    )
+    assert mi_from_joint(joint) == pytest.approx(ratio_mutual_information(joint), abs=1e-9)
 
 
 def test_brute_force_equivalence_at_small_n(henon_20k, logistic_20k):
@@ -146,15 +144,14 @@ def test_brute_force_equivalence_at_small_n(henon_20k, logistic_20k):
 
     # Neighbour statistics: tree-backed values equal the scan, bit for bit.
     x = logistic_20k.samples[:1500]
-    s = TimeSeries(x, sample_rate_hz=1.0)
     for m in (1, 2, 3, 4):
         e_brute, _, _ = brute_cao_terms(x, m, 1)
-        assert cao_e(s, m, 1) == e_brute
+        assert _cao_terms(x, m, 1)[0] == e_brute
     y = henon_20k.samples[:1200]
-    sy = TimeSeries(y, sample_rate_hz=1.0)
+    profile = minimum_embedding_dimension(TimeSeries(y, sample_rate_hz=1.0), t=2, m_max=3)
     _, estar_2, _ = brute_cao_terms(y, 2, 2)
     _, estar_3, _ = brute_cao_terms(y, 3, 2)
-    assert cao_e2(sy, 2, 2) == estar_3 / estar_2
+    assert profile.e2_values[1] == estar_3 / estar_2
 
 
 def test_welch_statistics_suite():

@@ -10,9 +10,6 @@ from chaoskit.cao import (
     _cao_terms,
     _nearest_positive_neighbors,
     _restricted_embedding,
-    cao_e,
-    cao_e1,
-    cao_e2,
     minimum_embedding_dimension,
 )
 from chaoskit.errors import ConfigError, DegenerateSeriesError, ShortSeriesError
@@ -26,59 +23,57 @@ def ts(values, fs=1.0):
     return TimeSeries(samples=values, sample_rate_hz=fs)
 
 
+def profile_ratios(x, m, t):
+    """(E1(m), E2(m)) as the dimension scan reports them."""
+    profile = minimum_embedding_dimension(ts(x), t=t, m_max=max(3, m + 1))
+    return profile.e1_values[m - 1], profile.e2_values[m - 1]
+
+
 class TestExpansionRatios:
     def test_ramp_hand_case(self):
         # On a pure ramp every neighbour sits one step away in every
         # coordinate, so E, E1, and E2 are all exactly 1.
-        ramp = ts(np.arange(50.0))
-        assert cao_e(ramp, 1, 1) == 1.0
-        assert cao_e1(ramp, 1, 1) == 1.0
-        assert cao_e2(ramp, 1, 1) == 1.0
+        ramp = np.arange(50.0)
+        assert _cao_terms(ramp, 1, 1)[0] == 1.0
+        assert profile_ratios(ramp, 1, 1) == (1.0, 1.0)
 
     def test_e1_is_ratio_of_e(self):
         rng = np.random.default_rng(3)
-        s = ts(rng.normal(size=400))
-        assert cao_e1(s, 2, 3) == cao_e(s, 3, 3) / cao_e(s, 2, 3)
+        x = rng.normal(size=400)
+        assert profile_ratios(x, 2, 3)[0] == _cao_terms(x, 3, 3)[0] / _cao_terms(x, 2, 3)[0]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_matches_brute_force_logistic(self, logistic_20k, m):
         x = logistic_20k.samples[:1500]
-        s = ts(x)
         e_brute, _, _ = brute_cao_terms(x, m, 1)
-        assert cao_e(s, m, 1) == e_brute
+        assert _cao_terms(x, m, 1)[0] == e_brute
 
     @pytest.mark.parametrize("m,t", [(1, 2), (2, 2), (3, 5)])
     def test_matches_brute_force_henon(self, henon_20k, m, t):
         x = henon_20k.samples[:1200]
-        s = ts(x)
         e_brute, _, _ = brute_cao_terms(x, m, t)
-        assert cao_e(s, m, t) == e_brute
+        assert _cao_terms(x, m, t)[0] == e_brute
         # E2 is a ratio of the mean one-step gaps; check it through the
         # brute pair as well.
         _, estar_m, _ = brute_cao_terms(x, m, t)
         _, estar_m1, _ = brute_cao_terms(x, m + 1, t)
-        assert cao_e2(s, m, t) == estar_m1 / estar_m
+        assert profile_ratios(x, m, t)[1] == estar_m1 / estar_m
 
     def test_affine_invariance(self, henon_20k):
         x = henon_20k.samples[:2000]
-        a = ts(x)
-        b = ts(4.0 * x + 2.0)
-        for m in (1, 2, 3):
-            assert cao_e1(b, m, 1) == pytest.approx(cao_e1(a, m, 1), abs=1e-9)
-            assert cao_e2(b, m, 1) == pytest.approx(cao_e2(a, m, 1), abs=1e-9)
+        a = minimum_embedding_dimension(ts(x), t=1, m_max=4)
+        b = minimum_embedding_dimension(ts(4.0 * x + 2.0), t=1, m_max=4)
+        for i in (0, 1, 2):
+            assert b.e1_values[i] == pytest.approx(a.e1_values[i], abs=1e-9)
+            assert b.e2_values[i] == pytest.approx(a.e2_values[i], abs=1e-9)
 
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateSeriesError):
-            cao_e(ts(np.full(100, 1.0)), 2, 1)
-
-    @pytest.mark.parametrize("m,t", [(0, 1), (1, 0), (1.5, 1)])
-    def test_rejects_bad_m_t(self, m, t):
-        with pytest.raises(ConfigError):
-            cao_e(ts(np.arange(50.0)), m, t)
+            minimum_embedding_dimension(ts(np.full(100, 1.0)), t=1)
 
     def test_short_series_raises(self):
         with pytest.raises(ShortSeriesError):
-            cao_e(ts(np.arange(10.0)), 5, 2)
+            _cao_terms(np.arange(10.0), 5, 2)
 
 
 class TestNeighbourTies:
@@ -140,11 +135,13 @@ class TestProfileSelection:
         assert fnn_minimum_dimension(sine_20k.samples[:2500], t=19) == 2
 
     def test_profile_matches_pointwise_ratios(self, sine_20k):
-        # The scan must report the same numbers the one-shot helpers do.
+        # The scan must report the ratios of the per-dimension terms.
         profile = minimum_embedding_dimension(sine_20k, t=19, m_max=4)
+        x = sine_20k.samples
         for i in (0, 1, 2):
-            assert profile.e1_values[i] == cao_e1(sine_20k, i + 1, 19)
-            assert profile.e2_values[i] == cao_e2(sine_20k, i + 1, 19)
+            (e_m, s_m), (e_m1, s_m1) = _cao_terms(x, i + 1, 19), _cao_terms(x, i + 2, 19)
+            assert profile.e1_values[i] == e_m1 / e_m
+            assert profile.e2_values[i] == s_m1 / s_m
 
     def test_loosening_tolerance_never_raises_selection(self, lorenz_20k):
         # Both plateau conditions are strict inequalities in the

@@ -293,6 +293,22 @@ class TestEstimate:
         assert "dimension scan" in diag["m_fallback_reason"]
         assert "deterministic" not in diag
 
+    def test_channel_pick_is_among_the_parameters(self, tmp_path):
+        # The pick from a two-channel file was once left out: only a
+        # one-column file's '# channel=' line reached the parameters.
+        window = generate(GeneratorSpec("lorenz", 300, seed=1, transient_skip=1000, parameters={"fs": 10.0}))
+        rows = "".join(f"{-a},{a}\n" for a in window.samples)
+        (tmp_path / "two.csv").write_text("# fs=10\n# channels=C3,C4\n" + rows)
+        write_signal_csv(tmp_path / "one.csv", window, {"channel": "C4"})
+        picked = stdout_json(run_cli("estimate", "--estimator", "lag", "--input", str(tmp_path / "two.csv"),
+                                     "--channel", "C4"))
+        alone = stdout_json(run_cli("estimate", "--estimator", "lag", "--input", str(tmp_path / "one.csv")))
+        assert picked["parameters"]["channel"] == alone["parameters"]["channel"] == "C4"
+        assert alone["parameters"] == {
+            "input": str(tmp_path / "one.csv"), "n_samples": 300, "fs": 10.0, "bins": 16, "channel": "C4",
+        }
+        assert picked["value"] == alone["value"]
+
     def test_missing_input_exits_3(self, tmp_path):
         proc = run_cli("estimate", "--estimator", "lag",
                        "--input", str(tmp_path / "absent.csv"))

@@ -53,6 +53,16 @@ class TestCorrelationSum:
         radius = float(np.quantile(d, q))
         assert correlation_sum(pts, radius, w) == brute_correlation_sum(pts.points, radius, w)
 
+    @pytest.mark.parametrize("w", [0, 3])
+    def test_radius_whose_square_overflows_counts_every_pair(self, w):
+        # Once R * R overflowed to inf it reached the exclusion band's
+        # +inf entries too: C(1e155) of these points came out as 1.96
+        # (1.957 at w = 3). The largest finite square already counts
+        # every pair, as the direct scan does on both sides of overflow.
+        pts = np.random.default_rng(0).standard_normal((50, 3))
+        for radius in (1e150, 1e155, 1e300):
+            assert correlation_sum(pts, radius, theiler_w=w) == brute_correlation_sum(pts, radius, w) == 1.0
+
     def test_scale_equivariance_exact(self, henon_20k):
         # Doubling points and radius scales every squared distance by
         # exactly 4, so the pair comparisons are bit-identical.
@@ -115,11 +125,11 @@ class TestCorrelationCurve:
 
     def test_container_validation(self):
         with pytest.raises(ConfigError):
-            CorrelationCurve(radii=[2.0, 1.0], c_values=[0.1, 0.2], theiler_w=0, n_points=10)
+            CorrelationCurve(radii=[2.0, 1.0], c_values=[0.1, 0.2], n_pairs=45)
         with pytest.raises(ConfigError):
-            CorrelationCurve(radii=[1.0, 2.0], c_values=[0.5, 0.2], theiler_w=0, n_points=10)
+            CorrelationCurve(radii=[1.0, 2.0], c_values=[0.5, 0.2], n_pairs=45)
         with pytest.raises(ConfigError):
-            CorrelationCurve(radii=[1.0, 2.0], c_values=[0.5, 1.2], theiler_w=0, n_points=10)
+            CorrelationCurve(radii=[1.0, 2.0], c_values=[0.5, 1.2], n_pairs=45)
 
 
 class TestBlockedPairCount:
@@ -151,6 +161,8 @@ class TestBlockedPairCount:
         n = 400
         pts = embed(henon_20k.samples[: n + m - 1], m)
         curve = correlation_curve(pts, n_radii=8, theiler_w=n - 1 - gap)
+        # Offsets n - gap .. n - 1 hold gap, gap - 1, ..., 1 pairs.
+        assert curve.n_pairs == gap * (gap + 1) // 2
         radii, c_values = per_offset_correlation_curve(pts.points, 8, n - 1 - gap)
         np.testing.assert_array_equal(curve.radii, radii)
         np.testing.assert_array_equal(curve.c_values, c_values)
@@ -210,7 +222,7 @@ class TestCorrelationDimension:
         radii = np.geomspace(1e-3, 1.0, 24)
         u = np.log(radii) - np.log(radii[0])
         c_values = np.exp(0.2 * u + 0.35 * u**2 - 19.0)
-        curve = CorrelationCurve(radii=radii, c_values=c_values, theiler_w=0, n_points=100)
+        curve = CorrelationCurve(radii=radii, c_values=c_values, n_pairs=4950)
         with pytest.raises(NoScalingRegionError):
             correlation_dimension(curve, min_fit_r2=0.998)
 
@@ -219,7 +231,7 @@ class TestCorrelationDimension:
         # Above 1 no fit qualifies; NaN, since r2 < nan is false, would
         # let any fit through. Both refuse even on a straight curve.
         radii = np.geomspace(1e-3, 1.0, 24)
-        curve = CorrelationCurve(radii=radii, c_values=0.5 * radii**2, theiler_w=0, n_points=100)
+        curve = CorrelationCurve(radii=radii, c_values=0.5 * radii**2, n_pairs=4950)
         assert correlation_dimension(curve, 1.0).d2 == pytest.approx(2.0)
         with pytest.raises(ConfigError, match="min_fit_r2"):
             correlation_dimension(curve, min_fit_r2)
@@ -228,7 +240,7 @@ class TestCorrelationDimension:
         # Five radii inside (0, 1), the rest saturated at 1.
         radii = np.geomspace(0.01, 1.0, 12)
         c_values = np.concatenate([np.linspace(0.1, 0.9, 5), np.ones(7)])
-        curve = CorrelationCurve(radii=radii, c_values=c_values, theiler_w=0, n_points=100)
+        curve = CorrelationCurve(radii=radii, c_values=c_values, n_pairs=4950)
         with pytest.raises(NoScalingRegionError):
             correlation_dimension(curve)
 
@@ -237,7 +249,7 @@ class TestCorrelationDimension:
         # every radius stays eligible for the fit.
         radii = np.geomspace(1e-2, 0.9, 20)
         curve = CorrelationCurve(
-            radii=radii, c_values=radii**1.7, theiler_w=0, n_points=100
+            radii=radii, c_values=radii**1.7, n_pairs=4950
         )
         est = correlation_dimension(curve)
         assert est.d2 == pytest.approx(1.7, abs=1e-9)
@@ -269,7 +281,7 @@ def check_against_double_loop(curve: CorrelationCurve, min_fit_r2: float) -> boo
     """Assert the screened fit equals fitting every window; True when
     the curve has a scaling region."""
     expected = double_loop_correlation_dimension(
-        curve.radii, curve.c_values, curve.n_points, curve.theiler_w, min_fit_r2
+        curve.radii, curve.c_values, curve.n_pairs, min_fit_r2
     )
     if expected is None:
         with pytest.raises(NoScalingRegionError):
@@ -280,8 +292,8 @@ def check_against_double_loop(curve: CorrelationCurve, min_fit_r2: float) -> boo
     return True
 
 
-def hand_curve(radii, c_values, n_points=400) -> CorrelationCurve:
-    return CorrelationCurve(radii=radii, c_values=c_values, theiler_w=0, n_points=n_points)
+def hand_curve(radii, c_values) -> CorrelationCurve:
+    return CorrelationCurve(radii=radii, c_values=c_values, n_pairs=79_800)  # 400 points, no exclusion
 
 
 class TestScreenedFit:

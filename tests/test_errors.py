@@ -19,7 +19,7 @@ import re
 import numpy as np
 import pytest
 
-from chaoskit.cao import CaoProfile, cao_e, cao_e1, cao_e2, minimum_embedding_dimension
+from chaoskit.cao import CaoProfile, minimum_embedding_dimension
 from chaoskit.correlation import CorrelationCurve, D2Estimate, correlation_curve, correlation_dimension, correlation_sum
 from chaoskit.errors import ConfigError, ShortSeriesError, check_array, check_float, check_int
 from chaoskit.generators import (
@@ -70,9 +70,6 @@ def _canon(value):
 
 # (argument name, call with the argument set to v, a usable whole value)
 SITES = {
-    "cao_e m": ("m", lambda v: cao_e(X, v, 1), 3),
-    "cao_e1 t": ("t", lambda v: cao_e1(X, 2, v), 3),
-    "cao_e2 m": ("m", lambda v: cao_e2(X, v, 1), 3),
     "minimum_embedding_dimension t": ("t", lambda v: minimum_embedding_dimension(X, v, m_max=4), 3),
     "minimum_embedding_dimension m_max": ("m_max", lambda v: minimum_embedding_dimension(X, 1, m_max=v), 3),
     "correlation_sum theiler_w": ("theiler_w", lambda v: correlation_sum(PTS, 0.1, theiler_w=v), 3),
@@ -313,8 +310,8 @@ CELLS = np.full((2, 2), 0.25)
 VALUE_FIELDS = {
     "CaoProfile e1_values": ("e1_values", lambda v: _profile(e1_values=v), np.ones(4)),
     "CaoProfile e2_values": ("e2_values", lambda v: _profile(e2_values=v), np.ones(4)),
-    "CorrelationCurve radii": ("radii", lambda v: CorrelationCurve(v, CURVE.c_values, 0, 399), CURVE.radii),
-    "CorrelationCurve c_values": ("c_values", lambda v: CorrelationCurve(CURVE.radii, v, 0, 399), CURVE.c_values),
+    "CorrelationCurve radii": ("radii", lambda v: CorrelationCurve(v, CURVE.c_values, CURVE.n_pairs), CURVE.radii),
+    "CorrelationCurve c_values": ("c_values", lambda v: CorrelationCurve(CURVE.radii, v, CURVE.n_pairs), CURVE.c_values),
     "D2Estimate fit_range": ("fit_range", lambda v: _estimate(fit_range=v), (1.0, 2.0)),
     "DiscreteDistribution probabilities": ("probabilities", lambda v: DiscreteDistribution(v, EDGES), HALVES),
     "DiscreteDistribution bin_edges": ("bin_edges", lambda v: DiscreteDistribution(HALVES, v), EDGES),
@@ -346,6 +343,14 @@ def test_value_type_array(site):
 VALUE_NUMBERS = {
     "CaoProfile m_max": ("m_max", lambda v: _profile(m_max=v), 5, (5.5, 2)),
     "CaoProfile selected_m": ("selected_m", lambda v: _profile(selected_m=v), 5, (2.5, 1, 6)),
+    "CaoProfile lag_t": ("lag_t", lambda v: _profile(lag_t=v), 2, (2.5, 0, -3)),
+    "CorrelationCurve n_pairs": (
+        "n_pairs",
+        lambda v: CorrelationCurve(CURVE.radii, CURVE.c_values, v),
+        CURVE.n_pairs,
+        (2.5, 0, -5),
+    ),
+    "D2Estimate n_pairs_in_range": ("n_pairs_in_range", lambda v: _estimate(n_pairs_in_range=v), 0, (2.5, -1)),
     "D2Estimate d2": ("d2", lambda v: _estimate(d2=v), 1.5, ()),
     "D2Estimate fit_range low end": ("fit_range[0]", lambda v: _estimate(fit_range=(v, 2.0)), 0.5, (0.0, -1.0)),
     "D2Estimate fit_range high end": ("fit_range[1]", lambda v: _estimate(fit_range=(1.0, v)), 3.0, (1.0, 0.5)),
@@ -388,5 +393,5 @@ def test_curve_with_a_nan_radius_is_refused():
     radii = CURVE.radii.copy()
     radii[12] = math.nan
     with pytest.raises(ConfigError, match=r"^radii must be a 1-d array of finite numbers, got NaN"):
-        CorrelationCurve(radii, CURVE.c_values, CURVE.theiler_w, CURVE.n_points)
+        CorrelationCurve(radii, CURVE.c_values, CURVE.n_pairs)
     assert correlation_dimension(CURVE).d2 == pytest.approx(0.8109, abs=1e-4)

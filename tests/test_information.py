@@ -23,6 +23,8 @@ from chaoskit.information import (
 )
 from chaoskit.series import TimeSeries
 
+from oracles import ratio_mutual_information
+
 
 class TestBinning:
     def test_edges_span_range(self):
@@ -92,14 +94,7 @@ class TestMutualInformation:
         x = rng.normal(size=3000)
         y = x**2 + 0.1 * rng.normal(size=3000)
         joint = joint_distribution(x, y, 16)
-        assert mi_from_joint(joint, "entropy") == pytest.approx(
-            mi_from_joint(joint, "ratio"), abs=1e-9
-        )
-
-    def test_unknown_route_rejected(self):
-        joint = joint_distribution(np.arange(10.0), np.arange(10.0), 2)
-        with pytest.raises(ConfigError):
-            mi_from_joint(joint, "geometric")
+        assert mi_from_joint(joint) == pytest.approx(ratio_mutual_information(joint), abs=1e-9)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
@@ -117,8 +112,8 @@ class TestMutualInformation:
         x = rng.normal(size=n)
         y = rng.normal(size=n) + rng.uniform(-1, 1) * x
         joint = joint_distribution(x, y, 8)
-        mi_a = mi_from_joint(joint, "entropy")
-        mi_b = mi_from_joint(joint, "ratio")
+        mi_a = mi_from_joint(joint)
+        mi_b = ratio_mutual_information(joint)
         assert mi_a == pytest.approx(mi_b, abs=1e-9)
         assert mi_a >= -1e-9
         hx = entropy(joint.marginal_x())

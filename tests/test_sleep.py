@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chaoskit.correlation import correlation_curve
+from chaoskit.correlation import correlation_curve, correlation_sum
 from chaoskit.errors import ConfigError, DegenerateSeriesError, InputError
 from chaoskit.generators import GeneratorSpec, generate
 from chaoskit.lyapunov import WolfParams, largest_lyapunov_wolf
@@ -250,8 +250,8 @@ def _scaled_lorenz(scale: float) -> TimeSeries:
 
 class TestSquaredOverflow:
     """Samples whose squares overflow float64 are refused, by name, at
-    the three places that square them, before scipy or the radius grid
-    sees an infinite distance. Values just below run unchanged."""
+    every place that squares them, before scipy, the radius grid or a
+    pair count sees an infinite distance. Values just below run unchanged."""
 
     @pytest.mark.parametrize("scale", [1e154, 1e160, 1e300])
     def test_each_route_names_the_overflow(self, scale):
@@ -265,6 +265,9 @@ class TestSquaredOverflow:
             largest_lyapunov_wolf(points, WolfParams(theiler_w=5))
         with pytest.raises(DegenerateSeriesError, match=r"^squared distances of 3-d points spanning .* overflow float64"):
             correlation_curve(points, theiler_w=5)
+        # Once C(1.0) = 0.0, every distance having overflowed.
+        with pytest.raises(DegenerateSeriesError, match=r"^squared distances of 3-d points spanning .* overflow float64"):
+            correlation_sum(points, 1.0, theiler_w=5)
         result = compute_epoch_indices(window)
         assert set(result.failures) == set(INDEX_NAMES)
         assert all("overflow float64" in reason for reason in result.failures.values())

@@ -1,8 +1,9 @@
 """The repository's scripts against the package: the names the benchmark
-tracer rebinds still exist and are called, every demo runs to the end,
-and the package keeps a single integer-argument check, a single
-real-argument check, a single array check and a single epoch record
-rule, and its restated defaults agree with their sources."""
+tracer rebinds still exist and are called, every exported name exists,
+every demo runs to the end, and the package keeps a single
+integer-argument check, a single real-argument check, a single array
+check and a single epoch record rule, and its restated defaults agree
+with their sources."""
 
 import ast
 import dataclasses
@@ -10,6 +11,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import chaoskit
 from chaoskit import sleep
 from chaoskit.cao import minimum_embedding_dimension
 from chaoskit.cli import build_parser
@@ -59,6 +62,18 @@ def test_demo_runs(demo, tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exported_names_exist():
+    # A removed function must not linger in an __all__ as a stale string.
+    modules = [chaoskit, *(importlib.import_module(f"chaoskit.{m.name}") for m in pkgutil.iter_modules(chaoskit.__path__))]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert len(modules) > 10 and missing == []
 
 
 def test_traced_sleep_names_are_called(monkeypatch):
