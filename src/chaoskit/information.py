@@ -4,9 +4,12 @@ All quantities are plug-in estimates over equal-width histograms and are
 reported in bits (log base 2). One binning rule is used everywhere: the
 range ``[min, max]`` of each sequence is split into ``bins`` equal
 cells, the top edge is inclusive, and a constant sequence gets a single
-synthetic cell around its value. Mutual information is computed one
-way, as I = H(X) + H(Y) - H(X, Y) with the marginals taken from the
-joint histogram. The other textbook route, the double sum
+synthetic cell around its value. One kernel, ``_joint_probabilities``,
+counts every joint histogram, for :func:`joint_distribution` and for the
+delay scan's :func:`auto_mutual_information` alike. One formula,
+``_mi_bits``, turns it into mutual information as
+I = H(X) + H(Y) - H(X, Y), with the marginals taken from the joint
+histogram. The other textbook route, the double sum
 I = sum_ij p_ij log2( p_ij / (p_i q_j) ), is the test suite's oracle
 (``tests/oracles.py::ratio_mutual_information``), which the entropy
 route matches to rounding.
@@ -95,10 +98,11 @@ class JointDistribution:
         return DiscreteDistribution(self.probabilities.sum(axis=0), self.y_edges)
 
 
-def _cell_range(lo: float, hi: float) -> tuple[float, float]:
-    """The histogram range of values spanning ``[lo, hi]``; a constant
+def _cell_range(values: np.ndarray) -> tuple[float, float]:
+    """The histogram range ``[min, max]`` of a sequence; a constant
     sequence gets one unit-wide cell centred on its value. A range whose
     width float64 cannot hold, or rounds to zero, raises DegenerateSeriesError."""
+    lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     if not 0.0 < hi - lo < math.inf:
@@ -107,8 +111,8 @@ def _cell_range(lo: float, hi: float) -> tuple[float, float]:
 
 
 def equal_width_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    """Equal-width edges over the :func:`_cell_range` of ``[min, max]``."""
-    return np.linspace(*_cell_range(float(np.min(values)), float(np.max(values))), bins + 1)
+    """Equal-width edges over the :func:`_cell_range` of the values."""
+    return np.linspace(*_cell_range(np.asarray(values)), bins + 1)
 
 
 def bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -142,15 +146,21 @@ def joint_distribution(x, y, bins: int) -> JointDistribution:
     ya = check_array("y", y, ndim=1, min_len=1)
     if xa.size != ya.size:
         raise ConfigError(f"x and y must have equal length, got {xa.size} and {ya.size}")
+    p = _joint_probabilities(xa, ya, bins)
+    return JointDistribution(p, equal_width_edges(xa, len(p)), equal_width_edges(ya, len(p)))
+
+
+def _joint_probabilities(x: np.ndarray, y: np.ndarray, bins: int) -> np.ndarray:
+    """Joint histogram probabilities of two equally long float64
+    sequences, rows indexing ``x``. Each is binned by :func:`_cells`
+    over its own :func:`_cell_range`, the end edges that
+    :func:`equal_width_edges` returns exactly."""
     bins = check_int("bins", bins, MIN_MI_BINS)
-    if xa.size < bins:
-        raise ConfigError(f"need at least {bins} paired samples, got {xa.size}")
-    x_edges = equal_width_edges(xa, bins)
-    y_edges = equal_width_edges(ya, bins)
-    ix = bin_indices(xa, x_edges)
-    iy = bin_indices(ya, y_edges)
-    counts = np.bincount(ix * bins + iy, minlength=bins * bins).reshape(bins, bins)
-    return JointDistribution(counts / xa.size, x_edges, y_edges)
+    if x.size < bins:
+        raise ConfigError(f"need at least {bins} paired samples, got {x.size}")
+    ix = _cells(x, *_cell_range(x), bins)
+    iy = _cells(y, *_cell_range(y), bins)
+    return np.bincount(ix * bins + iy, minlength=bins * bins).reshape(bins, bins) / x.size
 
 
 def entropy(dist: DiscreteDistribution | JointDistribution) -> float:
@@ -163,11 +173,15 @@ def _entropy_bits(p: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def mi_from_joint(joint: JointDistribution) -> float:
-    """Mutual information in bits from a joint histogram, as
-    H(X) + H(Y) - H(X, Y) with the marginals from its row and column sums."""
-    p = joint.probabilities
+def _mi_bits(p: np.ndarray) -> float:
+    """H(X) + H(Y) - H(X, Y) in bits of joint probabilities ``p``, with
+    the marginals from its row and column sums."""
     return _entropy_bits(p.sum(axis=1)) + _entropy_bits(p.sum(axis=0)) - _entropy_bits(p)
+
+
+def mi_from_joint(joint: JointDistribution) -> float:
+    """Mutual information in bits from a joint histogram."""
+    return _mi_bits(joint.probabilities)
 
 
 def mutual_information(x, y, bins: int = 16) -> float:
@@ -175,46 +189,18 @@ def mutual_information(x, y, bins: int = 16) -> float:
     return mi_from_joint(joint_distribution(x, y, bins))
 
 
-class _LagScan:
-    """A series' samples with their running minima and maxima, from which
-    the histogram range of ``x[:n - lag]`` and of ``x[lag:]`` is read at
-    any lag without a pass over the samples. Both ranges are those that
-    :func:`equal_width_edges` finds, and :func:`bin_indices` reads only
-    the end edges, which ``np.linspace`` returns exactly, so the cells and
-    every count are those of :func:`mutual_information` on the two parts.
-    """
-
-    def __init__(self, samples: np.ndarray):
-        self.samples = samples
-        self.head_lo = np.minimum.accumulate(samples)
-        self.head_hi = np.maximum.accumulate(samples)
-        self.tail_lo = np.minimum.accumulate(samples[::-1])[::-1]
-        self.tail_hi = np.maximum.accumulate(samples[::-1])[::-1]
-
-    def mutual_information(self, lag: int, bins: int) -> float:
-        """Mutual information in bits of ``x[:n - lag]`` and ``x[lag:]``."""
-        x = self.samples
-        n = x.size - lag
-        bins = check_int("bins", bins, MIN_MI_BINS)
-        if n < bins:
-            raise ConfigError(f"need at least {bins} paired samples, got {n}")
-        ix = _cells(x[:n], *_cell_range(float(self.head_lo[n - 1]), float(self.head_hi[n - 1])), bins)
-        iy = _cells(x[lag:], *_cell_range(float(self.tail_lo[lag]), float(self.tail_hi[lag])), bins)
-        p = np.bincount(ix * bins + iy, minlength=bins * bins).reshape(bins, bins) / n
-        return _entropy_bits(p.sum(axis=1)) + _entropy_bits(p.sum(axis=0)) - _entropy_bits(p)
-
-
 def auto_mutual_information(series: TimeSeries, lag: int, bins: int = 16) -> float:
     """Mutual information between the series and itself ``lag`` samples later.
 
     ``lag=0`` degenerates to the entropy of the series' own histogram.
     The value equals ``mutual_information(x[:n - lag], x[lag:], bins)``
-    to the bit. :func:`select_lag_first_minimum` passes one ``_LagScan``
-    of its window in place of the series, so the running extremes are
-    computed once for all its lags.
+    to the bit: both count through ``_joint_probabilities`` and apply
+    ``_mi_bits``. The samples of a series are already checked, so this
+    skips the argument and probability checks of the validated route.
     """
-    scan = series if isinstance(series, _LagScan) else _LagScan(series.samples)
-    return scan.mutual_information(check_int("lag", lag, 0, scan.samples.size - 2), bins)
+    x = series.samples
+    lag = check_int("lag", lag, 0, x.size - 2)
+    return _mi_bits(_joint_probabilities(x[: x.size - lag], x[lag:], bins))
 
 
 def first_local_minimum(values) -> LagResult:
@@ -242,10 +228,9 @@ def select_lag_first_minimum(series: TimeSeries, max_lag: int, bins: int = 16) -
     max_lag = check_int("max_lag", max_lag, MIN_LAG_SCAN)
     if max_lag > series.samples.size - 2:
         raise ConfigError(f"max_lag must be at most {series.samples.size - 2} for this series, got {max_lag}")
-    scan = _LagScan(series.samples)
-    ami = [auto_mutual_information(scan, 0, bins), auto_mutual_information(scan, 1, bins)]
+    ami = [auto_mutual_information(series, 0, bins), auto_mutual_information(series, 1, bins)]
     for lag in range(2, max_lag + 1):
-        ami.append(auto_mutual_information(scan, lag, bins))
+        ami.append(auto_mutual_information(series, lag, bins))
         if ami[-2] < ami[-3] and ami[-2] <= ami[-1]:
             return LagResult(lag - 1, False)
     return LagResult(max_lag, True)

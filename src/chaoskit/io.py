@@ -123,9 +123,10 @@ def read_signal_csv(path: str | Path, channel: str | None = None) -> tuple[TimeS
     One channel rule holds for any number of columns. The names come
     from ``# channels=``, or from ``# channel=`` when only that is given;
     a file giving both must name the same single channel in each.
-    Declared names must match the columns, a multi-column file needs a
-    ``channel`` pick, and a pick must be a declared name. A one-column
-    file without names reads under any requested name.
+    Declared names must be distinct and match the columns, a
+    multi-column file needs a ``channel`` pick, and a pick must be a
+    declared name. A one-column file without names reads under any
+    requested name.
 
     Raises
     ------
@@ -161,6 +162,9 @@ def read_signal_csv(path: str | Path, channel: str | None = None) -> tuple[TimeS
         names = [c.strip() for c in metadata["channels"].split(",") if c.strip()]
         if len(names) != n_cols:
             raise InputError(f"signal file {path}: {len(names)} channel names for {n_cols} columns")
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise InputError(f"signal file {path} names channel {repeated[0]!r} twice")
         if declared is not None and names != [declared]:
             raise InputError(f"signal file {path} declares channel {declared!r} but channels {', '.join(names)}")
     elif n_cols > 1:

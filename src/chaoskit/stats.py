@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConfigError, check_array, check_float, check_int
-from .information import bin_indices, check_probabilities, equal_width_edges
+from .information import check_probabilities, marginal_distribution
 from .sleep import INDEX_NAMES, EpochIndices, Group, SleepStage, SCORED_STAGES
 
 __all__ = [
@@ -236,15 +236,13 @@ def compare_groups(
 
 def empirical_histogram(values: Sequence[float], n_bins: int) -> Histogram:
     """Relative-frequency histogram with equal-width cells over [min, max]."""
-    arr = check_array("values", values, ndim=1, min_len=1)
-    n_bins = check_int("n_bins", n_bins, MIN_HIST_BINS)
-    edges = equal_width_edges(arr, n_bins)
-    counts = np.bincount(bin_indices(arr, edges), minlength=n_bins)
-    return Histogram(bin_edges=edges, relative_frequencies=counts / arr.size)
+    dist = marginal_distribution(values, check_int("n_bins", n_bins, MIN_HIST_BINS))
+    return Histogram(bin_edges=dist.bin_edges, relative_frequencies=dist.probabilities)
 
 
 def histograms_by_cell(epochs: Sequence[EpochIndices] | EpochCells, n_bins: int = 16) -> list[Histogram]:
     """One histogram per (index, stage, group) cell that has any values."""
+    n_bins = check_int("n_bins", n_bins, MIN_HIST_BINS)
     cells = _cells(epochs)
     out = []
     for index_name in INDEX_NAMES:
@@ -253,11 +251,11 @@ def histograms_by_cell(epochs: Sequence[EpochIndices] | EpochCells, n_bins: int 
                 values = cells.get((index_name, stage, group), [])
                 if not values:
                     continue
-                base = empirical_histogram(values, n_bins)
+                dist = marginal_distribution(values, n_bins)
                 out.append(
                     Histogram(
-                        bin_edges=base.bin_edges,
-                        relative_frequencies=base.relative_frequencies,
+                        bin_edges=dist.bin_edges,
+                        relative_frequencies=dist.probabilities,
                         index_name=index_name,
                         group=group,
                         stage=stage,

@@ -228,8 +228,9 @@ def _lag_scan_series() -> dict[str, np.ndarray]:
 
 
 class TestLagScanRanges:
-    """The scan reads each lag's histogram range from running extremes;
-    every value must equal the generic route's, which builds the edges."""
+    """The scan counts each lag's joint histogram without building its
+    edges or checking its probabilities; every value must equal the
+    generic route's, which does both."""
 
     @pytest.mark.parametrize("name", sorted(_lag_scan_series()))
     @pytest.mark.parametrize("bins", [2, 16])

@@ -283,6 +283,20 @@ class TestChannelRule:
             read_signal_csv(path, channel=channel)
         assert str(info.value) == "signal file " + message.format(path=path)
 
+    @pytest.mark.parametrize("names, channel", [("C3,C3", "C3"), ("C3,C4,C3", "C4"), ("C3,C4,C4", None)])
+    def test_repeated_names_refused(self, tmp_path, capsys, names, channel):
+        # '# channels=C3,C3' with a C3 pick once read column 0 silently:
+        # the repeated name left the pick to be guessed.
+        columns = names.split(",")
+        path = tmp_path / "sig.csv"
+        path.write_text(f"# fs=10\n# channels={names}\n" + ",".join(["1.0"] * len(columns)) + "\n")
+        with pytest.raises(InputError) as info:
+            read_signal_csv(path, channel=channel)
+        assert str(info.value) == f"signal file {path} names channel {columns[-1]!r} twice"
+        argv = ["estimate", "--estimator", "mi", "--input", str(path)]
+        assert cli_main(argv + (["--channel", channel] if channel else [])) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
+
 
 class TestMultiChannel:
     def write_two_channel(self, path):

@@ -243,6 +243,13 @@ class TestSummariesAndHistograms:
         assert hist.stage is SleepStage.S2
         assert hist.relative_frequencies.size == 4
 
+    @pytest.mark.parametrize("n_bins", [0, 2.5, None])
+    def test_histograms_by_cell_checks_n_bins_without_cells(self, n_bins):
+        # Checked before the loop, so a report of no values still refuses
+        # a bin count that no histogram could use.
+        with pytest.raises(ConfigError, match=rf"^n_bins must be an integer >= 1, got {n_bins!r}$"):
+            histograms_by_cell([], n_bins=n_bins)
+
     def test_one_grouping_serves_every_table(self):
         rng = np.random.default_rng(5)
         groups = (Group.APNEA, Group.HEALTHY)

@@ -2,8 +2,8 @@
 tracer rebinds still exist and are called, every exported name exists,
 every demo runs to the end, and the package keeps a single
 integer-argument check, a single real-argument check, a single array
-check and a single epoch record rule, and its restated defaults agree
-with their sources."""
+check, a single epoch record rule and a single histogram count, and its
+restated defaults agree with their sources."""
 
 import ast
 import dataclasses
@@ -148,6 +148,16 @@ def test_one_array_rule():
         if any(path.name not in exempt and re.search(idiom, line) for idiom, exempt in idioms.items())
     ]
     assert copies == []
+
+
+def test_one_histogram_rule():
+    # Every histogram is counted in information.py: the report histograms
+    # through marginal_distribution, every joint count, for
+    # mutual_information and the delay scan alike, through one kernel,
+    # and mutual information is H(X) + H(Y) - H(X, Y) written once.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted((ROOT / "src" / "chaoskit").glob("*.py"))}
+    assert [name for name, source in sources.items() if "np.bincount(" in source] == ["information.py"]
+    assert sum(source.count("_entropy_bits(p.sum(axis=1))") for source in sources.values()) == 1
 
 
 def _default(function, name):
