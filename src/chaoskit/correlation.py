@@ -3,28 +3,28 @@
 The correlation sum C(R) is the fraction of admissible point pairs at
 Euclidean distance <= R, where a pair (i, j) is admissible when
 ``|i - j| > W`` for the temporal exclusion window W. Distances at
-exactly R count (the kernel steps up at zero). Pairs are counted in row
-blocks of at most ``_PAIR_BLOCK`` pairs: a block's squared distances are
-built one coordinate at a time, added in the order numpy's row sum uses
-(so every distance equals ``((a - b) ** 2).sum()`` bit for bit), sorted,
-and the radius grid is located in them with one binary search per
-radius. The O(N^2) pair work stays, but it runs in a few dozen numpy
-passes instead of one Python iteration per index offset, and no
-distance matrix is held beyond one block.
+exactly R count (the kernel steps up at zero).
 
-For the curve, radii are log-spaced between the 0.1th percentile and
-the maximum of sampled pairwise distances. When the admissible pairs
-number at most ``_PAIR_SAMPLE_CAP`` (one million), the sample is all of
-them: their squared distances are built once, by the blocked kernel,
-and sorted once; the grid's ends come from their square roots, and each
-radius is counted by one binary search in them, with no second pass.
-Beyond the cap, a million pairs are drawn uniformly from the admissible
-set with a fixed seed, so the grid, and everything downstream of it, is
-reproducible; the pairs are then counted block by block as above. Only
-the maximum and a percentile of the sample are read, and neither
-depends on order, so the draws are sorted before they are turned into
-pairs, and the pairs are gathered ``_SAMPLE_BLOCK`` at a time, walking
-the points in memory order.
+Pairs are built a block of consecutive index offsets k at a time, at
+most ``_PAIR_BLOCK`` of them, from shared rows: each source series
+(:func:`~chaoskit.series.coordinate_sources`; one for delay vectors,
+one per column otherwise) gives one row ``(s[j + k] - s[j]) ** 2`` per
+offset, and each coordinate's term is a shifted slice of it. The terms
+are added in the order numpy's row sum uses, so every distance equals
+``((a - b) ** 2).sum()`` bit for bit, and no distance matrix is held
+beyond one block.
+
+A curve streams the blocks twice. The first pass keeps the maximum
+squared distance, the smallest few (enough for numpy's linear 0.1th
+percentile of all of them) and the smallest positive one; the radius
+grid is log-spaced from that percentile of the distances, or the
+smallest positive distance when the percentile is zero, to their
+maximum. The grid comes from every admissible pair, and no random
+sample is drawn. The second pass counts each radius in each block:
+the block's squared distances are rounded to float32 sort keys and
+sorted, the keys below a radius's own key are counted by binary search,
+and a radius whose key some value shares is recounted on float64.
+Rounding to float32 is monotone, so the counts are exact.
 
 D2 is read off as the least-squares slope of log C(R) against log R
 over an automatically selected scaling region. Every candidate window's
@@ -37,13 +37,14 @@ chosen window and every output bit are those of fitting them all.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DegenerateSeriesError, NoScalingRegionError, check_array, check_float, check_int
-from .series import as_points, point_extent
+from .series import as_points, coordinate_sources, point_extent
 
 __all__ = [
     "CorrelationCurve",
@@ -53,20 +54,16 @@ __all__ = [
     "correlation_dimension",
 ]
 
-# Seed for the pair subsample that sets the radius grid. Fixed so runs
-# are reproducible; it has no effect once the grid is chosen.
-_PAIR_SAMPLE_SEED = 411
-_PAIR_SAMPLE_CAP = 1_000_000
 # Fewest radii on a correlation curve.
 MIN_RADII = 8
-# Pairs per block of the pair count. A block holds two float64 arrays of
-# this size, about a dozen from 8 coordinates up: a few MB at most, and
-# small enough to stay in cache between its passes.
-_PAIR_BLOCK = 1 << 16
-# Sampled pairs gathered at a time for the radius grid: a block's
-# per-coordinate arrays stay in cache, and no array of the whole sample
-# is held beyond its distances.
-_SAMPLE_BLOCK = 1 << 15
+# Entries per block of offsets. A block's rows, running sums and sort
+# keys are a few arrays of this size, 256 KB each in float64, and stay
+# in a core's cache between a block's steps: at twice this size the
+# curve of a 300-point window took about a third longer on a Xeon with
+# 2 MB of L2 cache per core.
+_PAIR_BLOCK = 1 << 15
+# Percentile of the pair distances at the bottom of the radius grid.
+_LOW_PERCENTILE = 0.1
 # Unit roundoff of float64.
 _U = 2.0**-53
 
@@ -143,125 +140,194 @@ def correlation_sum(vectors, radius: float, theiler_w: int = 0) -> float:
     radius = check_float("radius", radius, above=0)
     point_extent(pts)
     r_sq = min(radius * radius, np.finfo(np.float64).max)
-    count = _pair_counts(pts, w, np.array([r_sq]))[0]
+    count = _pair_counts(coordinate_sources(vectors), n, w, np.array([r_sq]))[0]
     return int(count) / _n_admissible_pairs(n, w)
 
 
-def _columns(pts: np.ndarray) -> list[np.ndarray]:
-    return [np.ascontiguousarray(pts[:, c]) for c in range(pts.shape[1])]
+class _Scratch:
+    """Work arrays reused from block to block, so that a block's
+    arithmetic allocates no memory: ``take`` hands out the next array of
+    a shape, ``reset`` starts a block over."""
+
+    def __init__(self):
+        self._arrays: list[np.ndarray] = []
+        self._next = 0
+
+    def reset(self) -> None:
+        self._next = 0
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if self._next == len(self._arrays):
+            self._arrays.append(np.empty(size))
+        elif self._arrays[self._next].size < size:
+            self._arrays[self._next] = np.empty(size)
+        self._next += 1
+        return self._arrays[self._next - 1][:size].reshape(shape)
 
 
-def _sum_of_squares(diffs: Iterator[np.ndarray], m: int) -> np.ndarray:
-    """Squared Euclidean distances from ``m`` per-coordinate differences,
-    equal bit for bit to ``(diff ** 2).sum(axis=1)`` over the rows. Each
-    difference array is squared in place."""
-    return _row_sum((np.square(d, out=d) for d in diffs), m)
-
-
-def _row_sum(terms: Iterator[np.ndarray], m: int) -> np.ndarray:
-    """Sum ``m`` arrays in the order numpy's ``x.sum(axis=-1)`` adds a
-    row of ``m`` values, so the totals match it bit for bit.
+def _row_sum(terms: Iterator, m: int, new: Callable[[], np.ndarray] | None = None):
+    """Sum ``m`` arrays, or floats, in the order numpy's ``x.sum(axis=-1)``
+    adds a row of ``m`` values, so the totals match it bit for bit.
 
     Below 8 values numpy adds from left to right. From 8 to 128 it keeps
     eight running sums ``r[k] += x[8q + k]``, joins them as
     ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
     rest in turn; above 128 it splits at a multiple of 8 near the middle
-    and adds the two halves' sums. ``terms`` yields fresh arrays, which
-    are used as accumulators.
+    and adds the two halves' sums. ``terms`` is only read: each running
+    sum is made by its first addition, into an array from ``new()`` when
+    it is given, so no term is copied, and a single term is returned as
+    it is.
     """
-    if m < 8:
-        acc = next(terms)
-        for _ in range(m - 1):
-            acc += next(terms)
-        return acc
+
+    def add(a, b, owned=False):
+        if owned:
+            a += b
+            return a
+        return a + b if new is None else np.add(a, b, out=new())
+
     if m > 128:
         half = m // 2 - (m // 2) % 8
-        return _row_sum(terms, half) + _row_sum(terms, m - half)
+        return add(_row_sum(terms, half, new), _row_sum(terms, m - half, new), True)
+    if m < 8:
+        acc = next(terms)
+        for k in range(1, m):
+            acc = add(acc, next(terms), k > 1)
+        return acc
     r = [next(terms) for _ in range(8)]
     for k in range(8, m - m % 8):
-        r[k % 8] += next(terms)
-    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        r[k % 8] = add(r[k % 8], next(terms), k >= 16)
+    own = m >= 16
+    acc = add(
+        add(add(r[0], r[1], own), add(r[2], r[3], own), True),
+        add(add(r[4], r[5], own), add(r[6], r[7], own), True),
+        True,
+    )
     for _ in range(m % 8):
         acc += next(terms)
     return acc
 
 
-def _pair_blocks(pts: np.ndarray, w: int) -> Iterator[np.ndarray]:
-    """Squared distances of the admissible pairs, a row block at a time.
+def _block_terms(
+    sources: list[tuple[np.ndarray, int]],
+    windows: dict[int, np.ndarray],
+    k0: int,
+    rows: int,
+    width: int,
+    scratch: _Scratch,
+) -> Iterator[np.ndarray]:
+    """Each coordinate's squared differences over the offsets
+    ``k0 .. k0 + rows - 1``, as a ``(rows, width)`` slice of its series'
+    rows; a series' rows are built when its first coordinate asks."""
+    last = None
+    for series, tap in sources:
+        if series is not last:
+            length = series.size - k0
+            sq = scratch.take((rows, length))
+            np.subtract(windows[id(series)][k0 : k0 + rows, :length], series[:length], out=sq)
+            # Entries no pair reads may overflow, where a delay series
+            # spans more than one point's coordinates.
+            with np.errstate(over="ignore"):
+                np.square(sq, out=sq)
+            last = series
+        yield sq[:, tap : tap + width]
 
-    Rows ``a .. b-1`` of a block meet the columns ``a + w + 1 .. n-1``,
-    so its entry (r, c) is the pair (a + r, a + w + 1 + c); the entries
-    with c < r lie inside the exclusion band and are set to +inf, which
-    no radius reaches.
+
+def _pair_blocks(sources: list[tuple[np.ndarray, int]], n: int, w: int) -> Iterator[np.ndarray]:
+    """Squared distances of the admissible pairs of ``n`` points, a block
+    of consecutive index offsets at a time.
+
+    The block of offsets ``k0 .. k0 + rows - 1`` is a ``(rows, n - k0)``
+    array whose entry (r, i) is the pair (i, i + k0 + r). Entries with
+    ``i >= n - k0 - r`` are not pairs: each reads a series past its end,
+    where it is padded with NaN, so they are NaN, which no comparison
+    counts and ``np.fmax`` and ``np.fmin`` pass over. A block is
+    overwritten by the next, so it must be used before the next is asked
+    for.
     """
-    n, m = pts.shape
-    columns = _columns(pts)
-    a = 0
-    while a < n - w - 1:
-        lo = a + w + 1
-        width = n - lo
+    pad = np.full(n, np.nan)
+    windows = {
+        id(series): sliding_window_view(np.concatenate([series, pad]), series.size) for series, _ in sources
+    }
+    scratch = _Scratch()
+    k0 = w + 1
+    while k0 < n:
+        width = n - k0
         rows = max(1, min(_PAIR_BLOCK // width, width))
-        d_sq = _sum_of_squares((np.subtract.outer(x[a : a + rows], x[lo:]) for x in columns), m)
-        d_sq[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.inf
-        yield d_sq
-        a += rows
+        scratch.reset()
+        terms = _block_terms(sources, windows, k0, rows, width, scratch)
+        yield _row_sum(terms, len(sources), lambda: scratch.take((rows, width)))
+        k0 += rows
 
 
-def _pair_counts(pts: np.ndarray, w: int, r_sq: np.ndarray) -> np.ndarray:
-    """Admissible pairs at squared distance <= each of ``r_sq``: each
-    block is sorted, and one binary search per radius counts its pairs
-    at or below it."""
-    counts = np.zeros(r_sq.size, dtype=np.int64)
-    for d_sq in _pair_blocks(pts, w):
-        flat = d_sq.ravel()
-        flat.sort()
-        counts += np.searchsorted(flat, r_sq, side="right")
-    return counts
+def _low_percentile(smallest: np.ndarray, total: int) -> float:
+    """``np.percentile(d, _LOW_PERCENTILE)`` of ``total`` values ``d``
+    whose smallest ones are ``smallest``, sorted: numpy's linear rule,
+    with its arithmetic. The ``floor(_percentile_position(total)) + 2``
+    smallest suffice."""
+    v = _percentile_position(total)
+    i = math.floor(v)
+    if i + 1 >= total:
+        return float(smallest[total - 1])
+    a, b = smallest[i], smallest[i + 1]
+    t = v - i
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
 
 
-def _all_pair_distances(pts: np.ndarray, w: int) -> np.ndarray:
-    """Squared distances of every admissible pair, sorted."""
-    d_sq = np.concatenate([block.ravel() for block in _pair_blocks(pts, w)])
-    d_sq.sort()
-    return d_sq[: _n_admissible_pairs(pts.shape[0], w)]  # the band's +inf sort last
+def _percentile_position(total: int) -> float:
+    """Position of ``_LOW_PERCENTILE`` among ``total`` sorted values, as numpy computes it."""
+    return (total - 1) * (_LOW_PERCENTILE / 100)
 
 
-def _sampled_pair_distances(pts: np.ndarray, w: int) -> np.ndarray:
-    """Distances of a seeded uniform sample of ``_PAIR_SAMPLE_CAP``
-    admissible pairs, in no particular order, gathered a block of
-    ``_SAMPLE_BLOCK`` pairs at a time."""
-    n, m = pts.shape
-    total = _n_admissible_pairs(n, w)
-    rng = np.random.default_rng(_PAIR_SAMPLE_SEED)
-    draws = np.sort(rng.integers(0, total, size=_PAIR_SAMPLE_CAP))
-    # Pairs are ranked by offset k then start index: the pairs of offset
-    # w + 1 + q take the ranks ends[q] - (n - w - 1 - q) .. ends[q] - 1.
-    per_offset = np.arange(n - w - 1, 0, -1)
-    ends = np.cumsum(per_offset)
-    columns = _columns(pts)
-    d = np.empty(draws.size)
-    for s in range(0, draws.size, _SAMPLE_BLOCK):
-        block = draws[s : s + _SAMPLE_BLOCK]
-        q = np.searchsorted(ends, block, side="right")
-        i = block - (ends - per_offset)[q]
-        j = i + (w + 1) + q
-        d[s : s + block.size] = np.sqrt(_sum_of_squares((np.take(x, i) - np.take(x, j) for x in columns), m))
-    return d
+def _least_positive(a: np.ndarray) -> float:
+    """Smallest positive value of ``a``, inf when there is none; NaN
+    entries are passed over."""
+    return float(np.fmin.reduce(a, axis=None, where=a > 0, initial=np.inf))
 
 
-def _radius_grid(d: np.ndarray, n_radii: int) -> np.ndarray:
-    """Log-spaced radii from the 0.1th percentile of the pair distances
-    ``d`` to their maximum."""
-    hi = float(d.max())
+def _radius_grid(blocks: Iterator[np.ndarray], total: int, n_radii: int) -> np.ndarray:
+    """Log-spaced radii from the 0.1th percentile of the ``total`` pair
+    distances that ``blocks`` yields squared to their maximum.
+
+    One pass keeps the largest square, the smallest ``keep`` squares
+    (all that the percentile reads) and the smallest positive square.
+    The squares at or below a cut are held, and when twice ``keep`` are
+    held, all but the smallest ``keep`` are dropped and the cut falls to
+    the largest kept. A square above a positive cut is bounded by that
+    held one, so the smallest positive square is among the held ones,
+    unless it lies in a block met while the cut is zero, which is
+    searched whole.
+    """
+    keep = math.floor(_percentile_position(total)) + 2
+    top = -np.inf
+    cut = np.inf
+    positive = np.inf
+    held: list[np.ndarray] = []
+    size = 0
+    for d_sq in blocks:
+        top = max(top, float(np.fmax.reduce(d_sq, axis=None)))
+        if cut == 0.0:
+            positive = min(positive, _least_positive(d_sq))
+        held.append(d_sq[d_sq <= cut])
+        size += held[-1].size
+        if size >= 2 * keep:
+            pool = np.concatenate(held)
+            positive = min(positive, _least_positive(pool))
+            pool.partition(keep - 1)
+            held, size, cut = [pool[:keep]], keep, float(pool[keep - 1])
+    pool = np.sort(np.concatenate(held))
+    positive = min(positive, _least_positive(pool))
+    smallest = pool[:keep]
+    hi = float(np.sqrt(top))
     if hi <= 0.0:
-        raise DegenerateSeriesError("all sampled pair distances are zero")
+        raise DegenerateSeriesError("all pair distances are zero")
     # The 0.1th percentile, not a higher one: for space-filling data the
     # boundary of the support flattens the log-log curve at radii the
     # 1st percentile already reaches, and the fit would sit on the bend.
-    lo = float(np.percentile(d, 0.1))
+    lo = _low_percentile(np.sqrt(smallest), total)
     if lo <= 0.0:
-        positive = d[d > 0]
-        lo = float(positive.min())
+        lo = float(np.sqrt(positive))
     if not lo < hi:
         raise DegenerateSeriesError("pair distances span no range; cannot build a radius grid")
     radii = np.geomspace(lo, hi, n_radii)
@@ -270,15 +336,45 @@ def _radius_grid(d: np.ndarray, n_radii: int) -> np.ndarray:
     return radii
 
 
+def _pair_counts(sources: list[tuple[np.ndarray, int]], n: int, w: int, r_sq: np.ndarray) -> np.ndarray:
+    """Admissible pairs at squared distance <= each of ``r_sq``.
+
+    Each block's squares are rounded to float32 keys and sorted, and a
+    radius counts the keys below its own key by binary search. Rounding
+    is monotone, so a key below the radius's key is a square below the
+    radius's square and one above it a square above; only a radius whose
+    key some square shares is recounted on the float64 squares. Keys
+    that overflow float32 round to inf, and the block's NaN entries sort
+    after every key.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        r_key = r_sq.astype(np.float32)
+    counts = np.zeros(r_sq.size, dtype=np.int64)
+    # A block holds at most _PAIR_BLOCK entries, or one offset's n - k.
+    key_space = np.empty(max(_PAIR_BLOCK, n), dtype=np.float32)
+    for d_sq in _pair_blocks(sources, n, w):
+        keys = key_space[: d_sq.size]
+        with np.errstate(over="ignore", under="ignore"):
+            np.copyto(keys.reshape(d_sq.shape), d_sq, casting="same_kind")
+        keys.sort()
+        below = np.searchsorted(keys, r_key, side="left")
+        for i in np.flatnonzero(np.searchsorted(keys, r_key, side="right") > below):
+            below[i] = np.count_nonzero(d_sq <= r_sq[i])
+        counts += below
+    return counts
+
+
 def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> CorrelationCurve:
     """C(R) over a log-spaced radius grid derived from the data.
 
-    Up to ``_PAIR_SAMPLE_CAP`` admissible pairs, their sorted squared
-    distances give both the grid and the counts; beyond it the pairs are
-    counted once against the whole squared radius grid, a bounded row
-    block at a time. Identical arithmetic to :func:`correlation_sum`
-    radius by radius. Points whose squared distances may overflow
-    float64 raise DegenerateSeriesError (:func:`~chaoskit.series.point_extent`).
+    Two passes over the pair blocks, which share each series' rows among
+    its coordinates: the first sets the grid from every admissible pair
+    (the 0.1th percentile of their distances to the maximum), the second
+    counts the pairs within each radius by float32 sort keys, recounting
+    on float64 where a key ties. Identical arithmetic to
+    :func:`correlation_sum` radius by radius. Points whose squared
+    distances may overflow float64 raise DegenerateSeriesError
+    (:func:`~chaoskit.series.point_extent`).
     """
     pts = as_points(vectors)
     n = pts.shape[0]
@@ -286,13 +382,9 @@ def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> Correla
     n_radii = check_int("n_radii", n_radii, MIN_RADII)
     point_extent(pts)
     total = _n_admissible_pairs(n, w)
-    if total <= _PAIR_SAMPLE_CAP:
-        d_sq = _all_pair_distances(pts, w)
-        radii = _radius_grid(np.sqrt(d_sq), n_radii)
-        counts = np.searchsorted(d_sq, radii * radii, side="right")
-    else:
-        radii = _radius_grid(_sampled_pair_distances(pts, w), n_radii)
-        counts = _pair_counts(pts, w, radii * radii)
+    sources = coordinate_sources(vectors)
+    radii = _radius_grid(_pair_blocks(sources, n, w), total, n_radii)
+    counts = _pair_counts(sources, n, w, radii * radii)
     return CorrelationCurve(radii=radii, c_values=counts / total, n_pairs=total)
 
 

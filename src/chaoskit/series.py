@@ -31,6 +31,7 @@ __all__ = [
     "DelayVectors",
     "LagResult",
     "as_points",
+    "coordinate_sources",
     "point_extent",
     "delay_embed",
     "autocorrelation",
@@ -145,6 +146,30 @@ def as_points(vectors: DelayVectors | np.ndarray) -> np.ndarray:
         return vectors.points
     pts = check_array("points", vectors, ndim=(1, 2), min_len=0)
     return pts[:, None] if pts.ndim == 1 else pts
+
+
+def coordinate_sources(vectors: DelayVectors | np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """Each coordinate of the :func:`as_points` points as ``(series, tap)``,
+    its column being ``series[tap : tap + n]``.
+
+    Delay vectors whose columns are checked to be shifts of one series by
+    their lag share that series, with taps 0, t, ..., (m - 1) t, so a
+    difference taken along the series serves every coordinate. Any other
+    points, a hand-built ``DelayVectors`` whose columns are not such
+    shifts among them, give each column as its own series with tap 0; so
+    does a lag above the point count, whose columns would leave gaps in
+    the series.
+    """
+    pts = as_points(vectors)
+    n, m = pts.shape
+    if isinstance(vectors, DelayVectors) and m > 1 and vectors.params.lag_t <= n:
+        t = vectors.params.lag_t
+        series = np.empty(n + (m - 1) * t)
+        for c in range(m):
+            series[c * t : c * t + n] = pts[:, c]
+        if all(np.array_equal(series[c * t : c * t + n], pts[:, c]) for c in range(m)):
+            return [(series, c * t) for c in range(m)]
+    return [(np.ascontiguousarray(pts[:, c]), 0) for c in range(m)]
 
 
 def point_extent(pts: np.ndarray) -> float:

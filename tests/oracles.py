@@ -114,18 +114,14 @@ def full_scan_wolf(
     return log_sum / evolved, renorms, replacements, evolved
 
 
-def per_offset_correlation_curve(
-    points: np.ndarray, n_radii: int, theiler_w: int, cap: int = 1_000_000
-) -> tuple[np.ndarray, np.ndarray]:
+def per_offset_correlation_curve(points: np.ndarray, n_radii: int, theiler_w: int) -> tuple[np.ndarray, np.ndarray]:
     """Radius grid and C(R) with one numpy pass per index offset.
 
-    The radius grid comes from every admissible pair, or, when there are
-    more than ``cap`` of them, from ``cap`` pairs drawn with seed 411
-    (the production sample's size and seed) and located by a search per
-    draw; the counts come from a histogram per offset. This is the
-    arithmetic the blocked pair count must reproduce bit for bit.
+    The radius grid runs from the 0.1th percentile of every admissible
+    pair's distance (the smallest positive distance when that is zero)
+    to their maximum; the counts come from a histogram per offset. This
+    is the arithmetic the blocked pair count must reproduce bit for bit.
     """
-    seed = 411
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -133,14 +129,7 @@ def per_offset_correlation_curve(
     w = theiler_w
     gaps = n - 1 - w
     total = gaps * (gaps + 1) // 2
-    if total <= cap:
-        d_sq = np.concatenate([((pts[: n - k] - pts[k:]) ** 2).sum(axis=1) for k in range(w + 1, n)])
-    else:
-        draws = np.random.default_rng(seed).integers(0, total, size=cap)
-        cum = np.cumsum(n - np.arange(w + 1, n))
-        which = np.searchsorted(cum, draws, side="right")
-        start = draws - np.where(which > 0, cum[which - 1], 0)
-        d_sq = ((pts[start] - pts[start + w + 1 + which]) ** 2).sum(axis=1)
+    d_sq = np.concatenate([((pts[: n - k] - pts[k:]) ** 2).sum(axis=1) for k in range(w + 1, n)])
     d = np.sqrt(d_sq)
     lo = float(np.percentile(d, 0.1))
     if lo <= 0.0:

@@ -1,24 +1,26 @@
 """Correlation sums, curves, and the D2 fit."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from chaoskit import correlation
 from chaoskit.correlation import (
-    _PAIR_SAMPLE_CAP,
     CorrelationCurve,
     D2Estimate,
     _fit_line,
+    _low_percentile,
     _n_admissible_pairs,
     _r2_bounds,
-    _sum_of_squares,
+    _row_sum,
     correlation_curve,
     correlation_dimension,
     correlation_sum,
 )
 from chaoskit.errors import ConfigError, DegenerateSeriesError, NoScalingRegionError
 from chaoskit.generators import GeneratorSpec, generate, uniform_stream
-from chaoskit.series import EmbeddingParams, TimeSeries, delay_embed
+from chaoskit.series import DelayVectors, EmbeddingParams, TimeSeries, delay_embed
 
 from oracles import (
     brute_correlation_sum,
@@ -101,8 +103,8 @@ class TestCorrelationCurve:
             assert curve.c_values[i] == correlation_sum(pts, curve.radii[i], 3)
 
     def test_monotone_and_bounded(self, logistic_20k):
-        # 1200 points keep the pair count under the sampling cap, so the
-        # top radius is the true maximum distance and C saturates at 1.
+        # The top radius is the maximum distance over every pair, so C
+        # saturates at 1.
         curve = correlation_curve(embed(logistic_20k.samples[:1200], 2), n_radii=20)
         assert np.all(np.diff(curve.c_values) >= 0)
         assert np.all((curve.c_values >= 0) & (curve.c_values <= 1))
@@ -141,19 +143,47 @@ class TestBlockedPairCount:
         a = rng.standard_normal((257, m)) * rng.uniform(0.01, 100.0, size=(257, m))
         b = rng.standard_normal((257, m))
         expected = ((a - b) ** 2).sum(axis=1)
-        got = _sum_of_squares((a[:, c] - b[:, c] for c in range(m)), m)
+        squares = (a - b) ** 2
+        kept = squares.copy()
+        got = _row_sum((squares[:, c] for c in range(m)), m, lambda: np.empty(257))
         assert got.tobytes() == expected.tobytes()
+        # The terms are read, never written: the kernel passes slices of
+        # rows that other coordinates share.
+        assert squares.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("m", [8, 9])
-    @pytest.mark.parametrize("n, sampled", [(1400, False), (1500, True)])
-    def test_curve_matches_per_offset_reference(self, lorenz_20k, m, n, sampled):
+    @pytest.mark.parametrize("n, over_a_million", [(1400, False), (1500, True)])
+    def test_curve_matches_per_offset_reference(self, lorenz_20k, m, n, over_a_million):
+        # 1,500 points hold about 1.1M admissible pairs, above the million
+        # that once capped the pairs behind the grid.
         w = 5
         pts = embed(lorenz_20k.samples[: n + 3 * (m - 1)], m, 3)
-        assert (_n_admissible_pairs(n, w) > _PAIR_SAMPLE_CAP) == sampled
+        assert (_n_admissible_pairs(n, w) > 1_000_000) == over_a_million
         curve = correlation_curve(pts, n_radii=24, theiler_w=w)
         radii, c_values = per_offset_correlation_curve(pts.points, 24, w)
-        np.testing.assert_array_equal(curve.radii, radii)
-        np.testing.assert_array_equal(curve.c_values, c_values)
+        assert curve.radii.tobytes() == radii.tobytes()
+        assert curve.c_values.tobytes() == c_values.tobytes()
+
+    def test_delay_vectors_whose_columns_are_not_shifts(self, lorenz_20k):
+        # Hand-built delay vectors whose columns are no shifts of one
+        # series by the lag are counted column by column, to the byte of
+        # their plain points; a genuine embedding's shared series gives the
+        # same bytes as its points too.
+        genuine = embed(lorenz_20k.samples[:606], 3, 3)
+        swapped = DelayVectors(genuine.points[:, [0, 2, 1]], genuine.params)
+        for vectors in (genuine, swapped):
+            curve = correlation_curve(vectors, n_radii=16, theiler_w=4)
+            plain = correlation_curve(np.array(vectors.points), n_radii=16, theiler_w=4)
+            assert curve.radii.tobytes() == plain.radii.tobytes()
+            assert curve.c_values.tobytes() == plain.c_values.tobytes()
+            for radius in curve.radii[::5]:
+                assert correlation_sum(vectors, radius, 4) == correlation_sum(np.array(vectors.points), radius, 4)
+
+    @pytest.mark.parametrize("total", [*range(1, 40), 999, 1000, 1001, 1002, 2001, 2500, 44551, 1_000_001])
+    def test_low_percentile_is_numpys(self, total):
+        d = np.sqrt(np.random.default_rng(total).exponential(size=total))
+        keep = int((total - 1) * 0.001) + 2
+        assert _low_percentile(np.sort(d)[:keep], total) == float(np.percentile(d, 0.1))
 
     @pytest.mark.parametrize("m", [1, 3, 8])
     @pytest.mark.parametrize("gap", [2, 9, 40])
@@ -168,30 +198,100 @@ class TestBlockedPairCount:
         np.testing.assert_array_equal(curve.c_values, c_values)
 
 
-class TestSampleCap:
-    """Up to the cap the grid and the counts come from one sorted array of
-    every pair; one pair beyond it, from a seeded sample and the blocked
-    count. The cap is lowered to a triangular number so that a window
-    can sit exactly on it."""
+def _quantised(x):
+    return np.floor((x - x.min()) / np.ptp(x) * 8.0).clip(0.0, 7.0)
+
+
+def _clipped(x):
+    lo, hi = np.percentile(x, [20, 80])
+    return x.clip(lo, hi)
+
+
+def _half_zero(x):
+    y = x.copy()
+    y[: y.size // 2] = 0.0
+    return y
+
+
+class TestExactGrid:
+    """The grid comes from every admissible pair, and the float32 sort
+    keys count exactly: against the per-offset reference, to the byte,
+    on windows whose distances tie (quantised, clipped, half zero: the
+    zero fallback and the float64 recount of keys that tie a radius's
+    key) and on windows whose squares overflow float32 (x 1e20) or
+    underflow it (x 1e-25)."""
 
     N, W = 300, 4
+    WINDOWS = {
+        "plain": lambda x: x,
+        "quantised": _quantised,
+        "clipped": _clipped,
+        "half-zero": _half_zero,
+        "scaled-up": lambda x: x * 1e20,
+        "scaled-down": lambda x: x * 1e-25,
+    }
 
-    @pytest.mark.parametrize("m", [1, 3, 8])
-    @pytest.mark.parametrize("beyond", [0, 1], ids=["at-cap", "one-above"])
-    def test_curve_matches_per_offset_reference(self, lorenz_20k, monkeypatch, m, beyond):
-        cap = _n_admissible_pairs(self.N, self.W) - beyond
-        monkeypatch.setattr(correlation, "_PAIR_SAMPLE_CAP", cap)
-        pts = embed(lorenz_20k.samples[: self.N + 3 * (m - 1)], m, 3)
+    @pytest.mark.parametrize("m", [1, 3, 8, 9])
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    def test_curve_matches_per_offset_reference(self, lorenz_20k, m, window):
+        x = self.WINDOWS[window](lorenz_20k.samples[: self.N + 3 * (m - 1)])
+        pts = embed(x, m, 3)
+        radii, c_values = per_offset_correlation_curve(pts.points, 24, self.W)
+        for vectors in (pts, np.array(pts.points)):
+            curve = correlation_curve(vectors, n_radii=24, theiler_w=self.W)
+            assert curve.radii.tobytes() == radii.tobytes()
+            assert curve.c_values.tobytes() == c_values.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 3, 8, 9])
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    def test_small_blocks_match_per_offset_reference(self, lorenz_20k, monkeypatch, m, window):
+        # Blocks of three offsets: the grid's running maximum, smallest
+        # squares and smallest positive square carry across a hundred
+        # blocks, and blocks met once every kept square is zero.
+        monkeypatch.setattr(correlation, "_PAIR_BLOCK", 1 << 10)
+        x = self.WINDOWS[window](lorenz_20k.samples[: self.N + 3 * (m - 1)])
+        pts = embed(x, m, 3)
         curve = correlation_curve(pts, n_radii=24, theiler_w=self.W)
-        radii, c_values = per_offset_correlation_curve(pts.points, 24, self.W, cap=cap)
+        radii, c_values = per_offset_correlation_curve(pts.points, 24, self.W)
         assert curve.radii.tobytes() == radii.tobytes()
         assert curve.c_values.tobytes() == c_values.tobytes()
 
-    @pytest.mark.parametrize("beyond", [0, 1], ids=["at-cap", "one-above"])
-    def test_all_distances_zero_is_degenerate(self, monkeypatch, beyond):
-        monkeypatch.setattr(correlation, "_PAIR_SAMPLE_CAP", _n_admissible_pairs(self.N, self.W) - beyond)
-        with pytest.raises(DegenerateSeriesError, match="all sampled pair distances are zero"):
-            correlation_curve(np.full((self.N, 3), 2.5), n_radii=8, theiler_w=self.W)
+    @pytest.mark.parametrize("block", [None, 1 << 10], ids=["one-block", "small-blocks"])
+    def test_zero_percentile_takes_the_smallest_positive_distance(self, monkeypatch, block):
+        # 127 points hold 8001 pairs, whose 0.1th percentile is exactly the
+        # ninth smallest distance. Nine repeated neighbours make it zero,
+        # and the grid starts at the smallest positive distance, from the
+        # last point to the first two: in small blocks, the last blocks
+        # hold it, after the smallest squares were last cut down.
+        if block:
+            monkeypatch.setattr(correlation, "_PAIR_BLOCK", block)
+        base = np.random.default_rng(5).uniform(size=117)
+        x = np.concatenate([np.repeat(base[:9], 2), base[9:], [base[0] + 1e-9]])
+        curve = correlation_curve(x, n_radii=24)
+        radii, c_values = per_offset_correlation_curve(x, 24, 0)
+        assert curve.radii.tobytes() == radii.tobytes()
+        assert curve.c_values.tobytes() == c_values.tobytes()
+
+    def test_series_wider_than_a_point_raises_no_overflow(self):
+        # Each coordinate spans 8e153, so every squared distance is finite,
+        # but the delay series spans twice that: squares of differences
+        # that no pair reads overflow, silently.
+        e = 8e153
+        x = np.concatenate([np.zeros(9), [e], np.full(9, 2 * e)])
+        pts = embed(x, 2, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = correlation_curve(pts, n_radii=8)
+        plain = correlation_curve(np.array(pts.points), n_radii=8)
+        assert curve.radii.tobytes() == plain.radii.tobytes()
+        assert curve.c_values.tobytes() == plain.c_values.tobytes()
+
+    @pytest.mark.parametrize("source", ["points", "delay-vectors"])
+    def test_all_distances_zero_is_degenerate(self, source):
+        points = np.full((self.N, 3), 2.5)
+        vectors = points if source == "points" else embed(np.full(self.N + 2, 2.5), 3)
+        with pytest.raises(DegenerateSeriesError, match="all pair distances are zero"):
+            correlation_curve(vectors, n_radii=8, theiler_w=self.W)
 
 
 class TestCorrelationDimension:

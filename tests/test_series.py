@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from chaoskit.errors import ConfigError, DegenerateSeriesError, ShortSeriesError
 from chaoskit.series import (
+    DelayVectors,
     EmbeddingParams,
     TimeSeries,
     autocorrelation,
+    coordinate_sources,
     delay_embed,
     theiler_window,
 )
@@ -118,6 +120,32 @@ class TestDelayEmbed:
         assert len(vecs) == expected_n
         for k in (0, expected_n // 2, expected_n - 1):
             np.testing.assert_array_equal(vecs.points[k], x[k : k + (m - 1) * t + 1 : t])
+
+
+class TestCoordinateSources:
+    def test_delay_vectors_share_their_series(self):
+        x = np.random.default_rng(3).normal(size=40)
+        vecs = delay_embed(ts(x), EmbeddingParams(4, 3))
+        sources = coordinate_sources(vecs)
+        assert [tap for _, tap in sources] == [0, 3, 6, 9]
+        assert all(series is sources[0][0] for series, _ in sources)
+        np.testing.assert_array_equal(sources[0][0], x)
+
+    @pytest.mark.parametrize(
+        "columns, lag",
+        [([0, 2, 1], 3), ([0, 1, 2], 2), ([0, 1, 2], 40)],
+        ids=["swapped", "wrong-lag", "lag-beyond-points"],
+    )
+    def test_other_points_give_one_series_per_column(self, columns, lag):
+        # The columns are checked, not assumed to be shifts by the lag.
+        x = np.random.default_rng(4).normal(size=40)
+        pts = delay_embed(ts(x), EmbeddingParams(3, 3)).points[:, columns]
+        vecs = DelayVectors(pts, EmbeddingParams(3, lag))
+        for vectors in (vecs, pts):
+            sources = coordinate_sources(vectors)
+            assert [tap for _, tap in sources] == [0, 0, 0]
+            for c, (series, _) in enumerate(sources):
+                np.testing.assert_array_equal(series, pts[:, c])
 
 
 class TestAutocorrelation:

@@ -2,8 +2,9 @@
 tracer rebinds still exist and are called, every exported name exists,
 every demo runs to the end, and the package keeps a single
 integer-argument check, a single real-argument check, a single array
-check, a single epoch record rule and a single histogram count, and its
-restated defaults agree with their sources."""
+check, a single epoch record rule and a single histogram count, its
+restated defaults agree with their sources, and the correlation sum
+draws no random numbers."""
 
 import ast
 import dataclasses
@@ -158,6 +159,13 @@ def test_one_histogram_rule():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted((ROOT / "src" / "chaoskit").glob("*.py"))}
     assert [name for name, source in sources.items() if "np.bincount(" in source] == ["information.py"]
     assert sum(source.count("_entropy_bits(p.sum(axis=1))") for source in sources.values()) == 1
+
+
+def test_correlation_draws_no_random_numbers():
+    # The radius grid comes from every admissible pair, so C(R) and D2
+    # depend on the points alone, with no seed behind them.
+    source = (ROOT / "src" / "chaoskit" / "correlation.py").read_text(encoding="utf-8")
+    assert "default_rng" not in source and "np.random" not in source
 
 
 def _default(function, name):
