@@ -246,9 +246,10 @@ def _pair_blocks(sources: list[tuple[np.ndarray, int]], n: int, w: int) -> Itera
     for.
     """
     pad = np.full(n, np.nan)
-    windows = {
-        id(series): sliding_window_view(np.concatenate([series, pad]), series.size) for series, _ in sources
-    }
+    windows = {}
+    for series, _ in sources:
+        if id(series) not in windows:
+            windows[id(series)] = sliding_window_view(np.concatenate([series, pad]), series.size)
     scratch = _Scratch()
     k0 = w + 1
     while k0 < n:

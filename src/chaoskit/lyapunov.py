@@ -13,26 +13,35 @@ divided by the total number of evolved samples, in nats per sample.
 
 Distances are Euclidean. From two dimensions up, a KD-tree over the
 ``M`` embedded points is built once per call (O(M log M)). One query
-asks it for the points within ``max_separation`` of up to 512 upcoming
-fiducial points i, i + E, i + 2E, ... (E = ``evolve_steps``); one
-vectorised pass computes every candidate's distance and applies the
-separation, exclusion and last-point tests, and keeps each fiducial
-point's admissible candidates as one index-sorted slice. A step of the
-walk then only runs the angle test and picks the nearest. A neighbour
-within E of the last point shortens the step, which moves i off that
-grid; then, or when the walk passes the fetched points, the candidates
-are fetched again from i (fewer after a short step, which often repeats
-at once). A run costs about O(M log M + (M / E) * (log M + K)) for K
-candidates per ball, with no tree query of its own in any step. The
-distances before and after each step are summed as Python floats in
-numpy's row-sum order: numpy's call overhead would exceed the arithmetic.
+asks it for the points within ``max_separation`` of a run of upcoming
+fiducial points i, i + E, i + 2E, ... (E = ``evolve_steps``). The
+exclusion and last-point tests drop candidates first; each survivor's
+squared distance is then summed one coordinate at a time, and the
+separation tests keep a fiducial point's admissible candidates as one
+index-sorted slice of indices and distances. A fetch holds nothing
+else, and its size follows a fixed budget of about 32,768 candidates:
+the number of fiducial points it covers is the budget divided by the
+candidates per point that the previous fetch found, at most 512, and
+the first fetch covers 32. A fetch's memory is thus bounded whatever
+the window's length, and a walk that cannot start discards little. A
+step of the walk only takes its candidates' offsets for the angle test
+and picks the nearest. A neighbour within E of the last point shortens
+the step, which moves i off that grid; then, or when the walk passes
+the fetched points, the candidates are fetched again from i (fewer
+after a short step, which often repeats at once). A run costs about
+O(M log M + (M / E) * (log M + K)) for K candidates per ball, with no
+tree query of its own in any step. The distance after each step is
+summed as Python floats in numpy's row-sum order, numpy's call overhead
+exceeding the arithmetic, and serves as the next step's distance
+before; a replacement neighbour from the tree brings its fetched
+distance instead.
 One-dimensional points skip the tree: there the ball is a tenth of the
 extent by default and holds a large share of the points, and one
 vectorised ``|x - x_i|`` scan per step gives the exact ball, already in
-index order, for less than the tree takes to list it. Every distance and
-every dot product of the cone test is a numpy row sum, whose value for a
-row does not depend on the other rows of the array (a BLAS
-matrix-vector product's may). Over a ball's candidates each therefore
+index order, for less than the tree takes to list it. Every distance is
+summed in numpy's row-sum order and every dot product of the cone test
+is a numpy row sum, whose value for a row does not depend on the other
+rows of the array (a BLAS matrix-vector product's may). Over a ball's candidates each therefore
 equals a full scan's to the bit, and the walk is the one a full scan
 would take.
 """
@@ -58,11 +67,14 @@ _LOW_CONFIDENCE_RENORMS = 10
 # The tree's own distance arithmetic may round differently from the
 # exact test, so its ball is this much wider and the exact test decides.
 _BALL_PAD = 1e-9
-# Fiducial points i, i + E, i + 2E, ... whose neighbours one tree query
-# fetches. With K candidates per ball in m dimensions a fetch holds about
-# 512 K (m + 3) numbers: 4 MB at K = 100 and m = 8.
+# Ball candidates one fetch aims to hold. A fetch lists each of them as
+# a Python int, then holds an index and a few numbers per candidate: a
+# few MB in all, whatever the window's length or dimension.
+_FETCH_BUDGET = 1 << 15
+# Most fiducial points i, i + E, i + 2E, ... one fetch covers.
 _FETCH_POINTS = 512
-# Points fetched from a fiducial point off the last fetch's grid.
+# Fiducial points of a walk's first fetch, and of a fetch from a point
+# off the last fetch's grid.
 _REFETCH_POINTS = 32
 
 
@@ -116,23 +128,30 @@ class LyapunovResult:
 
 class _Fetched(NamedTuple):
     """Admissible neighbours of the fiducial points ``start + k * step``:
-    those of the k-th are rows ``bounds[k]:bounds[k + 1]``, in index order."""
+    those of the k-th are entries ``bounds[k]:bounds[k + 1]``, in index
+    order. ``found`` counts the ball's candidates before any test."""
 
     start: int
     step: int
     bounds: list[int]
     cand: np.ndarray
     d: np.ndarray
-    diff: np.ndarray
+    found: int
 
-    def rows(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Point i's candidates, distances and offsets; None if point i
-        is not one of the fetched fiducial points."""
+    def rows(self, i: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Point i's candidates and their distances; None if point i is
+        not one of the fetched fiducial points."""
         k, off_grid = divmod(i - self.start, self.step)
         if off_grid or not 0 <= k < len(self.bounds) - 1:
             return None
         lo, hi = self.bounds[k], self.bounds[k + 1]
-        return self.cand[lo:hi], self.d[lo:hi], self.diff[lo:hi]
+        return self.cand[lo:hi], self.d[lo:hi]
+
+    def points_within_budget(self) -> int:
+        """Fiducial points a fetch like this one may cover within
+        ``_FETCH_BUDGET`` candidates, at most ``_FETCH_POINTS``."""
+        points = len(self.bounds) - 1
+        return min(_FETCH_POINTS, max(1, _FETCH_BUDGET * points // max(self.found, 1)))
 
 
 def _fetch_admissible(
@@ -141,22 +160,33 @@ def _fetch_admissible(
     """Admissible neighbours of the fiducial points ``range(start, stop,
     step)``, from one tree query.
 
-    Each candidate's distance is a row sum of its squared offsets, the
-    arithmetic of a full scan; the separation, exclusion and last-point
-    tests then run over all the candidates at once.
+    The exclusion and last-point tests run first. Each remaining
+    candidate's distance is then a row sum of its squared offsets, one
+    coordinate at a time in numpy's row-sum order: the arithmetic of a
+    full scan, with no offset array held.
     """
     fiducials = np.arange(start, stop, step)
     found = tree.query_ball_point(pts[fiducials], ball, return_sorted=True)
     sizes = np.fromiter(map(len, found), dtype=np.intp, count=fiducials.size)
-    cand = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=int(sizes.sum()))
-    owner = np.repeat(np.arange(fiducials.size), sizes)
-    centre = fiducials[owner]
-    diff = np.take(pts, cand, axis=0) - np.repeat(pts[fiducials], sizes, axis=0)
-    d = np.sqrt((diff**2).sum(axis=1))
+    total = int(sizes.sum())
+    cand = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=total)
+    del found
+    centre = np.repeat(fiducials, sizes)
     # The final point has no future to evolve into.
-    ok = (d >= d_min) & (d <= d_max) & (np.abs(cand - centre) > w) & (cand != pts.shape[0] - 1)
-    bounds = np.searchsorted(owner[ok], np.arange(fiducials.size + 1)).tolist()
-    return _Fetched(start, step, bounds, cand[ok], d[ok], diff[ok])
+    ok = (np.abs(cand - centre) > w) & (cand != pts.shape[0] - 1)
+    cand, centre = cand[ok], centre[ok]
+
+    def squares():
+        for c in range(pts.shape[1]):
+            column = pts[:, c]
+            term = column[cand] - column[centre]
+            yield np.square(term, out=term)
+
+    d = np.sqrt(_row_sum(squares(), pts.shape[1]))
+    ok = (d >= d_min) & (d <= d_max)
+    cand, centre, d = cand[ok], centre[ok], d[ok]
+    bounds = np.searchsorted(centre, np.arange(start, start + (fiducials.size + 1) * step, step)).tolist()
+    return _Fetched(start, step, bounds, cand, d, total)
 
 
 def _separation(p: list[float], q: list[float]) -> float:
@@ -206,63 +236,71 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     cos_cone = math.cos(params.max_replacement_angle)
     w = params.theiler_w
     last = n - 1
-    if pts.shape[1] == 1:
+    one_dimensional = pts.shape[1] == 1
+    if one_dimensional:
         flat = pts[:, 0]
 
-        def admissible(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Index-sorted admissible neighbours of point i, their
-            distances, and their offsets from it."""
-            offset = flat - flat[i]
-            span = np.abs(offset)
+        def admissible(i: int) -> tuple[np.ndarray, np.ndarray]:
+            """Index-sorted admissible neighbours of point i and their
+            distances."""
+            span = np.abs(flat - flat[i])
             ok = (span >= d_min) & (span <= d_max)
             ok[max(i - w, 0) : i + w + 1] = False
             ok[last] = False  # the final point has no future to evolve into
             cand = np.flatnonzero(ok)
-            return cand, span[cand], offset[cand, None]
+            return cand, span[cand]
 
     else:
         tree = cKDTree(pts)
         ball = d_max * (1.0 + _BALL_PAD)
         fetched = None
 
-        def admissible(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Index-sorted admissible neighbours of point i, their
-            distances, and their offsets from it."""
+        def admissible(i: int) -> tuple[np.ndarray, np.ndarray]:
+            """Index-sorted admissible neighbours of point i and their
+            distances."""
             nonlocal fetched
             found = None if fetched is None else fetched.rows(i)
             if found is None:
                 # The walk moved past the fetched points, or a short step
                 # to the series' end moved i off their grid: fetch from i.
                 # Such a step often repeats at once, so fetch fewer then.
-                on_grid = fetched is None or (i - fetched.start) % params.evolve_steps == 0
-                count = _FETCH_POINTS if on_grid else _REFETCH_POINTS
+                if fetched is None:
+                    count = _REFETCH_POINTS
+                else:
+                    count = fetched.points_within_budget()
+                    if (i - fetched.start) % params.evolve_steps:
+                        count = min(count, _REFETCH_POINTS)
                 stop = min(i + count * params.evolve_steps, last)
                 fetched = _fetch_admissible(tree, pts, i, stop, params.evolve_steps, ball, d_min, d_max, w)
                 found = fetched.rows(i)
             return found
 
-    def pick(i: int, separation: np.ndarray | None, sep_norm: float) -> int | None:
-        """Nearest admissible neighbour of point i, angle cone first.
+    def pick(i: int, separation: np.ndarray | None, sep_norm: float) -> tuple[int, float] | None:
+        """Nearest admissible neighbour of point i, angle cone first, and
+        its distance as :func:`_separation` gives it.
 
         The candidates come in index order, so ``argmin`` breaks
         distance ties toward the lowest index, as a full scan does.
         """
-        cand, d, diff = admissible(i)
+        cand, d = admissible(i)
         if cand.size == 0:
             return None
         if separation is not None and sep_norm > 0.0:
-            cone = _dots(diff, separation) / (d * sep_norm) >= cos_cone
+            cone = _dots(pts[cand] - pts[i], separation) / (d * sep_norm) >= cos_cone
             if cone.any():
                 cand, d = cand[cone], d[cone]
-        return int(cand[d.argmin()])
+        k = d.argmin()
+        j = int(cand[k])
+        # |x_j - x_i| differs from sqrt((x_j - x_i) ** 2) once the square underflows.
+        return j, _separation(pts[i].tolist(), pts[j].tolist()) if one_dimensional else float(d[k])
 
-    rows = pts.tolist()
     i = 0
-    j = pick(0, None, 0.0)
-    if j is None:
+    first = pick(0, None, 0.0)
+    if first is None:
         raise EstimationError(
             "no admissible initial neighbour: separation bounds or exclusion window too strict"
         )
+    j, d_before = first
 
     log_sum = 0.0
     evolved = 0
@@ -270,24 +308,24 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     replacements = 0
     while i < last and j < last:
         steps = min(params.evolve_steps, last - i, last - j)
-        d_before = _separation(rows[i], rows[j])
         i += steps
         j += steps
-        d_after = _separation(rows[i], rows[j])
+        d_after = _separation(pts[i].tolist(), pts[j].tolist())
         if d_before > 0.0 and d_after > 0.0:
             log_sum += math.log(d_after / d_before)
             evolved += steps
             renorms += 1
         if i >= last:
             break
-        candidate = pick(i, pts[j] - pts[i], d_after)
-        if candidate is None:
+        d_before = d_after
+        found = pick(i, pts[j] - pts[i], d_after)
+        if found is None:
             if j >= last:
                 break  # neighbour ran off the end and nothing can replace it
             continue
-        if candidate != j:
+        if found[0] != j:
             replacements += 1
-            j = candidate
+            j, d_before = found
     if evolved == 0:
         raise EstimationError("fiducial walk produced no usable divergence segments")
     return LyapunovResult(

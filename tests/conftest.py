@@ -6,6 +6,7 @@ the suite's runtime.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,25 +112,38 @@ def build_sleep_fixture(root, n_epochs: int = 12, fs: float = 10.0, subjects=Non
 
 
 @pytest.fixture
-def wolf_fetches(monkeypatch) -> list[tuple[int, int]]:
-    """(first fiducial point, step) of every candidate fetch the Wolf
-    walk makes while the test runs."""
+def wolf_fetches(monkeypatch) -> list[tuple[int, int, int]]:
+    """(first fiducial point, step, fiducial points) of every candidate
+    fetch the Wolf walk makes while the test runs."""
     fetches = []
     fetch = lyapunov._fetch_admissible
 
     def recorded(tree, pts, start, stop, step, *args):
-        fetches.append((start, step))
+        fetches.append((start, step, len(range(start, stop, step))))
         return fetch(tree, pts, start, stop, step, *args)
 
     monkeypatch.setattr(lyapunov, "_fetch_admissible", recorded)
     return fetches
 
 
-def off_grid_fetches(fetches: list[tuple[int, int]]) -> int:
+def off_grid_fetches(fetches: list[tuple[int, int, int]]) -> int:
     """Fetches from a point off the grid of the fetch before, which only
     a short step near the series' end causes. Every walk fetches first
     from point 0."""
-    return sum(start > 0 and (start - prev) % step != 0 for (prev, _), (start, step) in zip(fetches, fetches[1:]))
+    return sum(start > 0 and (start - prev) % step != 0 for (prev, *_), (start, step, _) in zip(fetches, fetches[1:]))
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while ``call`` runs, above what was held before."""
+    call()  # first-call caches and lazy imports are not the call's cost
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,6 @@ import math
 import os
 import re
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ from chaoskit.series import TimeSeries
 from chaoskit.sleep import EpochIndices, EstimatorConfig, Group, SleepStage, parse_group
 from chaoskit.stats import ComparisonResult, GroupSummary, Histogram
 
-from conftest import build_sleep_fixture
+from conftest import build_sleep_fixture, traced_peak
 from oracles import rowwise_read_signal_csv
 
 
@@ -111,19 +110,6 @@ class TestAtomicWrite:
         assert target.read_bytes() == before
 
 
-def _traced_peak(call) -> int:
-    """Peak bytes traced while ``call`` runs, above what was held before."""
-    call()  # first-call caches and lazy imports are not the file's cost
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestStreaming:
     """Large files are written and read without a second copy of the file
     in memory: the writers allocate a constant beyond their inputs, and a
@@ -134,14 +120,14 @@ class TestStreaming:
     def test_ndjson_write_allocates_a_constant(self, tmp_path):
         epochs = [make_epoch(epoch_index=k) for k in range(5000)]
         path = tmp_path / "epochs.ndjson"
-        peak = _traced_peak(lambda: write_epochs_ndjson(path, epochs))
+        peak = traced_peak(lambda: write_epochs_ndjson(path, epochs))
         assert path.stat().st_size > 6 * self.SMALL_CONSTANT
         assert peak < self.SMALL_CONSTANT
 
     def test_signal_write_allocates_a_constant(self, tmp_path):
         series = TimeSeries(np.random.default_rng(3).standard_normal(100_000), 100.0)
         path = tmp_path / "sig.csv"
-        peak = _traced_peak(lambda: write_signal_csv(path, series, {"channel": "C3"}))
+        peak = traced_peak(lambda: write_signal_csv(path, series, {"channel": "C3"}))
         assert path.stat().st_size > 6 * self.SMALL_CONSTANT
         assert peak < self.SMALL_CONSTANT
 
@@ -149,7 +135,7 @@ class TestStreaming:
         x = np.random.default_rng(4).standard_normal(200_000)
         path = tmp_path / "sig.csv"
         write_signal_csv(path, TimeSeries(x, 100.0))
-        peak = _traced_peak(lambda: read_signal_csv(path))
+        peak = traced_peak(lambda: read_signal_csv(path))
         # Two copies of the samples would be 2.0 x nbytes.
         assert peak < 1.5 * x.nbytes
         series, _ = read_signal_csv(path)

@@ -12,11 +12,11 @@ from chaoskit.errors import (
     ShortSeriesError,
 )
 from chaoskit import lyapunov
-from chaoskit.generators import henon_lle_oracle
+from chaoskit.generators import GeneratorSpec, generate, henon_lle_oracle
 from chaoskit.lyapunov import LyapunovResult, WolfParams, _dots, _separation, largest_lyapunov_wolf
 from chaoskit.series import EmbeddingParams, TimeSeries, delay_embed
 
-from conftest import off_grid_fetches
+from conftest import off_grid_fetches, traced_peak
 from oracles import full_scan_wolf
 
 
@@ -127,6 +127,16 @@ class TestFullScanOracle:
         expected = full_scan_wolf(x, theiler_w=w)
         assert walk_fields(largest_lyapunov_wolf(x, WolfParams(theiler_w=w))) == expected
 
+    @pytest.mark.parametrize("scale", [1e-155, 1e-158])
+    def test_one_dimensional_walk_where_squares_underflow(self, logistic_20k, scale):
+        # The 1-d ball's distance is |x_j - x_i|, the walk's is
+        # sqrt((x_j - x_i) ** 2). Here the squares are subnormal and the
+        # two differ, so a replacement's distance is not the ball's.
+        x = logistic_20k.samples[:4000] * scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = full_scan_wolf(x)
+        assert walk_fields(largest_lyapunov_wolf(x)) == expected
+
     def test_no_initial_neighbour_where_full_scan_has_none(self, lorenz_20k):
         # Point 0 moved far off the attractor: most points have
         # neighbours, point 0 has none.
@@ -151,6 +161,22 @@ class TestBatchedFetch:
         assert walk_fields(result) == full_scan_wolf(pts)
         assert result.n_renormalizations > lyapunov._FETCH_POINTS
         assert len(wolf_fetches) > 1
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fetch_sizes_change_mid_walk(self, lorenz_20k, wolf_fetches, m):
+        # Each fetch on the grid of the one before covers as many fiducial
+        # points as the candidate budget allows at the ball sizes that one
+        # found, so the sizes follow the orbit's density up and down. The
+        # last fetch stops at the series' end.
+        pts = self.lorenz_points(lorenz_20k, m, n=4000)
+        assert walk_fields(largest_lyapunov_wolf(pts)) == full_scan_wolf(pts)
+        sizes = [
+            points
+            for (prev, *_), (start, step, points) in zip(wolf_fetches, wolf_fetches[1:-1])
+            if (start - prev) % step == 0
+        ]
+        assert any(b > a for a, b in zip(sizes, sizes[1:]))
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
     @pytest.mark.parametrize("m, n, w", [(2, 300, 50), (3, 500, 50), (8, 1500, 0)])
     def test_short_step_refetches_off_the_grid(self, lorenz_20k, wolf_fetches, m, n, w):
@@ -208,6 +234,28 @@ class TestBatchedFetch:
             return
         assert gap > 2
         assert walk_fields(largest_lyapunov_wolf(pts, params)) == expected
+
+
+class TestFetchMemory:
+    """A fetch holds its candidates' indices and distances only, and no
+    more candidates than a fixed budget allows, so a walk's memory does
+    not grow with the window."""
+
+    @staticmethod
+    def window_peak(x: np.ndarray) -> int:
+        vectors = delay_embed(TimeSeries(x, sample_rate_hz=256.0), EmbeddingParams(6, 8))
+        return traced_peak(lambda: largest_lyapunov_wolf(vectors))
+
+    def test_peak_is_bounded_by_the_budget(self):
+        # 30 s at 256 Hz, the north star's window. A fetch lists each ball
+        # candidate as a Python int (about 40 bytes), then holds a few
+        # 8-byte arrays of them; 128 bytes per budgeted candidate leaves
+        # room for both and for a fetch that passes its budget where the
+        # balls grow.
+        x = generate(GeneratorSpec("lorenz", 7680, seed=11, transient_skip=1000, parameters={"fs": 256.0})).samples
+        long_peak = self.window_peak(x)
+        assert long_peak < 128 * lyapunov._FETCH_BUDGET
+        assert long_peak < 1.5 * self.window_peak(x[:3000])
 
 
 @pytest.mark.parametrize("m", [*range(1, 17), 131])
