@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -47,6 +48,9 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
+# --hist-bins left out: the bin count histograms_by_cell declares.
+_HIST_BINS = inspect.signature(histograms_by_cell).parameters["n_bins"].default
+
 
 def _config_flags():
     """Each ``EstimatorConfig`` field with its command-line spelling."""
@@ -59,7 +63,15 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for f, flag in _config_flags():
         # Integer defaults mark the integer knobs; the rest, None included, are floats.
         kind = int if isinstance(f.default, int) else float
-        grp.add_argument(flag, type=kind, default=f.default, help=f.metadata["help"])
+        shown = "" if f.default is None else " (default %(default)s)"
+        grp.add_argument(flag, type=kind, default=f.default, help=f.metadata["help"] + shown)
+
+
+def _add_hist_bins(parser: argparse.ArgumentParser) -> None:
+    # Each command checks the value, so a bad one exits 4 before any input is read.
+    parser.add_argument(
+        "--hist-bins", type=int, default=_HIST_BINS, help="bins for the report histograms (default %(default)s)"
+    )
 
 
 def _config_from_args(args: argparse.Namespace) -> EstimatorConfig:
@@ -81,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--manifest", required=True, help="JSON manifest of recordings")
     p_analyze.add_argument("--out", required=True, help="output directory")
     p_analyze.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    p_analyze.add_argument("--hist-bins", type=int, default=16, help="bins for the report histograms")
+    _add_hist_bins(p_analyze)
     _add_config_flags(p_analyze)
     p_analyze.set_defaults(func=_cmd_analyze)
 
@@ -120,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="rebuild tables from an epoch NDJSON file")
     p_report.add_argument("--epochs", required=True, help="NDJSON file from a previous analyze run")
     p_report.add_argument("--out", required=True, help="output directory")
-    p_report.add_argument("--hist-bins", type=int, default=16, help="bins for the report histograms")
+    _add_hist_bins(p_report)
     p_report.set_defaults(func=_cmd_report)
 
     return parser

@@ -45,6 +45,8 @@ _PROB_TOL = 1e-9
 MIN_MI_BINS = 2
 # Smallest cap of the delay scan: the first minimum needs lags 0, 1, 2.
 MIN_LAG_SCAN = 2
+# Cells per axis when the caller names none; the one default of every ``bins``.
+_BINS = 16
 
 
 def check_probabilities(name: str, p, ndim: int) -> np.ndarray:
@@ -184,12 +186,12 @@ def mi_from_joint(joint: JointDistribution) -> float:
     return _mi_bits(joint.probabilities)
 
 
-def mutual_information(x, y, bins: int = 16) -> float:
+def mutual_information(x, y, bins: int = _BINS) -> float:
     """Plug-in mutual information of two sequences, in bits."""
     return mi_from_joint(joint_distribution(x, y, bins))
 
 
-def auto_mutual_information(series: TimeSeries, lag: int, bins: int = 16) -> float:
+def auto_mutual_information(series: TimeSeries, lag: int, bins: int = _BINS) -> float:
     """Mutual information between the series and itself ``lag`` samples later.
 
     ``lag=0`` degenerates to the entropy of the series' own histogram.
@@ -217,7 +219,7 @@ def first_local_minimum(values) -> LagResult:
     return LagResult(int(v.size - 1), True)
 
 
-def select_lag_first_minimum(series: TimeSeries, max_lag: int, bins: int = 16) -> LagResult:
+def select_lag_first_minimum(series: TimeSeries, max_lag: int, bins: int = _BINS) -> LagResult:
     """Embedding delay from the first minimum of auto mutual information.
 
     Computes autoMI at lags ``0, 1, 2, ...`` and stops at the first local

@@ -80,6 +80,8 @@ class EmbeddingParams:
     ``theiler_w`` is only recorded: it does not change the embedding, and
     no estimator reads it. Each estimator takes its own exclusion window
     (``WolfParams.theiler_w``, ``correlation_curve``'s ``theiler_w``).
+    It is kept only for ``perfbench/round.py``, which still passes it,
+    until a change to the benchmark removes it.
     """
 
     dimension_m: int

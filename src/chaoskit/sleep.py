@@ -23,6 +23,7 @@ detectable.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import logging
 import math
@@ -191,34 +192,48 @@ def epoch_split(recording: Recording) -> list[EpochWindow]:
     ]
 
 
+# The defaults the estimators declare, read once: the fields of WolfParams
+# for the walk's knobs, the signatures of the scans and fits for the rest.
+_DEFAULTS = {
+    name: parameter.default
+    for estimator in (select_lag_first_minimum, minimum_embedding_dimension, correlation_curve, correlation_dimension)
+    for name, parameter in inspect.signature(estimator).parameters.items()
+} | {f.name: f.default for f in fields(WolfParams)}
+# The Wolf walk's own knobs, named alike in WolfParams and EstimatorConfig.
+_WOLF_KNOBS = ("evolve_steps", "min_separation", "max_separation", "max_replacement_angle")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Every estimator knob the pipeline uses, in one hashable place.
 
     Each field is also a command-line flag: ``--`` and the field name
     with dashes, unless the metadata names a ``flag``; the metadata's
-    ``help`` is the flag's help text. A value that no window could use
-    is refused here, before any window is read.
+    ``help`` is the flag's help text, and ``--help`` adds the default.
+    Each default is read from the estimator it feeds (``_DEFAULTS``),
+    but for the two scan caps, which no estimator defaults. A value that
+    no window could use is refused here, before any window is read.
     """
 
-    bins: int = field(default=16, metadata={"help": "histogram bins for MI (default %(default)s)"})
-    mi_max_lag: int = field(default=50, metadata={"help": "cap for the delay scan"})
-    theiler_max_lag: int = field(default=100, metadata={"help": "cap for the exclusion-window scan"})
-    m_max: int = field(default=8, metadata={"help": "largest dimension in the Cao scan"})
-    plateau_tol: float = field(default=0.05, metadata={"help": "E1 plateau tolerance"})
-    e2_tol: float = field(default=0.1, metadata={"help": "|E2-1| threshold for determinism"})
-    evolve_steps: int = field(default=3, metadata={"help": "samples per divergence segment"})
+    bins: int = field(default=_DEFAULTS["bins"], metadata={"help": "histogram bins for MI"})
+    mi_max_lag: int = field(default=50, metadata={"help": "cap for the delay scan, in samples"})
+    theiler_max_lag: int = field(default=100, metadata={"help": "cap for the exclusion-window scan, in samples"})
+    m_max: int = field(default=_DEFAULTS["m_max"], metadata={"help": "largest dimension in the Cao scan"})
+    plateau_tol: float = field(default=_DEFAULTS["plateau_tol"], metadata={"help": "E1 plateau tolerance"})
+    e2_tol: float = field(default=_DEFAULTS["e2_tol"], metadata={"help": "|E2-1| threshold for determinism"})
+    evolve_steps: int = field(default=_DEFAULTS["evolve_steps"], metadata={"help": "samples per divergence segment"})
     min_separation: float | None = field(
-        default=None, metadata={"help": "neighbour distance floor (default 1e-3 x extent)"}
+        default=_DEFAULTS["min_separation"], metadata={"help": "neighbour distance floor (default 1e-3 x extent)"}
     )
     max_separation: float | None = field(
-        default=None, metadata={"help": "neighbour distance cap (default 0.1 x extent)"}
+        default=_DEFAULTS["max_separation"], metadata={"help": "neighbour distance cap (default 0.1 x extent)"}
     )
     max_replacement_angle: float = field(
-        default=0.5, metadata={"help": "replacement angle cone, radians", "flag": "--max-angle"}
+        default=_DEFAULTS["max_replacement_angle"],
+        metadata={"help": "replacement angle cone, radians", "flag": "--max-angle"},
     )
-    n_radii: int = field(default=24, metadata={"help": "radii on the correlation curve"})
-    min_fit_r2: float = field(default=0.98, metadata={"help": "linearity bar for the D2 fit"})
+    n_radii: int = field(default=_DEFAULTS["n_radii"], metadata={"help": "radii on the correlation curve"})
+    min_fit_r2: float = field(default=_DEFAULTS["min_fit_r2"], metadata={"help": "linearity bar for the D2 fit"})
 
     def __post_init__(self):
         for name, floor in (
@@ -233,7 +248,7 @@ class EstimatorConfig:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "min_fit_r2", check_min_fit_r2(self.min_fit_r2))
         wolf = self.wolf_params(0)  # WolfParams checks the walk's own fields
-        for name in ("evolve_steps", "min_separation", "max_separation", "max_replacement_angle"):
+        for name in _WOLF_KNOBS:
             object.__setattr__(self, name, getattr(wolf, name))
 
     def as_dict(self) -> dict:
@@ -241,13 +256,7 @@ class EstimatorConfig:
 
     def wolf_params(self, theiler_w: int) -> WolfParams:
         """Parameters of the Wolf walk on an embedding with exclusion window ``theiler_w``."""
-        return WolfParams(
-            evolve_steps=self.evolve_steps,
-            min_separation=self.min_separation,
-            max_separation=self.max_separation,
-            theiler_w=theiler_w,
-            max_replacement_angle=self.max_replacement_angle,
-        )
+        return WolfParams(theiler_w=theiler_w, **{name: getattr(self, name) for name in _WOLF_KNOBS})
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical JSON form of the configuration."""

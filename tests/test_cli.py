@@ -7,13 +7,14 @@ covered by the per-module tests.
 
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from chaoskit.cli import _config_from_args, build_parser
+from chaoskit.cli import _config_flags, _config_from_args, build_parser
 from chaoskit.generators import GeneratorSpec, generate
 from chaoskit.io import read_signal_csv, write_hypnogram_csv, write_signal_csv
 from chaoskit.series import TimeSeries
@@ -125,6 +126,25 @@ class TestUsage:
     def test_config_flag_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["estimate", "--estimator", "lag", "--input", "x.csv"])
         assert _config_from_args(args) == EstimatorConfig()
+
+    def test_help_shows_each_default_once(self):
+        # --help takes each default from the one place it is declared;
+        # a help text that also wrote it by hand would show it twice.
+        proc = run_cli("analyze", "--help")
+        assert proc.returncode == 0, proc.stderr
+        entries = {
+            entry.split()[0]: entry for entry in re.split(r" (?=--[a-z])", " ".join(proc.stdout.split()))[1:]
+        }
+        shown = {"--hist-bins": build_parser().parse_args(["report", "--epochs", "e", "--out", "o"]).hist_bins}
+        for f, flag in _config_flags():
+            if f.default is not None:
+                shown[flag] = f.default
+        assert len(shown) == 11
+        for flag, default in shown.items():
+            assert entries[flag].count("(default") == 1, entries[flag]
+            assert f"(default {default})" in entries[flag], entries[flag]
+        for flag in ("--mi-max-lag", "--theiler-max-lag", "--evolve-steps"):
+            assert "samples" in entries[flag], entries[flag]
 
     def test_import_leaves_scipy_stats_and_signal_unloaded(self):
         code = (

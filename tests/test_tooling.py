@@ -2,15 +2,15 @@
 tracer rebinds still exist and are called, every exported name exists,
 every demo runs to the end, and the package keeps a single
 integer-argument check, a single real-argument check, a single array
-check, a single epoch record rule and a single histogram count, its
-restated defaults agree with their sources, and the correlation sum
-draws no random numbers."""
+check, a single epoch record rule and a single histogram count, each
+estimator default is written once, the tracer's counts read the
+arguments the pipeline passes, and the correlation sum draws no random
+numbers."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
-import inspect
 import os
 import pkgutil
 import re
@@ -21,15 +21,10 @@ from pathlib import Path
 import pytest
 
 import chaoskit
-from chaoskit import sleep
-from chaoskit.cao import minimum_embedding_dimension
+from chaoskit import cli, sleep
 from chaoskit.cli import build_parser
-from chaoskit.correlation import correlation_curve, correlation_dimension
 from chaoskit.generators import GeneratorSpec, generate
-from chaoskit.information import auto_mutual_information, mutual_information, select_lag_first_minimum
-from chaoskit.lyapunov import WolfParams
 from chaoskit.sleep import EstimatorConfig
-from chaoskit.stats import histograms_by_cell
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -168,31 +163,141 @@ def test_correlation_draws_no_random_numbers():
     assert "default_rng" not in source and "np.random" not in source
 
 
-def _default(function, name):
-    return inspect.signature(function).parameters[name].default
+def _is_literal(node) -> bool:
+    return isinstance(node, ast.Constant) or (
+        isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant)
+    )
 
 
-def test_config_defaults_are_the_estimator_defaults():
-    # EstimatorConfig restates the defaults of the estimators it feeds,
-    # and the CLI's --hist-bins that of histograms_by_cell; these copies
-    # must not drift apart.
-    config, wolf = EstimatorConfig(), WolfParams()
-    fed = {
-        "bins": [(f, "bins") for f in (select_lag_first_minimum, auto_mutual_information, mutual_information)],
-        "m_max": [(minimum_embedding_dimension, "m_max")],
-        "plateau_tol": [(minimum_embedding_dimension, "plateau_tol")],
-        "e2_tol": [(minimum_embedding_dimension, "e2_tol")],
-        "n_radii": [(correlation_curve, "n_radii")],
-        "min_fit_r2": [(correlation_dimension, "min_fit_r2")],
-    }
-    for name, sites in fed.items():
-        for function, parameter in sites:
-            assert getattr(config, name) == _default(function, parameter), (name, function.__name__)
-    for name in ("evolve_steps", "min_separation", "max_separation", "max_replacement_angle"):
-        assert getattr(config, name) == getattr(wolf, name), name
+def _default_declarations(names, flag):
+    """Every literal that src/chaoskit gives as the default of a parameter
+    or class field spelled as one of ``names``, or of an ``add_argument``
+    for ``flag``: a literal in place, or a module constant holding one.
+    Anything else (a signature read, a subscript) reads a default and
+    declares none. Keyed by (file, line, column), so a constant that
+    several signatures share counts once."""
+    found = {}
+    for path in sorted((ROOT / "src" / "chaoskit").glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        constants = {
+            target.id: top.value
+            for top in module.body
+            if isinstance(top, ast.Assign) and _is_literal(top.value)
+            for target in top.targets
+            if isinstance(target, ast.Name)
+        }
+        defaults = []
+        for node in ast.walk(module):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults)]
+                pairs += zip(args.kwonlyargs, args.kw_defaults)
+                defaults += [d for a, d in pairs if a.arg in names and d is not None]
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign):
+                        targets = [stmt.target]
+                    elif isinstance(stmt, ast.Assign):
+                        targets = stmt.targets
+                    else:
+                        continue
+                    value = stmt.value
+                    if value is None or not any(isinstance(t, ast.Name) and t.id in names for t in targets):
+                        continue
+                    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+                        defaults += [k.value for k in value.keywords if k.arg == "default"]
+                    else:
+                        defaults.append(value)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "add_argument"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value == flag
+            ):
+                defaults += [k.value for k in node.keywords if k.arg == "default"]
+        for node in defaults:
+            node = constants.get(node.id, node) if isinstance(node, ast.Name) else node
+            if _is_literal(node):
+                found[(path.name, node.lineno, node.col_offset)] = ast.literal_eval(node)
+    return found
+
+
+def _knobs():
+    """Each EstimatorConfig field and --hist-bins: the names a default of
+    it may be declared under, its flag, and the default the CLI gives it."""
     parser = build_parser()
-    for argv in (["analyze", "--manifest", "m.json", "--out", "o"], ["report", "--epochs", "e", "--out", "o"]):
-        assert parser.parse_args(argv).hist_bins == _default(histograms_by_cell, "n_bins"), argv[0]
+    given = [
+        parser.parse_args(argv)
+        for argv in (["analyze", "--manifest", "m.json", "--out", "o"], ["report", "--epochs", "e", "--out", "o"])
+    ]
+    knobs = {
+        f.name: ({f.name}, flag, getattr(given[0], flag[2:].replace("-", "_")))
+        for f, flag in cli._config_flags()
+    }
+    assert given[0].hist_bins == given[1].hist_bins
+    knobs["hist_bins"] = ({"hist_bins", "n_bins"}, "--hist-bins", given[0].hist_bins)
+    return knobs
+
+
+def test_each_default_is_written_once():
+    # Every estimator default has one home in src/chaoskit (the estimator
+    # it feeds, or EstimatorConfig for the scan caps no estimator
+    # defaults); everything else reads it, so no copy can drift. The one
+    # declaration must also be the value the CLI and the config give.
+    config = EstimatorConfig()
+    for name, (names, flag, given) in _knobs().items():
+        declared = _default_declarations(names, flag)
+        assert len(declared) == 1, (name, sorted(declared))
+        (value,) = declared.values()
+        assert type(given) is type(value) and given == value, (name, given, value)
+        if name != "hist_bins":
+            assert type(getattr(config, name)) is type(value) and getattr(config, name) == value, name
+
+
+def test_config_defaults_have_their_annotated_types():
+    # The CLI picks int or float from the default's type, and the
+    # fingerprint hashes the defaults as JSON: a default read from an
+    # estimator must not turn 8 into 8.0 or a numpy scalar.
+    kinds = {"int": int, "float": float, "float | None": type(None)}
+    for f in dataclasses.fields(EstimatorConfig):
+        assert type(f.default) is kinds[f.type], f.name
+    assert {k: type(v) for k, v in EstimatorConfig().as_dict().items()} == {
+        f.name: kinds[f.type] for f in dataclasses.fields(EstimatorConfig)
+    }
+
+
+def test_traced_counts_read_the_plan_arguments(monkeypatch):
+    # The tracer counts Cao points and C(R) pairs from the arguments a
+    # window plan passes, reading m_max and theiler_w as args[2]; its own
+    # fallbacks (m_max 8, theiler_w 0) would count a different window.
+    tracing = _load_tracing()
+    calls = {}
+    for name in ("minimum_embedding_dimension", "correlation_curve"):
+        def recorded(*args, _name=name, _call=getattr(sleep, name), **kwargs):
+            calls[_name] = (args, kwargs, _call(*args, **kwargs))
+            return calls[_name][2]
+
+        monkeypatch.setattr(sleep, name, recorded)
+    window = generate(GeneratorSpec("lorenz", 300, seed=1, transient_skip=1000, parameters={"fs": 10.0}))
+    plan = sleep.WindowPlan(window, EstimatorConfig(m_max=6))
+    plan.d2()
+    n, t, w = len(window), plan.lag.lag, plan.theiler.lag
+    assert w > 0 and (n - 2) // t >= 8
+
+    args, kwargs, result = calls["minimum_embedding_dimension"]
+    assert len(args) > 2 and args[2] == 6
+    points = tracing._cao_points(args, kwargs, result)["points"]
+    assert points == sum(n - m * t for m in range(1, 7))
+    assert points != tracing._cao_points(args[:2], {}, result)["points"]
+
+    args, kwargs, result = calls["correlation_curve"]
+    assert len(args) > 2 and args[2] == w
+    gaps = len(plan.vectors) - 1 - w
+    pairs = tracing._curve_pairs(args, kwargs, result)["pairs"]
+    assert pairs == gaps * (gaps + 1) // 2
+    assert pairs != tracing._curve_pairs(args[:2], {}, result)["pairs"]
 
 
 def test_one_record_rule():
