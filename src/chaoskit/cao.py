@@ -16,18 +16,43 @@ The ratios E1(m) = E(m+1)/E(m) and E2(m) = E*(m+1)/E*(m) drive the
 selection: E1 stops changing once the dimension suffices, and E2 stays
 near 1 at every m only for noise-like data.
 
-Neighbours come from a KD-tree queried for the three nearest hits of
-every point, with k doubled only while duplicates or distance ties may
-lie beyond the k-th hit, so they equal a full scan's, ties included.
+The scan walks m = 1..m_max once and finds every neighbour by one of
+three routes, each exact, ties included:
+
+- At m = 1 one stable sort of the samples gives each point the nearest
+  distinct value on either side, and the lowest index holding it.
+- From m = 2 each point carries a list of ``_LIST_LEN`` candidate
+  indices with their Chebyshev distances, and a certified radius rho:
+  the last distance of the tree query that made the list, so every
+  point outside the list is at least rho away. Under the maximum norm a
+  distance never shrinks as m grows, so moving to m + 1 takes one
+  maximum against the new coordinate's gaps, drops the entries that are
+  no longer points, and keeps rho certified. A point whose best
+  positive distance in its list is below rho is settled from the list:
+  every point at that distance is in it, and the lowest such index is
+  the full scan's answer. The other points are queried again, together,
+  for a fresh list on that dimension's tree (at m = 2, every point).
+- A point that even a fresh list cannot settle, because duplicates or
+  distance ties fill it, gets an exact scan of its Chebyshev distances
+  to every point, from shared delay rows in blocks of at most
+  ``correlation._PAIR_BLOCK`` entries. So does a point at m = 1 whose
+  next distinct value further out rounds to the same distance. Tied
+  data thus costs O(rows x n x m), not repeated whole-cloud queries.
+
+A Chebyshev distance is one rounded difference per coordinate and a
+maximum, which rounds nothing, so it is the same whichever route or
+query computed it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .correlation import _PAIR_BLOCK
 from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_array, check_float, check_int
 from .series import TimeSeries
 
@@ -38,6 +63,10 @@ __all__ = [
 
 # Smallest m_max of a scan: E1 then has the two values a plateau needs.
 MIN_M_MAX = 3
+# Candidates in each point's neighbour list from m = 2 on: about n x 16 B
+# each, and enough that most points of a clean window settle from the
+# list at the next m.
+_LIST_LEN = 8
 
 
 @dataclass(frozen=True)
@@ -79,55 +108,138 @@ def _restricted_embedding(x: np.ndarray, m: int, t: int) -> np.ndarray:
     return x[idx]
 
 
-def _nearest_positive_neighbors(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev nearest neighbour at strictly positive distance.
+def _sorted_neighbours(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest positive neighbour of each sample of ``v`` (m = 1), from
+    one stable sort: the nearest distinct value on either side, and the
+    lowest index holding it (the first of its run in a stable sort).
 
-    Returns (indices, distances). Exact duplicates of a point are
-    skipped; ties on distance resolve to the lowest index. A point whose
-    every companion is a duplicate has no neighbour, which only happens
-    when the whole cloud is degenerate.
-
-    The tree is asked for the k = 3 nearest hits of every point (the
-    point, its nearest neighbour and one beyond: the fewest that can
-    show the nearest positive distance is settled), and k doubles while
-    some point's k-th hit still lies at or below its best positive
-    distance, since duplicates or ties may then lie beyond it. Once
-    every k-th hit is farther, each point's hits hold all of its
-    duplicates and every neighbour at the best distance, so the lowest
-    index among those is the full scan's answer. A Chebyshev distance
-    is one rounded difference per coordinate and a maximum, so it is the
-    same whichever k returned it.
+    Returns (indices, distances, unsure). A distance further out on a
+    side can only round to the same value, never below it; ``unsure``
+    lists the samples where it does, and only a row scan settles those.
+    A sample with no distinct value anywhere is unsure too.
     """
-    n = points.shape[0]
-    tree = cKDTree(points)
-    k = min(n, 3)
-    while True:
-        # One thread: under ``--jobs`` every worker process already has
-        # a core, and at these sizes extra threads cost more than they save.
-        dist, idx = tree.query(points, k=k, p=np.inf, workers=1)
-        first = np.where(dist > 0.0, dist, np.inf).min(axis=1)
-        # Escalate while the k-th hit is still at (or below) the best
-        # positive distance: more duplicates or ties may lie beyond k.
-        if k >= n or not np.any(dist[:, -1] <= first):
-            break
-        k = min(n, 2 * k)
-    if not np.all(np.isfinite(first)):
+    n = v.size
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(s[1:], s[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    values = s[starts]
+    lowest = np.concatenate(([n], order[starts], [n]))
+    step = values[1:] - values[:-1]
+    below = np.concatenate(([np.inf], step))
+    above = np.concatenate((step, [np.inf]))
+    best = np.minimum(below, above)
+    neighbours = np.minimum(np.where(below == best, lowest[:-2], n), np.where(above == best, lowest[2:], n))
+    far = np.full(values.size + 2, np.inf)
+    far[2:-2] = values[2:] - values[:-2]
+    unsure = (far[:-2] == best) | (far[2:] == best) | np.isinf(best)
+    run = np.empty(n, dtype=np.intp)
+    run[order] = np.cumsum(head) - 1
+    return neighbours[run], best[run], np.flatnonzero(unsure[run])
+
+
+def _carried_lists(
+    lists: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray, tap: int, n_points: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lists of one dimension fewer, moved to the first ``n_points``
+    points: each distance takes the maximum with its gap in the new
+    coordinate, at ``tap``, and an entry that is no longer a point
+    drops out (index 0, distance inf). Rho stays certified.
+
+    Lists are (indices, distances, rho); the first two hold one column
+    per point, so each step works on ``_LIST_LEN`` rows of every point."""
+    cand, d, rho = lists[0][:, :n_points], lists[1][:, :n_points], lists[2][:n_points]
+    kept = cand < n_points
+    cand = np.where(kept, cand, 0)
+    gap = np.abs(x[tap : tap + n_points] - x[cand + tap])
+    return cand, np.where(kept, np.maximum(d, gap), np.inf), rho
+
+
+def _queried_lists(pts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fresh lists of ``rows``: their ``_LIST_LEN`` nearest points, self
+    and duplicates included, from one batched query on the points' tree.
+    Rho is the last distance; with fewer points than that the tree pads
+    each list with index n and distance inf, so rho is inf."""
+    # One thread: under ``--jobs`` every worker process already has
+    # a core, and at these sizes extra threads cost more than they save.
+    d, cand = cKDTree(pts).query(pts[rows], k=_LIST_LEN, p=np.inf, workers=1)
+    return cand.T, d.T, d[:, -1]
+
+
+def _settled(
+    cand: np.ndarray, d: np.ndarray, rho: np.ndarray, n_points: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each list's best positive distance, the lowest index at it, and
+    whether that is exact: the best lies below rho."""
+    positive = np.where(d > 0.0, d, np.inf)
+    best = positive.min(axis=0)
+    neighbours = np.where(positive == best, cand, n_points).min(axis=0)
+    return neighbours, best, best < rho
+
+
+def _row_scan(x: np.ndarray, rows: np.ndarray, m: int, t: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest positive neighbours of ``rows`` among the first
+    ``n_points`` delay vectors, by their Chebyshev distances to every
+    point. Coordinate c of the distances is ``|x[c t + j] - x[c t + i]|``,
+    a slice of the series against one sample per row, so no point is
+    copied, and a block holds at most ``_PAIR_BLOCK`` entries."""
+    neighbours = np.empty(rows.size, dtype=np.intp)
+    best = np.empty(rows.size)
+    per_block = max(1, _PAIR_BLOCK // n_points)
+    for lo in range(0, rows.size, per_block):
+        block = rows[lo : lo + per_block]
+        dist = np.zeros((block.size, n_points))
+        gap = np.empty_like(dist)
+        for tap in range(0, m * t, t):
+            np.subtract(x[tap : tap + n_points], x[block + tap, None], out=gap)
+            np.maximum(dist, np.abs(gap, out=gap), out=dist)
+        dist[dist == 0.0] = np.inf
+        best[lo : lo + block.size] = first = dist.min(axis=1)
+        neighbours[lo : lo + block.size] = np.argmax(dist == first[:, None], axis=1)
+    if not np.all(np.isfinite(best)):
         raise DegenerateSeriesError(
             "some delay vectors have only exact duplicates; series has no usable variation"
         )
-    candidates = np.where(dist == first[:, None], idx, n)
-    neighbors = candidates.min(axis=1)
-    return neighbors.astype(np.intp), first
+    return neighbours, best
 
 
-def _cao_terms(x: np.ndarray, m: int, t: int) -> tuple[float, float]:
-    """E(m) and E*(m) for one dimension."""
-    pts = _restricted_embedding(x, m, t)
-    neighbors, dist_m = _nearest_positive_neighbors(pts)
-    rows = np.arange(pts.shape[0])
-    gap = np.abs(x[rows + m * t] - x[neighbors + m * t])
-    e = float(np.mean(np.maximum(dist_m, gap) / dist_m))
-    e_star = float(np.mean(gap))
+def _scan_neighbours(x: np.ndarray, t: int, m_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each dimension's Chebyshev nearest neighbours at strictly positive
+    distance, ties to the lowest index: (indices, distances) for
+    m = 1..m_max in turn, by the three routes of the module docstring."""
+    v = _restricted_embedding(x, 1, t)[:, 0]
+    neighbours, dist, unsure = _sorted_neighbours(v)
+    neighbours[unsure], dist[unsure] = _row_scan(x, unsure, 1, t, v.size)
+    yield neighbours, dist
+    # m = 1 leaves every point an empty list, with rho 0: certified, and
+    # settling nothing, so m = 2 queries every point.
+    lists = np.zeros((_LIST_LEN, v.size), dtype=np.intp), np.full((_LIST_LEN, v.size), np.inf), np.zeros(v.size)
+    for m in range(2, m_max + 1):
+        pts = _restricted_embedding(x, m, t)
+        n_points = pts.shape[0]
+        cand, d, rho = _carried_lists(lists, x, (m - 1) * t, n_points)
+        neighbours, dist, settled = _settled(cand, d, rho, n_points)
+        rows = np.flatnonzero(~settled)
+        if rows.size:
+            cand[:, rows], d[:, rows], rho[rows] = fresh = _queried_lists(pts, rows)
+            neighbours[rows], dist[rows], settled = _settled(*fresh, n_points)
+            rows = rows[~settled]
+            neighbours[rows], dist[rows] = _row_scan(x, rows, m, t, n_points)
+        lists = cand, d, rho
+        yield neighbours, dist
+
+
+def _cao_terms(x: np.ndarray, t: int, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """E(m) and E*(m) for m = 1..m_max, from one pass over the dimensions."""
+    e = np.empty(m_max, dtype=np.float64)
+    e_star = np.empty(m_max, dtype=np.float64)
+    for m, (neighbours, dist) in enumerate(_scan_neighbours(x, t, m_max), start=1):
+        tap = m * t
+        gap = np.abs(x[tap : tap + dist.size] - x[neighbours + tap])
+        e[m - 1] = np.mean(np.maximum(dist, gap) / dist)
+        e_star[m - 1] = np.mean(gap)
     return e, e_star
 
 
@@ -179,10 +291,7 @@ def minimum_embedding_dimension(
             f"{m_max * t + 2} samples, got {x.size}"
         )
 
-    e = np.empty(m_max, dtype=np.float64)
-    e_star = np.empty(m_max, dtype=np.float64)
-    for m in range(1, m_max + 1):
-        e[m - 1], e_star[m - 1] = _cao_terms(x, m, t)
+    e, e_star = _cao_terms(x, t, m_max)
     if np.any(e_star == 0.0):
         raise DegenerateSeriesError("E* vanished; series has no usable variation")
     # E1(m) and E2(m) for m = 1..m_max-1.

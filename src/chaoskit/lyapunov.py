@@ -27,21 +27,22 @@ the window's length, and a walk that cannot start discards little. A
 step of the walk only takes its candidates' offsets for the angle test
 and picks the nearest. A neighbour within E of the last point shortens
 the step, which moves i off that grid; then, or when the walk passes
-the fetched points, the candidates are fetched again from i (fewer
-after a short step, which often repeats at once). A run costs about
-O(M log M + (M / E) * (log M + K)) for K candidates per ball, with no
-tree query of its own in any step. The distance after each step is
+the fetched points, the candidates are fetched again from i (for i
+alone after a short step, which often repeats at once). A run costs
+about O(M log M + (M / E) * (log M + K)) for K candidates per ball, with
+no tree query of its own in any step. The distance after each step is
 summed as Python floats in numpy's row-sum order, numpy's call overhead
 exceeding the arithmetic, and serves as the next step's distance
 before; a replacement neighbour from the tree brings its fetched
 distance instead.
-One-dimensional points skip the tree: there the ball is a tenth of the
-extent by default and holds a large share of the points, and one
-vectorised ``|x - x_i|`` scan per step gives the exact ball, already in
-index order, for less than the tree takes to list it. Every distance is
-summed in numpy's row-sum order and every dot product of the cone test
-is a numpy row sum, whose value for a row does not depend on the other
-rows of the array (a BLAS matrix-vector product's may). Over a ball's candidates each therefore
+One-dimensional points skip the tree: there the ball is
+``MAX_SEPARATION_FRACTION`` of the extent by default and holds a large
+share of the points, and one vectorised ``|x - x_i|`` scan per step
+gives the exact ball, already in index order, for less than the tree
+takes to list it. Every distance is summed in numpy's row-sum order and
+every dot product of the cone test is a numpy row sum, whose value for a
+row does not depend on the other rows of the array (a BLAS
+matrix-vector product's may). Over a ball's candidates each therefore
 equals a full scan's to the bit, and the walk is the one a full scan
 would take.
 """
@@ -62,6 +63,11 @@ from .series import DelayVectors, as_points, point_extent
 
 __all__ = ["WolfParams", "LyapunovResult", "largest_lyapunov_wolf"]
 
+# The separation bounds a walk takes when its parameters leave them None,
+# as fractions of the attractor extent.
+MIN_SEPARATION_FRACTION = 1e-3
+MAX_SEPARATION_FRACTION = 0.1
+
 _MIN_POINTS = 100
 _LOW_CONFIDENCE_RENORMS = 10
 # The tree's own distance arithmetic may round differently from the
@@ -73,18 +79,18 @@ _BALL_PAD = 1e-9
 _FETCH_BUDGET = 1 << 15
 # Most fiducial points i, i + E, i + 2E, ... one fetch covers.
 _FETCH_POINTS = 512
-# Fiducial points of a walk's first fetch, and of a fetch from a point
-# off the last fetch's grid.
-_REFETCH_POINTS = 32
+# Fiducial points of a walk's first fetch.
+_FIRST_FETCH_POINTS = 32
 
 
 @dataclass(frozen=True)
 class WolfParams:
     """Knobs of the fiducial-trajectory estimator.
 
-    ``min_separation`` and ``max_separation`` default to 1e-3 and 0.1
-    times the attractor extent (the largest per-coordinate span), which
-    is resolved against the data at run time when they are left None.
+    ``min_separation`` and ``max_separation`` default to
+    ``MIN_SEPARATION_FRACTION`` and ``MAX_SEPARATION_FRACTION`` times the
+    attractor extent (the largest per-coordinate span), which is resolved
+    against the data at run time when they are left None.
     ``max_replacement_angle`` is in radians.
     """
 
@@ -229,8 +235,8 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     extent = point_extent(pts)
     if extent == 0.0:
         raise DegenerateSeriesError("all embedded points coincide; extent is zero")
-    d_min = params.min_separation if params.min_separation is not None else 1e-3 * extent
-    d_max = params.max_separation if params.max_separation is not None else 0.1 * extent
+    d_min = params.min_separation if params.min_separation is not None else MIN_SEPARATION_FRACTION * extent
+    d_max = params.max_separation if params.max_separation is not None else MAX_SEPARATION_FRACTION * extent
     if not d_min < d_max:
         raise ConfigError(f"resolved separation bounds are empty: [= {d_min!r}, {d_max!r}]")
     cos_cone = math.cos(params.max_replacement_angle)
@@ -263,13 +269,13 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
             if found is None:
                 # The walk moved past the fetched points, or a short step
                 # to the series' end moved i off their grid: fetch from i.
-                # Such a step often repeats at once, so fetch fewer then.
+                # Such a step often repeats at once, so fetch i alone then.
                 if fetched is None:
-                    count = _REFETCH_POINTS
+                    count = _FIRST_FETCH_POINTS
+                elif (i - fetched.start) % params.evolve_steps:
+                    count = 1
                 else:
                     count = fetched.points_within_budget()
-                    if (i - fetched.start) % params.evolve_steps:
-                        count = min(count, _REFETCH_POINTS)
                 stop = min(i + count * params.evolve_steps, last)
                 fetched = _fetch_admissible(tree, pts, i, stop, params.evolve_steps, ball, d_min, d_max, w)
                 found = fetched.rows(i)

@@ -37,7 +37,13 @@ from .cao import MIN_M_MAX, CaoProfile, check_scan_settings, minimum_embedding_d
 from .correlation import MIN_RADII, D2Estimate, check_min_fit_r2, correlation_curve, correlation_dimension
 from .errors import ChaosKitError, ConfigError, InputError, ShortSeriesError, check_int
 from .information import MIN_LAG_SCAN, MIN_MI_BINS, auto_mutual_information, select_lag_first_minimum
-from .lyapunov import LyapunovResult, WolfParams, largest_lyapunov_wolf
+from .lyapunov import (
+    MAX_SEPARATION_FRACTION,
+    MIN_SEPARATION_FRACTION,
+    LyapunovResult,
+    WolfParams,
+    largest_lyapunov_wolf,
+)
 from .series import (
     MIN_THEILER_SCAN,
     DelayVectors,
@@ -223,10 +229,12 @@ class EstimatorConfig:
     e2_tol: float = field(default=_DEFAULTS["e2_tol"], metadata={"help": "|E2-1| threshold for determinism"})
     evolve_steps: int = field(default=_DEFAULTS["evolve_steps"], metadata={"help": "samples per divergence segment"})
     min_separation: float | None = field(
-        default=_DEFAULTS["min_separation"], metadata={"help": "neighbour distance floor (default 1e-3 x extent)"}
+        default=_DEFAULTS["min_separation"],
+        metadata={"help": f"neighbour distance floor (default {MIN_SEPARATION_FRACTION!r} x extent)"},
     )
     max_separation: float | None = field(
-        default=_DEFAULTS["max_separation"], metadata={"help": "neighbour distance cap (default 0.1 x extent)"}
+        default=_DEFAULTS["max_separation"],
+        metadata={"help": f"neighbour distance cap (default {MAX_SEPARATION_FRACTION!r} x extent)"},
     )
     max_replacement_angle: float = field(
         default=_DEFAULTS["max_replacement_angle"],

@@ -126,11 +126,15 @@ def wolf_fetches(monkeypatch) -> list[tuple[int, int, int]]:
     return fetches
 
 
-def off_grid_fetches(fetches: list[tuple[int, int, int]]) -> int:
-    """Fetches from a point off the grid of the fetch before, which only
-    a short step near the series' end causes. Every walk fetches first
-    from point 0."""
-    return sum(start > 0 and (start - prev) % step != 0 for (prev, *_), (start, step, _) in zip(fetches, fetches[1:]))
+def off_grid_fetches(fetches: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """The fetches from a point off the grid of the fetch before, which
+    only a short step near the series' end causes. Every walk fetches
+    first from point 0."""
+    return [
+        fetch
+        for (prev, *_), fetch in zip(fetches, fetches[1:])
+        if fetch[0] > 0 and (fetch[0] - prev) % fetch[1] != 0
+    ]
 
 
 def traced_peak(call) -> int:

@@ -16,7 +16,7 @@ import pytest
 
 from chaoskit.cao import _cao_terms, minimum_embedding_dimension
 from chaoskit.correlation import correlation_curve, correlation_dimension, correlation_sum
-from chaoskit.generators import henon_lle_oracle, uniform_stream
+from chaoskit.generators import GeneratorSpec, generate, henon_lle_oracle, uniform_stream
 from chaoskit.information import (
     entropy,
     joint_distribution,
@@ -113,6 +113,22 @@ def test_cao_separates_flow_from_noise(lorenz_20k, noise_10k):
     assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
 
 
+def test_cao_scan_of_a_tied_window_within_budget():
+    # One 30 s window at 100 Hz, stored as 8 levels: nearly every delay
+    # vector has duplicates, so the tree's lists settle almost nothing
+    # and the exact row scan decides. A scan that re-queried the whole
+    # cloud with ever larger k took 5.8 s on 2 shared vCPUs.
+    spec = GeneratorSpec("lorenz", n_samples=3000, seed=5, transient_skip=1000, parameters={"fs": 100.0})
+    x = generate(spec).samples
+    window = TimeSeries(np.round((x - x.min()) / np.ptp(x) * 7), sample_rate_hz=100.0)
+    lag = select_lag_first_minimum(window, 50).lag
+    assert np.unique(window.samples).size == 8
+    start = time.perf_counter()
+    minimum_embedding_dimension(window, t=lag, m_max=8)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, f"took {elapsed:.1f}s, budget 3s"
+
+
 def test_mutual_information_identities():
     # Self-information equals the marginal entropy on a 4-symbol fixture.
     symbols = np.tile(np.array([0.0, 1.0, 2.0, 3.0]), 256)
@@ -146,7 +162,7 @@ def test_brute_force_equivalence_at_small_n(henon_20k, logistic_20k):
     x = logistic_20k.samples[:1500]
     for m in (1, 2, 3, 4):
         e_brute, _, _ = brute_cao_terms(x, m, 1)
-        assert _cao_terms(x, m, 1)[0] == e_brute
+        assert _cao_terms(x, t=1, m_max=m)[0][m - 1] == e_brute
     y = henon_20k.samples[:1200]
     profile = minimum_embedding_dimension(TimeSeries(y, sample_rate_hz=1.0), t=2, m_max=3)
     _, estar_2, _ = brute_cao_terms(y, 2, 2)

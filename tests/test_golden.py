@@ -97,7 +97,7 @@ def test_lorenz_outputs_match_golden_hashes(tmp_path, wolf_fetches, case):
     if case == "wolf-start-fails":
         assert any("no admissible initial neighbour" in r["failures"].get("lle", "") for r in records)
     else:
-        assert off_grid_fetches(wolf_fetches) > 0
+        assert off_grid_fetches(wolf_fetches)
 
 
 # ``chaoskit estimate``: every estimator on three synthesised files, run

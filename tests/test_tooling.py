@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import chaoskit
-from chaoskit import cli, sleep
+from chaoskit import cli, lyapunov, sleep
 from chaoskit.cli import build_parser
 from chaoskit.generators import GeneratorSpec, generate
 from chaoskit.sleep import EstimatorConfig
@@ -254,6 +254,21 @@ def test_each_default_is_written_once():
         assert type(given) is type(value) and given == value, (name, given, value)
         if name != "hist_bins":
             assert type(getattr(config, name)) is type(value) and getattr(config, name) == value, name
+
+
+def test_help_shows_the_wolf_separation_fractions(capsys):
+    # The walk's default separation bounds are fractions of the extent,
+    # named once in lyapunov; --help states them from there. A count of
+    # literals cannot see a copy of these: 0.1 is also e2_tol's default.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["analyze", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    shown = re.findall(r"(--(?:min|max)-separation) [A-Z_]+ [^()]*\(default (\S+) x extent\)", text)
+    assert {flag: float(value) for flag, value in shown} == {
+        "--min-separation": lyapunov.MIN_SEPARATION_FRACTION,
+        "--max-separation": lyapunov.MAX_SEPARATION_FRACTION,
+    }
+    assert len(shown) == 2
 
 
 def test_config_defaults_have_their_annotated_types():
