@@ -12,28 +12,24 @@ nothing is admissible the old pair is kept. The exponent is the log sum
 divided by the total number of evolved samples, in nats per sample.
 
 Distances are Euclidean. From two dimensions up, a KD-tree over the
-``M`` embedded points is built once per call (O(M log M)). One query
-asks it for the points within ``max_separation`` of a run of upcoming
-fiducial points i, i + E, i + 2E, ... (E = ``evolve_steps``). The
-exclusion and last-point tests drop candidates first; each survivor's
-squared distance is then summed one coordinate at a time, and the
-separation tests keep a fiducial point's admissible candidates as one
-index-sorted slice of indices and distances. A fetch holds nothing
-else, and its size follows a fixed budget of about 32,768 candidates:
-the number of fiducial points it covers is the budget divided by the
-candidates per point that the previous fetch found, at most 512, and
-the first fetch covers 32. A fetch's memory is thus bounded whatever
-the window's length, and a walk that cannot start discards little. A
-step of the walk only takes its candidates' offsets for the angle test
-and picks the nearest. A neighbour within E of the last point shortens
-the step, which moves i off that grid; then, or when the walk passes
-the fetched points, the candidates are fetched again from i (for i
-alone after a short step, which often repeats at once). A run costs
-about O(M log M + (M / E) * (log M + K)) for K candidates per ball, with
-no tree query of its own in any step. The distance after each step is
-summed as Python floats in numpy's row-sum order, numpy's call overhead
-exceeding the arithmetic, and serves as the next step's distance
-before; a replacement neighbour from the tree brings its fetched
+``M`` embedded points is built once per call (O(M log M)), and each
+pick of a neighbour for fiducial point i asks it for one ball around
+point i, its candidates in index order. The ball's radius is the
+separation ceiling ``max_separation``, except where the neighbour j
+the walk carries into the pick is itself admissible and passes its own
+cone test. The pick then takes j or a point of the cone nearer than j,
+so no candidate beyond j's distance can win and that distance is the
+radius. j's distance, summed in the walk as Python floats in numpy's
+row-sum order (numpy's call overhead exceeds the arithmetic), equals
+the ball's distance of j to the bit, and the ball is padded against the
+tree's own rounding, so every point of the cone as near as j, ties with
+a lower index included, is among the candidates. The exclusion and
+last-point tests drop candidates first; each survivor's offsets from
+point i are taken once, for its distance and for its cone test. A pick
+holds its own ball only, whatever the window's length. A run costs
+about O(M log M + (M / E) * (log M + K)) for K candidates per ball and
+E = ``evolve_steps``. The distance after each step serves as the next
+step's distance before; a replacement neighbour brings its ball
 distance instead.
 One-dimensional points skip the tree: there the ball is
 ``MAX_SEPARATION_FRACTION`` of the extent by default and holds a large
@@ -49,10 +45,9 @@ would take.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -71,16 +66,10 @@ MAX_SEPARATION_FRACTION = 0.1
 _MIN_POINTS = 100
 _LOW_CONFIDENCE_RENORMS = 10
 # The tree's own distance arithmetic may round differently from the
-# exact test, so its ball is this much wider and the exact test decides.
+# exact test, so each ball is this much wider than its radius and the
+# exact test decides: a kept neighbour at exactly the radius, and every
+# point tied with it, is then among the candidates.
 _BALL_PAD = 1e-9
-# Ball candidates one fetch aims to hold. A fetch lists each of them as
-# a Python int, then holds an index and a few numbers per candidate: a
-# few MB in all, whatever the window's length or dimension.
-_FETCH_BUDGET = 1 << 15
-# Most fiducial points i, i + E, i + 2E, ... one fetch covers.
-_FETCH_POINTS = 512
-# Fiducial points of a walk's first fetch.
-_FIRST_FETCH_POINTS = 32
 
 
 @dataclass(frozen=True)
@@ -132,75 +121,35 @@ class LyapunovResult:
     low_confidence: bool
 
 
-class _Fetched(NamedTuple):
-    """Admissible neighbours of the fiducial points ``start + k * step``:
-    those of the k-th are entries ``bounds[k]:bounds[k + 1]``, in index
-    order. ``found`` counts the ball's candidates before any test."""
-
-    start: int
-    step: int
-    bounds: list[int]
-    cand: np.ndarray
-    d: np.ndarray
-    found: int
-
-    def rows(self, i: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Point i's candidates and their distances; None if point i is
-        not one of the fetched fiducial points."""
-        k, off_grid = divmod(i - self.start, self.step)
-        if off_grid or not 0 <= k < len(self.bounds) - 1:
-            return None
-        lo, hi = self.bounds[k], self.bounds[k + 1]
-        return self.cand[lo:hi], self.d[lo:hi]
-
-    def points_within_budget(self) -> int:
-        """Fiducial points a fetch like this one may cover within
-        ``_FETCH_BUDGET`` candidates, at most ``_FETCH_POINTS``."""
-        points = len(self.bounds) - 1
-        return min(_FETCH_POINTS, max(1, _FETCH_BUDGET * points // max(self.found, 1)))
-
-
-def _fetch_admissible(
-    tree: cKDTree, pts: np.ndarray, start: int, stop: int, step: int, ball: float, d_min: float, d_max: float, w: int
-) -> _Fetched:
-    """Admissible neighbours of the fiducial points ``range(start, stop,
-    step)``, from one tree query.
+def _ball(
+    tree: cKDTree, pts: np.ndarray, i: int, radius: float, d_min: float, d_max: float, w: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index-sorted admissible neighbours of point i within ``radius``,
+    their distances and their offsets from it, from one tree query.
 
     The exclusion and last-point tests run first. Each remaining
-    candidate's distance is then a row sum of its squared offsets, one
-    coordinate at a time in numpy's row-sum order: the arithmetic of a
-    full scan, with no offset array held.
+    candidate's offsets then give its distance, summed in numpy's
+    row-sum order as a full scan sums it, and serve the cone test.
     """
-    fiducials = np.arange(start, stop, step)
-    found = tree.query_ball_point(pts[fiducials], ball, return_sorted=True)
-    sizes = np.fromiter(map(len, found), dtype=np.intp, count=fiducials.size)
-    total = int(sizes.sum())
-    cand = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=total)
-    del found
-    centre = np.repeat(fiducials, sizes)
-    # The final point has no future to evolve into.
-    ok = (np.abs(cand - centre) > w) & (cand != pts.shape[0] - 1)
-    cand, centre = cand[ok], centre[ok]
-
-    def squares():
-        for c in range(pts.shape[1]):
-            column = pts[:, c]
-            term = column[cand] - column[centre]
-            yield np.square(term, out=term)
-
-    d = np.sqrt(_row_sum(squares(), pts.shape[1]))
+    found = tree.query_ball_point(pts[i], radius * (1.0 + _BALL_PAD), return_sorted=True)
+    # The list is in index order: the exclusion band is one run of it, and
+    # the final point, which has no future to evolve into, can only end it.
+    cand = found[: bisect.bisect_left(found, i - w)] + found[bisect.bisect_right(found, i + w) :]
+    if cand and cand[-1] == pts.shape[0] - 1:
+        cand.pop()
+    cand = np.array(cand, dtype=np.intp)
+    offsets = pts.take(cand, axis=0) - pts[i]
+    d = np.sqrt(np.square(offsets).sum(axis=1))
     ok = (d >= d_min) & (d <= d_max)
-    cand, centre, d = cand[ok], centre[ok], d[ok]
-    bounds = np.searchsorted(centre, np.arange(start, start + (fiducials.size + 1) * step, step)).tolist()
-    return _Fetched(start, step, bounds, cand, d, total)
+    return cand[ok], d[ok], offsets[ok]
 
 
-def _separation(p: list[float], q: list[float]) -> float:
-    """Distance of two points held as lists of floats, equal bit for bit
-    to ``float(np.sqrt(((p - q) ** 2).sum()))`` on arrays: the squares
-    are added in numpy's row-sum order. Once per step, numpy's call
-    overhead would cost more than the arithmetic."""
-    return math.sqrt(_row_sum(iter([(a - b) * (a - b) for a, b in zip(p, q)]), len(p)))
+def _squared_separation(p: list[float], q: list[float]) -> float:
+    """Squared distance of two points held as lists of floats, equal bit
+    for bit to ``float(((p - q) ** 2).sum())`` on arrays: the squares are
+    added in numpy's row-sum order. Once per step, numpy's call overhead
+    would cost more than the arithmetic."""
+    return _row_sum(iter([(a - b) * (a - b) for a, b in zip(p, q)]), len(p))
 
 
 def _dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -246,62 +195,49 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     if one_dimensional:
         flat = pts[:, 0]
 
-        def admissible(i: int) -> tuple[np.ndarray, np.ndarray]:
-            """Index-sorted admissible neighbours of point i and their
-            distances."""
+        def scan(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """Index-sorted admissible neighbours of point i, their
+            distances and their offsets from it."""
             span = np.abs(flat - flat[i])
             ok = (span >= d_min) & (span <= d_max)
             ok[max(i - w, 0) : i + w + 1] = False
             ok[last] = False  # the final point has no future to evolve into
             cand = np.flatnonzero(ok)
-            return cand, span[cand]
+            return cand, span[cand], pts[cand] - pts[i]
 
     else:
         tree = cKDTree(pts)
-        ball = d_max * (1.0 + _BALL_PAD)
-        fetched = None
 
-        def admissible(i: int) -> tuple[np.ndarray, np.ndarray]:
-            """Index-sorted admissible neighbours of point i and their
-            distances."""
-            nonlocal fetched
-            found = None if fetched is None else fetched.rows(i)
-            if found is None:
-                # The walk moved past the fetched points, or a short step
-                # to the series' end moved i off their grid: fetch from i.
-                # Such a step often repeats at once, so fetch i alone then.
-                if fetched is None:
-                    count = _FIRST_FETCH_POINTS
-                elif (i - fetched.start) % params.evolve_steps:
-                    count = 1
-                else:
-                    count = fetched.points_within_budget()
-                stop = min(i + count * params.evolve_steps, last)
-                fetched = _fetch_admissible(tree, pts, i, stop, params.evolve_steps, ball, d_min, d_max, w)
-                found = fetched.rows(i)
-            return found
-
-    def pick(i: int, separation: np.ndarray | None, sep_norm: float) -> tuple[int, float] | None:
+    def pick(i: int, j: int | None, sep_norm: float, radius: float) -> tuple[int, float] | None:
         """Nearest admissible neighbour of point i, angle cone first, and
-        its distance as :func:`_separation` gives it.
+        its distance as the walk sums it. ``j`` is the kept neighbour at
+        distance ``sep_norm`` from point i, None at the walk's start. The
+        tree's ball around point i has ``radius``; the one-dimensional
+        scan reads every point.
 
         The candidates come in index order, so ``argmin`` breaks
         distance ties toward the lowest index, as a full scan does.
         """
-        cand, d = admissible(i)
+        if one_dimensional:
+            cand, d, offsets = scan(i)
+        else:
+            cand, d, offsets = _ball(tree, pts, i, radius, d_min, d_max, w)
         if cand.size == 0:
             return None
-        if separation is not None and sep_norm > 0.0:
-            cone = _dots(pts[cand] - pts[i], separation) / (d * sep_norm) >= cos_cone
+        # A lone candidate is the pick whether or not it lies in the cone.
+        if cand.size > 1 and j is not None and sep_norm > 0.0:
+            cone = _dots(offsets, pts[j] - pts[i]) / (d * sep_norm) >= cos_cone
             if cone.any():
                 cand, d = cand[cone], d[cone]
         k = d.argmin()
         j = int(cand[k])
         # |x_j - x_i| differs from sqrt((x_j - x_i) ** 2) once the square underflows.
-        return j, _separation(pts[i].tolist(), pts[j].tolist()) if one_dimensional else float(d[k])
+        if one_dimensional:
+            return j, math.sqrt(_squared_separation(pts[i].tolist(), pts[j].tolist()))
+        return j, float(d[k])
 
     i = 0
-    first = pick(0, None, 0.0)
+    first = pick(0, None, 0.0, d_max)
     if first is None:
         raise EstimationError(
             "no admissible initial neighbour: separation bounds or exclusion window too strict"
@@ -316,7 +252,8 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
         steps = min(params.evolve_steps, last - i, last - j)
         i += steps
         j += steps
-        d_after = _separation(pts[i].tolist(), pts[j].tolist())
+        sq = _squared_separation(pts[i].tolist(), pts[j].tolist())
+        d_after = math.sqrt(sq)
         if d_before > 0.0 and d_after > 0.0:
             log_sum += math.log(d_after / d_before)
             evolved += steps
@@ -324,7 +261,12 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
         if i >= last:
             break
         d_before = d_after
-        found = pick(i, pts[j] - pts[i], d_after)
+        # j's offsets from point i are the separation, so the pick's cone
+        # test gives j the cosine sq / d_after². If j is admissible and
+        # inside its own cone, the pick takes j or a nearer point of the
+        # cone: no point beyond d_after can win.
+        bounds = d_min <= d_after <= d_max and abs(j - i) > w and j != last and sq / (d_after * d_after) >= cos_cone
+        found = pick(i, j, d_after, d_after if bounds else d_max)
         if found is None:
             if j >= last:
                 break  # neighbour ran off the end and nothing can replace it

@@ -112,29 +112,25 @@ def build_sleep_fixture(root, n_epochs: int = 12, fs: float = 10.0, subjects=Non
 
 
 @pytest.fixture
-def wolf_fetches(monkeypatch) -> list[tuple[int, int, int]]:
-    """(first fiducial point, step, fiducial points) of every candidate
-    fetch the Wolf walk makes while the test runs."""
-    fetches = []
-    fetch = lyapunov._fetch_admissible
+def wolf_balls(monkeypatch) -> list[tuple[int, float]]:
+    """(fiducial point, radius) of every ball the Wolf walk asks its
+    KD-tree for while the test runs: one per pick of a neighbour."""
+    balls = []
+    ball = lyapunov._ball
 
-    def recorded(tree, pts, start, stop, step, *args):
-        fetches.append((start, step, len(range(start, stop, step))))
-        return fetch(tree, pts, start, stop, step, *args)
+    def recorded(tree, pts, i, radius, *args):
+        balls.append((i, radius))
+        return ball(tree, pts, i, radius, *args)
 
-    monkeypatch.setattr(lyapunov, "_fetch_admissible", recorded)
-    return fetches
+    monkeypatch.setattr(lyapunov, "_ball", recorded)
+    return balls
 
 
-def off_grid_fetches(fetches: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """The fetches from a point off the grid of the fetch before, which
-    only a short step near the series' end causes. Every walk fetches
-    first from point 0."""
-    return [
-        fetch
-        for (prev, *_), fetch in zip(fetches, fetches[1:])
-        if fetch[0] > 0 and (fetch[0] - prev) % fetch[1] != 0
-    ]
+def short_steps(balls: list[tuple[int, float]], evolve_steps: int = 3) -> list[tuple[int, float]]:
+    """The balls of picks that follow a step cut short by the series'
+    end: the walk picks once per step, so their fiducial point lies
+    fewer than ``evolve_steps`` past the one of the pick before."""
+    return [ball for (prev, _), ball in zip(balls, balls[1:]) if ball[0] - prev < evolve_steps]
 
 
 def traced_peak(call) -> int:

@@ -7,6 +7,7 @@ the estimator modules.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -37,6 +38,22 @@ def brute_correlation_sum(points: np.ndarray, radius: float, theiler_w: int = 0)
     return inside / total
 
 
+class WolfPick(NamedTuple):
+    """One search of the full-scan Wolf walk for a neighbour of point
+    ``i``. ``kept`` is the neighbour the walk carries into it (None at
+    the start), with its distance from point i, whether it is admissible
+    and whether it passes its own cone test; ``chosen`` is the search's
+    result (None if nothing is admissible), with its distance."""
+
+    i: int
+    kept: int | None
+    kept_distance: float | None
+    kept_admissible: bool
+    kept_in_cone: bool
+    chosen: int | None
+    chosen_distance: float | None
+
+
 def full_scan_wolf(
     points: np.ndarray,
     evolve_steps: int = 3,
@@ -44,14 +61,17 @@ def full_scan_wolf(
     max_separation: float | None = None,
     theiler_w: int = 0,
     max_replacement_angle: float = 0.5,
+    picks: list[WolfPick] | None = None,
 ) -> tuple[float, int, int, int] | None:
     """Wolf fiducial walk with a full scan over every point per search.
 
     Returns (exponent, renormalisations, replacements, evolved samples),
     or None when point 0 has no admissible initial neighbour. Same
     tests and the same arithmetic as the production walk, which asks a
-    KD-tree for its candidates instead, so the two must agree bit for
-    bit. A walk with no usable segment raises ValueError.
+    KD-tree for one ball of candidates per search instead, so the two
+    must agree bit for bit. A walk with no usable segment raises
+    ValueError. ``picks``, when given, receives a :class:`WolfPick` for
+    every search, in walk order.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -69,19 +89,33 @@ def full_scan_wolf(
             return np.abs(pts[:, 0] - pts[i, 0])
         return np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
 
-    def pick(i, separation, sep_norm):
+    def pick(i, kept, sep_norm):
         d = distances_from(i)
         ok = (d >= d_min) & (d <= d_max) & (np.abs(index - i) > theiler_w)
         ok[last] = False
-        if not ok.any():
-            return None
-        if separation is not None and sep_norm > 0.0:
+        pool = ok
+        in_cone = False
+        if kept is not None and sep_norm > 0.0:
+            separation = pts[kept] - pts[i]
             cos = ((pts - pts[i]) * separation).sum(axis=1) / (np.where(d > 0, d, np.inf) * sep_norm)
             cone = ok & (cos >= cos_cone)
-            pool = cone if cone.any() else ok
-        else:
-            pool = ok
-        return int(np.where(pool, d, np.inf).argmin())
+            if cone.any():
+                pool = cone
+            in_cone = bool(cos[kept] >= cos_cone)
+        chosen = int(np.where(pool, d, np.inf).argmin()) if ok.any() else None
+        if picks is not None:
+            picks.append(
+                WolfPick(
+                    i,
+                    kept,
+                    None if kept is None else float(d[kept]),
+                    kept is not None and bool(ok[kept]),
+                    in_cone,
+                    chosen,
+                    None if chosen is None else float(d[chosen]),
+                )
+            )
+        return chosen
 
     i = 0
     j = pick(0, None, 0.0)
@@ -101,7 +135,7 @@ def full_scan_wolf(
             renorms += 1
         if i >= last:
             break
-        candidate = pick(i, pts[j] - pts[i], d_after)
+        candidate = pick(i, j, d_after)
         if candidate is None:
             if j >= last:
                 break

@@ -16,9 +16,10 @@ window's D2 by at most 0.002.
 Two 10 Hz Lorenz studies pin the Wolf walk's rarer routes end to end:
 in one, many windows have no admissible neighbour of point 0, so their
 LLE fails at the start; in the other, walks take a short step when the
-neighbour comes within ``evolve_steps`` of the last point, which moves
-the fiducial point off the grid its candidates were fetched for. Their
-hashes were recorded before the walk fetched candidates in batches.
+neighbour comes within ``evolve_steps`` of the last point, after which
+the neighbour sits on the last point and bounds no ball. Their hashes
+were recorded when every pick asked the tree for a ``max_separation``
+ball.
 """
 
 import hashlib
@@ -29,7 +30,7 @@ import pytest
 from chaoskit.cli import main
 from chaoskit.generators import GeneratorSpec
 
-from conftest import build_sleep_fixture, off_grid_fetches
+from conftest import build_sleep_fixture, short_steps
 
 GOLDEN = {
     (12, 10.0): {
@@ -77,7 +78,7 @@ LORENZ_EPOCHS = 8
 
 
 @pytest.mark.parametrize("case", sorted(LORENZ_GOLDEN))
-def test_lorenz_outputs_match_golden_hashes(tmp_path, wolf_fetches, case):
+def test_lorenz_outputs_match_golden_hashes(tmp_path, wolf_balls, case):
     seeds, golden = LORENZ_GOLDEN[case]
     subjects = [
         (
@@ -97,7 +98,7 @@ def test_lorenz_outputs_match_golden_hashes(tmp_path, wolf_fetches, case):
     if case == "wolf-start-fails":
         assert any("no admissible initial neighbour" in r["failures"].get("lle", "") for r in records)
     else:
-        assert off_grid_fetches(wolf_fetches)
+        assert short_steps(wolf_balls)
 
 
 # ``chaoskit estimate``: every estimator on three synthesised files, run

@@ -13,11 +13,11 @@ from chaoskit.errors import (
 )
 from chaoskit import lyapunov
 from chaoskit.generators import GeneratorSpec, generate, henon_lle_oracle
-from chaoskit.lyapunov import LyapunovResult, WolfParams, _dots, _separation, largest_lyapunov_wolf
-from chaoskit.series import EmbeddingParams, TimeSeries, delay_embed
+from chaoskit.lyapunov import LyapunovResult, WolfParams, _dots, _squared_separation, largest_lyapunov_wolf
+from chaoskit.series import EmbeddingParams, TimeSeries, delay_embed, point_extent
 
-from conftest import off_grid_fetches, traced_peak
-from oracles import full_scan_wolf
+from conftest import short_steps, traced_peak
+from oracles import WolfPick, full_scan_wolf
 
 
 def embed(series, m, t, n=None):
@@ -92,6 +92,23 @@ def walk_fields(result: LyapunovResult) -> tuple:
     return (result.exponent, result.n_renormalizations, result.n_replacements, result.n_evolved_samples)
 
 
+def default_d_max(pts: np.ndarray) -> float:
+    return lyapunov.MAX_SEPARATION_FRACTION * point_extent(pts)
+
+
+def checked_picks(pts: np.ndarray, wolf_balls: list[tuple[int, float]], **params) -> list[WolfPick]:
+    """The full scan's picks, once the walk has taken its steps and asked
+    for the ball each of them needs: the kept neighbour's distance where
+    that neighbour is admissible and passes its own cone test, else
+    ``d_max``."""
+    picks = []
+    expected = full_scan_wolf(pts, picks=picks, **params)
+    assert walk_fields(largest_lyapunov_wolf(pts, WolfParams(**params))) == expected
+    d_max = params.get("max_separation") or default_d_max(pts)
+    assert wolf_balls == [(p.i, p.kept_distance if p.kept_admissible and p.kept_in_cone else d_max) for p in picks]
+    return picks
+
+
 class TestFullScanOracle:
     """The tree-assisted walk must take the full scan's steps exactly."""
 
@@ -149,56 +166,54 @@ class TestFullScanOracle:
 
 
 class TestBatchedFetch:
-    """The walk's candidates come from fetches of many fiducial points at
-    once; every route through them must take the full scan's steps."""
+    """The walk asks the tree for one ball per pick, no wider than the
+    kept neighbour where that neighbour bounds the pick; every route
+    through that rule must take the full scan's steps and ask for the
+    ball the rule gives at each."""
 
     lorenz_points = staticmethod(TestFullScanOracle.lorenz_points)
 
     @pytest.mark.parametrize("m", [2, 7, 8, 9])
-    def test_walk_longer_than_one_fetch(self, lorenz_20k, wolf_fetches, m):
+    def test_walk_longer_than_one_fetch(self, lorenz_20k, wolf_balls, m):
+        # A long walk asks for balls of both kinds: shrunk to the kept
+        # neighbour, and the full d_max.
         pts = self.lorenz_points(lorenz_20k, m, n=4000)
-        result = largest_lyapunov_wolf(pts)
-        assert walk_fields(result) == full_scan_wolf(pts)
-        assert result.n_renormalizations > lyapunov._FETCH_POINTS
-        assert len(wolf_fetches) > 1
+        checked_picks(pts, wolf_balls)
+        d_max = default_d_max(pts)
+        assert {r < d_max for _, r in wolf_balls} == {True, False}
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_fetch_sizes_change_mid_walk(self, lorenz_20k, wolf_fetches, m):
-        # Each fetch on the grid of the one before covers as many fiducial
-        # points as the candidate budget allows at the ball sizes that one
-        # found, so the sizes follow the orbit's density up and down. The
-        # last fetch stops at the series' end.
+    def test_fetch_sizes_change_mid_walk(self, lorenz_20k, wolf_balls, m):
+        # A shrunk ball's radius follows the kept neighbour's distance up
+        # and down with the orbit, and the ball widens to d_max mid-walk
+        # where that neighbour fails a test.
         pts = self.lorenz_points(lorenz_20k, m, n=4000)
-        assert walk_fields(largest_lyapunov_wolf(pts)) == full_scan_wolf(pts)
-        sizes = [
-            points
-            for (prev, *_), (start, step, points) in zip(wolf_fetches, wolf_fetches[1:-1])
-            if (start - prev) % step == 0
-        ]
-        assert any(b > a for a, b in zip(sizes, sizes[1:]))
-        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+        checked_picks(pts, wolf_balls)
+        d_max = default_d_max(pts)
+        shrunk = [r for _, r in wolf_balls if r < d_max]
+        assert any(b > a for a, b in zip(shrunk, shrunk[1:]))
+        assert any(b < a for a, b in zip(shrunk, shrunk[1:]))
+        assert d_max in [r for _, r in wolf_balls[1:]]
 
     @pytest.mark.parametrize("m, n, w", [(2, 300, 50), (3, 500, 50), (8, 1500, 0)])
-    def test_short_step_refetches_off_the_grid(self, lorenz_20k, wolf_fetches, m, n, w):
-        # The neighbour comes within evolve_steps of the last point, the
-        # step is cut short, and i lands off the grid of the last fetch.
-        # Such a step often repeats at once, so each such fetch covers i
-        # alone.
+    def test_short_step_refetches_off_the_grid(self, lorenz_20k, wolf_balls, m, n, w):
+        # The neighbour comes within evolve_steps of the last point and the
+        # step is cut short. The neighbour then sits on the last point,
+        # which has no future, so the next pick asks for a d_max ball.
         pts = self.lorenz_points(lorenz_20k, m, n=n)
-        result = largest_lyapunov_wolf(pts, WolfParams(theiler_w=w))
-        assert walk_fields(result) == full_scan_wolf(pts, theiler_w=w)
-        off_grid = off_grid_fetches(wolf_fetches)
-        assert off_grid
-        assert [points for *_, points in off_grid] == [1] * len(off_grid)
+        checked_picks(pts, wolf_balls, theiler_w=w)
+        short = short_steps(wolf_balls)
+        assert short
+        assert [r for _, r in short] == [default_d_max(pts)] * len(short)
 
     @pytest.mark.parametrize("m", [3, 8])
     @pytest.mark.parametrize("quantile", [0.25, 0.5, 0.9])
     def test_cone_edge_inside_a_fetch(self, lorenz_20k, m, quantile):
-        # The first renormalisation, at fiducial point E inside the first
-        # fetch, does not depend on the angle. Set the cone's cosine to
-        # that of one of point E's admissible candidates, so that one lies
-        # on the edge, where a last-bit difference from the full scan's
-        # cosine would flip the test.
+        # The first renormalisation, at fiducial point E, does not depend
+        # on the angle. Set the cone's cosine to that of one of point E's
+        # admissible candidates, so that one lies on the edge, where a
+        # last-bit difference from the full scan's cosine would flip the
+        # test.
         pts = self.lorenz_points(lorenz_20k, m)
         n = pts.shape[0]
         extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
@@ -240,26 +255,74 @@ class TestBatchedFetch:
         assert walk_fields(largest_lyapunov_wolf(pts, params)) == expected
 
 
-class TestFetchMemory:
-    """A fetch holds its candidates' indices and distances only, and no
-    more candidates than a fixed budget allows, so a walk's memory does
-    not grow with the window."""
+class TestBallRadius:
+    """Edges of the radius rule: each walk takes the full scan's steps
+    and asks for the ball the rule gives at every pick."""
 
-    @staticmethod
-    def window_peak(x: np.ndarray) -> int:
-        vectors = delay_embed(TimeSeries(x, sample_rate_hz=256.0), EmbeddingParams(6, 8))
-        return traced_peak(lambda: largest_lyapunov_wolf(vectors))
+    lorenz_points = staticmethod(TestFullScanOracle.lorenz_points)
+
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_cone_cosine_rounds_to_one(self, lorenz_20k, wolf_balls, m):
+        # The cone's cosine is 1.0, and a kept neighbour's own cosine,
+        # its offsets' dot product with themselves over its distance
+        # squared, often rounds below that: the neighbour fails its own
+        # cone test, bounds nothing, and the ball is d_max.
+        angle = 1e-9
+        assert math.cos(angle) == 1.0
+        picks = checked_picks(self.lorenz_points(lorenz_20k, m), wolf_balls, max_replacement_angle=angle)
+        assert any(p.kept_admissible and not p.kept_in_cone for p in picks)
+
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_kept_neighbour_outside_the_bounds(self, lorenz_20k, wolf_balls, m):
+        # Narrow bounds, so the kept neighbour often converges below the
+        # floor or diverges past the ceiling; either way the ball is d_max.
+        pts = self.lorenz_points(lorenz_20k, m)
+        extent = point_extent(pts)
+        lo, hi = 0.01 * extent, 0.04 * extent
+        picks = checked_picks(pts, wolf_balls, min_separation=lo, max_separation=hi)
+        kept = [p.kept_distance for p in picks[1:]]
+        assert min(kept) < lo
+        assert max(kept) > hi
+
+    @pytest.mark.parametrize("w", [1, 50, 1100])
+    def test_kept_neighbour_stays_outside_the_exclusion_band(self, lorenz_20k, wolf_balls, w):
+        # The rule tests the exclusion band too, but a walk never reaches
+        # that case: i and j advance by the same steps, and every
+        # neighbour taken lies outside the band.
+        picks = checked_picks(self.lorenz_points(lorenz_20k, 3), wolf_balls, theiler_w=w)
+        assert len(picks) > 1
+        assert all(abs(p.kept - p.i) > w for p in picks[1:])
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_tie_at_the_kept_distance_goes_to_the_lower_index(self, lorenz_20k, wolf_balls, m):
+        # Codes of 1/8 SD put many points at equal distances. Where a
+        # candidate in the cone sits at exactly the kept neighbour's
+        # distance with a lower index, the ball must hold it and the pick
+        # take it.
+        x = lorenz_20k.samples
+        codes = TimeSeries(np.round(x / (x.std() / 8)), sample_rate_hz=lorenz_20k.sample_rate_hz)
+        picks = checked_picks(self.lorenz_points(codes, m), wolf_balls)
+        assert any(
+            p.kept_admissible and p.kept_in_cone and p.chosen < p.kept and p.chosen_distance == p.kept_distance
+            for p in picks
+        )
+
+
+class TestFetchMemory:
+    """A walk holds the tree and one pick's ball at a time, so its memory
+    grows with the window only by the tree's index of each point."""
 
     def test_peak_is_bounded_by_the_budget(self):
-        # 30 s at 256 Hz, the north star's window. A fetch lists each ball
-        # candidate as a Python int (about 40 bytes), then holds a few
-        # 8-byte arrays of them; 128 bytes per budgeted candidate leaves
-        # room for both and for a fetch that passes its budget where the
-        # balls grow.
+        # 30 s at 256 Hz, the north star's window: 7,640 points. The tree's
+        # index takes 8 bytes a point (61 KB), and a ball about 150 bytes a
+        # candidate: a Python int from the tree, then an index, offsets and
+        # a distance. No walk may pass 4 MiB, and this one, whose balls
+        # hold at most a few hundred candidates, stays below 256 KiB.
         x = generate(GeneratorSpec("lorenz", 7680, seed=11, transient_skip=1000, parameters={"fs": 256.0})).samples
-        long_peak = self.window_peak(x)
-        assert long_peak < 128 * lyapunov._FETCH_BUDGET
-        assert long_peak < 1.5 * self.window_peak(x[:3000])
+        vectors = delay_embed(TimeSeries(x, sample_rate_hz=256.0), EmbeddingParams(6, 8))
+        peak = traced_peak(lambda: largest_lyapunov_wolf(vectors))
+        assert peak < 4 << 20
+        assert peak < 256 << 10
 
 
 @pytest.mark.parametrize("m", [*range(1, 17), 131])
@@ -272,10 +335,11 @@ def test_separation_matches_numpy_row_sum(m):
     a[rng.random((257, m)) < 0.1] *= 1e-310
     b[rng.random((257, m)) < 0.1] *= 1e-310
     a[rng.random((257, m)) < 0.05] *= 1e154
-    for p, q in zip(a, b):
-        with np.errstate(over="ignore"):
-            expected = float(np.sqrt(((p - q) ** 2).sum()))
-        assert _separation(p.tolist(), q.tolist()).hex() == expected.hex()
+    with np.errstate(over="ignore"):
+        rows = ((a - b) ** 2).sum(axis=1)
+        for p, q, row in zip(a, b, rows):
+            expected = float(((p - q) ** 2).sum())
+            assert _squared_separation(p.tolist(), q.tolist()).hex() == expected.hex() == float(row).hex()
 
 
 @pytest.mark.parametrize("m", [*range(1, 17), 131])
