@@ -17,7 +17,8 @@ pick of a neighbour for fiducial point i asks it for one ball around
 point i, its candidates in index order. The ball's radius is the
 separation ceiling ``max_separation``, except where the neighbour j
 the walk carries into the pick is itself admissible and passes its own
-cone test. The pick then takes j or a point of the cone nearer than j,
+cone test (j never enters the exclusion band, since i and j advance
+together and every neighbour taken lies outside it). The pick then takes j or a point of the cone nearer than j,
 so no candidate beyond j's distance can win and that distance is the
 radius. j's distance, summed in the walk as Python floats in numpy's
 row-sum order (numpy's call overhead exceeds the arithmetic), equals
@@ -264,8 +265,10 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
         # j's offsets from point i are the separation, so the pick's cone
         # test gives j the cosine sq / d_after². If j is admissible and
         # inside its own cone, the pick takes j or a nearer point of the
-        # cone: no point beyond d_after can win.
-        bounds = d_min <= d_after <= d_max and abs(j - i) > w and j != last and sq / (d_after * d_after) >= cos_cone
+        # cone: no point beyond d_after can win. j is always outside the
+        # exclusion band: i and j advance by the same steps, and every
+        # neighbour taken lies outside it.
+        bounds = d_min <= d_after <= d_max and j != last and sq / (d_after * d_after) >= cos_cone
         found = pick(i, j, d_after, d_after if bounds else d_max)
         if found is None:
             if j >= last:

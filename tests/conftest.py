@@ -126,11 +126,21 @@ def wolf_balls(monkeypatch) -> list[tuple[int, float]]:
     return balls
 
 
-def short_steps(balls: list[tuple[int, float]], evolve_steps: int = 3) -> list[tuple[int, float]]:
+def short_steps(balls: list[tuple[int, float]], evolve_steps: int = 3) -> list[tuple[int, float, float]]:
     """The balls of picks that follow a step cut short by the series'
-    end: the walk picks once per step, so their fiducial point lies
-    fewer than ``evolve_steps`` past the one of the pick before."""
-    return [ball for (prev, _), ball in zip(balls, balls[1:]) if ball[0] - prev < evolve_steps]
+    end, each as (fiducial point, radius, radius of its walk's first
+    ball). A walk picks once per step, so such a pick's fiducial point
+    lies fewer than ``evolve_steps`` past the one of the pick before in
+    the same walk; a walk's first pick, at point 0, asks for a ball of
+    the walk's ``d_max``."""
+    short = []
+    d_max = None
+    for (prev, prev_radius), (i, radius) in zip(balls, balls[1:]):
+        if prev == 0:
+            d_max = prev_radius
+        if 0 < i - prev < evolve_steps:
+            short.append((i, radius, d_max))
+    return short
 
 
 def traced_peak(call) -> int:

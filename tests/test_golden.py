@@ -98,7 +98,11 @@ def test_lorenz_outputs_match_golden_hashes(tmp_path, wolf_balls, case):
     if case == "wolf-start-fails":
         assert any("no admissible initial neighbour" in r["failures"].get("lle", "") for r in records)
     else:
-        assert short_steps(wolf_balls)
+        # Steps cut short by a window's end, each followed by a d_max
+        # ball: the neighbour then sits on the last point.
+        short = short_steps(wolf_balls)
+        assert short
+        assert all(radius == d_max for _, radius, d_max in short)
 
 
 # ``chaoskit estimate``: every estimator on three synthesised files, run
