@@ -166,8 +166,8 @@ class _Scratch:
         return self._arrays[self._next - 1][:size].reshape(shape)
 
 
-def _row_sum(terms: Iterator, m: int, new: Callable[[], np.ndarray] | None = None):
-    """Sum ``m`` arrays, or floats, in the order numpy's ``x.sum(axis=-1)``
+def _row_sum(terms: Iterator[np.ndarray], m: int, new: Callable[[], np.ndarray]) -> np.ndarray:
+    """Sum ``m`` arrays in the order numpy's ``x.sum(axis=-1)``
     adds a row of ``m`` values, so the totals match it bit for bit.
 
     Below 8 values numpy adds from left to right. From 8 to 128 it keeps
@@ -175,16 +175,15 @@ def _row_sum(terms: Iterator, m: int, new: Callable[[], np.ndarray] | None = Non
     ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
     rest in turn; above 128 it splits at a multiple of 8 near the middle
     and adds the two halves' sums. ``terms`` is only read: each running
-    sum is made by its first addition, into an array from ``new()`` when
-    it is given, so no term is copied, and a single term is returned as
-    it is.
+    sum is made by its first addition, into an array from ``new()``, so
+    no term is copied, and a single term is returned as it is.
     """
 
     def add(a, b, owned=False):
         if owned:
             a += b
             return a
-        return a + b if new is None else np.add(a, b, out=new())
+        return np.add(a, b, out=new())
 
     if m > 128:
         half = m // 2 - (m // 2) % 8

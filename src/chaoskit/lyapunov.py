@@ -11,37 +11,34 @@ empty the nearest admissible point is taken regardless of angle; if
 nothing is admissible the old pair is kept. The exponent is the log sum
 divided by the total number of evolved samples, in nats per sample.
 
-Distances are Euclidean. From two dimensions up, a KD-tree over the
-``M`` embedded points is built once per call (O(M log M)), and each
-pick of a neighbour for fiducial point i asks it for one ball around
-point i, its candidates in index order. The ball's radius is the
-separation ceiling ``max_separation``, except where the neighbour j
-the walk carries into the pick is itself admissible and passes its own
-cone test (j never enters the exclusion band, since i and j advance
-together and every neighbour taken lies outside it). The pick then takes j or a point of the cone nearer than j,
-so no candidate beyond j's distance can win and that distance is the
-radius. j's distance, summed in the walk as Python floats in numpy's
-row-sum order (numpy's call overhead exceeds the arithmetic), equals
-the ball's distance of j to the bit, and the ball is padded against the
-tree's own rounding, so every point of the cone as near as j, ties with
-a lower index included, is among the candidates. The exclusion and
-last-point tests drop candidates first; each survivor's offsets from
-point i are taken once, for its distance and for its cone test. A pick
-holds its own ball only, whatever the window's length. A run costs
-about O(M log M + (M / E) * (log M + K)) for K candidates per ball and
+Distances are Euclidean, in every dimension, one included. A KD-tree
+over the ``M`` embedded points is built once per call (O(M log M)), and
+each pick of a neighbour for fiducial point i asks it for one ball
+around point i, its candidates in index order. The ball's radius is the
+separation ceiling ``max_separation``, except where the neighbour j the
+walk carries into the pick is itself admissible and passes its own cone
+test (j never enters the exclusion band, since i and j advance together
+and every neighbour taken lies outside it). The pick then takes j or a
+point of the cone nearer than j, so no candidate beyond j's distance
+can win and that distance is the radius. The exclusion and last-point
+tests drop candidates first; each survivor's offsets from point i are
+taken once, for its distance and for its cone test. A pick holds its
+own ball only, whatever the window's length. A run costs about
+O(M log M + (M / E) * (log M + K)) for K candidates per ball and
 E = ``evolve_steps``. The distance after each step serves as the next
 step's distance before; a replacement neighbour brings its ball
 distance instead.
-One-dimensional points skip the tree: there the ball is
-``MAX_SEPARATION_FRACTION`` of the extent by default and holds a large
-share of the points, and one vectorised ``|x - x_i|`` scan per step
-gives the exact ball, already in index order, for less than the tree
-takes to list it. Every distance is summed in numpy's row-sum order and
-every dot product of the cone test is a numpy row sum, whose value for a
-row does not depend on the other rows of the array (a BLAS
-matrix-vector product's may). Over a ball's candidates each therefore
-equals a full scan's to the bit, and the walk is the one a full scan
-would take.
+
+Each step takes the separation ``x_j - x_i`` once, for j's distance and
+as the cone's axis. Every distance is the square root of numpy's row
+sum of the squared offsets, and every dot product of the cone test is a
+numpy row sum, whose value for a row does not depend on the other rows
+of the array (a BLAS matrix-vector product's may). j's distance thus
+equals the ball's distance of j to the bit, and the ball is padded
+against the tree's own rounding, so every point of the cone as near as
+j, ties with a lower index included, is among the candidates. Over a
+ball's candidates each value equals a full scan's to the bit, and the
+walk is the one a full scan would take.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .correlation import _row_sum
 from .errors import ConfigError, DegenerateSeriesError, EstimationError, ShortSeriesError, check_float, check_int
 from .series import DelayVectors, as_points, point_extent
 
@@ -145,14 +141,6 @@ def _ball(
     return cand[ok], d[ok], offsets[ok]
 
 
-def _squared_separation(p: list[float], q: list[float]) -> float:
-    """Squared distance of two points held as lists of floats, equal bit
-    for bit to ``float(((p - q) ** 2).sum())`` on arrays: the squares are
-    added in numpy's row-sum order. Once per step, numpy's call overhead
-    would cost more than the arithmetic."""
-    return _row_sum(iter([(a - b) * (a - b) for a, b in zip(p, q)]), len(p))
-
-
 def _dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Each row's dot product with ``v``, as numpy's row sum of the
     products: a row's value does not depend on the other rows."""
@@ -192,50 +180,27 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     cos_cone = math.cos(params.max_replacement_angle)
     w = params.theiler_w
     last = n - 1
-    one_dimensional = pts.shape[1] == 1
-    if one_dimensional:
-        flat = pts[:, 0]
+    tree = cKDTree(pts)
 
-        def scan(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Index-sorted admissible neighbours of point i, their
-            distances and their offsets from it."""
-            span = np.abs(flat - flat[i])
-            ok = (span >= d_min) & (span <= d_max)
-            ok[max(i - w, 0) : i + w + 1] = False
-            ok[last] = False  # the final point has no future to evolve into
-            cand = np.flatnonzero(ok)
-            return cand, span[cand], pts[cand] - pts[i]
-
-    else:
-        tree = cKDTree(pts)
-
-    def pick(i: int, j: int | None, sep_norm: float, radius: float) -> tuple[int, float] | None:
+    def pick(i: int, sep: np.ndarray | None, sep_norm: float, radius: float) -> tuple[int, float] | None:
         """Nearest admissible neighbour of point i, angle cone first, and
-        its distance as the walk sums it. ``j`` is the kept neighbour at
-        distance ``sep_norm`` from point i, None at the walk's start. The
-        tree's ball around point i has ``radius``; the one-dimensional
-        scan reads every point.
+        its distance, from the tree's ball around point i of ``radius``.
+        ``sep`` is the kept neighbour's separation from point i, of norm
+        ``sep_norm``, and None at the walk's start.
 
         The candidates come in index order, so ``argmin`` breaks
         distance ties toward the lowest index, as a full scan does.
         """
-        if one_dimensional:
-            cand, d, offsets = scan(i)
-        else:
-            cand, d, offsets = _ball(tree, pts, i, radius, d_min, d_max, w)
+        cand, d, offsets = _ball(tree, pts, i, radius, d_min, d_max, w)
         if cand.size == 0:
             return None
         # A lone candidate is the pick whether or not it lies in the cone.
-        if cand.size > 1 and j is not None and sep_norm > 0.0:
-            cone = _dots(offsets, pts[j] - pts[i]) / (d * sep_norm) >= cos_cone
+        if cand.size > 1 and sep is not None and sep_norm > 0.0:
+            cone = _dots(offsets, sep) / (d * sep_norm) >= cos_cone
             if cone.any():
                 cand, d = cand[cone], d[cone]
         k = d.argmin()
-        j = int(cand[k])
-        # |x_j - x_i| differs from sqrt((x_j - x_i) ** 2) once the square underflows.
-        if one_dimensional:
-            return j, math.sqrt(_squared_separation(pts[i].tolist(), pts[j].tolist()))
-        return j, float(d[k])
+        return int(cand[k]), float(d[k])
 
     i = 0
     first = pick(0, None, 0.0, d_max)
@@ -253,7 +218,8 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
         steps = min(params.evolve_steps, last - i, last - j)
         i += steps
         j += steps
-        sq = _squared_separation(pts[i].tolist(), pts[j].tolist())
+        sep = pts[j] - pts[i]
+        sq = float(np.square(sep).sum())
         d_after = math.sqrt(sq)
         if d_before > 0.0 and d_after > 0.0:
             log_sum += math.log(d_after / d_before)
@@ -262,14 +228,14 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
         if i >= last:
             break
         d_before = d_after
-        # j's offsets from point i are the separation, so the pick's cone
-        # test gives j the cosine sq / d_after². If j is admissible and
-        # inside its own cone, the pick takes j or a nearer point of the
-        # cone: no point beyond d_after can win. j is always outside the
-        # exclusion band: i and j advance by the same steps, and every
-        # neighbour taken lies outside it.
+        # sep is j's offsets from point i, so the pick's cone test gives j
+        # the cosine sq / d_after². If j is admissible and inside its own
+        # cone, the pick takes j or a nearer point of the cone: no point
+        # beyond d_after can win. j is always outside the exclusion band:
+        # i and j advance by the same steps, and every neighbour taken
+        # lies outside it.
         bounds = d_min <= d_after <= d_max and j != last and sq / (d_after * d_after) >= cos_cone
-        found = pick(i, j, d_after, d_after if bounds else d_max)
+        found = pick(i, sep, d_after, d_after if bounds else d_max)
         if found is None:
             if j >= last:
                 break  # neighbour ran off the end and nothing can replace it

@@ -84,13 +84,8 @@ def full_scan_wolf(
     last = n - 1
     index = np.arange(n)
 
-    def distances_from(i):
-        if pts.shape[1] == 1:
-            return np.abs(pts[:, 0] - pts[i, 0])
-        return np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
-
     def pick(i, kept, sep_norm):
-        d = distances_from(i)
+        d = np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
         ok = (d >= d_min) & (d <= d_max) & (np.abs(index - i) > theiler_w)
         ok[last] = False
         pool = ok

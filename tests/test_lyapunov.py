@@ -13,7 +13,7 @@ from chaoskit.errors import (
 )
 from chaoskit import lyapunov
 from chaoskit.generators import GeneratorSpec, generate, henon_lle_oracle
-from chaoskit.lyapunov import LyapunovResult, WolfParams, _dots, _squared_separation, largest_lyapunov_wolf
+from chaoskit.lyapunov import LyapunovResult, WolfParams, _dots, largest_lyapunov_wolf
 from chaoskit.series import EmbeddingParams, TimeSeries, delay_embed, point_extent
 
 from conftest import short_steps, traced_peak
@@ -62,7 +62,7 @@ class TestEstimatorBehaviour:
         assert b.n_renormalizations == a.n_renormalizations
         assert b.n_replacements == a.n_replacements
 
-    def test_one_dimensional_routes_agree(self, logistic_20k):
+    def test_one_dimensional_input_shapes_agree(self, logistic_20k):
         # Raw 1-d array, explicit column, and an m=1 embedding must all
         # walk the same trajectory.
         x = logistic_20k.samples[:4000]
@@ -137,8 +137,8 @@ class TestFullScanOracle:
 
     @pytest.mark.parametrize("w", [0, 50])
     def test_one_dimensional_walk_matches_full_scan_at_20k(self, logistic_20k, w):
-        # One-dimensional points skip the tree; on the whole logistic
-        # orbit each ball holds thousands of the 20,000 points.
+        # At m = 1 on the whole logistic orbit each ball holds thousands
+        # of the 20,000 points.
         x = logistic_20k.samples
         assert x.size >= 20_000
         expected = full_scan_wolf(x, theiler_w=w)
@@ -146,13 +146,28 @@ class TestFullScanOracle:
 
     @pytest.mark.parametrize("scale", [1e-155, 1e-158])
     def test_one_dimensional_walk_where_squares_underflow(self, logistic_20k, scale):
-        # The 1-d ball's distance is |x_j - x_i|, the walk's is
-        # sqrt((x_j - x_i) ** 2). Here the squares are subnormal and the
-        # two differ, so a replacement's distance is not the ball's.
+        # The squared gaps here are subnormal: sqrt((x_j - x_i) ** 2), the
+        # one distance the walk and the full scan take, differs from
+        # |x_j - x_i|, and the tree's own squares lose precision, which
+        # the ball's pad must absorb.
         x = logistic_20k.samples[:4000] * scale
         with np.errstate(divide="ignore", invalid="ignore"):
             expected = full_scan_wolf(x)
         assert walk_fields(largest_lyapunov_wolf(x)) == expected
+
+    @pytest.mark.parametrize("w", [0, 20])
+    @pytest.mark.parametrize("decimals", [1, 2, 3])
+    def test_one_dimensional_ties_match_full_scan(self, logistic_20k, wolf_balls, decimals, w):
+        # Rounded values put many points at one position and many at one
+        # distance from point i. Where a candidate in the cone sits at
+        # exactly the kept neighbour's distance with a lower index, the
+        # tree's ball must hold it and the pick take it.
+        x = np.round(logistic_20k.samples[:4000], decimals)
+        picks = checked_picks(x[:, None], wolf_balls, theiler_w=w)
+        assert any(
+            p.kept_admissible and p.kept_in_cone and p.chosen < p.kept and p.chosen_distance == p.kept_distance
+            for p in picks
+        )
 
     def test_no_initial_neighbour_where_full_scan_has_none(self, lorenz_20k):
         # Point 0 moved far off the attractor: most points have
@@ -169,8 +184,7 @@ class TestBatchedFetch:
     """The walk asks the tree for one ball per pick, no wider than the
     kept neighbour where that neighbour bounds the pick; every route
     through that rule must take the full scan's steps and ask for the
-    ball the rule gives at each. The names here and in TestFetchMemory
-    date from an earlier design that fetched the balls of many fiducial
+    ball the rule gives at each. The test names date from an earlier design that fetched the balls of many fiducial
     points at once; they are kept so that the test ids stay stable."""
 
     lorenz_points = staticmethod(TestFullScanOracle.lorenz_points)
@@ -310,11 +324,11 @@ class TestBallRadius:
         )
 
 
-class TestFetchMemory:
+class TestWalkMemory:
     """A walk holds the tree and one pick's ball at a time, so its memory
     grows with the window only by the tree's index of each point."""
 
-    def test_peak_is_bounded_by_the_budget(self):
+    def test_peak_holds_the_tree_and_one_ball(self):
         # 30 s at 256 Hz, the north star's window: 7,640 points. The tree's
         # index takes 8 bytes a point (61 KB), and a ball about 150 bytes a
         # candidate: a Python int from the tree, then an index, offsets and
@@ -328,8 +342,11 @@ class TestFetchMemory:
 
 @pytest.mark.parametrize("m", [*range(1, 17), 131])
 def test_separation_matches_numpy_row_sum(m):
-    # Subnormal coordinates, whose squares underflow, and very large ones,
-    # whose squares or sums overflow, in some entries of the rows.
+    # The walk sums a step's squared separation as one 1-d array, the
+    # ball sums its candidates' as rows of a 2-d array: the two must agree
+    # bit for bit. Subnormal coordinates, whose squares underflow, and
+    # very large ones, whose squares or sums overflow, in some entries of
+    # the rows.
     rng = np.random.default_rng(m)
     a = rng.standard_normal((257, m)) * rng.uniform(0.01, 100.0, size=(257, m))
     b = rng.standard_normal((257, m))
@@ -340,7 +357,7 @@ def test_separation_matches_numpy_row_sum(m):
         rows = ((a - b) ** 2).sum(axis=1)
         for p, q, row in zip(a, b, rows):
             expected = float(((p - q) ** 2).sum())
-            assert _squared_separation(p.tolist(), q.tolist()).hex() == expected.hex() == float(row).hex()
+            assert expected.hex() == float(row).hex()
 
 
 @pytest.mark.parametrize("m", [*range(1, 17), 131])
