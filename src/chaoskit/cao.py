@@ -50,7 +50,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .correlation import _PAIR_BLOCK
 from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_array, check_float, check_int
@@ -162,6 +161,10 @@ def _queried_lists(pts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     and duplicates included, from one batched query on the points' tree.
     Rho is the last distance; with fewer points than that the tree pads
     each list with index n and distance inf, so rho is inf."""
+    # Imported here: scipy.spatial is most of the package's import time
+    # and only tree builds use it.
+    from scipy.spatial import cKDTree
+
     # One thread: under ``--jobs`` every worker process already has
     # a core, and at these sizes extra threads cost more than they save.
     d, cand = cKDTree(pts).query(pts[rows], k=_LIST_LEN, p=np.inf, workers=1)

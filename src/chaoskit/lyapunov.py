@@ -46,12 +46,15 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DegenerateSeriesError, EstimationError, ShortSeriesError, check_float, check_int
 from .series import DelayVectors, as_points, point_extent
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = ["WolfParams", "LyapunovResult", "largest_lyapunov_wolf"]
 
@@ -180,6 +183,10 @@ def largest_lyapunov_wolf(vectors: DelayVectors | np.ndarray, params: WolfParams
     cos_cone = math.cos(params.max_replacement_angle)
     w = params.theiler_w
     last = n - 1
+    # Imported here: scipy.spatial is most of the package's import time
+    # and only tree builds use it.
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
 
     def pick(i: int, sep: np.ndarray | None, sep_norm: float, radius: float) -> tuple[int, float] | None:

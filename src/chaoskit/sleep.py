@@ -590,5 +590,7 @@ def analyze_recordings(
     ]
     if jobs == 1 or len(tasks) < 2:
         return [_run_task(task, config) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # Under fork a pool starts all its workers at the first submit, so
+    # it gets no more than there are windows.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_run_task, tasks, (config,) * len(tasks), chunksize=1))

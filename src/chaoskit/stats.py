@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, check_array, check_float, check_int
 from .information import check_probabilities, marginal_distribution
@@ -143,6 +142,10 @@ def p_value(t: float, df: float) -> float:
     df = check_float("df", df, above=0)
     if t == math.inf or t == -math.inf:
         return 0.0 if t > 0 else 1.0
+    # Imported here: scipy.special is a noticeable share of the package's
+    # import time and only p-values use it.
+    from scipy import special
+
     return float(special.stdtr(df, -check_float("t", t)))
 
 

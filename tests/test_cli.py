@@ -146,14 +146,35 @@ class TestUsage:
         for flag in ("--mi-max-lag", "--theiler-max-lag", "--evolve-steps"):
             assert "samples" in entries[flag], entries[flag]
 
-    def test_import_leaves_scipy_stats_and_signal_unloaded(self):
+    @pytest.mark.parametrize("module", ["chaoskit", "chaoskit.cli"])
+    def test_import_loads_no_scipy(self, module):
         code = (
-            "import sys, chaoskit.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))"
+            f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["report", "synth"])
+    def test_report_and_synth_leave_scipy_spatial_unloaded(self, study, tmp_path, command):
+        # Only tree builds need scipy.spatial; report may load
+        # scipy.special for its p-values.
+        args = {
+            "report": ["report", "--epochs", str(study["out"] / "epoch_indices.ndjson"),
+                       "--out", str(tmp_path / "out")],
+            "synth": ["synth", "--kind", "sine", "--n", "400", "--out", str(tmp_path / "sine.csv")],
+        }[command]
+        code = (
+            "import sys; from chaoskit import cli; "
+            f"code = cli.main({args!r}); "
+            "print(code, 'scipy.spatial' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["0", "False"]
+        if command == "report":
+            assert (tmp_path / "out" / "pvalues.csv").stat().st_size > 0
 
 
 class TestSynth:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chaoskit import sleep
 from chaoskit.correlation import correlation_curve, correlation_sum
 from chaoskit.errors import ConfigError, DegenerateSeriesError, InputError
 from chaoskit.generators import GeneratorSpec, generate
@@ -304,10 +305,25 @@ class TestAnalyzeRecordings:
         assert [r.epoch_index for r in results] == list(range(6)) * 2
         assert [r.stage for r in results] == list(_CYCLE) * 2
 
-    def test_parallel_matches_serial(self, cohort):
-        serial = analyze_recordings(cohort, PIPELINE_CONFIG, jobs=1)
-        parallel = analyze_recordings(cohort, PIPELINE_CONFIG, jobs=3)
-        assert serial == parallel
+    def test_parallel_matches_serial(self, cohort, monkeypatch):
+        started = []
+
+        class Pool(sleep.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(sleep, "ProcessPoolExecutor", Pool)
+        # Two windows against three jobs start one worker per window.
+        short = [
+            make_recording("h1", Group.HEALTHY, "sine", seed=31, n_epochs=1),
+            make_recording("a1", Group.APNEA, "logistic", seed=32, n_epochs=1),
+        ]
+        for recordings in (cohort, short):
+            serial = analyze_recordings(recordings, PIPELINE_CONFIG, jobs=1)
+            parallel = analyze_recordings(recordings, PIPELINE_CONFIG, jobs=3)
+            assert serial == parallel
+        assert started == [3, 2]
 
     def test_bad_jobs_rejected(self, cohort):
         with pytest.raises(ConfigError):
