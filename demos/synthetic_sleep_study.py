@@ -22,7 +22,7 @@ from chaoskit.sleep import (
     Recording,
     analyze_recordings,
 )
-from chaoskit.stats import compare_groups, group_summaries
+from chaoskit.stats import compare_groups, group_by_cell, group_summaries
 
 FS = 10.0
 N_EPOCHS = 12
@@ -72,10 +72,11 @@ epochs = analyze_recordings(cohort, config, jobs=2)
 failed = [e for e in epochs if e.failed]
 print(f"{len(epochs)} windows analysed, {len(failed)} with estimator failures")
 
+# Every table is built from one map of (index, stage, group) -> values.
+summaries = group_summaries(group_by_cell(epochs))
+
 print("\nmean LLE (nats/s) by stage and group:")
-cells = {
-    (s.stage, s.group): s for s in group_summaries(epochs) if s.index_name == "lle"
-}
+cells = {(s.stage, s.group): s for s in summaries if s.index_name == "lle"}
 print(f"  {'stage':6s} {'healthy':>12s} {'apnea':>12s}")
 for stage in SCORED_STAGES:
     h = cells.get((stage, Group.HEALTHY))
@@ -85,7 +86,7 @@ for stage in SCORED_STAGES:
     print(f"  {stage.value:6s} {h_txt} {a_txt}")
 
 print("\nWelch comparisons (apnea minus healthy, one-sided):")
-for row in compare_groups(epochs):
+for row in compare_groups(summaries):
     if row.index_name != "lle":
         continue
     print(

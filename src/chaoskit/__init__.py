@@ -75,12 +75,9 @@ from .sleep import (
 )
 from .stats import (
     ComparisonResult,
-    EpochCells,
     GroupSummary,
-    Histogram,
     INDEX_NAMES,
     compare_groups,
-    empirical_histogram,
     group_by_cell,
     group_summaries,
     histograms_by_cell,
@@ -150,8 +147,6 @@ __all__ = [
     # stats
     "GroupSummary",
     "ComparisonResult",
-    "Histogram",
-    "EpochCells",
     "INDEX_NAMES",
     "summarize",
     "welch_t",
@@ -160,7 +155,6 @@ __all__ = [
     "compare_groups",
     "group_by_cell",
     "group_summaries",
-    "empirical_histogram",
     "histograms_by_cell",
     # errors
     "ChaosKitError",

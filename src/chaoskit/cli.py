@@ -40,7 +40,7 @@ from .io import (
     write_signal_csv,
     write_table1_csv,
 )
-from .sleep import EstimatorConfig, SleepStage, WindowPlan, analyze_recordings
+from .sleep import EstimatorConfig, WindowPlan, analyze_recordings
 from .stats import MIN_HIST_BINS, compare_groups, group_by_cell, group_summaries, histograms_by_cell
 
 EXIT_OK = 0
@@ -139,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_reports(out_dir: Path, epochs, fingerprint: str, hist_bins: int) -> dict:
-    cells = group_by_cell(e for e in epochs if e.group is not None and e.stage is not SleepStage.UNKNOWN)
+    cells = group_by_cell(epochs)
     summaries = group_summaries(cells)
-    comparisons = compare_groups(cells)
+    comparisons = compare_groups(summaries)
     histograms = histograms_by_cell(cells, hist_bins)
     write_table1_csv(out_dir / "summary.csv", summaries, fingerprint)
     write_pvalues_csv(out_dir / "pvalues.csv", comparisons, fingerprint)

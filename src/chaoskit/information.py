@@ -205,16 +205,22 @@ def auto_mutual_information(series: TimeSeries, lag: int, bins: int = _BINS) -> 
     return _mi_bits(_joint_probabilities(x[: x.size - lag], x[lag:], bins))
 
 
+def _dips_at(v, lag: int) -> bool:
+    """Whether ``v[lag]`` is a local minimum in the first-minimum sense:
+    ``v[lag] < v[lag-1]`` and ``v[lag] <= v[lag+1]``."""
+    return v[lag] < v[lag - 1] and v[lag] <= v[lag + 1]
+
+
 def first_local_minimum(values) -> LagResult:
     """Index of the first local minimum of a sequence, scanning from 1.
 
-    Position ``L`` qualifies when ``v[L] < v[L-1]`` and ``v[L] <= v[L+1]``.
-    If no interior position qualifies, the last index is returned with
-    the saturated flag set.
+    Position ``L`` qualifies by :func:`_dips_at`. If no interior
+    position qualifies, the last index is returned with the saturated
+    flag set.
     """
     v = check_array("values", values, ndim=1, min_len=3)
     for lag in range(1, v.size - 1):
-        if v[lag] < v[lag - 1] and v[lag] <= v[lag + 1]:
+        if _dips_at(v, lag):
             return LagResult(lag, False)
     return LagResult(int(v.size - 1), True)
 
@@ -233,6 +239,6 @@ def select_lag_first_minimum(series: TimeSeries, max_lag: int, bins: int = _BINS
     ami = [auto_mutual_information(series, 0, bins), auto_mutual_information(series, 1, bins)]
     for lag in range(2, max_lag + 1):
         ami.append(auto_mutual_information(series, lag, bins))
-        if ami[-2] < ami[-3] and ami[-2] <= ami[-1]:
+        if _dips_at(ami, lag - 1):
             return LagResult(lag - 1, False)
     return LagResult(max_lag, True)

@@ -22,7 +22,8 @@ All numeric output is serialised with 17 significant digits so a
 written value reparses to the identical float. Writers go through a
 temp-file-and-rename so a crash never leaves a half-written table, and
 every report carries the configuration fingerprint of the run that
-produced it. Large files are streamed: the signal and NDJSON writers
+produced it; a report run leaves no histogram file of an earlier run
+beside its own. Large files are streamed: the signal and NDJSON writers
 write one sample or record per line as they go, the NDJSON reader
 parses the open file line by line, and a signal read keeps only the
 selected channel's samples, so no file is held twice in memory.
@@ -42,6 +43,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .information import DiscreteDistribution
 from .series import TimeSeries
 from .sleep import (
     EpochIndices,
@@ -52,7 +54,7 @@ from .sleep import (
     parse_stage_token,
     stage_token,
 )
-from .stats import ComparisonResult, GroupSummary, Histogram
+from .stats import ComparisonResult, GroupSummary
 
 __all__ = [
     "REPORTED_P_FLOOR",
@@ -450,20 +452,26 @@ def write_pvalues_csv(path: str | Path, comparisons: Sequence[ComparisonResult],
     _write_csv(path, fingerprint, "stage,index,t_value,df,p_raw,p_reported", rows)
 
 
-def write_histogram_csvs(directory: str | Path, histograms: Sequence[Histogram], fingerprint: str) -> list[Path]:
-    """One CSV per histogram: ``hist_<index>_<stage>_<group>.csv``."""
+def write_histogram_csvs(
+    directory: str | Path, histograms: dict[tuple, DiscreteDistribution], fingerprint: str
+) -> list[Path]:
+    """One CSV per (index, stage, group) histogram of
+    :func:`~chaoskit.stats.histograms_by_cell`, named
+    ``hist_<index>_<stage>_<group>.csv``. Every other ``hist_*.csv`` in
+    the directory is then deleted, so the directory holds this run's
+    histograms and no older run's."""
     directory = Path(directory)
     written = []
-    for h in histograms:
-        stage = "any" if h.stage is None else h.stage.value
-        group = "any" if h.group is None else h.group.value
-        target = directory / f"hist_{h.index_name or 'values'}_{stage}_{group}.csv"
+    for (index_name, stage, group), dist in histograms.items():
+        target = directory / f"hist_{index_name}_{stage.value}_{group.value}.csv"
         rows = [
-            f"{format_float(h.bin_edges[k])},{format_float(h.bin_edges[k + 1])},{format_float(freq)}"
-            for k, freq in enumerate(h.relative_frequencies)
+            f"{format_float(dist.bin_edges[k])},{format_float(dist.bin_edges[k + 1])},{format_float(p)}"
+            for k, p in enumerate(dist.probabilities)
         ]
         _write_csv(target, fingerprint, "bin_left,bin_right,relative_frequency", rows)
         written.append(target)
+    for stale in set(directory.glob("hist_*.csv")).difference(written):
+        stale.unlink()
     return written
 
 

@@ -1,4 +1,13 @@
-"""Group summaries, Welch's t statistic, and one-sided p-values.
+"""Group summaries, Welch's t statistic, one-sided p-values, and the
+report tables built from them.
+
+Every report table starts from one mapping, :func:`group_by_cell`'s
+``{(index, stage, group): [values]}``. :func:`group_summaries` and
+:func:`histograms_by_cell` read its cells of the scored stages and the
+two groups, so Unknown-stage and group-less epochs reach no table;
+:func:`compare_groups` pairs the summaries, and each histogram is the
+:class:`~chaoskit.information.DiscreteDistribution` that every other
+histogram of the package is.
 
 The comparison machinery works from per-group summaries
 
@@ -20,17 +29,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .errors import ConfigError, check_array, check_float, check_int
-from .information import check_probabilities, marginal_distribution
+from .errors import check_array, check_float, check_int
+from .information import DiscreteDistribution, marginal_distribution
 from .sleep import INDEX_NAMES, EpochIndices, Group, SleepStage, SCORED_STAGES
 
 __all__ = [
     "GroupSummary",
     "ComparisonResult",
-    "Histogram",
-    "EpochCells",
     "INDEX_NAMES",
     "summarize",
     "welch_t",
@@ -39,7 +44,6 @@ __all__ = [
     "compare_groups",
     "group_by_cell",
     "group_summaries",
-    "empirical_histogram",
     "histograms_by_cell",
 ]
 
@@ -77,25 +81,6 @@ class ComparisonResult:
     def __post_init__(self):
         check_float("p_value", self.p_value, at_least=0, at_most=1)
         check_float("degrees_of_freedom", self.degrees_of_freedom, above=0)
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Relative-frequency histogram over equal-width cells."""
-
-    bin_edges: np.ndarray
-    relative_frequencies: np.ndarray
-    index_name: str = ""
-    group: Group | None = None
-    stage: SleepStage | None = None
-
-    def __post_init__(self):
-        edges = check_array("bin_edges", self.bin_edges, ndim=1, min_len=2)
-        freq = check_probabilities("relative_frequencies", self.relative_frequencies, 1)
-        if edges.size != freq.size + 1:
-            raise ConfigError("need len(bin_edges) == len(relative_frequencies) + 1")
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "relative_frequencies", freq)
 
 
 def summarize(values: Sequence[float]) -> tuple[float, float, int]:
@@ -149,21 +134,9 @@ def p_value(t: float, df: float) -> float:
     return float(special.stdtr(df, -check_float("t", t)))
 
 
-@dataclass(frozen=True)
-class EpochCells:
-    """Every index value of a set of epochs, keyed by (index, stage,
-    group), in epoch order.
-
-    Built once by :func:`group_by_cell`; the table builders take it in
-    place of the epochs, so several tables share one grouping pass.
-    """
-
-    values: dict[tuple, list[float]]
-
-
-def group_by_cell(epochs: Iterable[EpochIndices]) -> EpochCells:
-    """Group every index value by (index, stage, group), reading the
-    epochs once.
+def group_by_cell(epochs: Iterable[EpochIndices]) -> dict[tuple, list[float]]:
+    """Every index value of the epochs, keyed by (index, stage, group),
+    in epoch order: the one input of every report table.
 
     Each epoch is keyed by (stage, group) once, not once per index:
     hashing an Enum runs in Python.
@@ -177,54 +150,48 @@ def group_by_cell(epochs: Iterable[EpochIndices]) -> EpochCells:
             values = [float(v) for e in members if (v := getattr(e, index_name)) is not None]
             if values:
                 cells[(index_name, stage, group)] = values
-    return EpochCells(cells)
+    return cells
 
 
-def _cells(epochs: Iterable[EpochIndices] | EpochCells) -> dict[tuple, list[float]]:
-    return (epochs if isinstance(epochs, EpochCells) else group_by_cell(epochs)).values
-
-
-def group_summaries(epochs: Sequence[EpochIndices] | EpochCells) -> list[GroupSummary]:
-    """Per (group, stage, index) summaries over all cells with n >= 2."""
-    cells = _cells(epochs)
-    out = []
+def _reported(cells: dict[tuple, list[float]]):
+    """Each (index, stage, group) key of a scored stage and a group, with
+    its values, in table order; cells of the Unknown stage or of no group
+    are never read."""
     for index_name in INDEX_NAMES:
         for stage in SCORED_STAGES:
             for group in Group:
-                values = cells.get((index_name, stage, group), [])
-                if len(values) < 2:
-                    continue
-                mean, std, n = summarize(values)
-                out.append(
-                    GroupSummary(mean=mean, std=std, n=n, index_name=index_name, group=group, stage=stage)
-                )
-    return out
+                values = cells.get((index_name, stage, group))
+                if values:
+                    yield (index_name, stage, group), values
 
 
-def compare_groups(
-    epochs: Sequence[EpochIndices] | EpochCells,
-    group_a: Group = Group.APNEA,
-    group_b: Group = Group.HEALTHY,
-) -> list[ComparisonResult]:
-    """Welch comparison of the two groups per (stage, index) cell.
+def group_summaries(cells: dict[tuple, list[float]]) -> list[GroupSummary]:
+    """Per (index, stage, group) summaries over all cells with n >= 2."""
+    return [
+        GroupSummary(*summarize(values), index_name=index_name, group=group, stage=stage)
+        for (index_name, stage, group), values in _reported(cells)
+        if len(values) >= 2
+    ]
 
-    T is ``group_a`` minus ``group_b``; by default that is the patient
-    group minus the healthy group, so a positive T means the index runs
-    higher under apnea. Cells where either group has fewer than two
-    values are left out.
+
+def compare_groups(summaries: Iterable[GroupSummary]) -> list[ComparisonResult]:
+    """Welch comparison of the two groups per (stage, index) cell, from
+    the summaries :func:`group_summaries` made.
+
+    T is Apnea minus Healthy, so a positive T means the index runs
+    higher under apnea; the other order is -T. Cells where either group
+    has no summary are left out.
     """
-    cells = _cells(epochs)
+    by_cell = {(s.stage, s.index_name, s.group): s for s in summaries}
     results = []
     for stage in SCORED_STAGES:
         for index_name in INDEX_NAMES:
-            va = cells.get((index_name, stage, group_a), [])
-            vb = cells.get((index_name, stage, group_b), [])
-            if len(va) < 2 or len(vb) < 2:
+            apnea = by_cell.get((stage, index_name, Group.APNEA))
+            healthy = by_cell.get((stage, index_name, Group.HEALTHY))
+            if apnea is None or healthy is None:
                 continue
-            sa = GroupSummary(*summarize(va), index_name=index_name, group=group_a, stage=stage)
-            sb = GroupSummary(*summarize(vb), index_name=index_name, group=group_b, stage=stage)
-            t = welch_t(sa, sb)
-            df = welch_satterthwaite_df(sa, sb)
+            t = welch_t(apnea, healthy)
+            df = welch_satterthwaite_df(apnea, healthy)
             results.append(
                 ComparisonResult(
                     stage=stage,
@@ -237,31 +204,9 @@ def compare_groups(
     return results
 
 
-def empirical_histogram(values: Sequence[float], n_bins: int) -> Histogram:
-    """Relative-frequency histogram with equal-width cells over [min, max]."""
-    dist = marginal_distribution(values, check_int("n_bins", n_bins, MIN_HIST_BINS))
-    return Histogram(bin_edges=dist.bin_edges, relative_frequencies=dist.probabilities)
-
-
-def histograms_by_cell(epochs: Sequence[EpochIndices] | EpochCells, n_bins: int = 16) -> list[Histogram]:
-    """One histogram per (index, stage, group) cell that has any values."""
+def histograms_by_cell(cells: dict[tuple, list[float]], n_bins: int = 16) -> dict[tuple, DiscreteDistribution]:
+    """Relative-frequency histogram, with ``n_bins`` equal-width cells
+    over [min, max], of each (index, stage, group) cell that has any
+    values."""
     n_bins = check_int("n_bins", n_bins, MIN_HIST_BINS)
-    cells = _cells(epochs)
-    out = []
-    for index_name in INDEX_NAMES:
-        for stage in SCORED_STAGES:
-            for group in Group:
-                values = cells.get((index_name, stage, group), [])
-                if not values:
-                    continue
-                dist = marginal_distribution(values, n_bins)
-                out.append(
-                    Histogram(
-                        bin_edges=dist.bin_edges,
-                        relative_frequencies=dist.probabilities,
-                        index_name=index_name,
-                        group=group,
-                        stage=stage,
-                    )
-                )
-    return out
+    return {key: marginal_distribution(values, n_bins) for key, values in _reported(cells)}

@@ -32,6 +32,7 @@ from chaoskit.sleep import EstimatorConfig, Group, SleepStage, analyze_recording
 from chaoskit.stats import (
     GroupSummary,
     compare_groups,
+    group_by_cell,
     group_summaries,
     p_value,
     welch_satterthwaite_df,
@@ -221,7 +222,7 @@ def test_lle_separates_groups_in_every_stage(tmp_path):
     recordings = load_recordings(manifest)
     config = EstimatorConfig(max_separation=0.7)
     epochs = analyze_recordings(recordings, config, jobs=2)
-    lle_rows = [c for c in compare_groups(epochs) if c.index_name == "lle"]
+    lle_rows = [c for c in compare_groups(group_summaries(group_by_cell(epochs))) if c.index_name == "lle"]
     stages = {c.stage for c in lle_rows}
     assert stages == {
         SleepStage.WAKE,
@@ -233,7 +234,7 @@ def test_lle_separates_groups_in_every_stage(tmp_path):
     }
     for row in lle_rows:
         assert row.p_value < 0.001, f"{row.stage}: p={row.p_value}"
-        assert row.t_value > 0  # group_a (Apnea) runs hotter than Healthy
+        assert row.t_value > 0  # Apnea runs hotter than Healthy
 
 
 @pytest.mark.skipif(
@@ -245,7 +246,7 @@ def test_real_dataset_orderings():
     groups = {r.group for r in recordings}
     assert groups == {Group.HEALTHY, Group.APNEA}, "need at least one recording per group"
     epochs = analyze_recordings(recordings, EstimatorConfig(), jobs=os.cpu_count() or 1)
-    summaries = group_summaries(epochs)
+    summaries = group_summaries(group_by_cell(epochs))
 
     def cell_mean(index_name, stage, group):
         for s in summaries:

@@ -40,6 +40,12 @@ def stderr_error(proc):
     return json.loads(proc.stderr)["error"]
 
 
+def report_tables(out):
+    """Name -> bytes of the summary, p-value and histogram tables under ``out``."""
+    paths = [out / "summary.csv", out / "pvalues.csv", *sorted((out / "histograms").glob("hist_*.csv"))]
+    return {path.relative_to(out).as_posix(): path.read_bytes() for path in paths}
+
+
 @pytest.fixture(scope="module")
 def signals(tmp_path_factory):
     root = tmp_path_factory.mktemp("signals")
@@ -476,6 +482,44 @@ class TestReport:
             assert (out / "histograms" / name).read_bytes() == (
                 study["out"] / "histograms" / name
             ).read_bytes()
+
+    def test_unknown_stage_and_groupless_records_reach_no_table(self, study, tmp_path):
+        # Each record again under the Unknown stage, and again with no
+        # group: counted anywhere, either copy would move a table.
+        lines = (study["out"] / "epoch_indices.ndjson").read_text().splitlines()
+        extra = []
+        for line in lines:
+            record = json.loads(line)
+            extra += [json.dumps({**record, "stage": "Unknown"}), json.dumps({**record, "group": None})]
+        padded = tmp_path / "padded.ndjson"
+        padded.write_text("\n".join(lines + extra) + "\n")
+        for source, out in ((study["out"] / "epoch_indices.ndjson", "plain"), (padded, "padded")):
+            proc = run_cli("report", "--epochs", str(source), "--out", str(tmp_path / out))
+            assert proc.returncode == 0, proc.stderr
+        assert report_tables(tmp_path / "padded") == report_tables(tmp_path / "plain")
+
+    def test_report_over_an_analyze_directory_leaves_no_stale_histogram(self, tmp_path):
+        # The 12-epoch study's 8 S2 records, reported into its own analyze
+        # directory, once left the 35 histograms of the other stages in
+        # place beside the 7 it wrote.
+        manifest = build_sleep_fixture(tmp_path)
+        out = tmp_path / "out"
+        proc = run_cli("analyze", "--manifest", str(manifest), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert len(list((out / "histograms").glob("hist_*.csv"))) == 42
+        (out / "histograms" / "notes.csv").write_text("kept\n")
+        lines = (out / "epoch_indices.ndjson").read_text().splitlines()
+        s2 = tmp_path / "s2.ndjson"
+        s2.write_text("".join(f"{line}\n" for line in lines if json.loads(line)["stage"] == "S2"))
+        for target in (out, tmp_path / "fresh"):
+            proc = run_cli("report", "--epochs", str(s2), "--out", str(target))
+            assert proc.returncode == 0, proc.stderr
+        assert report_tables(out) == report_tables(tmp_path / "fresh")
+        assert len(list((out / "histograms").glob("hist_*.csv"))) == 7
+        # Nothing else goes.
+        assert (out / "histograms" / "notes.csv").read_text() == "kept\n"
+        assert (out / "epoch_indices.ndjson").read_text().splitlines() == lines
+        assert (out / "run_manifest.json").exists()
 
     def test_mixed_fingerprints_refused(self, study, tmp_path):
         lines = (study["out"] / "epoch_indices.ndjson").read_text().splitlines()

@@ -43,11 +43,12 @@ from chaoskit.information import (
 )
 from chaoskit.lyapunov import WolfParams, largest_lyapunov_wolf
 from chaoskit.series import DelayVectors, EmbeddingParams, TimeSeries, autocorrelation, theiler_window
-from chaoskit.sleep import EstimatorConfig, analyze_recordings, compute_epoch_indices
-from chaoskit.stats import GroupSummary, Histogram, empirical_histogram, summarize
+from chaoskit.sleep import EstimatorConfig, Group, SleepStage, analyze_recordings, compute_epoch_indices
+from chaoskit.stats import GroupSummary, histograms_by_cell, summarize
 
 X = generate(GeneratorSpec("logistic", 400, seed=3, transient_skip=100, parameters={"r": 4.0}))
 PTS = np.column_stack([X.samples[:-1], X.samples[1:]])
+CELL = {("lle", SleepStage.S2, Group.APNEA): list(X.samples)}
 CURVE = correlation_curve(PTS)
 
 
@@ -105,7 +106,7 @@ SITES = {
     "theiler_window max_lag": ("max_lag", lambda v: theiler_window(X, v), 3),
     "analyze_recordings jobs": ("jobs", lambda v: analyze_recordings([], jobs=v), 3),
     "GroupSummary n": ("n", lambda v: GroupSummary(1.0, 1.0, v), 3),
-    "empirical_histogram n_bins": ("n_bins", lambda v: empirical_histogram(X.samples, v), 3),
+    "histograms_by_cell n_bins": ("n_bins", lambda v: histograms_by_cell(CELL, v), 3),
 }
 
 
@@ -255,7 +256,6 @@ ARRAY_SITES = {
     "joint_distribution y": ("y", lambda v: joint_distribution(X.samples, v, 4), X.samples, 1, ConfigError),
     "first_local_minimum values": ("values", first_local_minimum, X.samples, 3, ConfigError),
     "summarize values": ("values", summarize, X.samples, 2, ConfigError),
-    "empirical_histogram values": ("values", lambda v: empirical_histogram(v, 4), X.samples, 1, ConfigError),
     "correlation_sum points": ("points", lambda v: correlation_sum(v, 0.1), PTS, 2, ConfigError),
     "correlation_curve points": ("points", correlation_curve, PTS, 2, ConfigError),
     "Wolf walk points": ("points", largest_lyapunov_wolf, PTS, 100, ShortSeriesError),
@@ -318,8 +318,6 @@ VALUE_FIELDS = {
     "JointDistribution probabilities": ("probabilities", lambda v: JointDistribution(v, EDGES, EDGES), CELLS),
     "JointDistribution x_edges": ("x_edges", lambda v: JointDistribution(CELLS, v, EDGES), EDGES),
     "JointDistribution y_edges": ("y_edges", lambda v: JointDistribution(CELLS, EDGES, v), EDGES),
-    "Histogram bin_edges": ("bin_edges", lambda v: Histogram(v, HALVES), EDGES),
-    "Histogram relative_frequencies": ("relative_frequencies", lambda v: Histogram(EDGES, v), HALVES),
 }
 
 
@@ -380,10 +378,10 @@ def test_value_type_ranges():
         _estimate(fit_range=(2.0, 1.0))
     with pytest.raises(ConfigError, match=r"^fit_range\[0\] must be a finite number > 0, got 0.0$"):
         _estimate(fit_range=(0.0, 1.0))
-    with pytest.raises(ConfigError, match=r"^relative_frequencies must sum to 1, got 0.7$"):
-        Histogram([0.0, 1.0], [0.7])
-    with pytest.raises(ConfigError, match=r"^relative_frequencies must be non-negative$"):
-        Histogram(EDGES, [1.5, -0.5])
+    with pytest.raises(ConfigError, match=r"^probabilities must sum to 1, got 0.7$"):
+        DiscreteDistribution([0.7], [0.0, 1.0])
+    with pytest.raises(ConfigError, match=r"^probabilities must be non-negative$"):
+        DiscreteDistribution([1.5, -0.5], EDGES)
 
 
 def test_curve_with_a_nan_radius_is_refused():

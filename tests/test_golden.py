@@ -20,6 +20,10 @@ neighbour comes within ``evolve_steps`` of the last point, after which
 the neighbour sits on the last point and bounds no ball. Their hashes
 were recorded when every pick asked the tree for a ``max_separation``
 ball.
+
+Each study also pins its report histograms by one digest over every
+``histograms/hist_*.csv``, recorded before the report tables came to be
+built from one cell map.
 """
 
 import hashlib
@@ -32,16 +36,40 @@ from chaoskit.generators import GeneratorSpec
 
 from conftest import build_sleep_fixture, short_steps
 
+# One digest over a directory of histogram files, in name order.
+HISTOGRAMS = "histograms/hist_*.csv"
+
+
+def _digests(out, names):
+    """SHA-256 of each named output file's bytes; ``HISTOGRAMS`` gets
+    one digest of every file it matches: each file's name and length,
+    then its bytes."""
+    digests = {}
+    for name in names:
+        if name == HISTOGRAMS:
+            h = hashlib.sha256()
+            for path in sorted(out.glob(name)):
+                data = path.read_bytes()
+                h.update(f"{path.name}\n{len(data)}\n".encode("ascii"))
+                h.update(data)
+            digests[name] = h.hexdigest()
+        else:
+            digests[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    return digests
+
+
 GOLDEN = {
     (12, 10.0): {
         "epoch_indices.ndjson": "42523280030d3e230fc853711fc85398d14639af13eff8445d49cf8af7d8f046",
         "summary.csv": "70faefaedb19be987893107e21ca2ac41bdcf4f5ac078b4aebb2ae99b6ed0a41",
         "pvalues.csv": "bc2cb36f6bcb4f0a6c8c95a164fb6f719fcc6a2e137c8b679d2e999b24e50485",
+        HISTOGRAMS: "383ab0ee8fefe5e498663f8f099d8b445739a24dc5b66e708961e1b571bfc9bc",
     },
     (2, 100.0): {
         "epoch_indices.ndjson": "fa92cfad0743f96afeb20579f4f00babfdacdc210d38a19e54ce86f03163ac21",
         "summary.csv": "4864ae59c5c11151b96ee9202166c22d509155742978768293dc32ea3315c4b4",
         "pvalues.csv": "9dffe207b69d0a1d4842a7de694b86ea0587181311fbd7fbcffbbef480119fff",
+        HISTOGRAMS: "c03f5cda5e97bb6d4d9cdbad27691b83d22ea1cd106529d25ae3a350c612513a",
     },
 }
 
@@ -51,8 +79,7 @@ def test_analyze_outputs_match_golden_hashes(tmp_path, n_epochs, fs):
     manifest = build_sleep_fixture(tmp_path, n_epochs=n_epochs, fs=fs)
     out = tmp_path / "out"
     assert main(["analyze", "--manifest", manifest, "--out", str(out)]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN[n_epochs, fs]}
-    assert digests == GOLDEN[n_epochs, fs]
+    assert _digests(out, GOLDEN[n_epochs, fs]) == GOLDEN[n_epochs, fs]
 
 
 # Case -> (generator seeds of the Healthy and the Apnea subject, hashes).
@@ -63,6 +90,7 @@ LORENZ_GOLDEN = {
             "epoch_indices.ndjson": "365803f930b046b1a80e85874e932f91b683c914248d28193a1b6ca82e03b6ab",
             "summary.csv": "be6f587dc0297d9ceaf978c56dd48688f4b2403b1aca666c8203eeabce2f24a7",
             "pvalues.csv": "7e4910a8bc949f7d57ca46dea7dc01e4fa2919fcdd98d2143e4b6abfcda17ef2",
+            HISTOGRAMS: "6c0aedc4ecce3fc44ee23c01c53b8899c8cfdb99dc53a98e1fd91bba721c410c",
         },
     ),
     "short-step-at-end": (
@@ -71,6 +99,7 @@ LORENZ_GOLDEN = {
             "epoch_indices.ndjson": "a9da91de802eb5411886cef9511829da5837d4a0de68461e73bb46b12d081301",
             "summary.csv": "d087993d928f41286812c5ccd36fa0d68ec5eb9347533d73e7ffaf2c6026a6f1",
             "pvalues.csv": "a6c7b2546fa9e0f2839a69578485b9c769613e9aa378b9186b4034df06ba5b20",
+            HISTOGRAMS: "2ad0bbf0301b8f2d5d7b0b65a35d7d5f69bcd35d069d6900e8b0ed27b647c064",
         },
     ),
 }
@@ -91,8 +120,7 @@ def test_lorenz_outputs_match_golden_hashes(tmp_path, wolf_balls, case):
     manifest = build_sleep_fixture(tmp_path, n_epochs=LORENZ_EPOCHS, subjects=subjects)
     out = tmp_path / "out"
     assert main(["analyze", "--manifest", manifest, "--out", str(out)]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in golden}
-    assert digests == golden
+    assert _digests(out, golden) == golden
     # The study takes the route it is named for.
     records = [json.loads(line) for line in (out / "epoch_indices.ndjson").read_text(encoding="utf-8").splitlines()]
     if case == "wolf-start-fails":

@@ -35,7 +35,8 @@ from chaoskit.io import (
 )
 from chaoskit.series import TimeSeries
 from chaoskit.sleep import EpochIndices, EstimatorConfig, Group, SleepStage, parse_group
-from chaoskit.stats import ComparisonResult, GroupSummary, Histogram
+from chaoskit.information import DiscreteDistribution
+from chaoskit.stats import ComparisonResult, GroupSummary
 
 from conftest import build_sleep_fixture, traced_peak
 from oracles import rowwise_read_signal_csv
@@ -956,14 +957,8 @@ class TestReportTables:
         assert float(second[5]) == 0.31
 
     def test_histogram_files_named_by_cell(self, tmp_path):
-        hist = Histogram(
-            bin_edges=[0.0, 0.5, 1.0],
-            relative_frequencies=[0.25, 0.75],
-            index_name="d2",
-            group=Group.HEALTHY,
-            stage=SleepStage.REM,
-        )
-        written = write_histogram_csvs(tmp_path, [hist], "abc123")
+        hist = DiscreteDistribution(probabilities=[0.25, 0.75], bin_edges=[0.0, 0.5, 1.0])
+        written = write_histogram_csvs(tmp_path, {("d2", SleepStage.REM, Group.HEALTHY): hist}, "abc123")
         assert [p.name for p in written] == ["hist_d2_REM_Healthy.csv"]
         lines = written[0].read_text().splitlines()
         assert lines[1] == "bin_left,bin_right,relative_frequency"

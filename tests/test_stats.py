@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from chaoskit.errors import ConfigError
+from chaoskit.information import marginal_distribution
 from chaoskit.sleep import EpochIndices, Group, SleepStage
 from chaoskit.stats import (
     ComparisonResult,
     GroupSummary,
-    Histogram,
     compare_groups,
-    empirical_histogram,
     group_by_cell,
     group_summaries,
     histograms_by_cell,
@@ -38,6 +37,11 @@ def epoch(group, stage, **indices):
         sample_rate_hz=100.0,
         **indices,
     )
+
+
+def compare(epochs):
+    """The Welch rows of the report built from these epochs."""
+    return compare_groups(group_summaries(group_by_cell(epochs)))
 
 
 class TestWelchT:
@@ -154,7 +158,7 @@ class TestCompareGroups:
         for v in (1.0, 2.0, 3.0):
             epochs.append(epoch(Group.APNEA, SleepStage.S2, lle=v))
             epochs.append(epoch(Group.HEALTHY, SleepStage.S2, lle=v))
-        results = compare_groups(epochs)
+        results = compare(epochs)
         assert len(results) == 1
         assert results[0].t_value == 0.0
         assert results[0].p_value == 0.5
@@ -164,16 +168,19 @@ class TestCompareGroups:
     def test_direction_is_patient_minus_healthy(self):
         epochs = [epoch(Group.APNEA, SleepStage.WAKE, lle=v) for v in (5.0, 6.0, 7.0)]
         epochs += [epoch(Group.HEALTHY, SleepStage.WAKE, lle=v) for v in (1.0, 2.0, 3.0)]
-        (result,) = compare_groups(epochs)
+        (result,) = compare(epochs)
         assert result.t_value > 0
-        flipped = compare_groups(epochs, group_a=Group.HEALTHY, group_b=Group.APNEA)
-        assert flipped[0].t_value == -result.t_value
+        # The other order is -T.
+        healthy, apnea = group_summaries(group_by_cell(epochs))
+        assert (healthy.group, apnea.group) == (Group.HEALTHY, Group.APNEA)
+        assert welch_t(apnea, healthy) == result.t_value
+        assert welch_t(healthy, apnea) == -result.t_value
 
     def test_wide_separation_pushes_p_below_report_floor(self):
         rng = np.random.default_rng(15)
         epochs = [epoch(Group.APNEA, SleepStage.REM, mi=float(v)) for v in rng.normal(10, 0.1, 20)]
         epochs += [epoch(Group.HEALTHY, SleepStage.REM, mi=float(v)) for v in rng.normal(0, 0.1, 20)]
-        (result,) = compare_groups(epochs)
+        (result,) = compare(epochs)
         assert result.p_value < 0.0005
 
     def test_null_calibration(self):
@@ -188,7 +195,7 @@ class TestCompareGroups:
             epochs += [
                 epoch(Group.HEALTHY, SleepStage.S1, d2=float(v)) for v in rng.normal(size=15)
             ]
-            (result,) = compare_groups(epochs)
+            (result,) = compare(epochs)
             if result.p_value < 0.01:
                 hits += 1
         assert hits <= 5
@@ -199,13 +206,13 @@ class TestCompareGroups:
             epoch(Group.HEALTHY, SleepStage.S3, lle=2.0),
             epoch(Group.HEALTHY, SleepStage.S3, lle=3.0),
         ]
-        assert compare_groups(epochs) == []
+        assert compare(epochs) == []
 
     def test_missing_values_skipped(self):
         epochs = [epoch(Group.APNEA, SleepStage.S4, lle=v) for v in (1.0, 2.0)]
         epochs += [epoch(Group.APNEA, SleepStage.S4, lle=None, mi=1.0)]
         epochs += [epoch(Group.HEALTHY, SleepStage.S4, lle=v) for v in (1.5, 2.5)]
-        (result,) = compare_groups(epochs)
+        (result,) = compare(epochs)
         assert result.index_name == "lle"
 
 
@@ -213,7 +220,7 @@ class TestSummariesAndHistograms:
     def test_group_summaries_cover_populated_cells(self):
         epochs = [epoch(Group.APNEA, SleepStage.WAKE, lle=v, mi=v) for v in (1.0, 2.0, 3.0)]
         epochs += [epoch(Group.HEALTHY, SleepStage.REM, lle=v) for v in (4.0, 5.0)]
-        summaries = group_summaries(epochs)
+        summaries = group_summaries(group_by_cell(epochs))
         cells = {(s.index_name, s.stage, s.group) for s in summaries}
         assert cells == {
             ("lle", SleepStage.WAKE, Group.APNEA),
@@ -225,54 +232,71 @@ class TestSummariesAndHistograms:
         assert (lle_wake.mean, lle_wake.std, lle_wake.n) == (mean, std, n)
 
     def test_histogram_hand_case(self):
-        hist = empirical_histogram([0.0, 1.0, 2.0, 3.0], 2)
-        np.testing.assert_allclose(hist.relative_frequencies, [0.5, 0.5])
+        key = ("lle", SleepStage.S2, Group.APNEA)
+        hist = histograms_by_cell({key: [0.0, 1.0, 2.0, 3.0]}, 2)[key]
+        np.testing.assert_allclose(hist.probabilities, [0.5, 0.5])
         np.testing.assert_allclose(hist.bin_edges, [0.0, 1.5, 3.0])
 
     def test_histogram_constant_values(self):
-        hist = empirical_histogram([2.0, 2.0, 2.0], 4)
-        assert float(hist.relative_frequencies.sum()) == pytest.approx(1.0, abs=1e-12)
+        key = ("mi", SleepStage.REM, Group.HEALTHY)
+        hist = histograms_by_cell({key: [2.0, 2.0, 2.0]}, 4)[key]
+        assert float(hist.probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
         assert hist.bin_edges[0] == 1.5
         assert hist.bin_edges[-1] == 2.5
 
     def test_histograms_by_cell_labels(self):
         epochs = [epoch(Group.APNEA, SleepStage.S2, d2=v) for v in (1.0, 1.1, 1.2)]
-        (hist,) = histograms_by_cell(epochs, n_bins=4)
-        assert hist.index_name == "d2"
-        assert hist.group is Group.APNEA
-        assert hist.stage is SleepStage.S2
-        assert hist.relative_frequencies.size == 4
+        ((key, hist),) = histograms_by_cell(group_by_cell(epochs), n_bins=4).items()
+        assert key == ("d2", SleepStage.S2, Group.APNEA)
+        assert hist.probabilities.size == 4
 
     @pytest.mark.parametrize("n_bins", [0, 2.5, None])
     def test_histograms_by_cell_checks_n_bins_without_cells(self, n_bins):
         # Checked before the loop, so a report of no values still refuses
         # a bin count that no histogram could use.
         with pytest.raises(ConfigError, match=rf"^n_bins must be an integer >= 1, got {n_bins!r}$"):
-            histograms_by_cell([], n_bins=n_bins)
+            histograms_by_cell({}, n_bins=n_bins)
 
     def test_one_grouping_serves_every_table(self):
         rng = np.random.default_rng(5)
-        groups = (Group.APNEA, Group.HEALTHY)
+        groups = (Group.APNEA, Group.HEALTHY, None)
         epochs = [
             epoch(
-                groups[k % 2],
-                SleepStage.S2 if k % 3 else SleepStage.REM,
+                groups[k % 3],
+                (SleepStage.S2, SleepStage.REM, SleepStage.UNKNOWN)[k % 4 % 3],
                 lle=float(rng.normal()),
                 mi=None if k % 4 == 0 else float(rng.normal()),
                 d2=float(rng.normal()),
             )
-            for k in range(60)
+            for k in range(90)
         ]
         cells = group_by_cell(epochs)
-        assert cells.values[("mi", SleepStage.S2, Group.HEALTHY)] == [
+        assert cells[("mi", SleepStage.S2, Group.HEALTHY)] == [
             e.mi for e in epochs if e.mi is not None and e.stage is SleepStage.S2 and e.group is Group.HEALTHY
         ]
-        assert group_summaries(cells) == group_summaries(epochs)
-        assert compare_groups(cells) == compare_groups(epochs)
-        for a, b in zip(histograms_by_cell(cells, 5), histograms_by_cell(epochs, 5), strict=True):
-            assert (a.index_name, a.stage, a.group) == (b.index_name, b.stage, b.group)
-            np.testing.assert_array_equal(a.bin_edges, b.bin_edges)
-            np.testing.assert_array_equal(a.relative_frequencies, b.relative_frequencies)
+        # The tables read the scored stages of the two groups only, each
+        # cell as the plain statistics of its values.
+        reported = {
+            key: values
+            for key, values in cells.items()
+            if key[1] is not SleepStage.UNKNOWN and key[2] is not None
+        }
+        assert len(reported) < len(cells)
+        summaries = group_summaries(cells)
+        assert {(s.index_name, s.stage, s.group): (s.mean, s.std, s.n) for s in summaries} == {
+            key: summarize(values) for key, values in reported.items()
+        }
+        histograms = histograms_by_cell(cells, 5)
+        assert list(histograms) == [(s.index_name, s.stage, s.group) for s in summaries]
+        for key, hist in histograms.items():
+            expected = marginal_distribution(reported[key], 5)
+            np.testing.assert_array_equal(hist.bin_edges, expected.bin_edges)
+            np.testing.assert_array_equal(hist.probabilities, expected.probabilities)
+        for row in compare_groups(summaries):
+            a = GroupSummary(*summarize(cells[(row.index_name, row.stage, Group.APNEA)]))
+            b = GroupSummary(*summarize(cells[(row.index_name, row.stage, Group.HEALTHY)]))
+            assert (row.t_value, row.degrees_of_freedom) == (welch_t(a, b), welch_satterthwaite_df(a, b))
+        assert len(compare_groups(summaries)) == 2 * 3
 
     def test_container_validation(self):
         with pytest.raises(ConfigError):
@@ -283,5 +307,3 @@ class TestSummariesAndHistograms:
             ComparisonResult(
                 stage=SleepStage.S1, index_name="lle", t_value=1.0, degrees_of_freedom=5.0, p_value=1.5
             )
-        with pytest.raises(ConfigError):
-            Histogram(bin_edges=[0.0, 1.0], relative_frequencies=[0.7])

@@ -150,10 +150,23 @@ def test_one_histogram_rule():
     # Every histogram is counted in information.py: the report histograms
     # through marginal_distribution, every joint count, for
     # mutual_information and the delay scan alike, through one kernel,
-    # and mutual information is H(X) + H(Y) - H(X, Y) written once.
+    # and mutual information is H(X) + H(Y) - H(X, Y) written once. One
+    # type holds a histogram: no dataclass but information.py's
+    # DiscreteDistribution has a bin_edges field.
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted((ROOT / "src" / "chaoskit").glob("*.py"))}
     assert [name for name, source in sources.items() if "np.bincount(" in source] == ["information.py"]
     assert sum(source.count("_entropy_bits(p.sum(axis=1))") for source in sources.values()) == 1
+    with_edges = [
+        f"{name}:{node.name}"
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        and any(
+            isinstance(stmt, ast.AnnAssign) and ast.unparse(stmt.target) == "bin_edges" for stmt in node.body
+        )
+    ]
+    assert with_edges == ["information.py:DiscreteDistribution"]
 
 
 def test_correlation_draws_no_random_numbers():
