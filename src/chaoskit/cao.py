@@ -1,6 +1,7 @@
 """Minimum embedding dimension from nearest-neighbour expansion ratios.
 
-For each candidate dimension m the series is embedded at lag t, but only
+For each candidate dimension m the series is embedded at lag t, in the
+one layout of :mod:`chaoskit.series` (``series._delay_points``), but only
 the first ``N - m t`` points are kept so every point still has a defined
 (m+1)-th coordinate. Each point is paired with its nearest neighbour
 under the Chebyshev (maximum) norm, nearest meaning the closest point at
@@ -53,7 +54,7 @@ import numpy as np
 
 from .correlation import _PAIR_BLOCK
 from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_array, check_float, check_int
-from .series import TimeSeries
+from .series import TimeSeries, _delay_points
 
 __all__ = [
     "CaoProfile",
@@ -95,16 +96,6 @@ class CaoProfile:
         object.__setattr__(self, "lag_t", check_int("lag_t", self.lag_t, 1))
         if self.selected_m is not None:
             object.__setattr__(self, "selected_m", check_int("selected_m", self.selected_m, 2, m_max))
-
-
-def _restricted_embedding(x: np.ndarray, m: int, t: int) -> np.ndarray:
-    n_rows = x.size - m * t
-    if n_rows < 2:
-        raise ShortSeriesError(
-            f"Cao's E({m}) at lag {t} needs at least {m * t + 2} samples, got {x.size}"
-        )
-    idx = np.arange(n_rows)[:, None] + np.arange(m)[None, :] * t
-    return x[idx]
 
 
 def _sorted_neighbours(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,7 +203,7 @@ def _scan_neighbours(x: np.ndarray, t: int, m_max: int) -> Iterator[tuple[np.nda
     """Each dimension's Chebyshev nearest neighbours at strictly positive
     distance, ties to the lowest index: (indices, distances) for
     m = 1..m_max in turn, by the three routes of the module docstring."""
-    v = _restricted_embedding(x, 1, t)[:, 0]
+    v = x[: x.size - t]
     neighbours, dist, unsure = _sorted_neighbours(v)
     neighbours[unsure], dist[unsure] = _row_scan(x, unsure, 1, t, v.size)
     yield neighbours, dist
@@ -220,8 +211,8 @@ def _scan_neighbours(x: np.ndarray, t: int, m_max: int) -> Iterator[tuple[np.nda
     # settling nothing, so m = 2 queries every point.
     lists = np.zeros((_LIST_LEN, v.size), dtype=np.intp), np.full((_LIST_LEN, v.size), np.inf), np.zeros(v.size)
     for m in range(2, m_max + 1):
-        pts = _restricted_embedding(x, m, t)
-        n_points = pts.shape[0]
+        n_points = x.size - m * t
+        pts = _delay_points(x, n_points, m, t)
         cand, d, rho = _carried_lists(lists, x, (m - 1) * t, n_points)
         neighbours, dist, settled = _settled(cand, d, rho, n_points)
         rows = np.flatnonzero(~settled)
@@ -236,6 +227,10 @@ def _scan_neighbours(x: np.ndarray, t: int, m_max: int) -> Iterator[tuple[np.nda
 
 def _cao_terms(x: np.ndarray, t: int, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     """E(m) and E*(m) for m = 1..m_max, from one pass over the dimensions."""
+    if x.size < m_max * t + 2:
+        raise ShortSeriesError(
+            f"Cao scan to m_max={m_max} at lag {t} needs at least {m_max * t + 2} samples, got {x.size}"
+        )
     e = np.empty(m_max, dtype=np.float64)
     e_star = np.empty(m_max, dtype=np.float64)
     for m, (neighbours, dist) in enumerate(_scan_neighbours(x, t, m_max), start=1):
@@ -287,14 +282,7 @@ def minimum_embedding_dimension(
     """
     t = check_int("t", t, 1)
     m_max, plateau_tol, e2_tol = check_scan_settings(m_max, plateau_tol, e2_tol)
-    x = series.samples
-    if x.size < m_max * t + 2:
-        raise ShortSeriesError(
-            f"Cao scan to m_max={m_max} at lag {t} needs at least "
-            f"{m_max * t + 2} samples, got {x.size}"
-        )
-
-    e, e_star = _cao_terms(x, t, m_max)
+    e, e_star = _cao_terms(series.samples, t, m_max)
     if np.any(e_star == 0.0):
         raise DegenerateSeriesError("E* vanished; series has no usable variation")
     # E1(m) and E2(m) for m = 1..m_max-1.

@@ -32,6 +32,7 @@ from .io import (
     format_float,
     load_recordings,
     read_epochs_ndjson,
+    read_run_manifest,
     read_signal_csv,
     write_epochs_ndjson,
     write_histogram_csvs,
@@ -138,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_reports(out_dir: Path, epochs, fingerprint: str, hist_bins: int) -> dict:
+def _write_reports(out_dir: Path, epochs, fingerprint: str, hist_bins: int, manifest: dict | None) -> dict:
+    """Write the tables of ``epochs`` and return their counts; with a
+    ``manifest`` (config, inputs, outputs), write it with those counts."""
     cells = group_by_cell(epochs)
     summaries = group_summaries(cells)
     comparisons = compare_groups(summaries)
@@ -146,11 +149,17 @@ def _write_reports(out_dir: Path, epochs, fingerprint: str, hist_bins: int) -> d
     write_table1_csv(out_dir / "summary.csv", summaries, fingerprint)
     write_pvalues_csv(out_dir / "pvalues.csv", comparisons, fingerprint)
     hist_paths = write_histogram_csvs(out_dir / "histograms", histograms, fingerprint)
-    return {
+    outputs = {
+        "epochs": len(epochs),
+        "epochs_with_failures": sum(1 for e in epochs if e.failed),
         "summary_rows": len(summaries),
         "comparisons": len(comparisons),
         "histograms": len(hist_paths),
     }
+    if manifest is not None:
+        outputs = {**manifest["outputs"], **outputs}
+        write_run_manifest(out_dir / "run_manifest.json", manifest["config"], fingerprint, manifest["inputs"], outputs)
+    return outputs
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -160,27 +169,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     recordings = load_recordings(args.manifest)  # InputError -> exit 3, nothing written
     epochs = analyze_recordings(recordings, config, jobs=args.jobs)
     out_dir = Path(args.out)
-    fingerprint = config.fingerprint()
     write_epochs_ndjson(out_dir / "epoch_indices.ndjson", epochs)
-    report_counts = _write_reports(out_dir, epochs, fingerprint, args.hist_bins)
-    failed = sum(1 for e in epochs if e.failed)
-    write_run_manifest(
-        out_dir / "run_manifest.json",
-        config.as_dict(),
-        fingerprint,
-        inputs={
-            "manifest": str(args.manifest),
-            "subjects": [r.subject_id for r in recordings],
-        },
-        outputs={
-            "epochs": len(epochs),
-            "epochs_with_failures": failed,
-            **report_counts,
-        },
-    )
+    inputs = {"manifest": str(args.manifest), "subjects": [r.subject_id for r in recordings]}
+    manifest = {"config": config.as_dict(), "inputs": inputs, "outputs": {}}
+    outputs = _write_reports(out_dir, epochs, config.fingerprint(), args.hist_bins, manifest)
     print(
         f"analyzed {len(epochs)} windows from {len(recordings)} recordings "
-        f"({failed} with failures) -> {out_dir}"
+        f"({outputs['epochs_with_failures']} with failures) -> {out_dir}"
     )
     return EXIT_OK
 
@@ -313,7 +308,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "epoch file mixes records from different configurations; refusing to pool them"
         )
     out_dir = Path(args.out)
-    _write_reports(out_dir, epochs, next(iter(fingerprints)), args.hist_bins)
+    fingerprint = next(iter(fingerprints))
+    # Checked before any table is replaced; a fresh directory gets no manifest.
+    manifest_path = out_dir / "run_manifest.json"
+    manifest = read_run_manifest(manifest_path, fingerprint) if manifest_path.exists() else None
+    _write_reports(out_dir, epochs, fingerprint, args.hist_bins, manifest)
     print(f"rebuilt tables for {len(epochs)} windows -> {out_dir}")
     return EXIT_OK
 

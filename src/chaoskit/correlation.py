@@ -7,9 +7,10 @@ exactly R count (the kernel steps up at zero).
 
 Pairs are built a block of consecutive index offsets k at a time, at
 most ``_PAIR_BLOCK`` of them, from shared rows: each source series
-(:func:`~chaoskit.series.coordinate_sources`; one for delay vectors,
-one per column otherwise) gives one row ``(s[j + k] - s[j]) ** 2`` per
-offset, and each coordinate's term is a shifted slice of it. The terms
+(:func:`~chaoskit.series.coordinate_sources`: the embedded samples for
+delay vectors, each column otherwise) gives one row
+``(s[j + k] - s[j]) ** 2`` per offset, and each coordinate's term is a
+shifted slice of it, at its tap. The terms
 are added in the order numpy's row sum uses, so every distance equals
 ``((a - b) ** 2).sum()`` bit for bit, and no distance matrix is held
 beyond one block.

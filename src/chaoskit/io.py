@@ -74,6 +74,7 @@ __all__ = [
     "write_table1_csv",
     "write_pvalues_csv",
     "write_histogram_csvs",
+    "read_run_manifest",
     "write_run_manifest",
 ]
 
@@ -473,6 +474,21 @@ def write_histogram_csvs(
     for stale in set(directory.glob("hist_*.csv")).difference(written):
         stale.unlink()
     return written
+
+
+def read_run_manifest(path: str | Path, fingerprint: str) -> dict:
+    """The run manifest at ``path``; InputError unless it parses as one
+    that :func:`write_run_manifest` wrote for configuration ``fingerprint``."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read run manifest {path}: {exc}") from exc
+    keys = {"config", "config_fingerprint", "inputs", "outputs"}
+    if not (isinstance(payload, dict) and set(payload) == keys and isinstance(payload["outputs"], dict)):
+        raise InputError(f"run manifest {path} must be a JSON object of {', '.join(sorted(keys))}")
+    if payload["config_fingerprint"] != fingerprint:
+        raise InputError(f"run manifest {path} is for another configuration than the records; refusing to mix them")
+    return payload
 
 
 def write_run_manifest(

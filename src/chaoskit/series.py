@@ -2,12 +2,16 @@
 
 The estimators in this package all start from the same two objects: a
 :class:`TimeSeries` holding a uniformly sampled scalar signal, and the
-:class:`DelayVectors` produced by :func:`delay_embed`. Delay vectors are
-built the usual way: point ``k`` of an ``(m, t)`` embedding is
+:class:`DelayVectors` that embed it. Delay vectors are built the usual
+way: point ``k`` of an ``(m, t)`` embedding is
 
     (x[k], x[k + t], ..., x[k + (m - 1) t])
 
-which leaves ``N - (m - 1) t`` points from ``N`` samples.
+which leaves ``N - (m - 1) t`` points from ``N`` samples. Only
+:func:`_delay_points` writes this layout, for ``DelayVectors`` and for
+the Cao scan's first ``N - m t`` points at each m. The correlation sum
+reads coordinate c as the embedded samples at tap ``c t``
+(:func:`coordinate_sources`), not from the points.
 
 The autocorrelation here is the biased estimator (normalised by ``N``,
 not ``N - k``), which keeps the sequence positive semi-definite and the
@@ -18,7 +22,7 @@ temporal exclusion window handed to the neighbour searches downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -95,21 +99,28 @@ class EmbeddingParams:
 
 @dataclass(frozen=True)
 class DelayVectors:
-    """Points of a delay embedding, row ``k`` starting at sample ``k``.
+    """The delay embedding of ``series`` by ``params``.
 
-    ``points`` is a read-only float64 array of shape
-    ``(n_points, dimension_m)``, finite everywhere, with at least one row.
+    ``points`` is laid out by :func:`_delay_points`, never given: a
+    read-only ``(n_points, dimension_m)`` float64 array with at least one
+    row (else ShortSeriesError), row ``k`` starting at sample ``k``. It
+    is a C-contiguous copy, as ``cKDTree`` copies a strided view.
     """
 
-    points: np.ndarray
+    series: TimeSeries
     params: EmbeddingParams
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = check_array("points", self.points, ndim=2, min_len=1)
-        if pts.shape[1] != self.params.dimension_m:
-            raise ConfigError(
-                f"points must have shape (n, {self.params.dimension_m}), got {pts.shape}"
+        if not isinstance(self.series, TimeSeries):
+            raise ConfigError(f"series must be a TimeSeries, got {type(self.series).__name__}")
+        m, t = self.params.dimension_m, self.params.lag_t
+        n_points = len(self.series) - (m - 1) * t
+        if n_points < 1:
+            raise ShortSeriesError(
+                f"embedding with m={m}, t={t} needs at least {(m - 1) * t + 1} samples, got {len(self.series)}"
             )
+        pts = _delay_points(self.series.samples, n_points, m, t)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -117,24 +128,15 @@ class DelayVectors:
         return int(self.points.shape[0])
 
 
-def delay_embed(series: TimeSeries, params: EmbeddingParams) -> DelayVectors:
-    """Embed a scalar series into delay vectors.
-
-    Raises
-    ------
-    ShortSeriesError
-        If fewer than one point would result, i.e. the series has fewer
-        than ``(m - 1) t + 1`` samples.
-    """
-    x = series.samples
-    m, t = params.dimension_m, params.lag_t
-    n_points = x.size - (m - 1) * t
-    if n_points < 1:
-        raise ShortSeriesError(
-            f"embedding with m={m}, t={t} needs at least {(m - 1) * t + 1} samples, got {x.size}"
-        )
+def _delay_points(x: np.ndarray, n_points: int, m: int, t: int) -> np.ndarray:
+    """The first ``n_points`` points of the ``(m, t)`` delay embedding of
+    ``x``, as a new ``(n_points, m)`` array."""
     idx = np.arange(n_points)[:, None] + np.arange(m)[None, :] * t
-    return DelayVectors(points=x[idx], params=params)
+    return x[idx]
+
+
+# The pipeline's name for the embedding step.
+delay_embed = DelayVectors
 
 
 def as_points(vectors: DelayVectors | np.ndarray) -> np.ndarray:
@@ -154,23 +156,16 @@ def coordinate_sources(vectors: DelayVectors | np.ndarray) -> list[tuple[np.ndar
     """Each coordinate of the :func:`as_points` points as ``(series, tap)``,
     its column being ``series[tap : tap + n]``.
 
-    Delay vectors whose columns are checked to be shifts of one series by
-    their lag share that series, with taps 0, t, ..., (m - 1) t, so a
-    difference taken along the series serves every coordinate. Any other
-    points, a hand-built ``DelayVectors`` whose columns are not such
-    shifts among them, give each column as its own series with tap 0; so
-    does a lag above the point count, whose columns would leave gaps in
-    the series.
+    Delay vectors give the samples they embed, with taps 0, t, ...,
+    (m - 1) t, so a difference taken along the samples serves every
+    coordinate. Plain arrays give each column as its own series with tap
+    0; so do delay vectors whose lag exceeds their point count, where a
+    shared row would be wider than the rows of all the columns together.
     """
     pts = as_points(vectors)
     n, m = pts.shape
-    if isinstance(vectors, DelayVectors) and m > 1 and vectors.params.lag_t <= n:
-        t = vectors.params.lag_t
-        series = np.empty(n + (m - 1) * t)
-        for c in range(m):
-            series[c * t : c * t + n] = pts[:, c]
-        if all(np.array_equal(series[c * t : c * t + n], pts[:, c]) for c in range(m)):
-            return [(series, c * t) for c in range(m)]
+    if isinstance(vectors, DelayVectors) and vectors.params.lag_t <= n:
+        return [(vectors.series.samples, c * vectors.params.lag_t) for c in range(m)]
     return [(np.ascontiguousarray(pts[:, c]), 0) for c in range(m)]
 
 

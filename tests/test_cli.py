@@ -8,6 +8,7 @@ covered by the per-module tests.
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 
@@ -508,6 +509,7 @@ class TestReport:
         assert proc.returncode == 0, proc.stderr
         assert len(list((out / "histograms").glob("hist_*.csv"))) == 42
         (out / "histograms" / "notes.csv").write_text("kept\n")
+        before = json.loads((out / "run_manifest.json").read_text())
         lines = (out / "epoch_indices.ndjson").read_text().splitlines()
         s2 = tmp_path / "s2.ndjson"
         s2.write_text("".join(f"{line}\n" for line in lines if json.loads(line)["stage"] == "S2"))
@@ -519,7 +521,36 @@ class TestReport:
         # Nothing else goes.
         assert (out / "histograms" / "notes.csv").read_text() == "kept\n"
         assert (out / "epoch_indices.ndjson").read_text().splitlines() == lines
-        assert (out / "run_manifest.json").exists()
+        # The manifest counts the new tables, and once left the old
+        # counts (48 epochs, 42 histograms) in place; a fresh directory
+        # gets none.
+        after = json.loads((out / "run_manifest.json").read_text())
+        assert after == {**before, "outputs": {
+            "epochs": 8,
+            "epochs_with_failures": sum(1 for line in s2.read_text().splitlines() if json.loads(line)["failures"]),
+            "summary_rows": len((out / "summary.csv").read_text().splitlines()) - 2,
+            "comparisons": len((out / "pvalues.csv").read_text().splitlines()) - 2,
+            "histograms": 7,
+        }}
+        assert not (tmp_path / "fresh" / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("manifest", ["{not json", '{"outputs": {}}', "other fingerprint"])
+    def test_unusable_manifest_in_out_refused_before_any_table(self, study, tmp_path, manifest):
+        out = tmp_path / "out"
+        shutil.copytree(study["out"], out)
+        path = out / "run_manifest.json"
+        if manifest == "other fingerprint":
+            manifest = json.dumps({**json.loads(path.read_text()), "config_fingerprint": "0" * 64})
+        path.write_text(manifest)
+        tables = report_tables(out)
+        lines = (out / "epoch_indices.ndjson").read_text().splitlines()
+        s2 = tmp_path / "s2.ndjson"
+        s2.write_text("".join(f"{line}\n" for line in lines if json.loads(line)["stage"] == "S2"))
+        proc = run_cli("report", "--epochs", str(s2), "--out", str(out))
+        assert proc.returncode == 3
+        assert "run manifest" in stderr_error(proc)["message"]
+        assert report_tables(out) == tables
+        assert path.read_text() == manifest
 
     def test_mixed_fingerprints_refused(self, study, tmp_path):
         lines = (study["out"] / "epoch_indices.ndjson").read_text().splitlines()

@@ -20,7 +20,7 @@ from chaoskit.correlation import (
 )
 from chaoskit.errors import ConfigError, DegenerateSeriesError, NoScalingRegionError
 from chaoskit.generators import GeneratorSpec, generate, uniform_stream
-from chaoskit.series import DelayVectors, EmbeddingParams, TimeSeries, delay_embed
+from chaoskit.series import EmbeddingParams, TimeSeries, as_points, delay_embed
 
 from oracles import (
     brute_correlation_sum,
@@ -165,19 +165,23 @@ class TestBlockedPairCount:
         assert curve.c_values.tobytes() == c_values.tobytes()
 
     def test_delay_vectors_whose_columns_are_not_shifts(self, lorenz_20k):
-        # Hand-built delay vectors whose columns are no shifts of one
-        # series by the lag are counted column by column, to the byte of
-        # their plain points; a genuine embedding's shared series gives the
-        # same bytes as its points too.
+        # Points whose columns are no shifts of one series by a lag (only a
+        # plain array can hold them), and delay vectors whose lag exceeds
+        # their point count, are counted column by column; a genuine
+        # embedding is counted from its samples. Each route gives the bytes
+        # of the per-offset reference, and correlation_sum the curve's
+        # counts radius by radius.
         genuine = embed(lorenz_20k.samples[:606], 3, 3)
-        swapped = DelayVectors(genuine.points[:, [0, 2, 1]], genuine.params)
-        for vectors in (genuine, swapped):
+        wide = embed(lorenz_20k.samples[:606], 3, 250)
+        assert wide.params.lag_t > len(wide)
+        for vectors in (genuine, wide, genuine.points[:, [0, 2, 1]]):
+            pts = as_points(vectors)
             curve = correlation_curve(vectors, n_radii=16, theiler_w=4)
-            plain = correlation_curve(np.array(vectors.points), n_radii=16, theiler_w=4)
-            assert curve.radii.tobytes() == plain.radii.tobytes()
-            assert curve.c_values.tobytes() == plain.c_values.tobytes()
-            for radius in curve.radii[::5]:
-                assert correlation_sum(vectors, radius, 4) == correlation_sum(np.array(vectors.points), radius, 4)
+            radii, c_values = per_offset_correlation_curve(pts, 16, 4)
+            assert curve.radii.tobytes() == radii.tobytes()
+            assert curve.c_values.tobytes() == c_values.tobytes()
+            for radius, c in zip(curve.radii[::5], curve.c_values[::5]):
+                assert correlation_sum(vectors, radius, 4) == c
 
     @pytest.mark.parametrize("total", [*range(1, 40), 999, 1000, 1001, 1002, 2001, 2500, 44551, 1_000_001])
     def test_low_percentile_is_numpys(self, total):

@@ -250,7 +250,7 @@ def test_check_array():
 # fewest rows it takes, and the class that fewer rows raise)
 ARRAY_SITES = {
     "TimeSeries samples": ("samples", lambda v: TimeSeries(v, 10.0), X.samples, 2, ShortSeriesError),
-    "DelayVectors points": ("points", lambda v: DelayVectors(v, EmbeddingParams(2, 1)), PTS, 1, ConfigError),
+    "DelayVectors series": ("samples", lambda v: DelayVectors(TimeSeries(v, 10.0), EmbeddingParams(3, 2)), X.samples, 5, ShortSeriesError),
     "marginal_distribution values": ("values", lambda v: marginal_distribution(v, 4), X.samples, 1, ConfigError),
     "joint_distribution x": ("x", lambda v: joint_distribution(v, X.samples, 4), X.samples, 1, ConfigError),
     "joint_distribution y": ("y", lambda v: joint_distribution(X.samples, v, 4), X.samples, 1, ConfigError),
@@ -280,17 +280,23 @@ def test_array_argument(site):
 
 
 def test_delay_vectors_holding_nan_are_refused():
-    # Such vectors once reached correlation_sum, which counted the NaN
-    # point's pairs as never close: C(1.0) came out as 0.2306... here.
-    points = np.random.default_rng(5).standard_normal((200, 2))
-    points[17, 1] = math.nan
-    with pytest.raises(ConfigError, match=r"^points must be a 2-d array of finite numbers"):
-        DelayVectors(points, EmbeddingParams(2, 1))
-    # Points that pass are read-only, so no NaN can be written in later.
-    points[17, 1] = 0.0
-    vectors = DelayVectors(points, EmbeddingParams(2, 1))
+    # Hand-built points holding a NaN once reached correlation_sum, which
+    # counted the NaN point's pairs as never close: C(1.0) came out as
+    # 0.2306... there. Delay vectors now lay their points out from a
+    # checked series, and take nothing else.
+    samples = np.random.default_rng(5).standard_normal(201)
+    samples[18] = math.nan
+    with pytest.raises(ConfigError, match=r"^samples must be a 1-d array of finite numbers"):
+        TimeSeries(samples, 1.0)
+    with pytest.raises(ConfigError, match=r"^series must be a TimeSeries, got ndarray$"):
+        DelayVectors(np.column_stack([samples[:-1], samples[1:]]), EmbeddingParams(2, 1))
+    # Points and samples are read-only, so no NaN can be written in later.
+    samples[18] = 0.0
+    vectors = DelayVectors(TimeSeries(samples, 1.0), EmbeddingParams(2, 1))
     with pytest.raises(ValueError, match="read-only"):
         vectors.points[17, 1] = math.nan
+    with pytest.raises(ValueError, match="read-only"):
+        vectors.series.samples[18] = math.nan
 
 
 def _profile(**fields):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from chaoskit.errors import ConfigError, DegenerateSeriesError, ShortSeriesError
 from chaoskit.series import (
-    DelayVectors,
     EmbeddingParams,
     TimeSeries,
+    as_points,
     autocorrelation,
     coordinate_sources,
     delay_embed,
@@ -124,24 +124,27 @@ class TestDelayEmbed:
 
 class TestCoordinateSources:
     def test_delay_vectors_share_their_series(self):
-        x = np.random.default_rng(3).normal(size=40)
-        vecs = delay_embed(ts(x), EmbeddingParams(4, 3))
-        sources = coordinate_sources(vecs)
-        assert [tap for _, tap in sources] == [0, 3, 6, 9]
-        assert all(series is sources[0][0] for series, _ in sources)
-        np.testing.assert_array_equal(sources[0][0], x)
+        # C(R) reads the embedded window's own samples at each tap: no
+        # series is rebuilt from the points.
+        window = ts(np.random.default_rng(3).normal(size=40))
+        for params, taps in ((EmbeddingParams(4, 3), [0, 3, 6, 9]), (EmbeddingParams(1, 5), [0])):
+            sources = coordinate_sources(delay_embed(window, params))
+            assert [tap for _, tap in sources] == taps
+            assert all(series is window.samples for series, _ in sources)
+            assert np.shares_memory(sources[0][0], window.samples)
 
     @pytest.mark.parametrize(
-        "columns, lag",
-        [([0, 2, 1], 3), ([0, 1, 2], 2), ([0, 1, 2], 40)],
-        ids=["swapped", "wrong-lag", "lag-beyond-points"],
+        "columns, n_samples, lag",
+        [([0, 2, 1], 40, 3), ([0, 1, 2], 40, 3), (None, 90, 40)],
+        ids=["swapped", "shifted-columns", "lag-beyond-points"],
     )
-    def test_other_points_give_one_series_per_column(self, columns, lag):
-        # The columns are checked, not assumed to be shifts by the lag.
-        x = np.random.default_rng(4).normal(size=40)
-        pts = delay_embed(ts(x), EmbeddingParams(3, 3)).points[:, columns]
-        vecs = DelayVectors(pts, EmbeddingParams(3, lag))
-        for vectors in (vecs, pts):
+    def test_other_points_give_one_series_per_column(self, columns, n_samples, lag):
+        # Plain points carry no series, even when their columns are shifts
+        # of one; delay vectors whose lag exceeds their point count give
+        # their columns too.
+        vecs = delay_embed(ts(np.random.default_rng(4).normal(size=n_samples)), EmbeddingParams(3, lag))
+        for vectors in [vecs, vecs.points] if columns is None else [vecs.points[:, columns]]:
+            pts = as_points(vectors)
             sources = coordinate_sources(vectors)
             assert [tap for _, tap in sources] == [0, 0, 0]
             for c, (series, _) in enumerate(sources):

@@ -2,10 +2,10 @@
 tracer rebinds still exist and are called, every exported name exists,
 every demo runs to the end, and the package keeps a single
 integer-argument check, a single real-argument check, a single array
-check, a single epoch record rule and a single histogram count, each
-estimator default is written once, the tracer's counts read the
-arguments the pipeline passes, and the correlation sum draws no random
-numbers."""
+check, a single epoch record rule, a single histogram count and a single
+delay-vector layout, each estimator default is written once, the
+tracer's counts read the arguments the pipeline passes, and the
+correlation sum draws no random numbers."""
 
 import ast
 import dataclasses
@@ -167,6 +167,18 @@ def test_one_histogram_rule():
         )
     ]
     assert with_edges == ["information.py:DiscreteDistribution"]
+
+
+def test_one_delay_layout_rule():
+    # Point k of an (m, t) delay embedding is (x[k], x[k + t], ...): only
+    # series.py builds those indices, for DelayVectors and the Cao scan
+    # alike, and no module rebuilds a series from point columns, since
+    # delay vectors carry the series they embed.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted((ROOT / "src" / "chaoskit").glob("*.py"))}
+    layout = r"np\.arange\(.*\)\[:, None\] \+ np\.arange\(.*\)\[None, :\] \*"
+    assert [name for name, source in sources.items() if re.search(layout, source)] == ["series.py"]
+    rebuilt = r"\w\[[^\]]*:[^\]]*\] = \w+\[:, [^\]]+\]"
+    assert [name for name, source in sources.items() if re.search(rebuilt, source)] == []
 
 
 def test_correlation_draws_no_random_numbers():
@@ -332,7 +344,7 @@ def test_one_record_rule():
     # The epoch record's rules live in sleep.EpochIndices, one per kind of
     # annotation, so io.py restates no field's rule and lists no field by
     # name: it only turns the group and stage spellings into enums and
-    # sorts the failures it writes. Outside the two manifest functions,
+    # sorts the failures it writes. Outside the three manifest functions,
     # whose keys merely share names with fields, any other field name is
     # a restated rule.
     fields = {f.name for f in dataclasses.fields(sleep.EpochIndices)}
@@ -341,7 +353,7 @@ def test_one_record_rule():
     nodes = [
         node
         for top in module.body
-        if not (isinstance(top, ast.FunctionDef) and top.name in ("read_manifest", "write_run_manifest"))
+        if not (isinstance(top, ast.FunctionDef) and top.name in ("read_manifest", "read_run_manifest", "write_run_manifest"))
         for node in ast.walk(top)
     ]
     named = sorted(
