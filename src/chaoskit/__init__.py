@@ -14,7 +14,6 @@ from .correlation import (
     D2Estimate,
     correlation_curve,
     correlation_dimension,
-    correlation_sum,
 )
 from .errors import (
     ChaosKitError,
@@ -31,21 +30,12 @@ from .generators import (
     gaussian_stream,
     generate,
     generator_kinds,
-    henon_lle_oracle,
-    logistic_lle_oracle,
-    tangent_map_lle,
     uniform_stream,
 )
 from .information import (
     DiscreteDistribution,
-    JointDistribution,
     auto_mutual_information,
-    entropy,
-    first_local_minimum,
-    joint_distribution,
     marginal_distribution,
-    mi_from_joint,
-    mutual_information,
     select_lag_first_minimum,
 )
 from .lyapunov import LyapunovResult, WolfParams, largest_lyapunov_wolf
@@ -99,14 +89,8 @@ __all__ = [
     "theiler_window",
     # information
     "DiscreteDistribution",
-    "JointDistribution",
     "marginal_distribution",
-    "joint_distribution",
-    "entropy",
-    "mutual_information",
-    "mi_from_joint",
     "auto_mutual_information",
-    "first_local_minimum",
     "select_lag_first_minimum",
     # cao
     "CaoProfile",
@@ -118,7 +102,6 @@ __all__ = [
     # correlation
     "CorrelationCurve",
     "D2Estimate",
-    "correlation_sum",
     "correlation_curve",
     "correlation_dimension",
     # generators
@@ -127,9 +110,6 @@ __all__ = [
     "generator_kinds",
     "uniform_stream",
     "gaussian_stream",
-    "tangent_map_lle",
-    "henon_lle_oracle",
-    "logistic_lle_oracle",
     # sleep
     "EPOCH_SECONDS",
     "SleepStage",

@@ -50,7 +50,6 @@ from .series import as_points, coordinate_sources, point_extent
 __all__ = [
     "CorrelationCurve",
     "D2Estimate",
-    "correlation_sum",
     "correlation_curve",
     "correlation_dimension",
 ]
@@ -125,24 +124,6 @@ def _check_theiler(n: int, w) -> int:
             f"theiler_w={w} excludes every pair of the {n} points; widen the data or shrink the window"
         )
     return w
-
-
-def correlation_sum(vectors, radius: float, theiler_w: int = 0) -> float:
-    """Fraction of admissible pairs within ``radius`` (inclusive).
-
-    A radius whose square overflows float64 is compared as the largest
-    finite square, which every pair reaches: points whose squared
-    distances may overflow raise DegenerateSeriesError
-    (:func:`~chaoskit.series.point_extent`).
-    """
-    pts = as_points(vectors)
-    n = pts.shape[0]
-    w = _check_theiler(n, theiler_w)
-    radius = check_float("radius", radius, above=0)
-    point_extent(pts)
-    r_sq = min(radius * radius, np.finfo(np.float64).max)
-    count = _pair_counts(coordinate_sources(vectors), n, w, np.array([r_sq]))[0]
-    return int(count) / _n_admissible_pairs(n, w)
 
 
 class _Scratch:
@@ -372,9 +353,9 @@ def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> Correla
     its coordinates: the first sets the grid from every admissible pair
     (the 0.1th percentile of their distances to the maximum), the second
     counts the pairs within each radius by float32 sort keys, recounting
-    on float64 where a key ties. Identical arithmetic to
-    :func:`correlation_sum` radius by radius. Points whose squared
-    distances may overflow float64 raise DegenerateSeriesError
+    on float64 where a key ties, so each C(R) is the exact share of
+    pairs at distance <= R. Points whose squared distances may overflow
+    float64 raise DegenerateSeriesError
     (:func:`~chaoskit.series.point_extent`).
     """
     pts = as_points(vectors)

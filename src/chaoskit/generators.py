@@ -11,10 +11,6 @@ where ``mix`` is the usual xor-shift/multiply finaliser. Uniform values
 take the top 53 bits over 2^53, so the stream is reproducible, order
 independent, and cheap to vectorise. Gaussian values pair consecutive
 uniforms through the Box-Muller transform.
-
-The module also carries tangent-space oracles: the largest Lyapunov
-exponent of a known map computed from its Jacobian products, used to
-calibrate the trajectory-based estimator against ground truth.
 """
 
 from __future__ import annotations
@@ -34,9 +30,6 @@ __all__ = [
     "generator_kinds",
     "uniform_stream",
     "gaussian_stream",
-    "tangent_map_lle",
-    "henon_lle_oracle",
-    "logistic_lle_oracle",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -262,76 +255,3 @@ def generate(spec: GeneratorSpec) -> TimeSeries:
         raise GenerationError(f"{spec.kind} produced non-finite samples")
     return TimeSeries(samples=samples, sample_rate_hz=fs)
 
-
-def tangent_map_lle(
-    step_fn: Callable,
-    jacobian_fn: Callable,
-    state0,
-    n_steps: int,
-    transient: int = 1000,
-) -> float:
-    """Largest Lyapunov exponent of a map from Jacobian products.
-
-    Carries a tangent vector alongside the orbit, renormalising each
-    step and averaging the log growth over the post-transient run. This
-    is the calibration oracle for trajectory-based estimates: it needs
-    the map's equations, which measured data never offers.
-    """
-    n_steps, transient = check_int("n_steps", n_steps, 1), check_int("transient", transient, 0)
-    state = np.atleast_1d(np.asarray(state0, dtype=np.float64))
-    tangent = np.zeros(state.size)
-    tangent[0] = 1.0
-    total = 0.0
-    for k in range(transient + n_steps):
-        jac = np.atleast_2d(np.asarray(jacobian_fn(state), dtype=np.float64))
-        tangent = jac @ tangent
-        norm = float(np.sqrt((tangent**2).sum()))
-        if norm == 0.0 or not math.isfinite(norm):
-            raise GenerationError(f"tangent vector collapsed or diverged at step {k + 1}")
-        tangent /= norm
-        if k >= transient:
-            total += math.log(norm)
-        state = np.atleast_1d(np.asarray(step_fn(state), dtype=np.float64))
-        if not np.all(np.isfinite(state)):
-            raise GenerationError(f"orbit diverged at step {k + 1}")
-    return total / n_steps
-
-
-def henon_lle_oracle(n_steps: int, a: float = 1.4, b: float = 0.3, transient: int = 1000) -> float:
-    """Largest Lyapunov exponent of the Henon map, nats per step.
-
-    Scalar tangent recursion with per-step renormalisation; requires at
-    least 10000 steps so the average has settled.
-    """
-    n_steps, transient = check_int("n_steps", n_steps, 10_000), check_int("transient", transient, 0)
-    a, b = check_float("a", a), check_float("b", b)
-    x, y = 0.0, 0.0
-    v0, v1 = 1.0, 0.0
-    total = 0.0
-    for k in range(transient + n_steps):
-        # Jacobian at (x, y) is [[-2 a x, 1], [b, 0]].
-        w0 = -2.0 * a * x * v0 + v1
-        w1 = b * v0
-        norm = math.hypot(w0, w1)
-        v0, v1 = w0 / norm, w1 / norm
-        if k >= transient:
-            total += math.log(norm)
-        x, y = 1.0 - a * x * x + y, b * x
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise GenerationError(f"Henon orbit diverged at step {k + 1}")
-    return total / n_steps
-
-
-def logistic_lle_oracle(n_steps: int, r: float = 4.0, x0: float = 0.3, transient: int = 1000) -> float:
-    """Largest Lyapunov exponent of the logistic map, nats per step.
-
-    At r = 4 the analytic value is ln 2.
-    """
-    n_steps, transient = check_int("n_steps", n_steps, 1), check_int("transient", transient, 0)
-    r, x = check_float("r", r), check_float("x0", x0)
-    total = 0.0
-    for k in range(transient + n_steps):
-        if k >= transient:
-            total += math.log(abs(r * (1.0 - 2.0 * x)))
-        x = r * x * (1.0 - x)
-    return total / n_steps

@@ -200,7 +200,10 @@ def read_signal_csv(path: str | Path, channel: str | None = None) -> tuple[TimeS
         raise InputError(f"signal file {path} has a non-numeric sample: {exc}") from exc
     # A strided column of a multi-channel table is copied, so no other
     # channel stays alive; a one-column table is already the samples.
+    # Both are made read-only, so the series holds them without a copy.
+    table.setflags(write=False)
     samples = np.ascontiguousarray(table[:, col])
+    samples.setflags(write=False)
 
     if "fs" not in metadata:
         raise InputError(f"signal file {path} is missing '# fs=' metadata")

@@ -53,8 +53,10 @@ class TimeSeries:
     Parameters
     ----------
     samples : array_like
-        One-dimensional sequence of finite values. Stored as float64
-        regardless of the input container width.
+        One-dimensional sequence of finite values. Stored as a read-only
+        float64 array regardless of the input container width. A given
+        array is kept, not copied, only when it and every base under it
+        are read-only arrays, so no later write reaches the series.
     sample_rate_hz : float
         Sampling rate in Hz, strictly positive.
     """
@@ -64,6 +66,11 @@ class TimeSeries:
 
     def __post_init__(self):
         arr = check_array("samples", self.samples, ndim=1, min_len=2, short=ShortSeriesError)
+        base = arr
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None:
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate_hz", check_float("sample_rate_hz", self.sample_rate_hz, above=0))

@@ -227,14 +227,44 @@ def double_loop_correlation_dimension(
     return float(slope), (float(radii[lo]), float(radii[hi])), float(r2), int(round((c[hi] - c[lo]) * n_pairs))
 
 
-def ratio_mutual_information(joint) -> float:
-    """Mutual information in bits of a joint histogram by the double sum
-    over p log2(p / (p_x p_y)), the marginals from its row and column sums."""
-    p = joint.probabilities
+def equal_width_cells(values: np.ndarray, bins: int) -> np.ndarray:
+    """Cell index of each value: ``[min, max]`` split into ``bins`` equal
+    cells, the top edge folded into the last cell, and a constant
+    sequence given one unit-wide cell around its value."""
+    lo, hi = float(values.min()), float(values.max())
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    return np.clip(((values - lo) * (bins / (hi - lo))).astype(np.intp), 0, bins - 1)
+
+
+def ratio_mutual_information(x, y, bins: int) -> float:
+    """Mutual information in bits of the equal-width joint histogram of
+    two equally long sequences, by the double sum over
+    p log2(p / (p_x p_y)), the marginals from its row and column sums."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    p = np.zeros((bins, bins))
+    np.add.at(p, (equal_width_cells(x, bins), equal_width_cells(y, bins)), 1.0)
+    p /= x.size
     mask = p > 0
     num = p[mask]
     den = np.outer(p.sum(axis=1), p.sum(axis=0))[mask]
     return float((num * np.log2(num / den)).sum())
+
+
+def entropy_bits(p) -> float:
+    """Shannon entropy in bits of probabilities ``p``; empty cells add nothing."""
+    p = np.asarray(p, dtype=np.float64)
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
+def first_local_minimum(values) -> tuple[int, bool]:
+    """(lag, saturated) of the first L >= 1 with values[L] < values[L - 1]
+    and values[L] <= values[L + 1]; (last index, True) when there is none."""
+    for lag in range(1, len(values) - 1):
+        if values[lag] < values[lag - 1] and values[lag] <= values[lag + 1]:
+            return lag, False
+    return len(values) - 1, True
 
 
 def brute_restricted_points(x: np.ndarray, m: int, t: int) -> np.ndarray:
@@ -339,6 +369,58 @@ def jacobian_lle_logistic(r: float, x0: float, n_steps: int, transient: int = 10
         if k >= transient:
             total += math.log(abs(r * (1.0 - 2.0 * x)))
         x = r * x * (1.0 - x)
+    return total / n_steps
+
+
+def tangent_map_lle(step_fn, jacobian_fn, state0, n_steps: int, transient: int = 1000) -> float:
+    """Largest Lyapunov exponent of a map from Jacobian products.
+
+    Carries a tangent vector alongside the orbit, renormalising each
+    step and averaging the log growth over the post-transient run. It
+    needs the map's equations, which measured data never offers.
+    Raises ValueError for fewer than one step, or when the tangent
+    vector or the orbit stops being finite.
+    """
+    if n_steps < 1:
+        raise ValueError(f"need at least one step, got {n_steps}")
+    state = np.atleast_1d(np.asarray(state0, dtype=np.float64))
+    tangent = np.zeros(state.size)
+    tangent[0] = 1.0
+    total = 0.0
+    for k in range(transient + n_steps):
+        tangent = np.atleast_2d(np.asarray(jacobian_fn(state), dtype=np.float64)) @ tangent
+        norm = float(np.sqrt((tangent**2).sum()))
+        if norm == 0.0 or not math.isfinite(norm):
+            raise ValueError(f"tangent vector collapsed or diverged at step {k + 1}")
+        tangent /= norm
+        if k >= transient:
+            total += math.log(norm)
+        state = np.atleast_1d(np.asarray(step_fn(state), dtype=np.float64))
+        if not np.all(np.isfinite(state)):
+            raise ValueError(f"orbit diverged at step {k + 1}")
+    return total / n_steps
+
+
+def henon_lle_oracle(n_steps: int, a: float = 1.4, b: float = 0.3, transient: int = 1000) -> float:
+    """Largest Lyapunov exponent of the Henon map, nats per step.
+
+    Scalar tangent recursion with per-step renormalisation, started at
+    the origin; needs at least 10000 steps so the average has settled.
+    """
+    if n_steps < 10_000:
+        raise ValueError(f"need at least 10000 steps, got {n_steps}")
+    x, y = 0.0, 0.0
+    v0, v1 = 1.0, 0.0
+    total = 0.0
+    for k in range(transient + n_steps):
+        # Jacobian at (x, y) is [[-2 a x, 1], [b, 0]].
+        w0 = -2.0 * a * x * v0 + v1
+        w1 = b * v0
+        norm = math.hypot(w0, w1)
+        v0, v1 = w0 / norm, w1 / norm
+        if k >= transient:
+            total += math.log(norm)
+        x, y = 1.0 - a * x * x + y, b * x
     return total / n_steps
 
 

@@ -15,16 +15,9 @@ import numpy as np
 import pytest
 
 from chaoskit.cao import _cao_terms, minimum_embedding_dimension
-from chaoskit.correlation import correlation_curve, correlation_dimension, correlation_sum
-from chaoskit.generators import GeneratorSpec, generate, henon_lle_oracle, uniform_stream
-from chaoskit.information import (
-    entropy,
-    joint_distribution,
-    marginal_distribution,
-    mi_from_joint,
-    mutual_information,
-    select_lag_first_minimum,
-)
+from chaoskit.correlation import correlation_curve, correlation_dimension
+from chaoskit.generators import GeneratorSpec, generate, uniform_stream
+from chaoskit.information import auto_mutual_information, marginal_distribution, select_lag_first_minimum
 from chaoskit.io import load_recordings
 from chaoskit.lyapunov import largest_lyapunov_wolf
 from chaoskit.series import EmbeddingParams, TimeSeries, delay_embed
@@ -40,7 +33,14 @@ from chaoskit.stats import (
 )
 
 from conftest import build_sleep_fixture
-from oracles import brute_cao_terms, brute_correlation_sum, ratio_mutual_information, t_tail_quad
+from oracles import (
+    brute_cao_terms,
+    brute_correlation_sum,
+    entropy_bits,
+    henon_lle_oracle,
+    ratio_mutual_information,
+    t_tail_quad,
+)
 
 LOG_TWO = math.log(2.0)
 
@@ -133,31 +133,31 @@ def test_cao_scan_of_a_tied_window_within_budget():
 def test_mutual_information_identities():
     # Self-information equals the marginal entropy on a 4-symbol fixture.
     symbols = np.tile(np.array([0.0, 1.0, 2.0, 3.0]), 256)
-    h = entropy(marginal_distribution(symbols, 4))
+    h = entropy_bits(marginal_distribution(symbols, 4).probabilities)
     assert h == 2.0
-    assert mutual_information(symbols, symbols, 4) == pytest.approx(h, abs=1e-9)
+    assert auto_mutual_information(TimeSeries(symbols, 1.0), 0, 4) == pytest.approx(h, abs=1e-9)
 
-    # Independent streams carry (almost) no shared information.
-    u1 = uniform_stream(1, 100000)
-    u2 = uniform_stream(2, 100000)
-    assert mutual_information(u1, u2, 16) < 0.01
+    # Independent samples carry (almost) no shared information.
+    u = uniform_stream(1, 100000)
+    forward = auto_mutual_information(TimeSeries(u, 1.0), 1, 16)
+    assert forward < 0.01
 
-    # Symmetry, and agreement between the two computation routes.
-    assert mutual_information(u1, u2, 16) == pytest.approx(
-        mutual_information(u2, u1, 16), abs=1e-9
+    # Symmetry under time reversal, and agreement between the two
+    # computation routes.
+    assert auto_mutual_information(TimeSeries(u[::-1], 1.0), 1, 16) == pytest.approx(forward, abs=1e-9)
+    head = u[:5001]
+    assert auto_mutual_information(TimeSeries(head, 1.0), 1, 12) == pytest.approx(
+        ratio_mutual_information(head[:-1], head[1:], 12), abs=1e-9
     )
-    joint = joint_distribution(u1[:5000], u2[:5000], 12)
-    assert mi_from_joint(joint) == pytest.approx(ratio_mutual_information(joint), abs=1e-9)
 
 
 def test_brute_force_equivalence_at_small_n(henon_20k, logistic_20k):
     # Pair counting: spatial-index path must equal the direct double scan.
     pts = embed(henon_20k.samples[:1000], 2)
     for w in (0, 5):
-        for radius in (0.01, 0.1, 0.5, 1.0, 3.0):
-            assert correlation_sum(pts, radius, theiler_w=w) == brute_correlation_sum(
-                pts.points, radius, w
-            )
+        curve = correlation_curve(pts, n_radii=24, theiler_w=w)
+        for i in (0, 6, 12, 18, 23):
+            assert curve.c_values[i] == brute_correlation_sum(pts.points, curve.radii[i], w)
 
     # Neighbour statistics: tree-backed values equal the scan, bit for bit.
     x = logistic_20k.samples[:1500]

@@ -16,7 +16,6 @@ from chaoskit.correlation import (
     _row_sum,
     correlation_curve,
     correlation_dimension,
-    correlation_sum,
 )
 from chaoskit.errors import ConfigError, DegenerateSeriesError, NoScalingRegionError
 from chaoskit.generators import GeneratorSpec, generate, uniform_stream
@@ -35,72 +34,66 @@ def embed(x, m, t=1):
 
 
 class TestCorrelationSum:
-    def test_two_point_hand_case(self):
-        pts = np.array([[0.0], [1.0]])
-        assert correlation_sum(pts, 0.5) == 0.0
-        assert correlation_sum(pts, 1.0) == 1.0  # distance exactly R counts
-        assert correlation_sum(pts, 0.999999) == 0.0
+    """Each C(R) of a curve is the share of admissible pairs within R,
+    counted by direct enumeration."""
 
-    def test_three_points_with_theiler(self):
-        # Points at 0, 1, 5; W=1 leaves only the (0, 5) pair.
-        pts = np.array([[0.0], [1.0], [5.0]])
-        assert correlation_sum(pts, 2.0, theiler_w=1) == 0.0
-        assert correlation_sum(pts, 5.0, theiler_w=1) == 1.0
+    def test_hand_case_with_theiler(self):
+        # Points at 0, 1, 3, 7; W=1 leaves the pairs at distances 3, 7
+        # and 6. The top radius is the largest distance, exactly 7, and
+        # a distance of exactly R counts.
+        pts = np.array([[0.0], [1.0], [3.0], [7.0]])
+        curve = correlation_curve(pts, n_radii=8, theiler_w=1)
+        assert curve.n_pairs == 3 and curve.radii[-1] == 7.0
+        assert curve.c_values.tolist() == [1 / 3] * 6 + [2 / 3, 1.0]
+        assert curve.c_values.tolist() == [brute_correlation_sum(pts, r, 1) for r in curve.radii]
 
     @pytest.mark.parametrize("w", [0, 5])
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.7])
     def test_matches_brute_force(self, henon_20k, w, q):
         pts = embed(henon_20k.samples[:1000], 2)
-        d = np.sqrt(((pts.points[:1] - pts.points[1:]) ** 2).sum(axis=1))
-        radius = float(np.quantile(d, q))
-        assert correlation_sum(pts, radius, w) == brute_correlation_sum(pts.points, radius, w)
-
-    @pytest.mark.parametrize("w", [0, 3])
-    def test_radius_whose_square_overflows_counts_every_pair(self, w):
-        # Once R * R overflowed to inf it reached the exclusion band's
-        # +inf entries too: C(1e155) of these points came out as 1.96
-        # (1.957 at w = 3). The largest finite square already counts
-        # every pair, as the direct scan does on both sides of overflow.
-        pts = np.random.default_rng(0).standard_normal((50, 3))
-        for radius in (1e150, 1e155, 1e300):
-            assert correlation_sum(pts, radius, theiler_w=w) == brute_correlation_sum(pts, radius, w) == 1.0
+        curve = correlation_curve(pts, n_radii=24, theiler_w=w)
+        i = round(q * 23)
+        assert curve.c_values[i] == brute_correlation_sum(pts.points, curve.radii[i], w)
 
     def test_scale_equivariance_exact(self, henon_20k):
-        # Doubling points and radius scales every squared distance by
-        # exactly 4, so the pair comparisons are bit-identical.
+        # Doubling the points scales every squared distance by exactly 4,
+        # so the pair comparisons are bit-identical; only the grid's
+        # log spacing may round differently.
         pts = embed(henon_20k.samples[:800], 2)
-        for radius in (0.05, 0.2, 0.8):
-            assert correlation_sum(2.0 * pts.points, 2.0 * radius, 3) == correlation_sum(
-                pts, radius, 3
-            )
+        curve = correlation_curve(pts, n_radii=24, theiler_w=3)
+        doubled = correlation_curve(2.0 * pts.points, n_radii=24, theiler_w=3)
+        assert doubled.c_values.tobytes() == curve.c_values.tobytes()
+        np.testing.assert_allclose(doubled.radii, 2.0 * curve.radii, rtol=1e-14)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf])
     def test_rejects_bad_radius(self, radius):
+        curve = correlation_curve(np.arange(10.0))
+        radii = curve.radii.copy()
+        radii[0] = radius
         with pytest.raises(ConfigError):
-            correlation_sum(np.arange(10.0), radius)
+            CorrelationCurve(radii, curve.c_values, curve.n_pairs)
 
     def test_rejects_window_excluding_everything(self):
         with pytest.raises(ConfigError):
-            correlation_sum(np.arange(5.0), 1.0, theiler_w=4)
+            correlation_curve(np.arange(5.0), theiler_w=4)
 
     def test_rejects_single_point(self):
         with pytest.raises(ConfigError):
-            correlation_sum(np.array([[1.0]]), 1.0)
+            correlation_curve(np.array([[1.0]]))
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_points_named_as_such(self, n):
         # No Theiler window is to blame when there is no pair at all.
-        for call in (lambda pts: correlation_sum(pts, 1.0), correlation_curve):
-            with pytest.raises(ConfigError, match=rf"^a correlation sum needs at least 2 points, got {n}$"):
-                call(np.zeros((n, 2)))
+        with pytest.raises(ConfigError, match=rf"^a correlation sum needs at least 2 points, got {n}$"):
+            correlation_curve(np.zeros((n, 2)))
 
 
 class TestCorrelationCurve:
     def test_values_match_pointwise_sums(self, henon_20k):
-        pts = embed(henon_20k.samples[:800], 2)
+        pts = embed(henon_20k.samples[:200], 2)
         curve = correlation_curve(pts, n_radii=12, theiler_w=3)
         for i in range(12):
-            assert curve.c_values[i] == correlation_sum(pts, curve.radii[i], 3)
+            assert curve.c_values[i] == brute_correlation_sum(pts.points, curve.radii[i], 3)
 
     def test_monotone_and_bounded(self, logistic_20k):
         # The top radius is the maximum distance over every pair, so C
@@ -169,8 +162,7 @@ class TestBlockedPairCount:
         # plain array can hold them), and delay vectors whose lag exceeds
         # their point count, are counted column by column; a genuine
         # embedding is counted from its samples. Each route gives the bytes
-        # of the per-offset reference, and correlation_sum the curve's
-        # counts radius by radius.
+        # of the per-offset reference.
         genuine = embed(lorenz_20k.samples[:606], 3, 3)
         wide = embed(lorenz_20k.samples[:606], 3, 250)
         assert wide.params.lag_t > len(wide)
@@ -180,8 +172,6 @@ class TestBlockedPairCount:
             radii, c_values = per_offset_correlation_curve(pts, 16, 4)
             assert curve.radii.tobytes() == radii.tobytes()
             assert curve.c_values.tobytes() == c_values.tobytes()
-            for radius, c in zip(curve.radii[::5], curve.c_values[::5]):
-                assert correlation_sum(vectors, radius, 4) == c
 
     @pytest.mark.parametrize("total", [*range(1, 40), 999, 1000, 1001, 1002, 2001, 2500, 44551, 1_000_001])
     def test_low_percentile_is_numpys(self, total):

@@ -20,25 +20,13 @@ import numpy as np
 import pytest
 
 from chaoskit.cao import CaoProfile, minimum_embedding_dimension
-from chaoskit.correlation import CorrelationCurve, D2Estimate, correlation_curve, correlation_dimension, correlation_sum
+from chaoskit.correlation import CorrelationCurve, D2Estimate, correlation_curve, correlation_dimension
 from chaoskit.errors import ConfigError, ShortSeriesError, check_array, check_float, check_int
-from chaoskit.generators import (
-    GeneratorSpec,
-    gaussian_stream,
-    generate,
-    henon_lle_oracle,
-    logistic_lle_oracle,
-    tangent_map_lle,
-    uniform_stream,
-)
+from chaoskit.generators import GeneratorSpec, gaussian_stream, generate, uniform_stream
 from chaoskit.information import (
     DiscreteDistribution,
-    JointDistribution,
     auto_mutual_information,
-    first_local_minimum,
-    joint_distribution,
     marginal_distribution,
-    mutual_information,
     select_lag_first_minimum,
 )
 from chaoskit.lyapunov import WolfParams, largest_lyapunov_wolf
@@ -50,10 +38,6 @@ X = generate(GeneratorSpec("logistic", 400, seed=3, transient_skip=100, paramete
 PTS = np.column_stack([X.samples[:-1], X.samples[1:]])
 CELL = {("lle", SleepStage.S2, Group.APNEA): list(X.samples)}
 CURVE = correlation_curve(PTS)
-
-
-def logistic_tangent_lle(n_steps, transient):
-    return tangent_map_lle(lambda s: 4.0 * s * (1.0 - s), lambda s: 4.0 - 8.0 * s, 0.3, n_steps, transient=transient)
 
 
 def _canon(value):
@@ -73,7 +57,6 @@ def _canon(value):
 SITES = {
     "minimum_embedding_dimension t": ("t", lambda v: minimum_embedding_dimension(X, v, m_max=4), 3),
     "minimum_embedding_dimension m_max": ("m_max", lambda v: minimum_embedding_dimension(X, 1, m_max=v), 3),
-    "correlation_sum theiler_w": ("theiler_w", lambda v: correlation_sum(PTS, 0.1, theiler_w=v), 3),
     "correlation_curve theiler_w": ("theiler_w", lambda v: correlation_curve(PTS, theiler_w=v), 3),
     "correlation_curve n_radii": ("n_radii", lambda v: correlation_curve(PTS, n_radii=v), 8),
     "GeneratorSpec n_samples": ("n_samples", lambda v: GeneratorSpec("henon", v), 3),
@@ -83,15 +66,7 @@ SITES = {
     "uniform_stream offset": ("offset", lambda v: uniform_stream(1, 3, offset=v), 3),
     "uniform_stream seed": ("seed", lambda v: uniform_stream(v, 3), 3),
     "gaussian_stream n": ("n", lambda v: gaussian_stream(1, v), 3),
-    "tangent_map_lle n_steps": ("n_steps", lambda v: logistic_tangent_lle(v, 10), 3),
-    "tangent_map_lle transient": ("transient", lambda v: logistic_tangent_lle(3, v), 3),
-    "henon_lle_oracle n_steps": ("n_steps", lambda v: henon_lle_oracle(v, transient=10), 10_000),
-    "henon_lle_oracle transient": ("transient", lambda v: henon_lle_oracle(10_000, transient=v), 3),
-    "logistic_lle_oracle n_steps": ("n_steps", lambda v: logistic_lle_oracle(v), 1000),
-    "logistic_lle_oracle transient": ("transient", lambda v: logistic_lle_oracle(1000, transient=v), 3),
     "marginal_distribution bins": ("bins", lambda v: marginal_distribution(X.samples, v), 3),
-    "joint_distribution bins": ("bins", lambda v: joint_distribution(X.samples, X.samples[::-1], v), 3),
-    "mutual_information bins": ("bins", lambda v: mutual_information(X.samples, X.samples[::-1], v), 3),
     "auto_mutual_information lag": ("lag", lambda v: auto_mutual_information(X, v), 3),
     "auto_mutual_information bins": ("bins", lambda v: auto_mutual_information(X, 1, v), 3),
     "select_lag_first_minimum max_lag": ("max_lag", lambda v: select_lag_first_minimum(X, v), 3),
@@ -130,12 +105,6 @@ def test_integer_argument(site):
     expected = _canon(call(whole))
     assert _canon(call(float(whole))) == expected
     assert _canon(call(np.int64(whole))) == expected
-
-
-def test_negative_transient_refused():
-    # Summing from step -5 would average 995 steps over 1000.
-    with pytest.raises(ConfigError, match=r"^transient must be an integer >= 0, got -5$"):
-        logistic_lle_oracle(1000, transient=-5)
 
 
 def _generated(kind, name):
@@ -177,7 +146,6 @@ FLOAT_SITES = {
         (0.0,),
     ),
     "correlation_dimension min_fit_r2": ("min_fit_r2", lambda v: correlation_dimension(CURVE, v), 0.0, (-0.5,)),
-    "correlation_sum radius": ("radius", lambda v: correlation_sum(PTS, v), 0.1, (0.0, -0.1)),
     "TimeSeries sample_rate_hz": ("sample_rate_hz", lambda v: TimeSeries(X.samples, v), 100.0, (0.0, -1.0)),
     "logistic r": ("logistic r", _generated("logistic", "r"), 4.0, (0.0, 4.5)),
     "logistic x0": ("logistic x0", _generated("logistic", "x0"), 0.3, (0.0, 1.0)),
@@ -188,10 +156,6 @@ FLOAT_SITES = {
     "sine fs": ("sine fs", _generated("sine", "fs"), 10.0, (0.0,)),
     "ar1 noise_std": ("ar1 noise_std", _generated("ar1", "noise_std"), 1.0, (0.0,)),
     "white_noise fs": ("white_noise fs", _generated("white_noise", "fs"), 10.0, (0.0, -10.0)),
-    "logistic_lle_oracle r": ("r", lambda v: logistic_lle_oracle(1000, r=v), 4.0, ()),
-    "logistic_lle_oracle x0": ("x0", lambda v: logistic_lle_oracle(1000, x0=v), 0.3, ()),
-    "henon_lle_oracle a": ("a", lambda v: henon_lle_oracle(10_000, a=v, transient=10), 1.4, ()),
-    "henon_lle_oracle b": ("b", lambda v: henon_lle_oracle(10_000, b=v, transient=10), 0.3, ()),
 }
 # None leaves these to their data-dependent defaults.
 OPTIONAL = {"min_separation", "max_separation"}
@@ -252,11 +216,7 @@ ARRAY_SITES = {
     "TimeSeries samples": ("samples", lambda v: TimeSeries(v, 10.0), X.samples, 2, ShortSeriesError),
     "DelayVectors series": ("samples", lambda v: DelayVectors(TimeSeries(v, 10.0), EmbeddingParams(3, 2)), X.samples, 5, ShortSeriesError),
     "marginal_distribution values": ("values", lambda v: marginal_distribution(v, 4), X.samples, 1, ConfigError),
-    "joint_distribution x": ("x", lambda v: joint_distribution(v, X.samples, 4), X.samples, 1, ConfigError),
-    "joint_distribution y": ("y", lambda v: joint_distribution(X.samples, v, 4), X.samples, 1, ConfigError),
-    "first_local_minimum values": ("values", first_local_minimum, X.samples, 3, ConfigError),
     "summarize values": ("values", summarize, X.samples, 2, ConfigError),
-    "correlation_sum points": ("points", lambda v: correlation_sum(v, 0.1), PTS, 2, ConfigError),
     "correlation_curve points": ("points", correlation_curve, PTS, 2, ConfigError),
     "Wolf walk points": ("points", largest_lyapunov_wolf, PTS, 100, ShortSeriesError),
 }
@@ -280,8 +240,8 @@ def test_array_argument(site):
 
 
 def test_delay_vectors_holding_nan_are_refused():
-    # Hand-built points holding a NaN once reached correlation_sum, which
-    # counted the NaN point's pairs as never close: C(1.0) came out as
+    # Hand-built points holding a NaN once reached the correlation sum,
+    # which counted the NaN point's pairs as never close: C(1.0) came out as
     # 0.2306... there. Delay vectors now lay their points out from a
     # checked series, and take nothing else.
     samples = np.random.default_rng(5).standard_normal(201)
@@ -310,7 +270,6 @@ def _estimate(**fields):
 
 EDGES = np.array([0.0, 0.5, 1.0])
 HALVES = np.array([0.5, 0.5])
-CELLS = np.full((2, 2), 0.25)
 
 # (field name, build the value with the field set to v, a usable value)
 VALUE_FIELDS = {
@@ -321,9 +280,6 @@ VALUE_FIELDS = {
     "D2Estimate fit_range": ("fit_range", lambda v: _estimate(fit_range=v), (1.0, 2.0)),
     "DiscreteDistribution probabilities": ("probabilities", lambda v: DiscreteDistribution(v, EDGES), HALVES),
     "DiscreteDistribution bin_edges": ("bin_edges", lambda v: DiscreteDistribution(HALVES, v), EDGES),
-    "JointDistribution probabilities": ("probabilities", lambda v: JointDistribution(v, EDGES, EDGES), CELLS),
-    "JointDistribution x_edges": ("x_edges", lambda v: JointDistribution(CELLS, v, EDGES), EDGES),
-    "JointDistribution y_edges": ("y_edges", lambda v: JointDistribution(CELLS, EDGES, v), EDGES),
 }
 
 

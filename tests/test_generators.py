@@ -1,4 +1,6 @@
-"""Synthetic signals: stream determinism, orbits, and tangent oracles."""
+"""Synthetic signals: stream determinism and orbits; and the tangent
+oracles of ``tests/oracles.py`` that calibrate the Lyapunov estimates
+on these orbits, against analytic values."""
 
 import math
 
@@ -11,13 +13,10 @@ from chaoskit.generators import (
     gaussian_stream,
     generate,
     generator_kinds,
-    henon_lle_oracle,
-    logistic_lle_oracle,
-    tangent_map_lle,
     uniform_stream,
 )
 
-from oracles import jacobian_lle_logistic
+from oracles import henon_lle_oracle, jacobian_lle_logistic, tangent_map_lle
 
 _MASK = (1 << 64) - 1
 
@@ -189,10 +188,7 @@ class TestSpecValidation:
 
 class TestTangentOracles:
     def test_logistic_oracle_near_ln2(self):
-        assert logistic_lle_oracle(100_000) == pytest.approx(math.log(2.0), abs=0.005)
-
-    def test_logistic_oracle_matches_independent_loop(self):
-        assert logistic_lle_oracle(20_000, x0=0.41) == jacobian_lle_logistic(4.0, 0.41, 20_000)
+        assert jacobian_lle_logistic(4.0, 0.3, 100_000) == pytest.approx(math.log(2.0), abs=0.005)
 
     def test_henon_oracle_converged(self):
         a = henon_lle_oracle(50_000)
@@ -202,7 +198,7 @@ class TestTangentOracles:
         assert b == pytest.approx(0.419, abs=0.02)
 
     def test_henon_oracle_needs_long_run(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="at least 10000 steps"):
             henon_lle_oracle(5000)
 
     def test_tangent_lle_pure_rotation_is_zero(self):
@@ -220,21 +216,21 @@ class TestTangentOracles:
 
     def test_tangent_lle_via_logistic_jacobian(self):
         # Scalar map through the generic driver must agree with the
-        # specialised oracle.
+        # analytic-route loop.
         lle = tangent_map_lle(
             lambda s: np.array([4.0 * s[0] * (1.0 - s[0])]),
             lambda s: np.array([[4.0 * (1.0 - 2.0 * s[0])]]),
             np.array([0.3]),
             20_000,
         )
-        assert lle == pytest.approx(logistic_lle_oracle(20_000), abs=1e-9)
+        assert lle == pytest.approx(jacobian_lle_logistic(4.0, 0.3, 20_000), abs=1e-9)
 
     def test_tangent_lle_rejects_bad_steps(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="at least one step"):
             tangent_map_lle(lambda s: s, lambda s: np.eye(2), np.array([1.0, 0.0]), 0)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_tangent_lle_reports_divergence(self):
         jac = np.diag([3.0, 3.0])
-        with pytest.raises(GenerationError):
+        with pytest.raises(ValueError, match="diverged"):
             tangent_map_lle(lambda s: 1e200 * s, lambda s: jac, np.array([1.0, 1.0]), 100, transient=0)

@@ -1,4 +1,4 @@
-"""Histogram entropy, mutual information, and first-minimum lag selection."""
+"""Histograms, auto mutual information, and first-minimum lag selection."""
 
 import numpy as np
 import pytest
@@ -6,24 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoskit import information
-from chaoskit.errors import ChaosKitError, ConfigError, DegenerateSeriesError
+from chaoskit.errors import ConfigError, DegenerateSeriesError
 from chaoskit.generators import uniform_stream
 from chaoskit.information import (
-    DiscreteDistribution,
     auto_mutual_information,
     bin_indices,
-    entropy,
     equal_width_edges,
-    first_local_minimum,
-    joint_distribution,
     marginal_distribution,
-    mi_from_joint,
-    mutual_information,
     select_lag_first_minimum,
 )
 from chaoskit.series import TimeSeries
 
-from oracles import ratio_mutual_information
+from oracles import entropy_bits, first_local_minimum, ratio_mutual_information
+
+
+def as_series(x) -> TimeSeries:
+    return TimeSeries(np.asarray(x, dtype=np.float64), sample_rate_hz=1.0)
 
 
 class TestBinning:
@@ -55,75 +53,78 @@ class TestBinning:
 
 
 class TestEntropy:
+    """At lag 0 auto mutual information is the entropy of the series' own
+    histogram."""
+
     def test_uniform_four_cells_is_two_bits(self):
-        dist = DiscreteDistribution([0.25, 0.25, 0.25, 0.25], [0, 1, 2, 3, 4])
-        assert entropy(dist) == 2.0
+        assert auto_mutual_information(as_series(np.tile([0.0, 1.0, 2.0, 3.0], 25)), 0, 4) == 2.0
 
     def test_point_mass_is_zero(self):
-        dist = DiscreteDistribution([0.0, 1.0, 0.0], [0, 1, 2, 3])
-        assert entropy(dist) == 0.0
+        assert auto_mutual_information(as_series(np.full(30, 2.0)), 0, 3) == 0.0
 
     def test_bounded_by_log_bins(self):
         rng = np.random.default_rng(7)
-        dist = marginal_distribution(rng.normal(size=5000), 32)
-        assert 0.0 <= entropy(dist) <= np.log2(32) + 1e-12
+        h = auto_mutual_information(as_series(rng.normal(size=5000)), 0, 32)
+        assert 0.0 <= h <= np.log2(32) + 1e-12
 
 
 class TestMutualInformation:
     def test_self_information_equals_entropy(self):
         x = uniform_stream(1, 4096)
-        h = entropy(marginal_distribution(x, 16))
-        assert mutual_information(x, x, 16) == pytest.approx(h, abs=1e-9)
+        h = entropy_bits(marginal_distribution(x, 16).probabilities)
+        assert auto_mutual_information(as_series(x), 0, 16) == pytest.approx(h, abs=1e-9)
+        assert ratio_mutual_information(x, x, 16) == pytest.approx(h, abs=1e-9)
 
     def test_independent_streams_near_zero(self):
-        x = uniform_stream(1, 100_000)
-        y = uniform_stream(2, 100_000)
-        mi = mutual_information(x, y, 16)
+        # Each sample of the stream is independent of the next.
+        mi = auto_mutual_information(as_series(uniform_stream(1, 100_000)), 1, 16)
         assert 0.0 <= mi < 0.01
 
     def test_symmetry(self):
+        # Reversing the series swaps the two sides of every pair.
         rng = np.random.default_rng(8)
-        x = rng.normal(size=2000)
-        y = 0.5 * x + rng.normal(size=2000)
-        assert mutual_information(x, y, 12) == pytest.approx(
-            mutual_information(y, x, 12), abs=1e-12
+        x = np.cumsum(rng.normal(size=2000))
+        assert auto_mutual_information(as_series(x), 7, 12) == pytest.approx(
+            auto_mutual_information(as_series(x[::-1]), 7, 12), abs=1e-12
         )
 
     def test_routes_agree(self):
         rng = np.random.default_rng(9)
-        x = rng.normal(size=3000)
-        y = x**2 + 0.1 * rng.normal(size=3000)
-        joint = joint_distribution(x, y, 16)
-        assert mi_from_joint(joint) == pytest.approx(ratio_mutual_information(joint), abs=1e-9)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            mutual_information(np.arange(10.0), np.arange(9.0), 4)
+        x = np.sin(0.05 * np.arange(3000)) ** 2 + 0.1 * rng.normal(size=3000)
+        for lag in (1, 10, 40):
+            assert auto_mutual_information(as_series(x), lag) == pytest.approx(
+                ratio_mutual_information(x[: x.size - lag], x[lag:], 16), abs=1e-9
+            )
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(ConfigError):
-            mutual_information(np.arange(5.0), np.arange(5.0), 16)
+        # Twenty samples leave fewer than 16 pairs at lag 5; one cell is
+        # below the floor at any lag.
+        x = as_series(np.sin(np.arange(20.0)))
+        with pytest.raises(ConfigError, match=r"^need at least 16 paired samples, got 15$"):
+            auto_mutual_information(x, 5, 16)
+        for lag in (0, 3):
+            with pytest.raises(ConfigError, match=r"^bins must be an integer >= 2, got 1$"):
+                auto_mutual_information(x, lag, 1)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
     def test_bounds_and_route_agreement(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(64, 400))
-        x = rng.normal(size=n)
-        y = rng.normal(size=n) + rng.uniform(-1, 1) * x
-        joint = joint_distribution(x, y, 8)
-        mi_a = mi_from_joint(joint)
-        mi_b = ratio_mutual_information(joint)
-        assert mi_a == pytest.approx(mi_b, abs=1e-9)
-        assert mi_a >= -1e-9
-        hx = entropy(joint.marginal_x())
-        hy = entropy(joint.marginal_y())
-        assert mi_a <= min(hx, hy) + 1e-9
+        lag = int(rng.integers(1, 20))
+        x = np.cumsum(rng.normal(size=n)) * rng.uniform(0.1, 2.0) + rng.normal(size=n)
+        head, tail = x[: n - lag], x[lag:]
+        mi = auto_mutual_information(as_series(x), lag, 8)
+        assert mi == pytest.approx(ratio_mutual_information(head, tail, 8), abs=1e-9)
+        assert mi >= -1e-9
+        hx = entropy_bits(marginal_distribution(head, 8).probabilities)
+        hy = entropy_bits(marginal_distribution(tail, 8).probabilities)
+        assert mi <= min(hx, hy) + 1e-9
 
 
 class TestAutoMI:
     def test_lag_zero_is_marginal_entropy(self, noise_10k):
-        h = entropy(marginal_distribution(noise_10k.samples, 16))
+        h = entropy_bits(marginal_distribution(noise_10k.samples, 16).probabilities)
         assert auto_mutual_information(noise_10k, 0) == pytest.approx(h, abs=1e-9)
 
     def test_decays_for_noise(self, noise_10k):
@@ -136,23 +137,29 @@ class TestAutoMI:
 
 
 class TestFirstLocalMinimum:
-    def test_hand_case(self):
-        result = first_local_minimum([3.0, 2.0, 1.0, 1.5])
-        assert result == (2, False)
+    """The scan's first-minimum rule on hand-made autoMI values."""
 
-    def test_plateau_counts_as_minimum(self):
+    @staticmethod
+    def scan(monkeypatch, values):
+        monkeypatch.setattr(information, "auto_mutual_information", lambda s, lag, bins=16: values[lag])
+        return select_lag_first_minimum(as_series(np.arange(40.0)), len(values) - 1)
+
+    def test_hand_case(self, monkeypatch):
+        assert self.scan(monkeypatch, [3.0, 2.0, 1.0, 1.5]) == (2, False)
+
+    def test_plateau_counts_as_minimum(self, monkeypatch):
         # Equal-right neighbours qualify, so the dip at 1 wins.
-        result = first_local_minimum([3.0, 1.0, 1.0, 5.0])
-        assert result == (1, False)
+        assert self.scan(monkeypatch, [3.0, 1.0, 1.0, 5.0]) == (1, False)
 
-    def test_monotone_decrease_saturates(self):
-        result = first_local_minimum([5.0, 4.0, 3.0, 2.0])
+    def test_monotone_decrease_saturates(self, monkeypatch):
+        result = self.scan(monkeypatch, [5.0, 4.0, 3.0, 2.0])
         assert result.saturated
         assert result.lag == 3
 
-    def test_too_short_rejected(self):
-        with pytest.raises(ConfigError):
-            first_local_minimum([1.0, 2.0])
+    def test_too_short_rejected(self, monkeypatch):
+        # Lags 0 and 1 alone cannot show a minimum.
+        with pytest.raises(ConfigError, match=r"^max_lag must be an integer >= 2, got 1$"):
+            self.scan(monkeypatch, [1.0, 2.0])
 
 
 class TestLagSelection:
@@ -206,14 +213,6 @@ class TestLagSelection:
             select_lag_first_minimum(noise_10k, 1)
 
 
-def _outcome(call) -> tuple:
-    """("value", its hex) of a call that returns, else (error class, text)."""
-    try:
-        return "value", call().hex()
-    except ChaosKitError as exc:
-        return type(exc), str(exc)
-
-
 def _lag_scan_series() -> dict[str, np.ndarray]:
     rng = np.random.default_rng(3)
     return {
@@ -229,26 +228,27 @@ def _lag_scan_series() -> dict[str, np.ndarray]:
 
 class TestLagScanRanges:
     """The scan counts each lag's joint histogram without building its
-    edges or checking its probabilities; every value must equal the
-    generic route's, which does both."""
+    edges or checking its probabilities; on ranges at float64's edges
+    every value must still be the double-sum mutual information of the
+    histogram the binning rule defines."""
 
     @pytest.mark.parametrize("name", sorted(_lag_scan_series()))
     @pytest.mark.parametrize("bins", [2, 16])
     def test_every_lag_matches_mutual_information(self, name, bins):
-        # Both routes give the same outcome at every lag: the same value
-        # to the bit, or the same error class and text.
         x = _lag_scan_series()[name]
         series = TimeSeries(x, sample_rate_hz=1.0)
-        outcomes = set()
         for lag in [*range(0, 80), x.size - bins]:
+            if name == "range-overflows":
+                # Uniform samples in +-1.7e308 span a range whose width
+                # overflows: no cell has a finite width, so every lag is
+                # refused.
+                with pytest.raises(DegenerateSeriesError):
+                    auto_mutual_information(series, lag, bins)
+                continue
             with np.errstate(over="ignore", invalid="ignore"):
-                expected = _outcome(lambda: mutual_information(x[: x.size - lag], x[lag:], bins))
-                got = _outcome(lambda: auto_mutual_information(series, lag, bins))
-            assert got == expected, lag
-            outcomes.add(expected[0])
-        # Uniform samples in +-1.7e308 span a range whose width overflows:
-        # no cell has a finite width, so every lag is refused.
-        assert outcomes == ({DegenerateSeriesError} if name == "range-overflows" else {"value"})
+                got = auto_mutual_information(series, lag, bins)
+                expected = ratio_mutual_information(x[: x.size - lag], x[lag:], bins)
+            assert got == pytest.approx(expected, abs=1e-9), lag
 
     def test_range_without_a_float64_width_is_refused(self):
         x = _lag_scan_series()["range-overflows"]
@@ -260,14 +260,3 @@ class TestLagScanRanges:
         flat = TimeSeries(np.full(300, 1e16), sample_rate_hz=10.0)
         with pytest.raises(DegenerateSeriesError, match=r"^the histogram range \[1e\+16, 1e\+16\] has no width"):
             select_lag_first_minimum(flat, 10)
-
-    @pytest.mark.parametrize("lag, bins", [(5, 16), (0, 1), (3, 1)])
-    def test_errors_match_mutual_information(self, lag, bins):
-        # Twenty samples leave fewer than 16 pairs at lag 5; one cell is
-        # below the floor at any lag.
-        x = np.sin(np.arange(20.0))
-        with pytest.raises(ConfigError) as generic:
-            mutual_information(x[: x.size - lag], x[lag:], bins)
-        with pytest.raises(ConfigError) as scanned:
-            auto_mutual_information(TimeSeries(x, sample_rate_hz=1.0), lag, bins)
-        assert str(scanned.value) == str(generic.value)

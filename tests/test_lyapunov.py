@@ -12,12 +12,12 @@ from chaoskit.errors import (
     ShortSeriesError,
 )
 from chaoskit import lyapunov
-from chaoskit.generators import GeneratorSpec, generate, henon_lle_oracle
+from chaoskit.generators import GeneratorSpec, generate
 from chaoskit.lyapunov import LyapunovResult, WolfParams, _dots, largest_lyapunov_wolf
 from chaoskit.series import EmbeddingParams, TimeSeries, delay_embed, point_extent
 
 from conftest import short_steps, traced_peak
-from oracles import WolfPick, full_scan_wolf
+from oracles import WolfPick, full_scan_wolf, henon_lle_oracle
 
 
 def embed(series, m, t, n=None):

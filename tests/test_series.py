@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoskit.correlation import correlation_curve
 from chaoskit.errors import ConfigError, DegenerateSeriesError, ShortSeriesError
 from chaoskit.series import (
     EmbeddingParams,
@@ -36,6 +37,30 @@ class TestTimeSeries:
         s = ts([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             s.samples[0] = 99.0
+
+    def test_later_writes_to_the_given_array_do_not_reach_the_series(self):
+        # A series once kept a read-only view of the caller's writable
+        # array, so x[50] = NaN written afterwards reached its samples,
+        # every delay embedding of it and C(R), which reads the samples.
+        x = np.random.default_rng(2).standard_normal(400)
+        s = ts(x[:])
+        vectors = delay_embed(s, EmbeddingParams(3, 2))
+        samples, points = s.samples.copy(), vectors.points.copy()
+        curve = correlation_curve(vectors, theiler_w=5)
+        x[50] = np.nan
+        assert s.samples.tobytes() == samples.tobytes()
+        assert delay_embed(s, EmbeddingParams(3, 2)).points.tobytes() == points.tobytes()
+        again = correlation_curve(vectors, theiler_w=5)
+        assert again.radii.tobytes() == curve.radii.tobytes()
+        assert again.c_values.tobytes() == curve.c_values.tobytes()
+
+    def test_read_only_arrays_are_kept_without_a_copy(self):
+        # A window cut from a series is a view of read-only samples, as is
+        # each epoch of a night, so it needs no copy.
+        s = ts(np.random.default_rng(3).standard_normal(100))
+        window = ts(s.samples[10:40])
+        assert window.samples.base is s.samples
+        assert np.shares_memory(window.samples, s.samples)
 
     def test_rejects_nan(self):
         with pytest.raises(ConfigError, match="^samples must be"):

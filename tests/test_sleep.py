@@ -1,12 +1,14 @@
 """Epoching and the per-window index pipeline."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from chaoskit import sleep
-from chaoskit.correlation import correlation_curve, correlation_sum
+from chaoskit.correlation import correlation_curve
 from chaoskit.errors import ConfigError, DegenerateSeriesError, InputError
 from chaoskit.generators import GeneratorSpec, generate
 from chaoskit.lyapunov import WolfParams, largest_lyapunov_wolf
@@ -266,9 +268,6 @@ class TestSquaredOverflow:
             largest_lyapunov_wolf(points, WolfParams(theiler_w=5))
         with pytest.raises(DegenerateSeriesError, match=r"^squared distances of 3-d points spanning .* overflow float64"):
             correlation_curve(points, theiler_w=5)
-        # Once C(1.0) = 0.0, every distance having overflowed.
-        with pytest.raises(DegenerateSeriesError, match=r"^squared distances of 3-d points spanning .* overflow float64"):
-            correlation_sum(points, 1.0, theiler_w=5)
         result = compute_epoch_indices(window)
         assert set(result.failures) == set(INDEX_NAMES)
         assert all("overflow float64" in reason for reason in result.failures.values())
@@ -324,6 +323,24 @@ class TestAnalyzeRecordings:
             parallel = analyze_recordings(recordings, PIPELINE_CONFIG, jobs=3)
             assert serial == parallel
         assert started == [3, 2]
+
+    def test_pool_parent_imports_scipy_spatial(self):
+        # Forked workers inherit the parent's modules, so scipy.spatial,
+        # imported by the parent before its pool starts, is not imported
+        # again by each worker at its first tree.
+        code = (
+            "import sys\n"
+            "from chaoskit import sleep\n"
+            "from chaoskit.generators import GeneratorSpec, generate\n"
+            "x = generate(GeneratorSpec('sine', 600, seed=1, parameters={'freq_hz': 0.31, 'noise_std': 0.05, 'fs': 10.0}))\n"
+            "r = sleep.Recording('h1', sleep.Group.HEALTHY, x, (sleep.SleepStage.S2,) * 2)\n"
+            "before = 'scipy.spatial' in sys.modules\n"
+            "epochs = sleep.analyze_recordings([r], jobs=2)\n"
+            "print(before, len(epochs), 'scipy.spatial' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "2", "True"]
 
     def test_bad_jobs_rejected(self, cohort):
         with pytest.raises(ConfigError):

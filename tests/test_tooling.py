@@ -1,6 +1,8 @@
 """The repository's scripts against the package: the names the benchmark
-tracer rebinds still exist and are called, every exported name exists,
-every demo runs to the end, and the package keeps a single
+tracer rebinds still exist and are called, every exported name exists
+and is used by the package, a demo or the benchmark, the benchmark's
+checks state the Wolf walk's separation fractions that the package
+names, every demo runs to the end, and the package keeps a single
 integer-argument check, a single real-argument check, a single array
 check, a single epoch record rule, a single histogram count and a single
 delay-vector layout, each estimator default is written once, the
@@ -70,6 +72,72 @@ def test_exported_names_exist():
         if not hasattr(module, name)
     ]
     assert len(modules) > 10 and missing == []
+
+
+def _uses(path: Path) -> list[tuple[str, frozenset[str]]]:
+    """Each name a file reads, imports or reads as an attribute, with the
+    names of the functions and classes whose definitions enclose it."""
+    uses = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name):
+            uses.append((node.id, inside))
+        elif isinstance(node, ast.Attribute):
+            uses.append((node.attr, inside))
+        elif isinstance(node, ast.alias):
+            uses.append((node.name, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return uses
+
+
+def test_every_exported_name_has_a_user():
+    # chaoskit exports only what the pipeline, a demo or the benchmark
+    # uses: a name that only the tests call belongs in tests/oracles.py.
+    # A use inside src/chaoskit counts when no unused export's definition
+    # encloses it (its own included), so dead code cannot keep dead code.
+    uses = [
+        use
+        for path in sorted((ROOT / "src" / "chaoskit").glob("*.py"))
+        if path.name != "__init__.py"
+        for use in _uses(path)
+    ]
+    uses += [
+        (name, frozenset())
+        for folder in ("demos", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+        for name, _inside in _uses(path)
+    ]
+    unused = set(chaoskit.__all__)
+    while True:
+        reached = {name for name, inside in uses if name in unused and not inside & unused}
+        if not reached:
+            break
+        unused -= reached
+    assert sorted(unused) == []
+
+
+def test_checks_state_the_wolf_separation_fractions():
+    # perfbench/checks.py predicts the Wolf start from point 0 with the
+    # walk's default bounds, written there as literal multiples of the
+    # extent; they must be the fractions lyapunov names.
+    module = ast.parse((ROOT / "perfbench" / "checks.py").read_text(encoding="utf-8"))
+    (fn,) = [n for n in module.body if isinstance(n, ast.FunctionDef) and n.name == "_point0_admissible"]
+    bounds = {
+        type(op).__name__: node.left.value
+        for compare in ast.walk(fn)
+        if isinstance(compare, ast.Compare)
+        for op, node in zip(compare.ops, compare.comparators)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and isinstance(node.left, ast.Constant)
+        and ast.unparse(node.right) == "extent"
+    }
+    assert bounds == {"GtE": lyapunov.MIN_SEPARATION_FRACTION, "LtE": lyapunov.MAX_SEPARATION_FRACTION}
 
 
 def test_traced_sleep_names_are_called(monkeypatch):
@@ -148,9 +216,9 @@ def test_one_array_rule():
 
 def test_one_histogram_rule():
     # Every histogram is counted in information.py: the report histograms
-    # through marginal_distribution, every joint count, for
-    # mutual_information and the delay scan alike, through one kernel,
-    # and mutual information is H(X) + H(Y) - H(X, Y) written once. One
+    # through marginal_distribution, the delay scan's joint counts
+    # through one kernel, and mutual information is H(X) + H(Y) - H(X, Y)
+    # written once. One
     # type holds a histogram: no dataclass but information.py's
     # DiscreteDistribution has a bin_edges field.
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted((ROOT / "src" / "chaoskit").glob("*.py"))}
