@@ -28,11 +28,11 @@ and a radius whose key some value shares is recounted on float64.
 Rounding to float32 is monotone, so the counts are exact.
 
 D2 is read off as the least-squares slope of log C(R) against log R
-over an automatically selected scaling region. Every candidate window's
-R^2 is first estimated from prefix sums in one vectorised pass, with a
-proven bound on how far the exact fit can lie from the estimate; only
-the windows that the bounds cannot rule out are fitted exactly, so the
-chosen window and every output bit are those of fitting them all.
+over an automatically selected scaling region. Every candidate window
+is fitted in one vectorised pass: its means and centred sums are
+running sums read at its last point, so each is added from left to
+right, as a plain loop adds it. No BLAS routine runs, so the fit does
+not depend on the BLAS kernel the host selects.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ MIN_RADII = 8
 _PAIR_BLOCK = 1 << 15
 # Percentile of the pair distances at the bottom of the radius grid.
 _LOW_PERCENTILE = 0.1
-# Unit roundoff of float64.
-_U = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -370,140 +368,47 @@ def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> Correla
     return CorrelationCurve(radii=radii, c_values=counts / total, n_pairs=total)
 
 
-def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope and Pearson r of y on x.
+def _fit_centred(xy: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slope and R^2 of y on x over the first ``length`` entries of each
+    column of ``xy = (x, y)``, centred on their means.
 
-    The arithmetic of ``scipy.stats.linregress``, so results match it
-    bit for bit, without its p-value and standard errors. A zero
-    variance gives r = NaN when the covariance is zero too, else 0; r is
-    clipped to [-1, 1] against rounding.
+    The centred sums Sxx, Syy and Sxy are running sums down each column
+    (``np.cumsum``) read at its last point. slope = Sxy / Sxx and
+    R^2 = min(Sxy^2 / (Sxx Syy), 1), both NaN where Sxx or Syy is zero.
     """
-    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
-    if ssxm == 0.0 or ssym == 0.0:
-        r = math.nan if ssxym == 0 else 0.0
-    else:
-        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
-    return ssxym / ssxm, r
+    x, y = xy
+    sums = np.cumsum(np.stack([x * x, y * y, x * y]), axis=1)
+    sxx, syy, sxy = sums[:, length - 1, np.arange(length.size)]
+    flat = (sxx == 0.0) | (syy == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(flat, np.nan, sxy / sxx)
+        r2 = np.where(flat, np.nan, np.minimum(sxy * sxy / (sxx * syy), 1.0))
+    return slope, r2
 
 
-def _gamma(k):
-    """Bound on the relative error of ``k`` chained roundings, k u / (1 - k u)."""
-    return k * _U / (1.0 - k * _U)
+def _window_fits(log_r: np.ndarray, log_c: np.ndarray, min_len: int) -> tuple[np.ndarray, ...]:
+    """Start, length, slope and R^2 of every window of at least
+    ``min_len`` consecutive points (log R, log C).
 
-
-def _screened_windows(log_r: np.ndarray, log_c: np.ndarray, min_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and lengths of the windows the exact fit must decide between.
-
-    Every window of at least ``min_len`` points gets an estimate R2 of
-    its squared correlation and a bound B (``_r2_bounds``) such that
-    ``_fit_line`` on the window returns an r with ``|r**2 - R2| <= B``.
-    A window is dropped only when ``R2 + B`` falls below the largest
-    ``R2 - B`` of an established window: its exact R^2 is then below
-    that window's, whose r is finite, so it can neither win nor tie,
-    and every window the (R^2, length, -start) rule has to choose among
-    is kept. A window whose bound is not established is always kept.
-    """
-    grid = np.arange(log_r.size + 1)
-    start, end = np.nonzero(grid[None, :] - grid[:, None] >= min_len)
-    length = end - start
-    r2, bound = _r2_bounds(log_r, log_c, start, length)
-    settled = ~np.isnan(bound)
-    keep = ~settled
-    if settled.any():
-        keep |= r2 + bound >= (r2 - bound)[settled].max()
-    return start[keep], length[keep]
-
-
-def _r2_bounds(log_r: np.ndarray, log_c: np.ndarray, start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Estimated R^2 of each window of log C against log R, and a bound
-    on its distance from the r**2 that ``_fit_line`` returns for the
-    window; the bound is NaN where it cannot be established.
-
-    Write u = 2^-53 and g_k = k u / (1 - k u): k roundings multiply a
-    value by a factor within g_k of 1 (no value here comes near
-    underflow). Let v, w be a window's L values of log R and log C, and
-    Sxx*, Syy*, Sxy* their exact centred sums of squares and products;
-    r* = Sxy* / sqrt(Sxx* Syy*) lies in [-1, 1].
-
-    - Estimate. With x = fl(log R - mean) over all N eligible radii (y
-      likewise) and prefix sums P of x, x^2, x y, the window's sums are
-      Sxx = (P2[e] - P2[s]) - (P1[e] - P1[s])^2 / L, and likewise Syy
-      and Sxy. A prefix difference of x holds at most N roundings, so
-      each term of these expressions passes through at most 2N + 3, and
-      Sxx is within g_{2N+3} h_x of the exact centred sum of the x in
-      the window, where h_x is the same expression over |x| with every
-      minus turned into a plus; h_x as evaluated is within a factor
-      g_{2N+3} of its exact value. Rounding each x moved it by at most
-      g_1 |x|, which moves the centred sums by at most g_3 h_x (and
-      g_3 sqrt(h_x h_y) for Sxy). The cross expression is at most
-      sqrt(h_x h_y) by Cauchy-Schwarz.
-    - Exact fit. ``np.cov`` takes the mean m + d with
-      |d| <= g_L max|v|, subtracts it (one rounding each) and sums L
-      products (g_L). Since sum (v - m - d)^2 = Sxx* + L d^2 exactly,
-      its sum is within L d^2 + g_{L+2} (Sxx* + L d^2) of Sxx*, and the
-      cross sum within L |d d'| + g_{L+2} sqrt((Sxx* + L d^2)
-      (Syy* + L d'^2)) of Sxy*; Sxx* itself is at most (1 + g_2) h_x.
-    - Together, with f_x = L (g_L max|v|)^2, M_x = h_x + f_x and
-      g = g_{4N+16}, both routes are within E_x = g M_x + 2 f_x of Sxx*
-      (E_y likewise) and within E_xy = g sqrt(M_x M_y) + 2 sqrt(f_x f_y)
-      of Sxy*.
-    - Established means Sxx > 3 E_x and Syy > 3 E_y, all finite; then
-      both exact variances, and the fit's, are positive. With
-      p_x = E_x / (Sxx - E_x) < 1/2, p_y likewise,
-      p_xy = E_xy / sqrt((Sxx - E_x)(Syy - E_y)), G = 1 / sqrt((1 - p_x)
-      (1 - p_y)) and e = G (1 + p_xy) - 1, any r computed from sums
-      within those distances is (r* + a) s with |a| <= p_xy and
-      |s - 1| <= G - 1, so it lies within e of r* before rounding.
-      ``_fit_line`` rounds its ratio at most five times and its square
-      once; clipping to [-1, 1] only moves r toward r*. The estimate
-      R2 = Sxy^2 / (Sxx Syy) rounds three times. So
-      |r**2 - R2| <= 2 e (2 + e) + 4 g_5 (1 + e)^2. B inflates that by
-      1 + g_64 and adds 4 u (1 + R2), which covers the rounding of its
-      own evaluation and of the comparisons.
+    Column s holds the points from s on, padded with zeros. A window's
+    means are running sums down its start's column (``np.cumsum``) read
+    at its last point, so, like its centred sums (``_fit_centred``),
+    they are added from left to right, as a plain loop over the window
+    adds them. The windows are fitted at once, a block of at most
+    ``_PAIR_BLOCK`` column entries at a time.
     """
     n = log_r.size
-    end = start + length
-
-    def prefix(v):
-        out = np.zeros(n + 1)
-        np.cumsum(v, out=out[1:])
-        return out
-
-    def window_sum(v):
-        p = prefix(v)
-        return p[end] - p[start]
-
-    x = log_r - log_r.mean()
-    y = log_c - log_c.mean()
-    span = length.astype(np.float64)
-    sx, sy = window_sum(x), window_sum(y)
-    sxx = window_sum(x * x) - sx * sx / span
-    syy = window_sum(y * y) - sy * sy / span
-    sxy = window_sum(x * y) - sx * sy / span
-
-    def magnitude(v, raw):
-        """(M, f) of the derivation for one variable."""
-        sq, ab = prefix(v * v), prefix(np.abs(v))
-        h = sq[end] + sq[start] + (ab[end] + ab[start]) ** 2 / span
-        f = span * (_gamma(span) * np.abs(raw).max()) ** 2
-        return h + f, f
-
-    g = _gamma(4 * n + 16)
-    m_x, f_x = magnitude(x, log_r)
-    m_y, f_y = magnitude(y, log_c)
-    e_x = g * m_x + 2.0 * f_x
-    e_y = g * m_y + 2.0 * f_y
-    e_xy = g * np.sqrt(m_x * m_y) + 2.0 * np.sqrt(f_x * f_y)
-    with np.errstate(all="ignore"):
-        r2 = sxy * sxy / (sxx * syy)
-        p_x = e_x / (sxx - e_x)
-        p_y = e_y / (syy - e_y)
-        p_xy = e_xy / np.sqrt((sxx - e_x) * (syy - e_y))
-        e = (1.0 + p_xy) / np.sqrt((1.0 - p_x) * (1.0 - p_y)) - 1.0
-        bound = (2.0 * e * (2.0 + e) + 4.0 * _gamma(5) * (1.0 + e) ** 2) * (1.0 + _gamma(64))
-        bound += 4.0 * _U * (1.0 + r2)
-    settled = (sxx > 3.0 * e_x) & (syy > 3.0 * e_y) & np.isfinite(r2) & np.isfinite(bound)
-    return r2, np.where(settled, bound, np.nan)
+    grid = np.arange(n + 1)
+    start, end = np.nonzero(grid[None, :] - grid[:, None] >= min_len)
+    length = end - start
+    padded = np.concatenate([np.stack([log_r, log_c]), np.zeros((2, n))], axis=1)
+    columns = np.take(padded, grid[:n, None] + grid[: n - min_len + 1], axis=1)
+    means = np.cumsum(columns, axis=1)[:, length - 1, start] / length
+    step = max(1, _PAIR_BLOCK // n)
+    blocks = [slice(k, k + step) for k in range(0, start.size, step)]
+    fits = [_fit_centred(np.take(columns, start[b], axis=2) - means[:, None, b], length[b]) for b in blocks]
+    slope, r2 = (np.concatenate(parts) for parts in zip(*fits))
+    return start, length, slope, r2
 
 
 def check_min_fit_r2(min_fit_r2: float) -> float:
@@ -522,10 +427,9 @@ def correlation_dimension(curve: CorrelationCurve, min_fit_r2: float = 0.98) -> 
     smallest starting radius. A window whose fit has no finite r (a run
     of constant C) is never chosen.
 
-    The R^2 of every window is estimated at once from prefix sums, and
-    only the windows whose bounded estimate could reach the best one
-    are fitted exactly (``_r2_bounds`` derives the bound), so the
-    result equals fitting every window, to the bit.
+    Every window is fitted in one vectorised pass of left-to-right sums
+    (``_window_fits``), so each slope and R^2 is that of a plain loop
+    over the window, bit for bit, and no BLAS kernel rounds them.
 
     Raises
     ------
@@ -546,26 +450,20 @@ def correlation_dimension(curve: CorrelationCurve, min_fit_r2: float = 0.98) -> 
     log_r = np.log(curve.radii[eligible])
     log_c = np.log(c[eligible])
     n_el = eligible.size
-    min_len = max(4, math.ceil(0.4 * n_el))
-    best = None  # (r2, length, -start, slope)
-    for start, length in zip(*_screened_windows(log_r, log_c, min_len)):
-        slope, r = _fit_line(log_r[start : start + length], log_c[start : start + length])
-        if not np.isfinite(r):
-            continue
-        key = (r**2, length, -start)
-        if best is None or key > best[:3]:
-            best = (*key, slope, start)
-    if best is None or best[0] < min_fit_r2:
+    start, length, slope, r2 = _window_fits(log_r, log_c, max(4, math.ceil(0.4 * n_el)))
+    # NaN sorts last, so a window with a finite R^2 comes first if any has one.
+    best = np.lexsort((start, -length, -r2))[0]
+    if not r2[best] >= min_fit_r2:
         raise NoScalingRegionError(
             f"no scaling window reaches R^2 >= {min_fit_r2}; the curve never goes straight"
         )
-    r2, length, neg_start, slope, start = best
+    start, length = start[best], length[best]
     lo_idx = eligible[start]
     hi_idx = eligible[start + length - 1]
     in_range = int(round((c[hi_idx] - c[lo_idx]) * curve.n_pairs))
     return D2Estimate(
-        d2=float(slope),
+        d2=float(slope[best]),
         fit_range=(float(curve.radii[lo_idx]), float(curve.radii[hi_idx])),
-        fit_r2=float(r2),
+        fit_r2=float(r2[best]),
         n_pairs_in_range=in_range,
     )

@@ -15,8 +15,10 @@ reads coordinate c as the embedded samples at tap ``c t``
 
 The autocorrelation here is the biased estimator (normalised by ``N``,
 not ``N - k``), which keeps the sequence positive semi-definite and the
-values inside ``[-1, 1]``. Its first non-positive lag doubles as the
-temporal exclusion window handed to the neighbour searches downstream.
+values inside ``[-1, 1]``. Its sums are numpy's own, not a BLAS
+kernel's, so they do not change with the kernel a host selects. Its
+first non-positive lag doubles as the temporal exclusion window handed
+to the neighbour searches downstream.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_array, check_float, check_int
 
@@ -44,6 +47,9 @@ __all__ = [
 
 # Smallest cap of the exclusion-window scan, which starts at lag 1.
 MIN_THEILER_SCAN = 1
+# Entries per block of lags in the autocorrelation: a block's products
+# are one array of at most this size, 256 KB, however long the series.
+_LAG_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,10 @@ def autocorrelation(series: TimeSeries, max_lag: int) -> np.ndarray:
 
     Uses the biased estimator: the lag-k covariance is divided by ``N``,
     then the whole sequence is normalised by the lag-0 value. The result
-    is 1 at lag 0 and stays within ``[-1, 1]``.
+    is 1 at lag 0 and stays within ``[-1, 1]``. Lag k sums the products
+    of the centred series with itself shifted by k and zero-padded past
+    its end, numpy's row sum over ``N`` entries, a block of at most
+    ``_LAG_BLOCK`` entries at a time; no BLAS routine runs.
 
     Raises
     ------
@@ -212,16 +221,15 @@ def autocorrelation(series: TimeSeries, max_lag: int) -> np.ndarray:
     max_lag = check_int("max_lag", max_lag, 0, n - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         xc = x - x.mean()
-        c0 = float(np.dot(xc, xc)) / n
+        lagged = sliding_window_view(np.concatenate([xc, np.zeros(max_lag)]), n)
+        step = max(1, _LAG_BLOCK // n)
+        sums = np.concatenate([(lagged[k : k + step] * xc).sum(axis=1) for k in range(0, max_lag + 1, step)])
+    c0 = float(sums[0]) / n
     if c0 == 0.0:
         raise DegenerateSeriesError("autocorrelation of a zero-variance series is undefined")
     if not math.isfinite(c0):
         raise DegenerateSeriesError("squared deviations of the series overflow float64; rescale the series")
-    acf = np.empty(max_lag + 1, dtype=np.float64)
-    acf[0] = 1.0
-    for k in range(1, max_lag + 1):
-        acf[k] = float(np.dot(xc[:-k], xc[k:])) / n / c0
-    return acf
+    return sums / n / c0
 
 
 class LagResult(NamedTuple):

@@ -174,31 +174,41 @@ def per_offset_correlation_curve(points: np.ndarray, n_radii: int, theiler_w: in
 
 def double_loop_fits(radii: np.ndarray, c_values: np.ndarray) -> tuple[np.ndarray, list[tuple[float, int, int, float]]]:
     """The radii with 0 < C < 1, and (R^2, length, start, slope) of every
-    window of them at least max(4, 40%) of them long, one ``np.cov`` fit
-    per window.
+    window of them at least max(4, 40%) of them long, fitted one window
+    at a time by plain Python loops.
 
-    ``start`` indexes the eligible radii. Slope and r follow
-    ``scipy.stats.linregress``'s arithmetic; R^2 is NaN where r is (a
-    window with no variance in C).
+    ``start`` indexes the eligible radii. Each mean, and then each
+    centred sum Sxx, Syy and Sxy, is added from left to right;
+    slope = Sxy / Sxx and R^2 = min(Sxy^2 / (Sxx Syy), 1), both NaN
+    where Sxx or Syy is zero (a window with no variance).
     """
     radii = np.asarray(radii, dtype=np.float64)
     c = np.asarray(c_values, dtype=np.float64)
     eligible = np.nonzero((c > 0.0) & (c < 1.0))[0]
-    log_r = np.log(radii[eligible])
-    log_c = np.log(c[eligible])
+    log_r = np.log(radii[eligible]).tolist()
+    log_c = np.log(c[eligible]).tolist()
     n = eligible.size
     fits = []
     for length in range(max(4, math.ceil(0.4 * n)), n + 1):
         for start in range(n - length + 1):
             x = log_r[start : start + length]
             y = log_c[start : start + length]
-            ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
-            if ssxm == 0.0 or ssym == 0.0:
-                r = math.nan if ssxym == 0 else 0.0
+            mean_x = mean_y = 0.0
+            for a, b in zip(x, y):
+                mean_x += a
+                mean_y += b
+            mean_x /= length
+            mean_y /= length
+            sxx = syy = sxy = 0.0
+            for a, b in zip(x, y):
+                dx, dy = a - mean_x, b - mean_y
+                sxx += dx * dx
+                syy += dy * dy
+                sxy += dx * dy
+            if sxx == 0.0 or syy == 0.0:
+                fits.append((math.nan, length, start, math.nan))
             else:
-                r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fits.append((r**2, length, start, ssxym / ssxm))
+                fits.append((min(sxy * sxy / (sxx * syy), 1.0), length, start, sxy / sxx))
     return eligible, fits
 
 

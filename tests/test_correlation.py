@@ -4,15 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from chaoskit import correlation
 from chaoskit.correlation import (
     CorrelationCurve,
     D2Estimate,
-    _fit_line,
     _low_percentile,
     _n_admissible_pairs,
-    _r2_bounds,
     _row_sum,
     correlation_curve,
     correlation_dimension,
@@ -348,8 +347,10 @@ class TestCorrelationDimension:
         est = correlation_dimension(curve)
         assert est.d2 == pytest.approx(1.7, abs=1e-9)
         assert est.fit_r2 == pytest.approx(1.0, abs=1e-12)
-        # Ties on R^2 resolve to the widest window.
-        assert est.fit_range == (radii[0], radii[-1])
+        # Dozens of windows round to R^2 = 1, the full one not among
+        # them: the widest of those, then the earliest, wins.
+        expected = double_loop_correlation_dimension(radii, curve.c_values, curve.n_pairs, 0.98)
+        assert est.fit_range == expected[1]
 
     def test_estimate_container_validation(self):
         with pytest.raises(ConfigError):
@@ -372,8 +373,8 @@ def bits(fields) -> tuple:
 
 
 def check_against_double_loop(curve: CorrelationCurve, min_fit_r2: float) -> bool:
-    """Assert the screened fit equals fitting every window; True when
-    the curve has a scaling region."""
+    """Assert the D2 fit equals plain loops over every window, bit for
+    bit; True when the curve has a scaling region."""
     expected = double_loop_correlation_dimension(
         curve.radii, curve.c_values, curve.n_pairs, min_fit_r2
     )
@@ -390,29 +391,62 @@ def hand_curve(radii, c_values) -> CorrelationCurve:
     return CorrelationCurve(radii=radii, c_values=c_values, n_pairs=79_800)  # 400 points, no exclusion
 
 
-class TestScreenedFit:
-    """The screened D2 fit against the double loop over every window."""
+@pytest.fixture(scope="module")
+def real_curves() -> list[CorrelationCurve]:
+    """105 curves from five systems, three dimensions and radius grids
+    of 8 to 64 points: 9,639 windows to fit in all."""
+    systems = [
+        ("lorenz", {}),
+        ("henon", {}),
+        ("logistic", {"r": 4.0}),
+        ("white_noise", {}),
+        ("sine", {"freq_hz": 1.1, "noise_std": 0.05, "fs": 10.0}),
+    ]
+    curves = []
+    for k, (kind, parameters) in enumerate(systems):
+        x = generate(GeneratorSpec(kind, n_samples=320, seed=k, parameters=parameters)).samples
+        for m in (1, 2, 4):
+            pts = embed(x[: 300 + m - 1], m)
+            for n_radii in (8, 12, 16, 24, 32, 48, 64):
+                curves.append(correlation_curve(pts, n_radii=n_radii, theiler_w=(m + n_radii) % 4))
+    return curves
 
-    def test_real_curves_match_double_loop(self):
-        # 105 curves from five systems, three dimensions and radius grids
-        # of 8 to 64 points: over 9,639 fitted windows in all.
-        systems = [
-            ("lorenz", {}),
-            ("henon", {}),
-            ("logistic", {"r": 4.0}),
-            ("white_noise", {}),
-            ("sine", {"freq_hz": 1.1, "noise_std": 0.05, "fs": 10.0}),
-        ]
+
+class TestScreenedFit:
+    """The one-pass D2 fit against plain-Python loops over every window,
+    bit for bit."""
+
+    def test_real_curves_match_double_loop(self, real_curves):
         windows = found = 0
-        for k, (kind, parameters) in enumerate(systems):
-            x = generate(GeneratorSpec(kind, n_samples=320, seed=k, parameters=parameters)).samples
-            for m in (1, 2, 4):
-                pts = embed(x[: 300 + m - 1], m)
-                for n_radii in (8, 12, 16, 24, 32, 48, 64):
-                    curve = correlation_curve(pts, n_radii=n_radii, theiler_w=(m + n_radii) % 4)
-                    windows += len(double_loop_fits(curve.radii, curve.c_values)[1])
-                    found += check_against_double_loop(curve, 0.98)
+        for curve in real_curves:
+            windows += len(double_loop_fits(curve.radii, curve.c_values)[1])
+            found += check_against_double_loop(curve, 0.98)
         assert windows >= 9_639
+        assert found >= 50
+
+    def test_real_curves_match_linregress(self, real_curves):
+        # scipy's fit, with its own rounding, picks the same window and
+        # a slope within 1e-12.
+        found = 0
+        for curve in real_curves:
+            eligible, fits = double_loop_fits(curve.radii, curve.c_values)
+            if eligible.size < 8:
+                continue  # too few radii to fit at all
+            log_r, log_c = np.log(curve.radii[eligible]), np.log(curve.c_values[eligible])
+            scores = []
+            for _, length, start, _ in fits:
+                fit = stats.linregress(log_r[start : start + length], log_c[start : start + length])
+                scores.append((fit.rvalue**2, length, -start, fit.slope))
+            r2, length, neg_start, slope = max(scores)
+            if r2 < 0.98:
+                with pytest.raises(NoScalingRegionError):
+                    correlation_dimension(curve)
+                continue
+            est = correlation_dimension(curve)
+            start = -neg_start
+            assert est.fit_range == (curve.radii[eligible[start]], curve.radii[eligible[start + length - 1]])
+            assert est.d2 == pytest.approx(slope, rel=1e-12)
+            found += 1
         assert found >= 50
 
     @pytest.mark.parametrize("min_fit_r2", [0.0, 0.98, 1.0])
@@ -436,8 +470,7 @@ class TestScreenedFit:
     @pytest.mark.parametrize("min_fit_r2", [0.0, 0.98])
     def test_rounding_level_runs_match_double_loop(self, min_fit_r2):
         # Runs of C that climb by an ulp or two at a time: the fit's r
-        # there is rounding noise, and often the best of the curve. The
-        # screen cannot bound such windows and must keep them.
+        # there is rounding noise, and often the best of the curve.
         rng = np.random.default_rng(9)
         wins_inside = 0
         for _ in range(60):
@@ -494,31 +527,3 @@ class TestScreenedFit:
         curve = hand_curve(np.geomspace(0.01, 1.0, c_values.size), c_values)
         for min_fit_r2 in (0.0, 0.98, 1.0):
             assert not check_against_double_loop(curve, min_fit_r2)
-
-    def test_bound_holds_for_every_established_window(self):
-        # The screen is only as sound as its bound: the exact fit's R^2
-        # must lie within it wherever it is established.
-        rng = np.random.default_rng(21)
-        curves = [
-            correlation_curve(embed(generate(GeneratorSpec(kind, n_samples=310, seed=3)).samples[:302], 3), n_radii=n_radii)
-            for kind in ("lorenz", "white_noise")
-            for n_radii in (8, 24, 64)
-        ]
-        for _ in range(30):
-            n = int(rng.integers(8, 40))
-            c = np.maximum.accumulate(np.sort(rng.uniform(0.0, 1.0, n)) ** rng.uniform(1.0, 40.0))
-            curves.append(hand_curve(np.geomspace(10.0 ** rng.uniform(-200, 0), 1e3, n), np.clip(c, 1e-300, 0.99)))
-        established = 0
-        for curve in curves:
-            c = curve.c_values
-            eligible = np.nonzero((c > 0) & (c < 1))[0]
-            log_r, log_c = np.log(curve.radii[eligible]), np.log(c[eligible])
-            min_len = max(4, int(np.ceil(0.4 * eligible.size)))
-            grid = np.arange(eligible.size + 1)
-            start, end = np.nonzero(grid[None, :] - grid[:, None] >= min_len)
-            r2, bound = _r2_bounds(log_r, log_c, start, end - start)
-            for k in np.flatnonzero(~np.isnan(bound)):
-                _, r = _fit_line(log_r[start[k] : end[k]], log_c[start[k] : end[k]])
-                assert abs(r**2 - r2[k]) <= bound[k]
-                established += 1
-        assert established > 1000

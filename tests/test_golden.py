@@ -24,11 +24,23 @@ ball.
 Each study also pins its report histograms by one digest over every
 ``histograms/hist_*.csv``, recorded before the report tables came to be
 built from one cell map.
+
+Every hash that carries D2 (the four studies, and ``estimate`` D2 on
+each signal) was recorded again when the D2 fit came to add its sums
+from left to right instead of through ``np.cov``: each D2 moved by at
+most 6.2e-16 of itself, and no fit window or failure changed. The 100 Hz
+study also runs under OpenBLAS's oldest x86-64 kernel and must give the
+same bytes, since no output may depend on the BLAS kernel.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chaoskit.cli import main
@@ -60,16 +72,16 @@ def _digests(out, names):
 
 GOLDEN = {
     (12, 10.0): {
-        "epoch_indices.ndjson": "42523280030d3e230fc853711fc85398d14639af13eff8445d49cf8af7d8f046",
-        "summary.csv": "70faefaedb19be987893107e21ca2ac41bdcf4f5ac078b4aebb2ae99b6ed0a41",
-        "pvalues.csv": "bc2cb36f6bcb4f0a6c8c95a164fb6f719fcc6a2e137c8b679d2e999b24e50485",
-        HISTOGRAMS: "383ab0ee8fefe5e498663f8f099d8b445739a24dc5b66e708961e1b571bfc9bc",
+        "epoch_indices.ndjson": "3c103b7b51377092f6509f8fc8cbb6f43578dfbb680690d410a7cd4f484e453d",
+        "summary.csv": "c2522e2be628abc4baa0553c6d04993efffd4a3f1af37576fc9142f541a0a996",
+        "pvalues.csv": "1a381a304b6a92788e0b106e9781004279106122a251bc96c9eae14c9d869c81",
+        HISTOGRAMS: "fc1616bf8206634f19c7ff1a7da7e16eedbeb01cedbae13b615b510ab7365e21",
     },
     (2, 100.0): {
-        "epoch_indices.ndjson": "fa92cfad0743f96afeb20579f4f00babfdacdc210d38a19e54ce86f03163ac21",
-        "summary.csv": "4864ae59c5c11151b96ee9202166c22d509155742978768293dc32ea3315c4b4",
-        "pvalues.csv": "9dffe207b69d0a1d4842a7de694b86ea0587181311fbd7fbcffbbef480119fff",
-        HISTOGRAMS: "c03f5cda5e97bb6d4d9cdbad27691b83d22ea1cd106529d25ae3a350c612513a",
+        "epoch_indices.ndjson": "04dff41695a70976c8e12e5472f02def96d12629e4e308c05a401b6f8ff0053a",
+        "summary.csv": "67dc76139b01dbfeeae4c505b4f53b0a2afbb1f66f54d69e65ac2dfffbb20863",
+        "pvalues.csv": "b3effe0ea6bd400f04482dc46629d172a7cadb1d4b10caa7c9b70f5219ee002c",
+        HISTOGRAMS: "99f9d6997b719d987d420d16fefef0c8c61e7a03f776a143cdbe19071ffd11f3",
     },
 }
 
@@ -82,24 +94,54 @@ def test_analyze_outputs_match_golden_hashes(tmp_path, n_epochs, fs):
     assert _digests(out, GOLDEN[n_epochs, fs]) == GOLDEN[n_epochs, fs]
 
 
+def _dynamic_openblas() -> bool:
+    """Whether numpy runs on an OpenBLAS that picks its kernel per CPU
+    at load time, which ``OPENBLAS_CORETYPE`` then overrides."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return blas.get("name", "").startswith("scipy-openblas") and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="numpy's BLAS cannot be told which kernel to use")
+def test_analyze_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # Each BLAS kernel rounds its sums its own way; no output may follow
+    # the one the host selects. Prescott is OpenBLAS's oldest x86-64
+    # kernel.
+    manifest = build_sleep_fixture(tmp_path, n_epochs=2, fs=100.0)
+    assert main(["analyze", "--manifest", manifest, "--out", str(tmp_path / "here")]) == 0
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chaoskit", "analyze", "--manifest", manifest, "--out", str(tmp_path / "prescott")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = GOLDEN[2, 100.0]
+    assert _digests(tmp_path / "prescott", names) == _digests(tmp_path / "here", names)
+
+
 # Case -> (generator seeds of the Healthy and the Apnea subject, hashes).
 LORENZ_GOLDEN = {
     "wolf-start-fails": (
         (43, 44),
         {
-            "epoch_indices.ndjson": "365803f930b046b1a80e85874e932f91b683c914248d28193a1b6ca82e03b6ab",
-            "summary.csv": "be6f587dc0297d9ceaf978c56dd48688f4b2403b1aca666c8203eeabce2f24a7",
-            "pvalues.csv": "7e4910a8bc949f7d57ca46dea7dc01e4fa2919fcdd98d2143e4b6abfcda17ef2",
-            HISTOGRAMS: "6c0aedc4ecce3fc44ee23c01c53b8899c8cfdb99dc53a98e1fd91bba721c410c",
+            "epoch_indices.ndjson": "8a265dd25a94e535695ff96b73e45ad283d3ac19e4af082f31161d0e96e346dc",
+            "summary.csv": "e4855cab8a3ee48b3cd901da48bc5f4a02f92331a89eb43bb43cced90a47fbb9",
+            "pvalues.csv": "5ae51c8ff74f2e1f752f713c4b84570344d4ba9aa8eac74f4cdfba83544d9128",
+            HISTOGRAMS: "3c60e89c61c06a1c374fe8478faead3697db9e42c36ef86b1ef67a1c902eb9f8",
         },
     ),
     "short-step-at-end": (
         (71, 47),
         {
-            "epoch_indices.ndjson": "a9da91de802eb5411886cef9511829da5837d4a0de68461e73bb46b12d081301",
-            "summary.csv": "d087993d928f41286812c5ccd36fa0d68ec5eb9347533d73e7ffaf2c6026a6f1",
-            "pvalues.csv": "a6c7b2546fa9e0f2839a69578485b9c769613e9aa378b9186b4034df06ba5b20",
-            HISTOGRAMS: "2ad0bbf0301b8f2d5d7b0b65a35d7d5f69bcd35d069d6900e8b0ed27b647c064",
+            "epoch_indices.ndjson": "9d9aba06b96f576b5db99b2533f3b2cb99f84acc5b425d6d540c1de1d29071ac",
+            "summary.csv": "66a82c5b0f7ed4c1ff6d152eff5322c83c8f0e4f404f72d8a44e1e3039109c21",
+            "pvalues.csv": "87da44ad2a2b078ac5666f7e7c229bd7008d972cb355c360feaa8a7393e19eb0",
+            HISTOGRAMS: "44c7a3eb2e1736876efaf4bc7f5d65909ab500fde84e6d9dba05a6f811709405",
         },
     ),
 }
@@ -168,9 +210,9 @@ ESTIMATE_GOLDEN = {
     ("lle", "logistic"): ((4, 0, 4, 0, 0, 0, 0, 4, 0), "ebb593a9f62ba3012db4c01150967aba6908e8dd43433347c1cb2c7a188f8360"),
     ("lle", "sine"): ((0, 0, 0, 0, 0, 4, 0, 0, 0), "9296a5e92944ca60ce9bc7086a04e76e6e6e1235ff6416cf7ede3ed2b8af478e"),
     ("lle", "noise"): ((4, 4, 4, 0, 0, 0, 0, 4, 0), "db4b3b676ef8ec865d16b7c3cb87f3cf64a43498384490f7c989936b4802597f"),
-    ("d2", "logistic"): ((0, 0, 0, 0, 0, 0, 0), "ea43daa5c2649513ea99877a3dac0338574d5f29751554833563fdf499c32ab3"),
-    ("d2", "sine"): ((0, 0, 0, 0, 0, 4, 0), "9d4422699f5e595754fce2584b79ae25a994b28f687a4bd93e2bc41896102c7c"),
-    ("d2", "noise"): ((0, 0, 0, 0, 0, 0, 0), "a7a6c700920d0d21f2074da57aa024e82468f1174cf099af9efab7e1196927ba"),
+    ("d2", "logistic"): ((0, 0, 0, 0, 0, 0, 0), "c20c622c74a3cb6fb1c8b41a4260d438968eacae6c0b0064437a051136471774"),
+    ("d2", "sine"): ((0, 0, 0, 0, 0, 4, 0), "d81bec25302e80b6746784740299735327ab7ea9c072c9dc461adbef46d89a04"),
+    ("d2", "noise"): ((0, 0, 0, 0, 0, 0, 0), "c35257bf17c5582b013f7aec18b716d4a705d6e156df6121babb669d7ccfcae8"),
 }
 
 

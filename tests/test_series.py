@@ -188,8 +188,8 @@ class TestAutocorrelation:
         assert np.all(np.abs(acf) <= 1.0 + 1e-12)
 
     def test_matches_correlate_route(self):
-        # Same estimator computed through np.correlate instead of the
-        # per-lag dot products.
+        # Same estimator computed through np.correlate instead of row
+        # sums of the lagged products.
         rng = np.random.default_rng(2)
         x = rng.normal(size=257)
         acf = autocorrelation(ts(x), 40)
@@ -197,6 +197,15 @@ class TestAutocorrelation:
         full = np.correlate(xc, xc, mode="full")[x.size - 1 :]
         expected = full[:41] / full[0]
         np.testing.assert_allclose(acf, expected, atol=1e-12)
+
+    def test_blocks_of_lags_change_no_bit(self, monkeypatch):
+        # A long series is taken a few lags at a time, down to one lag
+        # per block, and each lag's sum stays the same row sum.
+        x = np.random.default_rng(3).normal(size=3000)
+        whole = autocorrelation(ts(x), 100)
+        for block in (400_000, 10_000, 1):
+            monkeypatch.setattr("chaoskit.series._LAG_BLOCK", block)
+            np.testing.assert_array_equal(autocorrelation(ts(x), 100), whole)
 
     def test_alternating_series(self):
         # +1, -1, +1, ... has lag-1 autocorrelation -(n-1)/n under the

@@ -6,8 +6,9 @@ names, every demo runs to the end, and the package keeps a single
 integer-argument check, a single real-argument check, a single array
 check, a single epoch record rule, a single histogram count and a single
 delay-vector layout, each estimator default is written once, the
-tracer's counts read the arguments the pipeline passes, and the
-correlation sum draws no random numbers."""
+tracer's counts read the arguments the pipeline passes, the
+correlation sum draws no random numbers, and no module calls a
+BLAS-backed routine."""
 
 import ast
 import dataclasses
@@ -254,6 +255,50 @@ def test_correlation_draws_no_random_numbers():
     # depend on the points alone, with no seed behind them.
     source = (ROOT / "src" / "chaoskit" / "correlation.py").read_text(encoding="utf-8")
     assert "default_rng" not in source and "np.random" not in source
+
+
+# Routines numpy and scipy hand to BLAS (np.correlate and np.convolve
+# through the dtype's dot), and the packages whose routines all go there.
+_BLAS_NAMES = {
+    "dot", "cov", "matmul", "inner", "vdot", "einsum", "tensordot", "correlate", "convolve", "polyfit", "linregress",
+    "linalg",
+}
+
+
+def _blas_calls(package: Path) -> list[str]:
+    """``module.function: routine`` for each BLAS-backed routine that a
+    module of ``package`` names as an attribute or imports, and each
+    ``@`` it applies."""
+
+    def visit(node, where, found):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        named = None
+        if isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            named = ast.unparse(node)
+        elif isinstance(node, ast.alias) and node.name.split(".")[-1] in _BLAS_NAMES:
+            named = node.name
+        elif isinstance(node, ast.ImportFrom) and set((node.module or "").split(".")) & _BLAS_NAMES:
+            named = node.module
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            named = "@"
+        if named is not None:
+            found.append(f"{where}: {named}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, found)
+        return found
+
+    return [
+        call
+        for path in sorted(package.glob("*.py"))
+        for call in visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+    ]
+
+
+def test_no_blas_routine():
+    # Each BLAS kernel, picked per CPU when the library loads, rounds its
+    # sums its own way, so no output may pass through one.
+    assert _blas_calls(ROOT / "src" / "chaoskit") == []
 
 
 def _is_literal(node) -> bool:
