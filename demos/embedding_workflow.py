@@ -4,7 +4,7 @@ The three choices every delay embedding needs, made in the order the
 estimators consume them:
 
 1. delay t      -- first local minimum of the auto mutual information
-2. exclusion w  -- first lag where the autocorrelation falls below 1/e
+2. exclusion w  -- first lag where the autocorrelation is at or below 0
 3. dimension m  -- smallest m where Cao's E1(m) has flattened out
 
 E2 comes along for free and answers a different question: whether the

@@ -36,7 +36,7 @@ three routes, each exact, ties included:
 - A point that even a fresh list cannot settle, because duplicates or
   distance ties fill it, gets an exact scan of its Chebyshev distances
   to every point, from shared delay rows in blocks of at most
-  ``correlation._PAIR_BLOCK`` entries. So does a point at m = 1 whose
+  ``series._BLOCK`` entries. So does a point at m = 1 whose
   next distinct value further out rounds to the same distance. Tied
   data thus costs O(rows x n x m), not repeated whole-cloud queries.
 
@@ -52,9 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import _PAIR_BLOCK
 from .errors import ConfigError, DegenerateSeriesError, ShortSeriesError, check_array, check_float, check_int
-from .series import TimeSeries, _delay_points
+from .series import _BLOCK, TimeSeries, _delay_points
 
 __all__ = [
     "CaoProfile",
@@ -178,10 +177,10 @@ def _row_scan(x: np.ndarray, rows: np.ndarray, m: int, t: int, n_points: int) ->
     ``n_points`` delay vectors, by their Chebyshev distances to every
     point. Coordinate c of the distances is ``|x[c t + j] - x[c t + i]|``,
     a slice of the series against one sample per row, so no point is
-    copied, and a block holds at most ``_PAIR_BLOCK`` entries."""
+    copied, and a block holds at most ``_BLOCK`` entries."""
     neighbours = np.empty(rows.size, dtype=np.intp)
     best = np.empty(rows.size)
-    per_block = max(1, _PAIR_BLOCK // n_points)
+    per_block = max(1, _BLOCK // n_points)
     for lo in range(0, rows.size, per_block):
         block = rows[lo : lo + per_block]
         dist = np.zeros((block.size, n_points))

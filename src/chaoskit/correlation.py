@@ -6,7 +6,7 @@ Euclidean distance <= R, where a pair (i, j) is admissible when
 exactly R count (the kernel steps up at zero).
 
 Pairs are built a block of consecutive index offsets k at a time, at
-most ``_PAIR_BLOCK`` of them, from shared rows: each source series
+most ``_BLOCK`` of them, from shared rows: each source series
 (:func:`~chaoskit.series.coordinate_sources`: the embedded samples for
 delay vectors, each column otherwise) gives one row
 ``(s[j + k] - s[j]) ** 2`` per offset, and each coordinate's term is a
@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DegenerateSeriesError, NoScalingRegionError, check_array, check_float, check_int
-from .series import as_points, coordinate_sources, point_extent
+from .series import _BLOCK, as_points, coordinate_sources, point_extent
 
 __all__ = [
     "CorrelationCurve",
@@ -56,12 +56,6 @@ __all__ = [
 
 # Fewest radii on a correlation curve.
 MIN_RADII = 8
-# Entries per block of offsets. A block's rows, running sums and sort
-# keys are a few arrays of this size, 256 KB each in float64, and stay
-# in a core's cache between a block's steps: at twice this size the
-# curve of a 300-point window took about a third longer on a Xeon with
-# 2 MB of L2 cache per core.
-_PAIR_BLOCK = 1 << 15
 # Percentile of the pair distances at the bottom of the radius grid.
 _LOW_PERCENTILE = 0.1
 
@@ -233,7 +227,7 @@ def _pair_blocks(sources: list[tuple[np.ndarray, int]], n: int, w: int) -> Itera
     k0 = w + 1
     while k0 < n:
         width = n - k0
-        rows = max(1, min(_PAIR_BLOCK // width, width))
+        rows = max(1, min(_BLOCK // width, width))
         scratch.reset()
         terms = _block_terms(sources, windows, k0, rows, width, scratch)
         yield _row_sum(terms, len(sources), lambda: scratch.take((rows, width)))
@@ -330,8 +324,8 @@ def _pair_counts(sources: list[tuple[np.ndarray, int]], n: int, w: int, r_sq: np
     with np.errstate(over="ignore", under="ignore"):
         r_key = r_sq.astype(np.float32)
     counts = np.zeros(r_sq.size, dtype=np.int64)
-    # A block holds at most _PAIR_BLOCK entries, or one offset's n - k.
-    key_space = np.empty(max(_PAIR_BLOCK, n), dtype=np.float32)
+    # A block holds at most _BLOCK entries, or one offset's n - k.
+    key_space = np.empty(max(_BLOCK, n), dtype=np.float32)
     for d_sq in _pair_blocks(sources, n, w):
         keys = key_space[: d_sq.size]
         with np.errstate(over="ignore", under="ignore"):
@@ -395,7 +389,7 @@ def _window_fits(log_r: np.ndarray, log_c: np.ndarray, min_len: int) -> tuple[np
     at its last point, so, like its centred sums (``_fit_centred``),
     they are added from left to right, as a plain loop over the window
     adds them. The windows are fitted at once, a block of at most
-    ``_PAIR_BLOCK`` column entries at a time.
+    ``_BLOCK`` column entries at a time.
     """
     n = log_r.size
     grid = np.arange(n + 1)
@@ -404,7 +398,7 @@ def _window_fits(log_r: np.ndarray, log_c: np.ndarray, min_len: int) -> tuple[np
     padded = np.concatenate([np.stack([log_r, log_c]), np.zeros((2, n))], axis=1)
     columns = np.take(padded, grid[:n, None] + grid[: n - min_len + 1], axis=1)
     means = np.cumsum(columns, axis=1)[:, length - 1, start] / length
-    step = max(1, _PAIR_BLOCK // n)
+    step = max(1, _BLOCK // n)
     blocks = [slice(k, k + step) for k in range(0, start.size, step)]
     fits = [_fit_centred(np.take(columns, start[b], axis=2) - means[:, None, b], length[b]) for b in blocks]
     slope, r2 = (np.concatenate(parts) for parts in zip(*fits))

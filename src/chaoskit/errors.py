@@ -13,6 +13,17 @@ import numbers
 
 import numpy as np
 
+__all__ = [
+    "ChaosKitError",
+    "ShortSeriesError",
+    "DegenerateSeriesError",
+    "EstimationError",
+    "NoScalingRegionError",
+    "GenerationError",
+    "ConfigError",
+    "InputError",
+]
+
 
 class ChaosKitError(Exception):
     """Base class for all errors raised by chaoskit."""

@@ -26,8 +26,6 @@ from .series import LagResult, TimeSeries
 
 __all__ = [
     "DiscreteDistribution",
-    "equal_width_edges",
-    "bin_indices",
     "marginal_distribution",
     "auto_mutual_information",
     "select_lag_first_minimum",
@@ -80,22 +78,13 @@ def _cell_range(values: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
-def equal_width_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    """Equal-width edges over the :func:`_cell_range` of the values."""
-    return np.linspace(*_cell_range(np.asarray(values)), bins + 1)
-
-
-def bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Cell index of each value for the given equal-width edges.
+def _cells(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
+    """Cell index of each value among ``bins`` equal-width cells over
+    ``[lo, hi]``.
 
     Interior cells are half-open on the right; the top edge is folded
     into the last cell so the maximum never spills over.
     """
-    return _cells(values, float(edges[0]), float(edges[-1]), edges.size - 1)
-
-
-def _cells(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
-    """:func:`bin_indices` from the end edges alone, which are all it reads."""
     scaled = (values - lo) * (bins / (hi - lo))
     idx = scaled.astype(np.intp)
     return np.minimum(np.maximum(idx, 0), bins - 1)
@@ -105,16 +94,17 @@ def marginal_distribution(values, bins: int) -> DiscreteDistribution:
     """Equal-width histogram of a sequence as a probability distribution."""
     arr = check_array("values", values, ndim=1, min_len=1)
     bins = check_int("bins", bins, 1)
-    edges = equal_width_edges(arr, bins)
-    counts = np.bincount(bin_indices(arr, edges), minlength=bins)
-    return DiscreteDistribution(counts / arr.size, edges)
+    lo, hi = _cell_range(arr)
+    counts = np.bincount(_cells(arr, lo, hi, bins), minlength=bins)
+    # linspace writes both end edges exactly, so they are the cells' ends.
+    return DiscreteDistribution(counts / arr.size, np.linspace(lo, hi, bins + 1))
 
 
 def _joint_probabilities(x: np.ndarray, y: np.ndarray, bins: int) -> np.ndarray:
     """Joint histogram probabilities of two equally long float64
     sequences, rows indexing ``x``. Each is binned by :func:`_cells`
-    over its own :func:`_cell_range`, the end edges that
-    :func:`equal_width_edges` returns exactly."""
+    over its own :func:`_cell_range`, as :func:`marginal_distribution`
+    bins one sequence."""
     bins = check_int("bins", bins, MIN_MI_BINS)
     if x.size < bins:
         raise ConfigError(f"need at least {bins} paired samples, got {x.size}")

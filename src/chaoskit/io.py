@@ -18,8 +18,10 @@ other character, such as U+2028 or a form feed, splits a record. The
 writer escapes every non-ASCII character, so it never emits one that
 another reader might take for a line break.
 
-All numeric output is serialised with 17 significant digits so a
-written value reparses to the identical float. Writers go through a
+Every written number reparses to the identical float: the tables write
+17 significant digits (:func:`format_float`), and NDJSON writes
+Python's shortest round-trip repr through ``json.dumps``
+(``"lle": 0.4526970735256173``). Writers go through a
 temp-file-and-rename so a crash never leaves a half-written table, and
 every report carries the configuration fingerprint of the run that
 produced it; a report run leaves no histogram file of an earlier run

@@ -60,15 +60,11 @@ __all__ = [
     "Group",
     "SCORED_STAGES",
     "parse_stage_token",
-    "stage_token",
     "parse_group",
     "Recording",
-    "EpochWindow",
     "EstimatorConfig",
     "EpochIndices",
     "INDEX_NAMES",
-    "EmbeddingChoice",
-    "WindowPlan",
     "samples_per_epoch",
     "epoch_split",
     "compute_epoch_indices",

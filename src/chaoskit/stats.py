@@ -36,7 +36,6 @@ from .sleep import INDEX_NAMES, EpochIndices, Group, SleepStage, SCORED_STAGES
 __all__ = [
     "GroupSummary",
     "ComparisonResult",
-    "INDEX_NAMES",
     "summarize",
     "welch_t",
     "welch_satterthwaite_df",

@@ -241,7 +241,7 @@ class TestExactGrid:
         # Blocks of three offsets: the grid's running maximum, smallest
         # squares and smallest positive square carry across a hundred
         # blocks, and blocks met once every kept square is zero.
-        monkeypatch.setattr(correlation, "_PAIR_BLOCK", 1 << 10)
+        monkeypatch.setattr(correlation, "_BLOCK", 1 << 10)
         x = self.WINDOWS[window](lorenz_20k.samples[: self.N + 3 * (m - 1)])
         pts = embed(x, m, 3)
         curve = correlation_curve(pts, n_radii=24, theiler_w=self.W)
@@ -257,7 +257,7 @@ class TestExactGrid:
         # last point to the first two: in small blocks, the last blocks
         # hold it, after the smallest squares were last cut down.
         if block:
-            monkeypatch.setattr(correlation, "_PAIR_BLOCK", block)
+            monkeypatch.setattr(correlation, "_BLOCK", block)
         base = np.random.default_rng(5).uniform(size=117)
         x = np.concatenate([np.repeat(base[:9], 2), base[9:], [base[0] + 1e-9]])
         curve = correlation_curve(x, n_radii=24)

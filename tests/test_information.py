@@ -10,8 +10,6 @@ from chaoskit.errors import ConfigError, DegenerateSeriesError
 from chaoskit.generators import uniform_stream
 from chaoskit.information import (
     auto_mutual_information,
-    bin_indices,
-    equal_width_edges,
     marginal_distribution,
     select_lag_first_minimum,
 )
@@ -26,17 +24,20 @@ def as_series(x) -> TimeSeries:
 
 class TestBinning:
     def test_edges_span_range(self):
-        edges = equal_width_edges(np.array([0.0, 1.0]), 4)
-        np.testing.assert_allclose(edges, [0.0, 0.25, 0.5, 0.75, 1.0])
+        dist = marginal_distribution(np.array([0.0, 1.0]), 4)
+        np.testing.assert_allclose(dist.bin_edges, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_constant_gets_unit_cell(self):
-        edges = equal_width_edges(np.full(10, 3.0), 2)
-        np.testing.assert_allclose(edges, [2.5, 3.0, 3.5])
+        dist = marginal_distribution(np.full(10, 3.0), 2)
+        np.testing.assert_allclose(dist.bin_edges, [2.5, 3.0, 3.5])
+        np.testing.assert_array_equal(dist.probabilities, [0.0, 1.0])
 
     def test_top_edge_folds_into_last_cell(self):
-        edges = np.array([0.0, 1.0, 2.0])
-        idx = bin_indices(np.array([0.0, 0.99, 1.0, 1.5, 2.0]), edges)
-        np.testing.assert_array_equal(idx, [0, 0, 1, 1, 1])
+        # Cells [0, 1) and [1, 2]: 0 and 0.99 fall in the first, 1, 1.5
+        # and the maximum 2 in the last.
+        dist = marginal_distribution(np.array([0.0, 0.99, 1.0, 1.5, 2.0]), 2)
+        np.testing.assert_array_equal(dist.bin_edges, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(dist.probabilities, [2 / 5, 3 / 5])
 
     def test_marginal_matches_numpy_histogram(self):
         rng = np.random.default_rng(5)
@@ -253,7 +254,7 @@ class TestLagScanRanges:
     def test_range_without_a_float64_width_is_refused(self):
         x = _lag_scan_series()["range-overflows"]
         with pytest.raises(DegenerateSeriesError, match=r"^the histogram range \[.*\] has no width that float64 can hold$"):
-            equal_width_edges(x, 16)
+            marginal_distribution(x, 16)
         # A constant sequence at 1e16 widens to [1e16 - 0.5, 1e16 + 0.5],
         # which rounds to no width: it once raised ZeroDivisionError, out
         # of the pipeline's reach.

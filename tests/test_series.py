@@ -204,7 +204,7 @@ class TestAutocorrelation:
         x = np.random.default_rng(3).normal(size=3000)
         whole = autocorrelation(ts(x), 100)
         for block in (400_000, 10_000, 1):
-            monkeypatch.setattr("chaoskit.series._LAG_BLOCK", block)
+            monkeypatch.setattr("chaoskit.series._BLOCK", block)
             np.testing.assert_array_equal(autocorrelation(ts(x), 100), whole)
 
     def test_alternating_series(self):

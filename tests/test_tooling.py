@@ -1,14 +1,14 @@
 """The repository's scripts against the package: the names the benchmark
-tracer rebinds still exist and are called, every exported name exists
-and is used by the package, a demo or the benchmark, the benchmark's
-checks state the Wolf walk's separation fractions that the package
-names, every demo runs to the end, and the package keeps a single
-integer-argument check, a single real-argument check, a single array
-check, a single epoch record rule, a single histogram count and a single
-delay-vector layout, each estimator default is written once, the
-tracer's counts read the arguments the pipeline passes, the
-correlation sum draws no random numbers, and no module calls a
-BLAS-backed routine."""
+tracer rebinds still exist and are called, every exported name exists,
+is defined by the module that exports it and is used by the package, a
+demo or the benchmark, the benchmark's checks state the Wolf walk's
+separation fractions that the package names, every demo runs to the end,
+and the package keeps a single integer-argument check, a single
+real-argument check, a single array check, a single epoch record rule, a
+single histogram count and a single delay-vector layout, each estimator
+default is written once, the tracer's counts read the arguments the
+pipeline passes, the correlation sum draws no random numbers, and no
+module calls a BLAS-backed routine."""
 
 import ast
 import dataclasses
@@ -63,9 +63,14 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def _modules() -> list:
+    """The package and each of its modules."""
+    return [chaoskit, *(importlib.import_module(f"chaoskit.{m.name}") for m in pkgutil.iter_modules(chaoskit.__path__))]
+
+
 def test_exported_names_exist():
     # A removed function must not linger in an __all__ as a stale string.
-    modules = [chaoskit, *(importlib.import_module(f"chaoskit.{m.name}") for m in pkgutil.iter_modules(chaoskit.__path__))]
+    modules = _modules()
     missing = [
         f"{module.__name__}.{name}"
         for module in modules
@@ -73,6 +78,26 @@ def test_exported_names_exist():
         if not hasattr(module, name)
     ]
     assert len(modules) > 10 and missing == []
+
+
+def test_each_module_exports_only_what_it_defines():
+    # A module's __all__ is its public surface, and the package exports
+    # their union: a name that a module imports is exported by the
+    # module that defines it, or not at all.
+    strays = []
+    for module in _modules():
+        if module is chaoskit:
+            continue
+        defined = set()
+        for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+        strays += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ()) if name not in defined]
+    assert strays == []
+    assert len(set(chaoskit.__all__)) == len(chaoskit.__all__)
 
 
 def _uses(path: Path) -> list[tuple[str, frozenset[str]]]:
@@ -97,7 +122,7 @@ def _uses(path: Path) -> list[tuple[str, frozenset[str]]]:
 
 
 def test_every_exported_name_has_a_user():
-    # chaoskit exports only what the pipeline, a demo or the benchmark
+    # Each module exports only what the pipeline, a demo or the benchmark
     # uses: a name that only the tests call belongs in tests/oracles.py.
     # A use inside src/chaoskit counts when no unused export's definition
     # encloses it (its own included), so dead code cannot keep dead code.
@@ -113,7 +138,7 @@ def test_every_exported_name_has_a_user():
         for path in sorted((ROOT / folder).glob("*.py"))
         for name, _inside in _uses(path)
     ]
-    unused = set(chaoskit.__all__)
+    unused = {name for module in _modules() for name in getattr(module, "__all__", ())}
     while True:
         reached = {name for name, inside in uses if name in unused and not inside & unused}
         if not reached:
