@@ -6,11 +6,12 @@ Euclidean distance <= R, where a pair (i, j) is admissible when
 exactly R count (the kernel steps up at zero).
 
 Pairs are built a block of consecutive index offsets k at a time, at
-most ``_BLOCK`` of them, from shared rows: each source series
+most ``_BLOCK`` of them, from one shared row per offset. The points
+are read as one series s with a tap per coordinate
 (:func:`~chaoskit.series.coordinate_sources`: the embedded samples for
-delay vectors, each column otherwise) gives one row
-``(s[j + k] - s[j]) ** 2`` per offset, and each coordinate's term is a
-shifted slice of it, at its tap. The terms
+delay vectors, the columns laid end to end for plain arrays), so the
+row ``(s[j + k] - s[j]) ** 2`` serves every coordinate, whose term is
+its slice at its tap. The terms
 are added in the order numpy's row sum uses, so every distance equals
 ``((a - b) ** 2).sum()`` bit for bit, and no distance matrix is held
 beyond one block.
@@ -181,56 +182,36 @@ def _row_sum(terms: Iterator[np.ndarray], m: int, new: Callable[[], np.ndarray])
     return acc
 
 
-def _block_terms(
-    sources: list[tuple[np.ndarray, int]],
-    windows: dict[int, np.ndarray],
-    k0: int,
-    rows: int,
-    width: int,
-    scratch: _Scratch,
-) -> Iterator[np.ndarray]:
-    """Each coordinate's squared differences over the offsets
-    ``k0 .. k0 + rows - 1``, as a ``(rows, width)`` slice of its series'
-    rows; a series' rows are built when its first coordinate asks."""
-    last = None
-    for series, tap in sources:
-        if series is not last:
-            length = series.size - k0
-            sq = scratch.take((rows, length))
-            np.subtract(windows[id(series)][k0 : k0 + rows, :length], series[:length], out=sq)
-            # Entries no pair reads may overflow, where a delay series
-            # spans more than one point's coordinates.
-            with np.errstate(over="ignore"):
-                np.square(sq, out=sq)
-            last = series
-        yield sq[:, tap : tap + width]
+def _pair_blocks(series: np.ndarray, taps: list[int], n: int, w: int) -> Iterator[np.ndarray]:
+    """Squared distances of the admissible pairs of ``n`` points whose
+    coordinate c is ``series[taps[c] : taps[c] + n]``, a block of
+    consecutive index offsets at a time.
 
-
-def _pair_blocks(sources: list[tuple[np.ndarray, int]], n: int, w: int) -> Iterator[np.ndarray]:
-    """Squared distances of the admissible pairs of ``n`` points, a block
-    of consecutive index offsets at a time.
-
-    The block of offsets ``k0 .. k0 + rows - 1`` is a ``(rows, n - k0)``
-    array whose entry (r, i) is the pair (i, i + k0 + r). Entries with
-    ``i >= n - k0 - r`` are not pairs: each reads a series past its end,
-    where it is padded with NaN, so they are NaN, which no comparison
-    counts and ``np.fmax`` and ``np.fmin`` pass over. A block is
-    overwritten by the next, so it must be used before the next is asked
-    for.
+    The block of offsets ``k0 .. k0 + rows - 1`` squares one row
+    ``(series[j + k] - series[j]) ** 2`` per offset k, and each
+    coordinate's term is its slice at its tap. Its sum is a
+    ``(rows, n - k0)`` array whose entry (r, i) is the pair
+    (i, i + k0 + r). Entries with ``i >= n - k0 - r`` are not pairs: the
+    last coordinate's term reads past the series' end, where it is
+    padded with NaN, so they are NaN, which no comparison counts and
+    ``np.fmax`` and ``np.fmin`` pass over. A block is overwritten by the
+    next, so it must be used before the next is asked for.
     """
-    pad = np.full(n, np.nan)
-    windows = {}
-    for series, _ in sources:
-        if id(series) not in windows:
-            windows[id(series)] = sliding_window_view(np.concatenate([series, pad]), series.size)
+    shifted = sliding_window_view(np.concatenate([series, np.full(n, np.nan)]), series.size)
     scratch = _Scratch()
     k0 = w + 1
     while k0 < n:
-        width = n - k0
+        width, length = n - k0, series.size - k0
         rows = max(1, min(_BLOCK // width, width))
         scratch.reset()
-        terms = _block_terms(sources, windows, k0, rows, width, scratch)
-        yield _row_sum(terms, len(sources), lambda: scratch.take((rows, width)))
+        sq = scratch.take((rows, length))
+        # Entries no pair reads may overflow, where the series spans
+        # more than one point's coordinates.
+        with np.errstate(over="ignore"):
+            np.subtract(shifted[k0 : k0 + rows, :length], series[:length], out=sq)
+            np.square(sq, out=sq)
+        terms = (sq[:, tap : tap + width] for tap in taps)
+        yield _row_sum(terms, len(taps), lambda: scratch.take((rows, width)))
         k0 += rows
 
 
@@ -310,7 +291,7 @@ def _radius_grid(blocks: Iterator[np.ndarray], total: int, n_radii: int) -> np.n
     return radii
 
 
-def _pair_counts(sources: list[tuple[np.ndarray, int]], n: int, w: int, r_sq: np.ndarray) -> np.ndarray:
+def _pair_counts(series: np.ndarray, taps: list[int], n: int, w: int, r_sq: np.ndarray) -> np.ndarray:
     """Admissible pairs at squared distance <= each of ``r_sq``.
 
     Each block's squares are rounded to float32 keys and sorted, and a
@@ -326,7 +307,7 @@ def _pair_counts(sources: list[tuple[np.ndarray, int]], n: int, w: int, r_sq: np
     counts = np.zeros(r_sq.size, dtype=np.int64)
     # A block holds at most _BLOCK entries, or one offset's n - k.
     key_space = np.empty(max(_BLOCK, n), dtype=np.float32)
-    for d_sq in _pair_blocks(sources, n, w):
+    for d_sq in _pair_blocks(series, taps, n, w):
         keys = key_space[: d_sq.size]
         with np.errstate(over="ignore", under="ignore"):
             np.copyto(keys.reshape(d_sq.shape), d_sq, casting="same_kind")
@@ -341,13 +322,13 @@ def _pair_counts(sources: list[tuple[np.ndarray, int]], n: int, w: int, r_sq: np
 def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> CorrelationCurve:
     """C(R) over a log-spaced radius grid derived from the data.
 
-    Two passes over the pair blocks, which share each series' rows among
-    its coordinates: the first sets the grid from every admissible pair
-    (the 0.1th percentile of their distances to the maximum), the second
-    counts the pairs within each radius by float32 sort keys, recounting
-    on float64 where a key ties, so each C(R) is the exact share of
-    pairs at distance <= R. Points whose squared distances may overflow
-    float64 raise DegenerateSeriesError
+    Two passes over the pair blocks, which share one row of squared
+    differences among the coordinates: the first sets the grid from
+    every admissible pair (the 0.1th percentile of their distances to
+    the maximum), the second counts the pairs within each radius by
+    float32 sort keys, recounting on float64 where a key ties, so each
+    C(R) is the exact share of pairs at distance <= R. Points whose
+    squared distances may overflow float64 raise DegenerateSeriesError
     (:func:`~chaoskit.series.point_extent`).
     """
     pts = as_points(vectors)
@@ -356,9 +337,9 @@ def correlation_curve(vectors, n_radii: int = 24, theiler_w: int = 0) -> Correla
     n_radii = check_int("n_radii", n_radii, MIN_RADII)
     point_extent(pts)
     total = _n_admissible_pairs(n, w)
-    sources = coordinate_sources(vectors)
-    radii = _radius_grid(_pair_blocks(sources, n, w), total, n_radii)
-    counts = _pair_counts(sources, n, w, radii * radii)
+    series, taps = coordinate_sources(vectors)
+    radii = _radius_grid(_pair_blocks(series, taps, n, w), total, n_radii)
+    counts = _pair_counts(series, taps, n, w, radii * radii)
     return CorrelationCurve(radii=radii, c_values=counts / total, n_pairs=total)
 
 

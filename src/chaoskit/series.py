@@ -11,7 +11,8 @@ which leaves ``N - (m - 1) t`` points from ``N`` samples. Only
 :func:`_delay_points` writes this layout, for ``DelayVectors`` and for
 the Cao scan's first ``N - m t`` points at each m. The correlation sum
 reads coordinate c as the embedded samples at tap ``c t``
-(:func:`coordinate_sources`), not from the points.
+(:func:`coordinate_sources`), not from the points; it reads plain
+arrays as their columns laid end to end, column c at tap ``c n``.
 
 The autocorrelation here is the biased estimator (normalised by ``N``,
 not ``N - k``), which keeps the sequence positive semi-definite and the
@@ -96,10 +97,11 @@ class EmbeddingParams:
     """Delay-embedding parameters: dimension, lag, and temporal exclusion.
 
     ``theiler_w`` is only recorded: it does not change the embedding, and
-    no estimator reads it. Each estimator takes its own exclusion window
+    no estimator or output reads it; the pipeline's embeddings leave it
+    at 0. Each estimator takes its own exclusion window
     (``WolfParams.theiler_w``, ``correlation_curve``'s ``theiler_w``).
-    It is kept only for ``perfbench/round.py``, which still passes it,
-    until a change to the benchmark removes it.
+    Its only remaining user is ``perfbench/round.py``, which still
+    passes it, until a change to the benchmark removes it.
     """
 
     dimension_m: int
@@ -166,21 +168,21 @@ def as_points(vectors: DelayVectors | np.ndarray) -> np.ndarray:
     return pts[:, None] if pts.ndim == 1 else pts
 
 
-def coordinate_sources(vectors: DelayVectors | np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """Each coordinate of the :func:`as_points` points as ``(series, tap)``,
-    its column being ``series[tap : tap + n]``.
+def coordinate_sources(vectors: DelayVectors | np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The :func:`as_points` points as one series and a tap per
+    coordinate, column c being ``series[taps[c] : taps[c] + n]``.
 
     Delay vectors give the samples they embed, with taps 0, t, ...,
     (m - 1) t, so a difference taken along the samples serves every
-    coordinate. Plain arrays give each column as its own series with tap
-    0; so do delay vectors whose lag exceeds their point count, where a
-    shared row would be wider than the rows of all the columns together.
+    coordinate. Plain arrays give their columns end to end, with taps 0,
+    n, ..., (m - 1) n; so do delay vectors whose lag exceeds their point
+    count, whose embedded samples are longer than their columns end to end.
     """
     pts = as_points(vectors)
     n, m = pts.shape
     if isinstance(vectors, DelayVectors) and vectors.params.lag_t <= n:
-        return [(vectors.series.samples, c * vectors.params.lag_t) for c in range(m)]
-    return [(np.ascontiguousarray(pts[:, c]), 0) for c in range(m)]
+        return vectors.series.samples, [c * vectors.params.lag_t for c in range(m)]
+    return pts.T.ravel(), [c * n for c in range(m)]
 
 
 def point_extent(pts: np.ndarray) -> float:

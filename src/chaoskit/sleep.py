@@ -463,12 +463,11 @@ class WindowPlan:
 
     @cached_property
     def vectors(self) -> DelayVectors:
-        """The delay embedding at the delay, exclusion window and dimension."""
-        lag, w = self.lag.lag, self.theiler.lag
+        """The delay embedding at the delay and dimension."""
         m = self.embedding.embed_m
         if m is None:
             raise ShortSeriesError("no embedding dimension available")
-        return delay_embed(self.window, EmbeddingParams(m, lag, w))
+        return delay_embed(self.window, EmbeddingParams(m, self.lag.lag))
 
     def lyapunov(self) -> LyapunovResult:
         """Wolf walk on the embedding, in nats per sample."""

@@ -267,15 +267,16 @@ class TestExactGrid:
 
     def test_series_wider_than_a_point_raises_no_overflow(self):
         # Each coordinate spans 8e153, so every squared distance is finite,
-        # but the delay series spans twice that: squares of differences
-        # that no pair reads overflow, silently.
+        # but the delay series spans twice that, and the plain array's
+        # columns laid end to end span it too: squares of differences
+        # that no pair reads (about 2.6e308) overflow, silently.
         e = 8e153
         x = np.concatenate([np.zeros(9), [e], np.full(9, 2 * e)])
         pts = embed(x, 2, 9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             curve = correlation_curve(pts, n_radii=8)
-        plain = correlation_curve(np.array(pts.points), n_radii=8)
+            plain = correlation_curve(np.array(pts.points), n_radii=8)
         assert curve.radii.tobytes() == plain.radii.tobytes()
         assert curve.c_values.tobytes() == plain.c_values.tobytes()
 

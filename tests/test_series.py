@@ -153,10 +153,9 @@ class TestCoordinateSources:
         # series is rebuilt from the points.
         window = ts(np.random.default_rng(3).normal(size=40))
         for params, taps in ((EmbeddingParams(4, 3), [0, 3, 6, 9]), (EmbeddingParams(1, 5), [0])):
-            sources = coordinate_sources(delay_embed(window, params))
-            assert [tap for _, tap in sources] == taps
-            assert all(series is window.samples for series, _ in sources)
-            assert np.shares_memory(sources[0][0], window.samples)
+            series, got = coordinate_sources(delay_embed(window, params))
+            assert got == taps
+            assert series is window.samples
 
     @pytest.mark.parametrize(
         "columns, n_samples, lag",
@@ -165,15 +164,17 @@ class TestCoordinateSources:
     )
     def test_other_points_give_one_series_per_column(self, columns, n_samples, lag):
         # Plain points carry no series, even when their columns are shifts
-        # of one; delay vectors whose lag exceeds their point count give
-        # their columns too.
+        # of one, so their columns are laid end to end; delay vectors whose
+        # lag exceeds their point count give their columns end to end too.
         vecs = delay_embed(ts(np.random.default_rng(4).normal(size=n_samples)), EmbeddingParams(3, lag))
         for vectors in [vecs, vecs.points] if columns is None else [vecs.points[:, columns]]:
             pts = as_points(vectors)
-            sources = coordinate_sources(vectors)
-            assert [tap for _, tap in sources] == [0, 0, 0]
-            for c, (series, _) in enumerate(sources):
-                np.testing.assert_array_equal(series, pts[:, c])
+            n = pts.shape[0]
+            series, taps = coordinate_sources(vectors)
+            assert taps == [0, n, 2 * n]
+            assert series.shape == (3 * n,)
+            for c, tap in enumerate(taps):
+                np.testing.assert_array_equal(series[tap : tap + n], pts[:, c])
 
 
 class TestAutocorrelation:

@@ -267,7 +267,9 @@ def test_one_delay_layout_rule():
     # Point k of an (m, t) delay embedding is (x[k], x[k + t], ...): only
     # series.py builds those indices, for DelayVectors and the Cao scan
     # alike, and no module rebuilds a series from point columns, since
-    # delay vectors carry the series they embed.
+    # delay vectors carry the series they embed. C(R) lays a plain
+    # array's columns end to end (pts.T.ravel()), which reads each
+    # column once and rebuilds no embedded series.
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted((ROOT / "src" / "chaoskit").glob("*.py"))}
     layout = r"np\.arange\(.*\)\[:, None\] \+ np\.arange\(.*\)\[None, :\] \*"
     assert [name for name, source in sources.items() if re.search(layout, source)] == ["series.py"]
