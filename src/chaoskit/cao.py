@@ -80,7 +80,6 @@ class CaoProfile:
     e1_values: np.ndarray
     e2_values: np.ndarray
     m_max: int
-    lag_t: int
     selected_m: int | None
     deterministic: bool
 
@@ -92,7 +91,6 @@ class CaoProfile:
                 raise ConfigError(f"{name} must hold m_max - 1 = {m_max - 1} positive values")
             object.__setattr__(self, name, values)
         object.__setattr__(self, "m_max", m_max)
-        object.__setattr__(self, "lag_t", check_int("lag_t", self.lag_t, 1))
         if self.selected_m is not None:
             object.__setattr__(self, "selected_m", check_int("selected_m", self.selected_m, 2, m_max))
 
@@ -303,7 +301,6 @@ def minimum_embedding_dimension(
         e1_values=e1,
         e2_values=e2,
         m_max=m_max,
-        lag_t=t,
         selected_m=selected,
         deterministic=deterministic,
     )

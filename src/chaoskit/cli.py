@@ -171,7 +171,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     write_epochs_ndjson(out_dir / "epoch_indices.ndjson", epochs)
     inputs = {"manifest": str(args.manifest), "subjects": [r.subject_id for r in recordings]}
-    manifest = {"config": config.as_dict(), "inputs": inputs, "outputs": {}}
+    manifest = {"config": dataclasses.asdict(config), "inputs": inputs, "outputs": {}}
     outputs = _write_reports(out_dir, epochs, config.fingerprint(), args.hist_bins, manifest)
     print(
         f"analyzed {len(epochs)} windows from {len(recordings)} recordings "
@@ -192,13 +192,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     params: dict = {"input": str(args.input), "n_samples": len(series), "fs": series.sample_rate_hz}
     diagnostics: dict = {}
 
-    if args.estimator == "lag":
-        value, units = plan.lag.lag, "samples"
-        diagnostics["saturated"] = plan.lag.saturated
-        params["bins"] = config.bins
-    elif args.estimator == "theiler":
-        value, units = plan.theiler.lag, "samples"
-        diagnostics["saturated"] = plan.theiler.saturated
+    if args.estimator in ("lag", "theiler"):
+        step = getattr(plan, args.estimator)
+        value, units = step.lag, "samples"
+        diagnostics["saturated"] = step.saturated
+        if args.estimator == "lag":
+            params["bins"] = config.bins
     elif args.estimator == "mi":
         value, units = plan.mi(), "bits"
         params.update(lag=plan.lag.lag, bins=config.bins)
@@ -214,7 +213,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             e2_values=[float(v) for v in profile.e2_values],
         )
     else:  # lle or d2, on the delay embedding
-        result = plan.lyapunov() if args.estimator == "lle" else plan.d2()
+        result = dataclasses.asdict(plan.lyapunov() if args.estimator == "lle" else plan.d2())
         choice = plan.embedding
         diagnostics.update(embedding_m=choice.embed_m, m_source=choice.source)
         if choice.profile is not None:
@@ -223,25 +222,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             diagnostics["m_fallback_reason"] = choice.med_failure
         params.update(lag=plan.lag.lag, theiler_w=plan.theiler.lag)
         if args.estimator == "lle":
-            if args.log2:
-                value, units = result.exponent / math.log(2.0), "bits/sample"
-            else:
-                value, units = result.exponent, "nats/sample"
-            diagnostics.update(
-                per_second=result.exponent * series.sample_rate_hz,
-                per_second_units="nats/s",
-                n_renormalizations=result.n_renormalizations,
-                n_replacements=result.n_replacements,
-                n_evolved_samples=result.n_evolved_samples,
-                low_confidence=result.low_confidence,
-            )
+            exponent = result.pop("exponent")
+            value, units = (exponent / math.log(2.0), "bits/sample") if args.log2 else (exponent, "nats/sample")
+            diagnostics.update(per_second=exponent * series.sample_rate_hz, per_second_units="nats/s")
         else:
-            value, units = result.d2, "dimensions"
-            diagnostics.update(
-                fit_range=[result.fit_range[0], result.fit_range[1]],
-                fit_r2=result.fit_r2,
-                n_pairs_in_range=result.n_pairs_in_range,
-            )
+            value, units = result.pop("d2"), "dimensions"
+        diagnostics.update(result)  # the rest of the result, in its own field order
 
     channel = args.channel or metadata.get("channel")
     if channel:

@@ -86,11 +86,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def duration_s(self) -> float:
-        """Signal duration in seconds."""
-        return self.samples.size / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class EmbeddingParams:

@@ -169,8 +169,13 @@ class Recording:
 
 
 class EpochWindow(NamedTuple):
-    epoch_index: int
+    """One 30 s window of a recording, with the subject, group, stage and
+    epoch number its indices are filed under."""
+
+    subject_id: str
+    group: Group | None
     stage: SleepStage
+    epoch_index: int
     window: TimeSeries
 
 
@@ -187,9 +192,9 @@ def epoch_split(recording: Recording) -> list[EpochWindow]:
         logger.debug(
             "dropping %d trailing samples of %s (partial epoch)", dropped, recording.subject_id
         )
-    fs = recording.series.sample_rate_hz
+    subject, group, fs = recording.subject_id, recording.group, recording.series.sample_rate_hz
     return [
-        EpochWindow(k, recording.hypnogram[k], TimeSeries(x[k * spe : (k + 1) * spe], fs))
+        EpochWindow(subject, group, recording.hypnogram[k], k, TimeSeries(x[k * spe : (k + 1) * spe], fs))
         for k in range(n_full)
     ]
 
@@ -255,16 +260,13 @@ class EstimatorConfig:
         for name in _WOLF_KNOBS:
             object.__setattr__(self, name, getattr(wolf, name))
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
     def wolf_params(self, theiler_w: int) -> WolfParams:
         """Parameters of the Wolf walk on an embedding with exclusion window ``theiler_w``."""
         return WolfParams(theiler_w=theiler_w, **{name: getattr(self, name) for name in _WOLF_KNOBS})
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical JSON form of the configuration."""
-        canonical = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
@@ -545,22 +547,16 @@ def compute_epoch_indices(
     )
 
 
-class _Task(NamedTuple):
-    subject_id: str
-    group: Group | None
-    stage: SleepStage
-    epoch_index: int
-    window: TimeSeries
-
-
-def _run_task(task: _Task, config: EstimatorConfig) -> EpochIndices:
+def _run_task(epoch: EpochWindow, config: EstimatorConfig) -> EpochIndices:
+    # Module level, so pool workers pickle it by reference; the pipeline
+    # is looked up at call time, where a tracer may rebind it.
     return compute_epoch_indices(
-        task.window,
+        epoch.window,
         config,
-        subject_id=task.subject_id,
-        group=task.group,
-        stage=task.stage,
-        epoch_index=task.epoch_index,
+        subject_id=epoch.subject_id,
+        group=epoch.group,
+        stage=epoch.stage,
+        epoch_index=epoch.epoch_index,
     )
 
 
@@ -578,11 +574,7 @@ def analyze_recordings(
         config = EstimatorConfig()
     jobs = check_int("jobs", jobs, 1)
 
-    tasks = [
-        _Task(rec.subject_id, rec.group, ew.stage, ew.epoch_index, ew.window)
-        for rec in recordings
-        for ew in epoch_split(rec)
-    ]
+    tasks = [window for rec in recordings for window in epoch_split(rec)]
     if jobs == 1 or len(tasks) < 2:
         return [_run_task(task, config) for task in tasks]
     # Forked workers inherit what is imported here: scipy.spatial,

@@ -197,7 +197,6 @@ class TestProfileSelection:
         profile = minimum_embedding_dimension(lorenz_20k, t=18, m_max=8)
         assert profile.selected_m == 3
         assert profile.deterministic
-        assert profile.lag_t == 18
         assert profile.e1_values.shape == (7,)
         # E2 must wander away from 1 for the verdict to hold.
         assert np.max(np.abs(profile.e2_values - 1.0)) > 0.1
@@ -267,7 +266,6 @@ class TestProfileContainer:
                 e1_values=np.ones(3),
                 e2_values=np.ones(4),
                 m_max=5,
-                lag_t=1,
                 selected_m=None,
                 deterministic=False,
             )
@@ -278,7 +276,6 @@ class TestProfileContainer:
                 e1_values=np.ones(4),
                 e2_values=np.ones(4),
                 m_max=5,
-                lag_t=1,
                 selected_m=1,
                 deterministic=True,
             )

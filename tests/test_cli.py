@@ -5,6 +5,7 @@ disk, byte-level determinism. Numeric behaviour of the estimators is
 covered by the per-module tests.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -19,7 +20,7 @@ from chaoskit.cli import _config_flags, _config_from_args, build_parser
 from chaoskit.generators import GeneratorSpec, generate
 from chaoskit.io import read_signal_csv, write_hypnogram_csv, write_signal_csv
 from chaoskit.series import TimeSeries
-from chaoskit.sleep import EstimatorConfig, SleepStage, compute_epoch_indices
+from chaoskit.sleep import EstimatorConfig, SleepStage, WindowPlan, compute_epoch_indices
 
 from conftest import build_sleep_fixture
 
@@ -39,6 +40,11 @@ def stdout_json(proc):
 
 def stderr_error(proc):
     return json.loads(proc.stderr)["error"]
+
+
+def result_fields(result, value_field):
+    """Every field of an estimator's result but its value, by name, in field order."""
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name != value_field}
 
 
 def report_tables(out):
@@ -128,7 +134,7 @@ class TestUsage:
             assert getattr(config, name) == value
             assert type(getattr(config, name)) is type(value)
             assert getattr(defaults, name) != value
-        assert len(flags) == len(config.as_dict())
+        assert len(flags) == len(dataclasses.fields(config))
 
     def test_config_flag_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["estimate", "--estimator", "lag", "--input", "x.csv"])
@@ -286,6 +292,15 @@ class TestEstimate:
         assert diag["m_source"] == "explicit"
         assert diag["per_second"] == pytest.approx(payload["value"], rel=1e-12)
         assert diag["n_renormalizations"] > 0
+        # The rest of the diagnostics are the result's own fields, as a
+        # plan on the same file gives them.
+        series, _ = read_signal_csv(signals["logistic"])
+        result = WindowPlan(series, EstimatorConfig(), lag=1, m=1, theiler=10).lyapunov()
+        assert payload["value"] == result.exponent
+        rest = result_fields(result, "exponent")
+        assert list(diag) == ["embedding_m", "m_source", "per_second", "per_second_units", *rest]
+        for name, value in rest.items():
+            assert diag[name] == value, name
 
     def test_lle_log2_rescales(self, signals):
         common = ("estimate", "--estimator", "lle", "--input", str(signals["logistic"]),
@@ -303,6 +318,14 @@ class TestEstimate:
         assert 0.9 <= payload["value"] <= 1.1
         assert payload["diagnostics"]["fit_r2"] > 0.98
         assert len(payload["diagnostics"]["fit_range"]) == 2
+        series, _ = read_signal_csv(signals["noise"])
+        result = WindowPlan(series, EstimatorConfig(), lag=1, m=1, theiler=0).d2()
+        assert payload["value"] == result.d2
+        diag = payload["diagnostics"]
+        rest = result_fields(result, "d2")
+        assert list(diag) == ["embedding_m", "m_source", *rest]
+        for name, value in rest.items():
+            assert diag[name] == (list(value) if name == "fit_range" else value), name
 
     @pytest.mark.parametrize("estimator", ["mi", "med", "lle", "d2"])
     def test_auto_embedding_matches_pipeline(self, signals, logistic_epoch, estimator):

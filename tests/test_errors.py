@@ -260,7 +260,7 @@ def test_delay_vectors_holding_nan_are_refused():
 
 
 def _profile(**fields):
-    usable = dict(e1_values=np.ones(4), e2_values=np.ones(4), m_max=5, lag_t=1, selected_m=3, deterministic=True)
+    usable = dict(e1_values=np.ones(4), e2_values=np.ones(4), m_max=5, selected_m=3, deterministic=True)
     return CaoProfile(**{**usable, **fields})
 
 
@@ -303,7 +303,6 @@ def test_value_type_array(site):
 VALUE_NUMBERS = {
     "CaoProfile m_max": ("m_max", lambda v: _profile(m_max=v), 5, (5.5, 2)),
     "CaoProfile selected_m": ("selected_m", lambda v: _profile(selected_m=v), 5, (2.5, 1, 6)),
-    "CaoProfile lag_t": ("lag_t", lambda v: _profile(lag_t=v), 2, (2.5, 0, -3)),
     "CorrelationCurve n_pairs": (
         "n_pairs",
         lambda v: CorrelationCurve(CURVE.radii, CURVE.c_values, v),

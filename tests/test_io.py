@@ -1,5 +1,6 @@
 """File formats: round trips, validation, and report tables."""
 
+import dataclasses
 import json
 import math
 import os
@@ -971,7 +972,7 @@ class TestReportTables:
         for target in (a, b):
             write_run_manifest(
                 target,
-                config.as_dict(),
+                dataclasses.asdict(config),
                 config.fingerprint(),
                 inputs={"manifest": "m.json"},
                 outputs={"epochs": "epoch_indices.ndjson"},

@@ -26,7 +26,6 @@ class TestTimeSeries:
     def test_basic_properties(self):
         s = ts([1.0, 2.0, 3.0, 4.0], fs=2.0)
         assert len(s) == 4
-        assert s.duration_s == 2.0
         assert s.samples.dtype == np.float64
 
     def test_int_input_upcast(self):

@@ -100,6 +100,7 @@ class TestEpoching:
         assert len(windows) == 2
         assert [w.epoch_index for w in windows] == [0, 1]
         assert [w.stage for w in windows] == [SleepStage.WAKE, SleepStage.S2]
+        assert {(w.subject_id, w.group) for w in windows} == {("s1", Group.HEALTHY)}
         np.testing.assert_array_equal(windows[0].window.samples, x[:3000])
         np.testing.assert_array_equal(windows[1].window.samples, x[3000:6000])
 

@@ -6,9 +6,9 @@ separation fractions that the package names, every demo runs to the end,
 and the package keeps a single integer-argument check, a single
 real-argument check, a single array check, a single epoch record rule, a
 single histogram count and a single delay-vector layout, each estimator
-default is written once, the tracer's counts read the arguments the
-pipeline passes, the correlation sum draws no random numbers, and no
-module calls a BLAS-backed routine."""
+default and the version are written once, the tracer's counts read the
+arguments the pipeline passes, the correlation sum draws no random
+numbers, and no module calls a BLAS-backed routine."""
 
 import ast
 import dataclasses
@@ -19,6 +19,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -421,6 +422,18 @@ def test_each_default_is_written_once():
             assert type(getattr(config, name)) is type(value) and getattr(config, name) == value, name
 
 
+def test_version_is_written_once():
+    # pyproject.toml reads the version from chaoskit.__version__, so the
+    # package metadata and `chaoskit --version` cannot drift apart.
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools may call [tool.setuptools] beta
+        raw = pyprojecttoml.read_configuration(ROOT / "pyproject.toml", expand=False)
+        resolved = pyprojecttoml.read_configuration(ROOT / "pyproject.toml", expand=True)
+    assert "version" not in raw["project"] and "version" in raw["project"]["dynamic"]
+    assert resolved["project"]["version"] == chaoskit.__version__
+
+
 def test_help_shows_the_wolf_separation_fractions(capsys):
     # The walk's default separation bounds are fractions of the extent,
     # named once in lyapunov; --help states them from there. A count of
@@ -443,7 +456,7 @@ def test_config_defaults_have_their_annotated_types():
     kinds = {"int": int, "float": float, "float | None": type(None)}
     for f in dataclasses.fields(EstimatorConfig):
         assert type(f.default) is kinds[f.type], f.name
-    assert {k: type(v) for k, v in EstimatorConfig().as_dict().items()} == {
+    assert {k: type(v) for k, v in dataclasses.asdict(EstimatorConfig()).items()} == {
         f.name: kinds[f.type] for f in dataclasses.fields(EstimatorConfig)
     }
 
